@@ -3,10 +3,21 @@
 This is the work-horse behind the Prohorov metric and Strassen couplings:
 given atoms ``x_i`` with masses ``a_i`` and atoms ``y_j`` with masses
 ``b_j``, find the largest total mass that can be shipped along pairs with
-``|x_i - y_j| <= eps``.  Because both supports are sorted, each left atom
-sees a contiguous window of right atoms and the windows move monotonically,
-so a single greedy sweep already produces a near-maximal (usually maximal)
-flow; breadth-first augmenting paths finish the job and certify optimality.
+``|x_i - y_j| <= eps``.  Because both supports are sorted, left atom ``i``
+sees a window ``[lo_i, hi_i)`` of right atoms and both ends never decrease:
+the bipartite graph is a staircase.  On a staircase the northwest-corner
+greedy, which fills each left atom from the first right atom with room, is
+already a maximum flow (Hoffman 1963, "On simple linear programming
+problems"; Glover 1967, "Maximum matching in a convex bipartite graph").
+
+One residual search then certifies it.  Starting from every left atom with
+supply left over, it follows band edges to right atoms and flow edges back
+to left atoms.  The left atoms it reaches form the Strassen set ``A``: every
+right atom within ``eps`` of ``A`` is saturated by flow from ``A``, so the
+matched mass equals the cut ``a(A^c) + b(A^eps)``, an upper bound on every
+band flow.  A right atom with room reached by the search would be an
+augmenting path, which the staircase argument rules out; it is reported as
+``SolverDidNotConverge`` rather than repaired.
 
 Capacities are real-valued probabilities.  Residuals at or below
 ``FLOW_TERMINATION`` are treated as exhausted, which guarantees termination
@@ -43,17 +54,17 @@ def band_windows(
 
 
 class _SkipList:
-    """Union-find 'next unvisited index' structure over 0..m."""
+    """Union-find 'next unvisited index' structure; stores visited indices only."""
 
-    def __init__(self, m: int):
-        self.next = np.arange(m + 1, dtype=np.int64)
+    def __init__(self):
+        self.next: dict[int, int] = {}
 
     def find(self, j: int) -> int:
         nxt = self.next
         root = j
-        while nxt[root] != root:
+        while root in nxt:
             root = nxt[root]
-        while nxt[j] != root:
+        while j != root:
             nxt[j], j = root, nxt[j]
         return root
 
@@ -62,7 +73,11 @@ class _SkipList:
 
 
 class BandFlow:
-    """One max-flow problem at a fixed band width ``eps``."""
+    """One max-flow problem at a fixed band width ``eps``.
+
+    After ``solve()``, ``strassen`` is the boolean mask of the Strassen set
+    over the left atoms.
+    """
 
     def __init__(
         self,
@@ -72,6 +87,7 @@ class BandFlow:
         b: np.ndarray,
         eps: float,
     ):
+        self.eps = eps
         self.lo, self.hi = band_windows(xs, ys, eps)
         self.excess = np.asarray(a, dtype=float).copy()
         self.resid = np.asarray(b, dtype=float).copy()
@@ -81,116 +97,65 @@ class BandFlow:
         self.flow: list[dict[int, float]] = [{} for _ in range(self.n)]
         self.by_right: list[dict[int, float]] = [{} for _ in range(self.m)]
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _add(self, i: int, j: int, amount: float) -> None:
-        if amount == 0.0:
-            return
-        new = self.flow[i].get(j, 0.0) + amount
-        if new <= FLOW_TERMINATION:
-            self.flow[i].pop(j, None)
-            self.by_right[j].pop(i, None)
-        else:
-            self.flow[i][j] = new
-            self.by_right[j][i] = new
-
     # -- greedy staircase ------------------------------------------------------
 
     def _greedy(self) -> None:
+        # Every edge is written once, with more than FLOW_TERMINATION on it.
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        excess, resid = self.excess.tolist(), self.resid.tolist()
+        flow, by_right = self.flow, self.by_right
         j = 0
         for i in range(self.n):
-            need = self.excess[i]
+            need = excess[i]
             if need <= FLOW_TERMINATION:
                 continue
-            j = max(j, int(self.lo[i]))
-            hi = int(self.hi[i])
-            while need > FLOW_TERMINATION and j < hi:
-                room = self.resid[j]
+            j = max(j, lo[i])
+            end = hi[i]
+            while need > FLOW_TERMINATION and j < end:
+                room = resid[j]
                 if room <= FLOW_TERMINATION:
                     j += 1
                     continue
                 take = min(need, room)
-                self._add(i, j, take)
-                self.resid[j] = room - take
+                flow[i][j] = take
+                by_right[j][i] = take
+                resid[j] = room - take
                 need -= take
-            self.excess[i] = need
+            excess[i] = need
+        self.excess[:] = excess
+        self.resid[:] = resid
 
-    # -- augmenting paths ------------------------------------------------------
+    # -- Strassen certificate --------------------------------------------------
 
-    def _bfs(self, source: int) -> tuple[int, dict[int, int], dict[int, int]] | None:
-        """Shortest alternating path source -> ... -> right node with room.
-
-        Returns (target right, parent-of-right, parent-of-left) or None.
-        """
-        parent_r: dict[int, int] = {}
-        parent_l: dict[int, int] = {}
-        seen_left = np.zeros(self.n, dtype=bool)
-        seen_left[source] = True
-        skip = _SkipList(self.m)
-        queue = [source]
-        while queue:
-            nxt_queue: list[int] = []
-            for u in queue:
-                j = skip.find(int(self.lo[u]))
-                hi = int(self.hi[u])
-                while j < hi:
-                    parent_r[j] = u
-                    if self.resid[j] > FLOW_TERMINATION:
-                        return j, parent_r, parent_l
-                    for w in self.by_right[j]:
-                        if not seen_left[w]:
-                            seen_left[w] = True
-                            parent_l[w] = j
-                            nxt_queue.append(w)
-                    skip.remove(j)
-                    j = skip.find(j + 1)
-            queue = nxt_queue
-        return None
-
-    def _augment(self, source: int, found: tuple[int, dict[int, int], dict[int, int]]) -> None:
-        target, parent_r, parent_l = found
-        # Walk back to the source collecting the forward edges of the
-        # alternating path; the backward edge between path[s] and path[s+1]
-        # joins the left node of the former to the right node of the latter.
-        path: list[tuple[int, int]] = []
-        j = target
-        while True:
-            i = parent_r[j]
-            path.append((i, j))
-            if i == source:
-                break
-            j = parent_l[i]
-        amount = min(self.excess[source], self.resid[target])
-        for s in range(len(path) - 1):
-            amount = min(amount, self.flow[path[s][0]][path[s + 1][1]])
-        for s, (i, j) in enumerate(path):
-            self._add(i, j, amount)
-            if s + 1 < len(path):
-                self._add(i, path[s + 1][1], -amount)
-        self.excess[source] -= amount
-        self.resid[target] -= amount
+    def _strassen_search(self) -> None:
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        resid = self.resid
+        by_right = self.by_right
+        seen = (self.excess > FLOW_TERMINATION).tolist()
+        stack = [i for i, s in enumerate(seen) if s]
+        skip = _SkipList()
+        while stack:
+            u = stack.pop()
+            end = hi[u]
+            j = skip.find(lo[u])
+            while j < end:
+                if resid[j] > FLOW_TERMINATION:
+                    raise SolverDidNotConverge(
+                        f"band flow at eps={self.eps!r} left an augmenting path "
+                        f"to right atom {j}; the staircase greedy is not maximal"
+                    )
+                for w in by_right[j]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+                skip.remove(j)
+                j = skip.find(j + 1)
+        self.strassen = np.array(seen, dtype=bool)
 
     def solve(self) -> float:
-        """Run greedy + augmentation; returns the matched mass."""
+        """Run the greedy and certify it; returns the matched mass."""
         self._greedy()
-        limit = 1000 + 20 * (self.n + self.m)
-        rounds = 0
-        while True:
-            progressed = False
-            for i in range(self.n):
-                while self.excess[i] > FLOW_TERMINATION:
-                    found = self._bfs(i)
-                    if found is None:
-                        break
-                    self._augment(i, found)
-                    progressed = True
-                    rounds += 1
-                    if rounds > limit:
-                        raise SolverDidNotConverge(
-                            f"band flow exceeded {limit} augmentations"
-                        )
-            if not progressed:
-                break
+        self._strassen_search()
         return self.matched_mass()
 
     def matched_mass(self) -> float:
@@ -200,8 +165,4 @@ class BandFlow:
         return total
 
     def edges(self) -> dict[tuple[int, int], float]:
-        out: dict[tuple[int, int], float] = {}
-        for i, row in enumerate(self.flow):
-            for j, v in row.items():
-                out[(i, j)] = v
-        return out
+        return {(i, j): v for i, row in enumerate(self.flow) for j, v in row.items()}

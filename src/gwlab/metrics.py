@@ -11,6 +11,11 @@ max-flow; monotonicity makes binary search over breakpoints valid, and a
 plain linear scan is kept as a reference mode.  Inputs too large to
 enumerate breakpoints fall back to bisection on ``eps`` itself.
 
+The coupling certificate is checkable from both sides.  Its marginals and
+slack show that the value is attained.  Its band mass at ``d_k`` reaches
+the cut ``a(A^c) + b(A^{d_k})`` of the flow's Strassen set ``A``, an upper
+bound on every band flow there, so ``M(d_k)`` is exact.
+
 The bounded-Lipschitz distance is the optimum of a small dense LP over the
 function values at the union support, and joint/trajectory total variation
 compare generation processes as whole random objects.
@@ -29,7 +34,7 @@ import numpy as np
 from . import simplex
 from .engine import JointLaw, PowerCache
 from .errors import CouplingInfeasible, InvalidParameter, MismatchedLaws
-from .maxflow import BAND_TOL, BandFlow
+from .maxflow import BAND_TOL, FLOW_TERMINATION, BandFlow, band_windows
 from .measures import DiscreteMeasure
 from .offspring import OffspringLaw
 
@@ -55,6 +60,11 @@ class Coupling:
 
     ``slack`` is the mass sitting on pairs farther apart than ``eps``; a
     Strassen coupling at level ``eps`` keeps ``slack <= eps``.
+
+    ``strassen`` optionally masks a set ``A`` of left atoms, the Strassen set
+    of the band flow solved at ``strassen_eps <= eps``.  No coupling puts
+    more than the cut ``a(A^c) + b(A^r)`` within ``r = strassen_eps``, so a
+    band mass at ``r`` that reaches the cut is maximal there.
     """
 
     left: DiscreteMeasure
@@ -62,19 +72,24 @@ class Coupling:
     eps: float
     entries: dict[tuple[int, int], float]
     slack: float
+    strassen: np.ndarray | None = None
+    strassen_eps: float = 0.0
 
     @property
     def total_mass(self) -> float:
         return sum(self.entries.values())
 
-    def band_mass(self) -> float:
-        xs = self.left.float_support
-        ys = self.right.float_support
-        return sum(
-            v
-            for (i, j), v in self.entries.items()
-            if abs(xs[i] - ys[j]) <= self.eps + BAND_TOL
+    def band_mass(self, eps: float | None = None) -> float:
+        """Mass on pairs within ``eps`` (default: the coupling's ``eps``).
+
+        Pairs are tested with ``band_windows``, the band the flow solved on.
+        """
+        lo, hi = band_windows(
+            self.left.float_support,
+            self.right.float_support,
+            self.eps if eps is None else eps,
         )
+        return sum(v for (i, j), v in self.entries.items() if lo[i] <= j < hi[i])
 
     def marginal_errors(self) -> tuple[float, float]:
         row = np.zeros(len(self.left))
@@ -86,6 +101,20 @@ class Coupling:
         right_err = float(np.abs(col - self.right.weights_array).max())
         return left_err, right_err
 
+    def strassen_cut(self) -> float:
+        """``a(A^c) + b(A^r)`` at ``r = strassen_eps``: the most any band holds."""
+        inside = self.strassen
+        m = len(self.right)
+        lo, hi = band_windows(
+            self.left.float_support[inside], self.right.float_support, self.strassen_eps
+        )
+        cover = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
+        near = np.cumsum(cover[:m]) > 0
+        return float(
+            self.left.weights_array[~inside].sum()
+            + self.right.weights_array[near].sum()
+        )
+
     def validate(self, tol: float = 1e-10) -> None:
         if any(v < 0.0 for v in self.entries.values()):
             raise InvalidParameter("coupling has a negative mass entry")
@@ -95,6 +124,16 @@ class Coupling:
             raise InvalidParameter(
                 f"coupling marginals off by ({left_err:.2e}, {right_err:.2e}), "
                 f"allowed {allowance:.2e}"
+            )
+        if self.strassen is None:
+            return
+        cut, band = self.strassen_cut(), self.band_mass(self.strassen_eps)
+        # The flow leaves up to FLOW_TERMINATION unshipped per atom.
+        allowance = tol + (len(self.left) + len(self.right)) * FLOW_TERMINATION
+        if band < cut - allowance:
+            raise InvalidParameter(
+                f"band mass {band:.12f} at eps={self.strassen_eps} is below the "
+                f"Strassen cut {cut:.12f}, allowed {allowance:.2e}"
             )
 
     def to_json_dict(self) -> dict:
@@ -167,7 +206,7 @@ def _complete_coupling(
     slack = sum(
         v for (k, l), v in entries.items() if abs(xs[k] - ys[l]) > eps + BAND_TOL
     )
-    return Coupling(left=a, right=b, eps=eps, entries=entries, slack=slack)
+    return Coupling(a, b, eps, entries, slack, flow.strassen, flow.eps)
 
 
 def _breakpoints(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import as_arrays, random_measure, random_offspring_pair
@@ -11,6 +13,7 @@ from gwlab import (
     CouplingInfeasible,
     DiscreteMeasure,
     FamilySpec,
+    InvalidParameter,
     MismatchedLaws,
     bounded_lipschitz,
     build,
@@ -151,6 +154,23 @@ class TestStrassenCoupling:
             strassen_coupling(a, b, 0.25)
         assert err.value.achievable == pytest.approx(0.0, abs=1e-12)
 
+    def test_validate_rejects_a_band_mass_below_the_strassen_cut(self):
+        halves = DiscreteMeasure.from_items([(Fraction(0), 0.5), (Fraction(1), 0.5)])
+        coup = strassen_coupling(halves, halves, 0.0)
+        coup.validate()
+        assert coup.strassen_cut() == pytest.approx(1.0, abs=1e-15)
+        # Same marginals, but nothing on the band: the cut exposes it.
+        coup.entries = {(0, 1): 0.5, (1, 0): 0.5}
+        with pytest.raises(InvalidParameter, match="Strassen cut"):
+            coup.validate()
+
+    def test_band_mass_counts_the_pairs_the_flow_used(self):
+        # 2.8 - 2 rounds above eps + BAND_TOL, while 2 + (eps + BAND_TOL)
+        # rounds to 2.8: the flow's band holds the pair, so band_mass must too.
+        coup = strassen_coupling(dirac(2), dirac(Fraction(14, 5)), 0.7999999999989996)
+        assert coup.band_mass() == 1.0
+        coup.validate()
+
     def test_widest_band_couples_everything(self):
         rng = np.random.default_rng(38)
         a, b = random_measure(rng), random_measure(rng)
@@ -178,6 +198,41 @@ class TestBandFlow:
             np.array([0.0]), np.array([1.0]), np.array([9.0]), np.array([1.0]), 1.0
         )
         assert flow.solve() == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_flow_matches_hall_deficit_and_strassen_cut(self, data):
+        # Quarter lattices give exact, often repeated distances; tenths give
+        # distances that differ from eps by rounding, which BAND_TOL absorbs.
+        denominator = data.draw(st.sampled_from([4, 10]))
+
+        def side():
+            points = data.draw(
+                st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True)
+            )
+            raw = data.draw(
+                st.lists(
+                    st.floats(0.01, 1.0), min_size=len(points), max_size=len(points)
+                )
+            )
+            total = data.draw(st.floats(0.3, 1.0))
+            return np.sort(points) / denominator, np.array(raw) / sum(raw) * total
+
+        xs, a = side()
+        ys, b = side()
+        eps = abs(
+            xs[data.draw(st.integers(0, len(xs) - 1))]
+            - ys[data.draw(st.integers(0, len(ys) - 1))]
+        )
+        flow = maxflow.BandFlow(xs, a, ys, b, eps)
+        value = flow.solve()
+        deficit = oracles._one_sided_deficit(xs, a, ys, b, eps)
+        assert value == pytest.approx(a.sum() - max(0.0, deficit), abs=1e-12)
+        inside = flow.strassen
+        near = (
+            np.abs(xs[inside][:, None] - ys[None, :]) <= eps + maxflow.BAND_TOL
+        ).any(axis=0)
+        assert value == pytest.approx(a[~inside].sum() + b[near].sum(), abs=1e-12)
 
 
 class TestBoundedLipschitz:
