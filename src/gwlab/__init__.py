@@ -4,9 +4,10 @@ ratio estimation.
 The package computes the law of the generation-size ratio Z_n/Z_{n-1} of a
 Galton-Watson process exactly (sparse rational atoms, tracked truncation
 defects), measures distances between such laws (total variation, Prohorov
-via max-flow, bounded-Lipschitz via a small LP), cross-checks them against
-seeded simulation, and verifies the analytic inequalities that control how
-the estimator's law responds to perturbations of the offspring law.
+via max-flow, bounded-Lipschitz via a sparse LP on HiGHS, with a primal
+function and a dual bound), cross-checks them against seeded simulation,
+and verifies the analytic inequalities that control how the estimator's law
+responds to perturbations of the offspring law.
 """
 
 from .errors import (
@@ -17,8 +18,6 @@ from .errors import (
     InvalidParameter,
     MismatchedLaws,
     NonIntegerSupport,
-    SimplexIterationLimit,
-    SimplexUnbounded,
     SolverDidNotConverge,
     SupercriticalRequired,
 )

@@ -12,8 +12,6 @@ __all__ = [
     "DegenerateConditioning",
     "CouplingInfeasible",
     "MismatchedLaws",
-    "SimplexUnbounded",
-    "SimplexIterationLimit",
 ]
 
 
@@ -42,7 +40,7 @@ class BudgetExceeded(GwError):
 
 
 class SolverDidNotConverge(GwError):
-    """A root finder failed to reach its residual target."""
+    """A root finder or LP solver failed to reach its target."""
 
 
 class DegenerateConditioning(GwError):
@@ -60,10 +58,3 @@ class CouplingInfeasible(GwError):
 class MismatchedLaws(GwError):
     """Two joint laws disagree on horizon or start size and cannot be compared."""
 
-
-class SimplexUnbounded(GwError):
-    """The linear program has unbounded objective (should not occur here)."""
-
-
-class SimplexIterationLimit(GwError):
-    """The simplex cycling guard tripped before reaching an optimum."""

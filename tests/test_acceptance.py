@@ -160,6 +160,7 @@ def test_criterion_04_prohorov_equals_tv_on_integer_supports():
 
 
 def test_criterion_05_prohorov_squared_below_bounded_lipschitz():
+    start = time.perf_counter()
     rng = np.random.default_rng(505)
     for _ in range(100):
         a = random_measure(rng, max_atoms=10)
@@ -175,12 +176,14 @@ def test_criterion_05_prohorov_squared_below_bounded_lipschitz():
         reference = oracles.bounded_lipschitz(*as_arrays(a), *as_arrays(b))
         worst = max(worst, abs(beta - reference))
         assert abs(beta - reference) <= 2e-3
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0
     record_criterion(
         5,
         "PASS",
         f"rho^2 <= 1.5 * beta on 100 random pairs; LP value matches the "
         f"piecewise-linear grid search on 40 small pairs (worst gap "
-        f"{worst:.1e})",
+        f"{worst:.1e}, {elapsed:.1f} s)",
     )
 
 

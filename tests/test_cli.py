@@ -94,6 +94,16 @@ class TestMetricCommand:
         assert doc["value"] == pytest.approx(0.1, abs=1e-12)
         assert doc["certificate"]["entries"]
 
+    def test_bounded_lipschitz_json_carries_both_sides(self, tmp_path):
+        a = build_law_file(tmp_path, "a.json", "--family", "binary", "--p", "0.6")
+        b = build_law_file(tmp_path, "b.json", "--family", "binary", "--p", "0.7")
+        out = run(["metric", "--kind", "bounded_lipschitz", str(a), str(b),
+                   "--format", "json", "--no-timestamp"])
+        assert out.returncode == 0, out.stderr
+        cert = json.loads(out.stdout)["certificate"]
+        assert {"points", "values", "lipschitz", "sup", "upper", "gap"} <= set(cert)
+        assert cert["gap"] == pytest.approx(0.0, abs=1e-9)
+
 
 class TestVerifyCommand:
     def test_full_suite_exits_zero(self, tmp_path):

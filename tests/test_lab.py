@@ -253,6 +253,15 @@ class TestRobustnessModulus:
         rows = robustness_modulus(spec)
         assert 0.0 < rows[0]["modulus"] <= 1.0
 
+    def test_bounded_lipschitz_runs_the_default_eight_horizons(self):
+        # The 161-atom laws at n = 6 and the 2,325-atom laws at n = 8 once
+        # exhausted the dense simplex; the sweep must stay exact throughout.
+        rows = robustness_modulus(binary_sweep_spec(metric="bounded_lipschitz"), jobs=1)
+        assert len(rows) == 5
+        assert all(r["mc_from"] is None for r in rows)
+        assert rows[2]["modulus"] == 0.0
+        assert all(r["modulus"] <= 0.1 for r in rows)
+
 
 class TestContaminationGrid:
     def test_distance_is_the_mixing_weight(self, b75):

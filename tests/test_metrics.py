@@ -1,9 +1,11 @@
 """Prohorov and bounded-Lipschitz metrics, couplings, joint and path distances."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from gwlab import (
     FamilySpec,
     InvalidParameter,
     MismatchedLaws,
+    SolverDidNotConverge,
     bounded_lipschitz,
     build,
     estimator_law,
@@ -22,7 +25,6 @@ from gwlab import (
     joint_tv,
     maxflow,
     prohorov,
-    simplex,
     strassen_coupling,
     trajectory_tv,
     tv_distance,
@@ -33,8 +35,9 @@ def dirac(x) -> DiscreteMeasure:
     return DiscreteMeasure.from_items([(Fraction(x), 1.0)])
 
 
-# The pair that drove the simplex into a degenerate pivot where the old
-# ratio-test tie tolerance produced an empty candidate set.
+# Kept as a past solver failure: this pair drove the former dense simplex
+# into a degenerate pivot where its ratio-test tie tolerance produced an
+# empty candidate set.
 DEGENERATE_LEFT = DiscreteMeasure.from_items(
     zip(
         [Fraction(5, 4), Fraction(5, 2), Fraction(7, 2), Fraction(4),
@@ -171,6 +174,11 @@ class TestStrassenCoupling:
         assert coup.band_mass() == 1.0
         coup.validate()
 
+    def test_slack_counts_only_the_pairs_off_the_flow_band(self):
+        # The same rounding case: the pair is on the band, so nothing is slack.
+        coup = strassen_coupling(dirac(2), dirac(Fraction(14, 5)), 0.7999999999989996)
+        assert coup.slack == 0
+
     def test_widest_band_couples_everything(self):
         rng = np.random.default_rng(38)
         a, b = random_measure(rng), random_measure(rng)
@@ -252,6 +260,13 @@ class TestBoundedLipschitz:
             0.4, abs=1e-9
         )
 
+    def test_one_shared_atom_measures_the_retained_mass_gap(self):
+        # Retained masses 0.95 and 0.99 on one atom: h = -1 there gives 0.04,
+        # as it does when the right side has a second, negligible atom.
+        a = DiscreteMeasure.from_items([(Fraction(0), 0.95)], defect=0.05)
+        b = DiscreteMeasure.from_items([(Fraction(0), 0.99)], defect=0.01)
+        assert bounded_lipschitz(a, b).value == pytest.approx(0.04, abs=1e-12)
+
     def test_prohorov_squared_bound(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
@@ -270,39 +285,74 @@ class TestBoundedLipschitz:
             ref = oracles.bounded_lipschitz(*as_arrays(a), *as_arrays(b))
             assert got == pytest.approx(ref, abs=2e-3)
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_certificate_is_feasible_and_brackets_the_value(self, data):
+        denominator = data.draw(st.sampled_from([1, 4, 10]))
+
+        def side():
+            points = data.draw(
+                st.lists(st.integers(0, 24), min_size=1, max_size=6, unique=True)
+            )
+            raw = data.draw(
+                st.lists(
+                    st.floats(0.01, 1.0), min_size=len(points), max_size=len(points)
+                )
+            )
+            return DiscreteMeasure.from_items(
+                (Fraction(p, denominator), w / sum(raw)) for p, w in zip(points, raw)
+            )
+
+        a, b = side(), side()
+        res = bounded_lipschitz(a, b)
+        cert = res.certificate
+        union = sorted(set(a.support) | set(b.support))
+        points = np.array(cert["points"])
+        assert points.tolist() == [float(x) for x in union]
+        h = np.array(cert["values"])
+        lip, sup = cert["lipschitz"], cert["sup"]
+        assert lip >= 0.0 and sup >= 0.0
+        assert lip + sup <= 1.0 + 1e-12
+        assert np.abs(h).max() <= sup + 1e-12
+        assert (np.abs(np.diff(h)) <= lip * np.diff(points) + 1e-12).all()
+        diff = np.array([a.mass_at(x) - b.mass_at(x) for x in union])
+        assert max(float(diff @ h), 0.0) == res.value
+        assert -1e-12 <= cert["upper"] - res.value <= 1e-9
+        assert cert["gap"] == max(cert["upper"] - res.value, 0.0)
+        # The grid search evaluates feasible functions, so it is a lower bound.
+        ref = oracles.bounded_lipschitz(*as_arrays(a), *as_arrays(b))
+        assert ref <= cert["upper"] + 1e-12
+        assert res.value == pytest.approx(ref, abs=2e-3)
+
+    def test_solver_output_outside_the_ball_is_scaled_back(self, monkeypatch):
+        solve = scipy.optimize.linprog
+
+        def overshooting(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.x = 1.5 * res.x
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", overshooting)
+        res = bounded_lipschitz(dirac(0), dirac(1))
+        cert = res.certificate
+        assert cert["sup"] + cert["lipschitz"] <= 1.0
+        assert res.value == cert["values"][0] - cert["values"][1]
+        assert res.value == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_solver_failure_is_a_typed_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return SimpleNamespace(status=4, message="Numerical difficulties")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        with pytest.raises(SolverDidNotConverge, match="Numerical difficulties"):
+            bounded_lipschitz(dirac(0), dirac(1))
+
     def test_degenerate_pivot_regression(self):
         res = bounded_lipschitz(DEGENERATE_LEFT, DEGENERATE_RIGHT)
         ref = oracles.bounded_lipschitz(
             *as_arrays(DEGENERATE_LEFT), *as_arrays(DEGENERATE_RIGHT)
         )
         assert res.value == pytest.approx(ref, abs=2e-3)
-
-
-class TestSimplex:
-    def test_known_optimum(self):
-        value, x = simplex.maximize(
-            np.array([3.0, 2.0]),
-            np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
-            np.array([4.0, 2.0, 3.0]),
-        )
-        assert value == pytest.approx(10.0, abs=1e-12)
-        assert x == pytest.approx([2.0, 2.0], abs=1e-12)
-
-    def test_unbounded_detected(self):
-        from gwlab import SimplexUnbounded
-
-        with pytest.raises(SimplexUnbounded):
-            simplex.maximize(
-                np.array([1.0]), np.array([[-1.0]]), np.array([0.0])
-            )
-
-    def test_negative_rhs_rejected(self):
-        from gwlab import InvalidParameter
-
-        with pytest.raises(InvalidParameter):
-            simplex.maximize(
-                np.array([1.0]), np.array([[1.0]]), np.array([-1.0])
-            )
 
 
 class TestJointTv:
