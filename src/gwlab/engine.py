@@ -118,14 +118,12 @@ class PowerCache:
     large ``j`` is built by repeated halving.
     """
 
-    def __init__(self, law: OffspringLaw, per_convolution_budget: float = 0.0):
+    def __init__(self, law: OffspringLaw):
         base = law.measure.dense_weights()
         self._cache: dict[int, tuple[np.ndarray, float]] = {
             0: (np.ones(1), 0.0),
             1: (base, law.measure.defect),
         }
-        self._budget = per_convolution_budget
-        self.truncated_mass = 0.0
 
     def get(self, j: int) -> tuple[np.ndarray, float]:
         if j < 0:
@@ -140,10 +138,9 @@ class PowerCache:
             left, right = j // 2, j - j // 2
         wa, da = self.get(left)
         wb, db = self.get(right)
-        w = _convolve_dense(wa, wb)
-        w, dropped = _truncate_dense(w, self._budget)
-        self.truncated_mass += dropped
-        entry = (w, da + db + dropped)
+        # Far tails can underflow to 0; trim them so lengths stay honest.
+        w = np.trim_zeros(_convolve_dense(wa, wb), "b")
+        entry = (w, da + db)
         self._cache[j] = entry
         return entry
 

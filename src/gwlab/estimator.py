@@ -18,7 +18,7 @@ from .engine import JointLaw, condition_on_survival
 from .errors import InvalidParameter
 from .measures import DiscreteMeasure
 
-__all__ = ["EstimatorLaw", "estimator_law", "consistency_probability"]
+__all__ = ["EstimatorLaw", "estimator_law", "ratio_law", "consistency_probability"]
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,23 @@ class EstimatorLaw:
         }
 
 
-def _merge_ratios(
-    nums: np.ndarray, dens: np.ndarray, probs: np.ndarray, defect: float
+def ratio_law(
+    prev: np.ndarray, curr: np.ndarray, probs: np.ndarray, defect: float
 ) -> DiscreteMeasure:
-    if nums.size == 0:
+    """Law of ``curr / prev`` (0 where ``prev`` is 0) with exactly reduced atoms.
+
+    ``probs[i]`` is the mass of the pair ``(prev[i], curr[i])``; pairs whose
+    reduced ratios coincide merge into one atom.
+    """
+    if prev.size == 0:
         raise InvalidParameter("no rows to build an estimator law from")
-    if int(nums.max(initial=0)) < 2**31 and int(dens.max(initial=1)) < 2**31:
+    alive = prev > 0
+    g = np.gcd(curr[alive], prev[alive])
+    nums = np.zeros(prev.size, dtype=np.int64)
+    dens = np.ones(prev.size, dtype=np.int64)
+    nums[alive] = curr[alive] // g
+    dens[alive] = prev[alive] // g
+    if int(nums.max()) < 2**31 and int(dens.max()) < 2**31:
         pack = int(dens.max()) + 1
         keys = nums * pack + dens
         uniq, inverse = np.unique(keys, return_inverse=True)
@@ -73,18 +84,7 @@ def estimator_law(joint: JointLaw, conditioned: bool = False) -> EstimatorLaw:
     """Pushforward of a consecutive-pair law under the ratio map."""
     if conditioned:
         joint = condition_on_survival(joint).joint
-    js = joint.prev
-    ks = joint.curr
-    ps = joint.probs
-    nums = np.empty(len(js), dtype=np.int64)
-    dens = np.empty(len(js), dtype=np.int64)
-    alive = js > 0
-    g = np.gcd(ks[alive], js[alive])
-    nums[alive] = ks[alive] // g
-    dens[alive] = js[alive] // g
-    nums[~alive] = 0
-    dens[~alive] = 1
-    law = _merge_ratios(nums, dens, ps, joint.defect)
+    law = ratio_law(joint.prev, joint.curr, joint.probs, joint.defect)
     return EstimatorLaw(n=joint.n, z0=joint.z0, conditioned=conditioned, law=law)
 
 

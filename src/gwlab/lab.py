@@ -11,7 +11,9 @@ so a pass means something in floating point.
 
 Estimator laws are computed exactly while the population-size support
 stays below a cutoff; past it they come from seeded simulation, binned
-onto a fixed ratio grid, with the bin radius added to the slack column.
+onto a fixed ratio grid, with the bin radius added to the slack column and
+cap-excluded replications counted as defect.  Sweeps and the consistency
+check share this one route (``_horizon_laws``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy import stats
@@ -37,10 +39,13 @@ from .errors import (
     InvalidParameter,
     SupercriticalRequired,
 )
-from .estimator import consistency_probability, estimator_law
+from .estimator import EstimatorLaw, consistency_probability, estimator_law
 from .measures import DiscreteMeasure, tv_distance
 from .metrics import bounded_lipschitz, joint_tv, prohorov, trajectory_tv
-from .montecarlo import SimConfig, SimTable, simulate_paths
+from .montecarlo import (
+    DEFAULT_BIN_DEN, SimConfig, SimTable, binned_estimator_law,
+    empirical_consistency_probability, simulate_paths,
+)
 from .offspring import (
     DEFAULT_TAIL_BUDGET,
     FamilySpec,
@@ -76,6 +81,8 @@ __all__ = [
     "run_default_suite",
 ]
 
+T = TypeVar("T")
+
 # Exact estimator laws are computed while the population-size support stays
 # below this many atoms; larger horizons fall back to seeded simulation.
 EXACT_CUTOFF = 20_000
@@ -91,10 +98,6 @@ _POWER_WORK_CAP = 3 * 10**10
 DEFAULT_REPLICATIONS = 1_000_000
 
 DEFAULT_SIM_CAP = 10**12
-
-# Ratio laws from simulation are binned to multiples of 1/DEFAULT_BIN_DEN;
-# half a bin is added to the metric slack.
-DEFAULT_BIN_DEN = 64
 
 CLAIM_IDS = (
     "lemma-joint-tv",
@@ -240,7 +243,9 @@ def _jsonable(value):
 # -- sweep machinery ----------------------------------------------------------
 
 
-def _family_label(spec: FamilySpec) -> str:
+def _family_label(spec: FamilySpec | None) -> str:
+    if spec is None:
+        return "raw"
     if spec.family == "binary":
         return f"binary(p={spec.p:g})"
     if spec.family == "three_point":
@@ -257,60 +262,20 @@ def _member_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _effective_budget(law: OffspringLaw, n: int, z0: int, base: float) -> float:
-    """Budget that accommodates the defect a truncated law injects per draw.
+def _propagator(law: OffspringLaw, n: int, z0: int, budget: float) -> Propagator:
+    """Propagator to horizon ``n`` whose budget also covers the law's defect.
 
     Every individual's draw loses at most the law defect ``d`` of retained
     mass, so over ``n`` generations the inherited defect is at most
     ``d * z0 * sum_t m^t`` with ``m`` an upper bound on the mean.  Exact
-    laws pass through unchanged.
+    laws keep ``budget`` unchanged.
     """
     d = law.measure.defect
-    if d == 0.0:
-        return base
-    m_ub = law.mean_m + (law.tail_bound(0) if law.tail_bound is not None else 0.0)
-    growth = sum(max(m_ub, 1.0) ** t for t in range(n))
-    return base + 1.01 * z0 * d * growth
-
-
-def binned_estimator_law(
-    table: SimTable,
-    n: int,
-    resolution: Fraction = Fraction(1, DEFAULT_BIN_DEN),
-    conditioned: bool = False,
-) -> tuple[DiscreteMeasure, float]:
-    """Empirical ratio law with atoms snapped to multiples of ``resolution``.
-
-    Mass is normalized by all replications; replications excluded by the
-    population cap become measure defect (their ratios are unknown, not
-    zero).  Returns the measure and the bin radius, which any metric
-    computed from it should add to its slack.
-    """
-    resolution = Fraction(resolution)
-    if resolution <= 0:
-        raise InvalidParameter("bin resolution must be positive")
-    prev, curr, counts = table.pairs(n)
-    excluded = int(table.cfg.replications) - table.included(n)
-    if conditioned:
-        mask = prev > 0
-        prev, curr, counts = prev[mask], curr[mask], counts[mask]
-        # Capped replications were certainly alive, so they stay in the
-        # conditioning event and count toward the defect.
-        denom = int(counts.sum()) + excluded
-    else:
-        denom = int(table.cfg.replications)
-    if denom - excluded <= 0:
-        raise DegenerateConditioning(f"no tabulated replications at level {n}")
-    ratios = np.where(prev > 0, curr / np.maximum(prev, 1).astype(float), 0.0)
-    res_f = float(resolution)
-    idx = np.rint(ratios / res_f).astype(np.int64)
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    weights = np.bincount(inverse, weights=counts.astype(float)) / denom
-    support = [Fraction(int(i)) * resolution for i in uniq.tolist()]
-    out = DiscreteMeasure.from_items(
-        zip(support, weights.tolist()), defect=excluded / denom
-    )
-    return out, res_f / 2.0
+    if d != 0.0:
+        m_ub = law.mean_m + (law.tail_bound(0) if law.tail_bound is not None else 0.0)
+        growth = sum(max(m_ub, 1.0) ** t for t in range(n))
+        budget = budget + 1.01 * z0 * d * growth
+    return Propagator(law, z0=z0, n_max=n, budget=budget)
 
 
 def _exact_support(
@@ -342,51 +307,51 @@ def _exact_support(
     return size if size <= cutoff else None
 
 
+def _horizon_laws(
+    law: OffspringLaw, levels: Iterable[int], conditioned: bool,
+    from_exact: Callable[[EstimatorLaw], T], from_table: Callable[[SimTable, int], T],
+    *, z0: int, budget: float, exact_cutoff: int, seed: int, replications: int,
+    cap: int, jobs: int,
+) -> tuple[dict[int, T], int | None]:
+    """The one exact-to-Monte-Carlo route: a result per horizon in ``levels``.
+
+    Horizons are walked in order and stay exact until ``_exact_support``
+    ends the route at ``mc_from``; a wanted exact horizon gives
+    ``from_exact(ratio law)``.  The switch is sticky: every wanted horizon
+    from ``mc_from`` on gives ``from_table(table, n)`` from one seeded
+    simulation.  Returns the results by horizon and ``mc_from``.
+    """
+    wanted = sorted(set(levels))
+    n_max = wanted[-1]
+    prop = _propagator(law, n_max, z0, budget)
+    out: dict[int, T] = {}
+    for n in range(1, n_max + 1):
+        if _exact_support(prop, law, n, exact_cutoff) is None:
+            cfg = SimConfig(seed, replications, n_max, z0, cap)
+            table = simulate_paths(law, cfg, jobs=jobs)
+            out.update((k, from_table(table, k)) for k in wanted if k >= n)
+            return out, n
+        if n in wanted:
+            out[n] = from_exact(estimator_law(prop.joint(n), conditioned))
+    return out, None
+
+
 def _estimator_curve(
     law: OffspringLaw, spec: ExperimentSpec, seed: int, jobs: int = 1
 ) -> tuple[dict[int, tuple[DiscreteMeasure, float]], int | None]:
-    """Unconditional ratio law per horizon: exact below the cutoff, else MC.
+    """Unconditional ratio law per horizon of ``spec.n_range``.
 
-    Returns ``{n: (measure, extra_slack)}`` and the first simulated horizon
-    (``None`` when everything stayed exact).  The switch is sticky: once a
-    horizon leaves the exact route, all later ones use one simulation table.
+    Returns ``{n: (measure, extra_slack)}`` and ``mc_from``; simulated
+    horizons are binned, and the bin radius is their extra slack.
     """
-    wanted = set(spec.n_range)
-    n_max = max(wanted)
-    prop = Propagator(
-        law,
-        z0=spec.z0,
-        n_max=n_max,
-        budget=_effective_budget(law, n_max, spec.z0, spec.budget),
+    resolution = Fraction(1, spec.bin_denominator)
+    return _horizon_laws(
+        law, spec.n_range, False,
+        lambda e: (e.law, 0.0),
+        lambda table, n: binned_estimator_law(table, n, resolution),
+        z0=spec.z0, budget=spec.budget, exact_cutoff=spec.exact_cutoff, seed=seed,
+        replications=spec.replications, cap=spec.cap, jobs=jobs,
     )
-    curve: dict[int, tuple[DiscreteMeasure, float]] = {}
-    mc_from: int | None = None
-    for n in range(1, n_max + 1):
-        if _exact_support(prop, law, n, spec.exact_cutoff) is None:
-            mc_from = n
-            break
-        if n in wanted:
-            curve[n] = (estimator_law(prop.joint(n)).law, 0.0)
-    if mc_from is not None:
-        cfg = SimConfig(
-            seed=seed,
-            replications=spec.replications,
-            n_max=n_max,
-            z0=spec.z0,
-            cap=spec.cap,
-        )
-        table = simulate_paths(law, cfg, jobs=jobs)
-        resolution = Fraction(1, spec.bin_denominator)
-        for n in sorted(wanted):
-            if n >= mc_from:
-                curve[n] = binned_estimator_law(table, n, resolution)
-    return curve, mc_from
-
-
-def _sweep_metric(spec: ExperimentSpec, a: DiscreteMeasure, b: DiscreteMeasure):
-    if spec.metric == "prohorov":
-        return prohorov(a, b)
-    return bounded_lipschitz(a, b)
 
 
 def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
@@ -401,6 +366,7 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
     center = build(spec.center, spec.budget)
     if criticality(center) != "supercritical":
         raise SupercriticalRequired("the sweep center must be supercritical")
+    metric = prohorov if spec.metric == "prohorov" else bounded_lipschitz
     center_curve, center_mc = _estimator_curve(
         center, spec, _member_seed(spec.seed, 0), jobs
     )
@@ -427,7 +393,7 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
             if a is b:
                 value, total_slack = 0.0, slack_a + slack_b
             else:
-                result = _sweep_metric(spec, a, b)
+                result = metric(a, b)
                 value = result.value
                 total_slack = result.defect_slack + slack_a + slack_b
             if value > best:
@@ -546,16 +512,14 @@ def verify_joint_tv_bound(
         lhs, lhs_slack = trajectory_tv(law1, law2, n, z0=z0)
     else:
         side = "pair"
-        budget1 = _effective_budget(law1, n, z0, DEFAULT_TAIL_BUDGET)
-        budget2 = _effective_budget(law2, n, z0, DEFAULT_TAIL_BUDGET)
-        j1 = Propagator(law1, z0=z0, n_max=n, budget=budget1).joint(n)
-        j2 = Propagator(law2, z0=z0, n_max=n, budget=budget2).joint(n)
+        j1 = _propagator(law1, n, z0, DEFAULT_TAIL_BUDGET).joint(n)
+        j2 = _propagator(law2, n, z0, DEFAULT_TAIL_BUDGET).joint(n)
         lhs, lhs_slack = joint_tv(j1, j2)
     rhs = z0 * c_n * d_tv
     slack = lhs_slack + z0 * c_n * d_slack + 1e-10
     instance = {
-        "family1": _family_label(law1.family) if law1.family else "raw",
-        "family2": _family_label(law2.family) if law2.family else "raw",
+        "family1": _family_label(law1.family),
+        "family2": _family_label(law2.family),
         "n": n,
         "z0": z0,
         "d_tv": d_tv,
@@ -590,8 +554,8 @@ def verify_extinction_bound(
         gamma = pgf_derivative(law1, q_bar)
         halvings += 1
     instance: dict = {
-        "family1": _family_label(law1.family) if law1.family else "raw",
-        "family2": _family_label(law2.family) if law2.family else "raw",
+        "family1": _family_label(law1.family),
+        "family2": _family_label(law2.family),
         "n": n,
         "q": q,
         "q_bar": q_bar,
@@ -662,65 +626,38 @@ def verify_conditional_consistency(
     levels = sorted(set(int(x) for x in n_range))
     if not levels or levels[0] < 1:
         raise InvalidParameter("n_range must contain horizons >= 1")
-    n_max = levels[-1]
     m_frac = Fraction(law.mean_m)
     # A float threshold is read as the decimal it prints as, so eta=0.4
     # means exactly 2/5 and boundary atoms are classified in exact
     # arithmetic.
     eta_frac = eta if isinstance(eta, Fraction) else Fraction(str(float(eta)))
-    prop = Propagator(
-        law, z0=z0, n_max=n_max, budget=_effective_budget(law, n_max, z0, budget)
+    results, mc_from = _horizon_laws(
+        law, levels, True,
+        lambda e: (*consistency_probability(e, m_frac, eta_frac), None),
+        lambda table, n: empirical_consistency_probability(table, n, m_frac, eta_frac),
+        z0=z0, budget=budget, exact_cutoff=exact_cutoff, seed=seed,
+        replications=replications, cap=cap, jobs=jobs,
     )
-    values: dict[int, float] = {}
-    slacks: dict[int, float] = {}
-    kinds: dict[int, str] = {}
-    errors: dict[int, float] = {}
-    mc_from: int | None = None
-    for n in range(1, n_max + 1):
-        if _exact_support(prop, law, n, exact_cutoff) is None:
-            mc_from = n
-            break
-        if n not in levels:
-            continue
-        e = estimator_law(prop.joint(n), conditioned=True)
-        val, sl = consistency_probability(e, m_frac, eta_frac)
-        values[n], slacks[n], kinds[n] = val, sl, "exact"
-    if mc_from is not None:
-        cfg = SimConfig(seed=seed, replications=replications, n_max=n_max, z0=z0, cap=cap)
-        table = simulate_paths(law, cfg, jobs=jobs)
-        m_f = float(law.mean_m)
-        eta_f = float(eta)
-        for n in levels:
-            if n < mc_from:
-                continue
-            prev, curr, counts = table.pairs(n)
-            alive = prev > 0
-            excluded = int(cfg.replications) - table.included(n)
-            denom = int(counts[alive].sum()) + excluded
-            if denom == 0:
-                raise DegenerateConditioning(f"no surviving replications at level {n}")
-            dev = np.abs(curr[alive] / prev[alive].astype(float) - m_f) >= eta_f
-            val = float(counts[alive][dev].sum()) / denom
-            values[n] = val
-            slacks[n] = excluded / denom
-            errors[n] = math.sqrt(max(val * (1.0 - val), 0.0) / denom)
-            kinds[n] = "mc"
+    # Exact horizons carry no standard error; simulated ones do.
+    values = {n: r[0] for n, r in results.items()}
+    slacks = {n: r[1] for n, r in results.items()}
+    errors = {n: r[2] for n, r in results.items() if r[2] is not None}
+    kinds = {n: "exact" if r[2] is None else "mc" for n, r in results.items()}
     best_n = min(values, key=lambda n: (values[n], n))
     lhs = values[best_n]
     slack = slacks[best_n] + 1e-12
-    exact_ns = [n for n in levels if kinds.get(n) == "exact"]
-    tail = exact_ns[-4:]
+    tail = [n for n in levels if kinds[n] == "exact"][-4:]
     decreasing = len(tail) >= 2 and all(
         values[a] > values[b] for a, b in zip(tail, tail[1:])
     )
-    below = [n for n in levels if n in values and values[n] <= eps]
+    below = [n for n in levels if values[n] <= eps]
     instance = {
-        "family": _family_label(law.family) if law.family else "raw",
+        "family": _family_label(law.family),
         "eta": float(eta),
         "eps": eps,
         "z0": z0,
         "mean": law.mean_m,
-        "values": {n: values[n] for n in levels if n in values},
+        "values": values,
         "kinds": kinds,
         "std_errors": errors,
         "first_n_below": below[0] if below else None,
@@ -761,9 +698,7 @@ def verify_conditional_occupancy(
     if not levels or levels[0] < 1:
         raise InvalidParameter("n_range must contain horizons >= 1")
     n_max = levels[-1]
-    prop = Propagator(
-        law, z0=1, n_max=n_max, budget=_effective_budget(law, n_max, 1, budget)
-    )
+    prop = _propagator(law, n_max, 1, budget)
     occupancy: dict[int, float] = {}
     bounds: dict[int, float] = {}
     worst = -math.inf
@@ -801,7 +736,7 @@ def verify_conditional_occupancy(
     values = list(occupancy.values())
     decreasing = all(a > b for a, b in zip(values, values[1:]))
     instance = {
-        "family": _family_label(law.family) if law.family else "raw",
+        "family": _family_label(law.family),
         "k": k,
         "q": q,
         "gamma": gamma,
@@ -858,7 +793,7 @@ def verify_wlln(
             break
     note = ""
     instance: dict = {
-        "family": _family_label(law.family) if law.family else "raw",
+        "family": _family_label(law.family),
         "eta": eta,
         "eps": eps,
         "k_max": k_max,
@@ -901,9 +836,7 @@ def verify_decomposition_identity(
     """
     if n < 1:
         raise InvalidParameter("horizon n must be at least 1")
-    prop = Propagator(
-        law, z0=z0, n_max=n, budget=_effective_budget(law, n, z0, budget)
-    )
+    prop = _propagator(law, n, z0, budget)
     joint = prop.joint(n)
     unconditional = estimator_law(joint).law
     alive_mass = float(joint.probs[joint.prev > 0].sum())
@@ -931,7 +864,7 @@ def verify_decomposition_identity(
             recombined += extinct_mass
         worst = max(worst, abs(unconditional.mass_at(x) - recombined))
     instance = {
-        "family": _family_label(law.family) if law.family else "raw",
+        "family": _family_label(law.family),
         "n": n,
         "z0": z0,
         "survival": alive_mass,
@@ -967,8 +900,8 @@ def verify_mean_continuity(
     tail2 = law2.tail_bound(0) if law2.tail_bound is not None else 0.0
     slack = 2.0 * best_ell * d_slack + tail1 + tail2 + 1e-12
     instance = {
-        "family1": _family_label(law1.family) if law1.family else "raw",
-        "family2": _family_label(law2.family) if law2.family else "raw",
+        "family1": _family_label(law1.family),
+        "family2": _family_label(law2.family),
         "d_tv": d_tv,
         "ell": best_ell,
         "m1": law1.mean_m,

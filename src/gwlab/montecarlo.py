@@ -10,24 +10,35 @@ offspring support); both produce the offspring-sum law exactly.
 
 Replications whose population passes the cap stop being tabulated from the
 offending generation on; per-generation exclusion counts are part of the
-result, never silently dropped.
+result, never silently dropped.  Every tabulation reads a level through
+``_event``, which counts the excluded replications as defect.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateConditioning, InvalidParameter
-from .estimator import _merge_ratios
+from .estimator import ratio_law
 from .measures import DiscreteMeasure
 from .offspring import OffspringLaw
 
-__all__ = ["SimConfig", "SimTable", "simulate_paths", "empirical_estimator_law"]
+__all__ = [
+    "SimConfig", "SimTable", "simulate_paths", "empirical_estimator_law",
+    "binned_estimator_law", "empirical_consistency_probability",
+]
 
 CHUNK = 4096
+
+# Ratio laws from simulation are binned to multiples of 1/DEFAULT_BIN_DEN by
+# default; half a bin is added to the metric slack.
+DEFAULT_BIN_DEN = 64
 
 INDIV_LIMIT = 1 << 18
 
@@ -172,21 +183,17 @@ def _chunk_sizes(replications: int) -> list[int]:
     return sizes
 
 
-def _run_chunk(args: tuple[OffspringLaw, SimConfig, int, int]):
-    return _simulate_chunk(*args)
-
-
 def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable:
     """Simulate the branching recursion; see the module notes on determinism."""
     if not law.measure.is_integer_supported:
         raise InvalidParameter("offspring law must have integer support")
     sizes = _chunk_sizes(cfg.replications)
-    tasks = [(law, cfg, idx, size) for idx, size in enumerate(sizes)]
-    if jobs > 1 and len(tasks) > 1:
+    chunk = partial(_simulate_chunk, law, cfg)
+    if jobs > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_chunk, tasks, chunksize=8))
+            results = list(pool.map(chunk, range(len(sizes)), sizes, chunksize=8))
     else:
-        results = [_run_chunk(t) for t in tasks]
+        results = list(map(chunk, range(len(sizes)), sizes))
 
     excluded = np.zeros(cfg.n_max + 1, dtype=np.int64)
     merged: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
@@ -205,23 +212,81 @@ def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable
     return SimTable(cfg=cfg, levels=final, excluded=excluded)
 
 
+def _event(
+    table: SimTable, n: int, conditioned: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """``(prev, curr, counts, excluded, size)`` of level ``n`` in the event.
+
+    The event is all replications, or with ``conditioned`` those with
+    ``Z_{n-1} > 0``.  Capped replications belong to it (they were alive
+    when capped) but have no pair, so frequencies over ``size`` leave
+    ``excluded / size`` as defect.
+    """
+    prev, curr, counts = table.pairs(n)
+    excluded = int(table.excluded[n])
+    if conditioned:
+        alive = prev > 0
+        prev, curr, counts = prev[alive], curr[alive], counts[alive]
+        size = int(counts.sum()) + excluded
+    else:
+        size = table.cfg.replications
+    if size == 0:
+        raise DegenerateConditioning(f"no surviving replications at level {n}")
+    return prev, curr, counts, excluded, size
+
+
 def empirical_estimator_law(
     table: SimTable, n: int, conditioned: bool = False
 ) -> DiscreteMeasure:
     """Relative-frequency law of Z_n / Z_{n-1} with exactly reduced ratios."""
-    prev, curr, counts = table.pairs(n)
-    if conditioned:
-        mask = prev > 0
-        prev, curr, counts = prev[mask], curr[mask], counts[mask]
-    total = int(counts.sum())
-    if total == 0:
+    prev, curr, counts, excluded, size = _event(table, n, conditioned)
+    if excluded == size:
         raise DegenerateConditioning(f"no tabulated replications at level {n}")
-    nums = np.empty(prev.size, dtype=np.int64)
-    dens = np.empty(prev.size, dtype=np.int64)
-    alive = prev > 0
-    g = np.gcd(curr[alive], prev[alive])
-    nums[alive] = curr[alive] // g
-    dens[alive] = prev[alive] // g
-    nums[~alive] = 0
-    dens[~alive] = 1
-    return _merge_ratios(nums, dens, counts / total, 0.0)
+    return ratio_law(prev, curr, counts / size, excluded / size)
+
+
+def binned_estimator_law(
+    table: SimTable, n: int, resolution: Fraction = Fraction(1, DEFAULT_BIN_DEN),
+    conditioned: bool = False,
+) -> tuple[DiscreteMeasure, float]:
+    """Empirical ratio law with atoms snapped to multiples of ``resolution``.
+
+    Returns the measure and the bin radius, which any metric computed from
+    it should add to its slack.
+    """
+    resolution = Fraction(resolution)
+    if resolution <= 0:
+        raise InvalidParameter("bin resolution must be positive")
+    prev, curr, counts, excluded, size = _event(table, n, conditioned)
+    if excluded == size:
+        raise DegenerateConditioning(f"no tabulated replications at level {n}")
+    ratios = np.where(prev > 0, curr / np.maximum(prev, 1).astype(float), 0.0)
+    res_f = float(resolution)
+    idx = np.rint(ratios / res_f).astype(np.int64)
+    uniq, inverse = np.unique(idx, return_inverse=True)
+    weights = np.bincount(inverse, weights=counts.astype(float)) / size
+    support = [Fraction(int(i)) * resolution for i in uniq.tolist()]
+    out = DiscreteMeasure.from_items(zip(support, weights.tolist()), excluded / size)
+    return out, res_f / 2.0
+
+
+def empirical_consistency_probability(
+    table: SimTable, n: int, m: Fraction, eta: Fraction
+) -> tuple[float, float, float]:
+    """Frequency of ``|Z_n/Z_{n-1} - m| >= eta`` given ``Z_{n-1} > 0``.
+
+    Returns ``(value, excluded share, binomial standard error)``.  Rows are
+    classified in floats; those within rounding of ``eta`` are rechecked
+    exactly, as ``consistency_probability`` does with Fractions.
+    """
+    prev, curr, counts, excluded, size = _event(table, n, conditioned=True)
+    m_f, eta_f = float(m), float(eta)
+    ratios = curr / prev.astype(float)
+    dev = np.abs(ratios - m_f)
+    far = dev >= eta_f
+    near = np.nonzero(np.abs(dev - eta_f) <= 1e-9 * (ratios + m_f + eta_f))[0]
+    for i in near.tolist():
+        far[i] = abs(Fraction(int(curr[i]), int(prev[i])) - m) >= eta
+    value = float(counts[far].sum()) / size
+    std_error = math.sqrt(max(value * (1.0 - value), 0.0) / size)
+    return value, excluded / size, std_error

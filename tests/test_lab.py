@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gwlab import lab, montecarlo
 from gwlab import (
     CLAIM_IDS,
     ExperimentSpec,
@@ -111,6 +112,68 @@ class TestConditionalConsistency:
         assert rep.instance["first_n_below"] == 5
         assert rep.instance["decreasing_last_exact"]
         assert all(kind == "exact" for kind in rep.instance["kinds"].values())
+
+    def test_monte_carlo_half_classifies_boundary_atoms_exactly(self, b75):
+        # At eta = 2/5 the atoms 11/10 and 19/10 lie exactly on the boundary
+        # |x - 3/2| = eta and count as deviations; float arithmetic drops some.
+        reps = 200_000
+        rep = verify_conditional_consistency(
+            b75, 0.4, 0.5, range(6, 9), exact_cutoff=1, replications=reps, seed=0
+        )
+        assert rep.instance["mc_from"] == 1
+        table = simulate_paths(b75, SimConfig(seed=0, replications=reps, n_max=8))
+        for n in range(6, 9):
+            prev, curr, counts = table.pairs(n)
+            alive = deviating = 0
+            for j, k, c in zip(prev.tolist(), curr.tolist(), counts.tolist()):
+                if j > 0:
+                    alive += c
+                    if abs(Fraction(k, j) - Fraction(3, 2)) >= Fraction(2, 5):
+                        deviating += c
+            assert rep.instance["kinds"][n] == "mc"
+            assert rep.instance["values"][n] == deviating / alive
+
+    def test_levels_lost_to_the_cap_report_zero_with_full_slack(self):
+        # Two or three children each: every path passes the cap of 8 by
+        # n = 4, so levels 4 and 5 have no tabulated replication at all.
+        law = build(FamilySpec.raw([0.0, 0.0, 0.5, 0.5]))
+        rep = verify_conditional_consistency(
+            law, 0.4, 0.1, range(4, 6), exact_cutoff=1, replications=10, cap=8
+        )
+        assert rep.instance["kinds"] == {4: "mc", 5: "mc"}
+        assert rep.instance["values"] == {4: 0.0, 5: 0.0}
+        assert rep.instance["std_errors"] == {4: 0.0, 5: 0.0}
+        assert rep.slack == pytest.approx(1.0, abs=1e-9)
+
+    def test_sweep_and_check_switch_at_the_same_horizon(self, b75, monkeypatch):
+        # Binary supports hold 2^(n-1) + 1 atoms, so a cutoff of 8 keeps
+        # n <= 3 exact and switches both routes to simulation at n = 4.
+        spec = ExperimentSpec(
+            center=FamilySpec.binary(0.75),
+            grid=(FamilySpec.binary(0.76),),
+            n_range=range(2, 7),
+            exact_cutoff=8,
+            replications=20_000,
+        )
+        calls = []
+        binned = lab.binned_estimator_law
+
+        def counted(table, n, *args, **kwargs):
+            calls.append(n)
+            return binned(table, n, *args, **kwargs)
+
+        monkeypatch.setattr(lab, "binned_estimator_law", counted)
+        # Binning must not go through the exact-ratio tabulation.
+        monkeypatch.setattr(montecarlo, "empirical_estimator_law", None)
+        (row,) = robustness_modulus(spec, jobs=1)
+        # One binned law per simulated horizon, for the centre and the member.
+        assert sorted(calls) == [4, 4, 5, 5, 6, 6]
+        rep = verify_conditional_consistency(
+            b75, 0.4, 0.5, spec.n_range, exact_cutoff=8, replications=20_000
+        )
+        assert row["mc_from"] == rep.instance["mc_from"] == 4
+        kinds = rep.instance["kinds"]
+        assert kinds == {2: "exact", 3: "exact", 4: "mc", 5: "mc", 6: "mc"}
 
 
 class TestConditionalOccupancy:

@@ -347,6 +347,23 @@ class TestBoundedLipschitz:
         with pytest.raises(SolverDidNotConverge, match="Numerical difficulties"):
             bounded_lipschitz(dirac(0), dirac(1))
 
+    # binary(0.75) against binary(0.74); n <= 5 were computed by the former
+    # dense simplex, n = 6 is where that solver first gave up.
+    PINNED = {
+        1: 0.010000000000000009,
+        2: 0.014900000000000024,
+        3: 0.016761510000000035,
+        4: 0.017956702939355147,
+        5: 0.019180006054691716,
+        6: 0.020053684115615394,
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_binary_ladder_values_are_pinned(self, n):
+        a = estimator_law(joint_law(build(FamilySpec.binary(0.75)), n)).law
+        b = estimator_law(joint_law(build(FamilySpec.binary(0.74)), n)).law
+        assert bounded_lipschitz(a, b).value == pytest.approx(self.PINNED[n], abs=1e-9)
+
     def test_degenerate_pivot_regression(self):
         res = bounded_lipschitz(DEGENERATE_LEFT, DEGENERATE_RIGHT)
         ref = oracles.bounded_lipschitz(

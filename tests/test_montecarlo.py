@@ -7,6 +7,7 @@ import pytest
 from gwlab import (
     FamilySpec,
     SimConfig,
+    binned_estimator_law,
     build,
     empirical_estimator_law,
     estimator_law,
@@ -92,6 +93,23 @@ class TestEmpiricalEstimatorLaw:
         table = simulate_paths(b75, SimConfig(seed=17, replications=20_000, n_max=3))
         cond = empirical_estimator_law(table, 3, conditioned=True)
         assert cond.mass_at(0) < empirical_estimator_law(table, 3).mass_at(0)
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_excluded_replications_are_defect(self, b75, conditioned):
+        # A cap of 6 excludes 7,200 of 20,000 replications at n = 4; their
+        # ratios are unknown, so they must stay as defect, not be dropped.
+        cfg = SimConfig(seed=1, replications=20_000, n_max=4, cap=6)
+        table = simulate_paths(b75, cfg)
+        assert table.excluded[4] == 7_200
+        emp = empirical_estimator_law(table, 4, conditioned=conditioned)
+        binned, _ = binned_estimator_law(table, 4, conditioned=conditioned)
+        prev, _, counts = table.pairs(4)
+        event = counts[prev > 0].sum() + 7_200 if conditioned else 20_000
+        assert emp.defect == 7_200 / event
+        assert emp.defect == binned.defect
+        assert emp.total_mass == pytest.approx(binned.total_mass, abs=1e-12)
+        if not conditioned:
+            assert emp.total_mass == pytest.approx(0.64, abs=1e-12)
 
     @pytest.mark.parametrize(
         "spec,n,reps",
