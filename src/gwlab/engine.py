@@ -6,6 +6,8 @@ law of the population size is propagated exactly: the next generation's law
 is the mixture, over the current support, of convolution powers of the
 offspring law.  All inner arithmetic runs on dense float arrays indexed by
 population size; measures are materialized only at the API boundary.
+Convolution powers are taken on the offspring law's lattice (see
+``measures``), since every power of a law on ``gZ`` lives on ``gZ``.
 
 Truncation discipline: a propagation with horizon ``n`` and budget ``b``
 may move at most ``b / n`` of mass per step into the defect, always from the

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .engine import (
     MIN_SURVIVAL,
@@ -619,7 +619,9 @@ def verify_conditional_consistency(
     Computes ``P[|Z_n/Z_{n-1} - m| >= eta | Z_{n-1} > 0]`` for each horizon,
     exactly below the support cutoff and by seeded simulation past it, and
     reports the smallest value reached along with whether it stays below
-    ``eps`` and whether the last exact horizons are decreasing.
+    ``eps`` and whether the last exact horizons are decreasing.  Simulated
+    horizons where the population cap excluded every replication are left
+    out of that choice; when no horizon is left the report is inconclusive.
     """
     if criticality(law) != "supercritical":
         raise SupercriticalRequired("conditional consistency needs a supercritical law")
@@ -643,14 +645,23 @@ def verify_conditional_consistency(
     slacks = {n: r[1] for n, r in results.items()}
     errors = {n: r[2] for n, r in results.items() if r[2] is not None}
     kinds = {n: "exact" if r[2] is None else "mc" for n, r in results.items()}
-    best_n = min(values, key=lambda n: (values[n], n))
-    lhs = values[best_n]
-    slack = slacks[best_n] + 1e-12
+    # A level whose whole event mass is slack (every replication passed the
+    # cap) holds no evidence, so it can neither be the best nor count as
+    # below eps.
+    tabulated = [n for n in levels if slacks[n] < 1.0]
+    note = ""
+    if tabulated:
+        best_n = min(tabulated, key=lambda n: (values[n], n))
+        lhs = values[best_n]
+        slack = slacks[best_n] + 1e-12
+    else:
+        best_n, lhs, slack = None, 1.0, 0.0
+        note = "inconclusive: the population cap excluded every replication at every horizon"
     tail = [n for n in levels if kinds[n] == "exact"][-4:]
     decreasing = len(tail) >= 2 and all(
         values[a] > values[b] for a, b in zip(tail, tail[1:])
     )
-    below = [n for n in levels if values[n] <= eps]
+    below = [n for n in tabulated if values[n] <= eps]
     instance = {
         "family": _family_label(law.family),
         "eta": float(eta),
@@ -667,7 +678,7 @@ def verify_conditional_consistency(
         "best_n": best_n,
     }
     return VerificationReport(
-        "theorem-conditional-consistency", instance, lhs, eps, slack
+        "theorem-conditional-consistency", instance, lhs, eps, slack, note=note
     )
 
 
@@ -709,7 +720,8 @@ def verify_conditional_occupancy(
         if survival < MIN_SURVIVAL:
             raise DegenerateConditioning(f"survival vanished by horizon {n}")
         occ = gen.law.mass_at(k) / survival
-        bnd = float(stats.binom.cdf(k, n, p)) + leak * gamma**n
+        # bdtr is NaN for k > n, where the binomial CDF is already 1.
+        bnd = float(special.bdtr(min(k, n), n, p)) + leak * gamma**n
         occupancy[n] = occ
         bounds[n] = bnd
         margin = occ - bnd

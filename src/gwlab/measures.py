@@ -9,10 +9,15 @@ tail during a computation is never renormalized away; it accumulates in
 Truncation policy: when a budget is spent, the largest support points are
 removed first and their mass is moved to ``defect``.  Nothing is ever
 redistributed over the remaining atoms.
+
+Dense convolutions run on the lattice ``gZ`` that both operands live on
+(``g`` the gcd of their nonzero indices), so a law on the even numbers
+pays a quarter of the multiplications; the skipped terms are exact zeros.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -234,10 +239,26 @@ def _truncate_dense(w: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
     return w[: int(nz[-1]) + 1], dropped
 
 
+def _span(w: np.ndarray) -> int:
+    """gcd of the nonzero indices of ``w``; 0 when only index 0 carries mass."""
+    return int(np.gcd.reduce(np.flatnonzero(w)))
+
+
 def _convolve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, b)`` computed as ``a[::g] * b[::g]`` at stride ``g``.
+
+    Lengths and zero patterns match ``np.convolve``; values may differ in
+    the last bits, since the sums skip the zero terms.
+    """
     if a.size == 0 or b.size == 0:
         return np.zeros(0, dtype=float)
-    return np.convolve(a, b)
+    g = math.gcd(_span(a), _span(b))
+    if g <= 1:
+        return np.convolve(a, b)
+    out = np.zeros(a.size + b.size - 1, dtype=float)
+    sub = np.convolve(a[::g], b[::g])
+    out[: sub.size * g : g] = sub
+    return out
 
 
 # -- operations --------------------------------------------------------------

@@ -8,6 +8,9 @@ individual-by-individual through the inverse CDF (small populations) or as
 one multinomial split per replication (large populations with a narrow
 offspring support); both produce the offspring-sum law exactly.
 
+Chunks and their merge group (Z_{n-1}, Z_n) rows by one sorted int64 key
+per row (see ``_group_pairs``).
+
 Replications whose population passes the cap stop being tabulated from the
 offending generation on; per-generation exclusion counts are part of the
 result, never silently dropped.  Every tabulation reads a level through
@@ -104,22 +107,30 @@ class SimTable:
 def _group_pairs(
     prev: np.ndarray, curr: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate duplicate (prev, curr) pairs; output sorted by pair."""
+    """Aggregate duplicate (prev, curr) pairs; output sorted by pair.
+
+    Each pair is packed into one int64 key ``prev * pack + curr`` with
+    ``pack > max(curr)``, so key order is pair order.  A column whose
+    values would push the key past int64 is replaced by its ranks among
+    its distinct values first, which keeps the order and bounds the key
+    by the number of rows.
+    """
     if prev.size == 0:
         return prev, curr, counts
-    hi = max(int(prev.max()), int(curr.max()))
-    if hi < 2**31:
-        pack = np.int64(hi) + 1
-        keys = prev * pack + curr
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=counts.astype(float))
-        return (uniq // pack).astype(np.int64), (uniq % pack).astype(np.int64), np.rint(sums).astype(np.int64)
-    stacked = np.empty(prev.size, dtype=[("a", "<i8"), ("b", "<i8")])
-    stacked["a"] = prev
-    stacked["b"] = curr
-    uniq, inverse = np.unique(stacked, return_inverse=True)
+    prev_vals = curr_vals = None
+    if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
+        prev_vals, prev = np.unique(prev, return_inverse=True)
+    if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
+        curr_vals, curr = np.unique(curr, return_inverse=True)
+    pack = np.int64(curr.max()) + 1
+    uniq, inverse = np.unique(prev * pack + curr, return_inverse=True)
     sums = np.bincount(inverse, weights=counts.astype(float))
-    return uniq["a"].copy(), uniq["b"].copy(), np.rint(sums).astype(np.int64)
+    prev, curr = uniq // pack, uniq % pack
+    if prev_vals is not None:
+        prev = prev_vals[prev]
+    if curr_vals is not None:
+        curr = curr_vals[curr]
+    return prev.astype(np.int64), curr.astype(np.int64), np.rint(sums).astype(np.int64)
 
 
 def _draw_next(

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import measures
 from .errors import InvalidParameter, SolverDidNotConverge, SupercriticalRequired
@@ -256,7 +256,7 @@ def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
             if cutoff > MAX_DERIVED_TRUNCATION:
                 raise InvalidParameter("poisson tail budget unattainable")
     ks = np.arange(cutoff + 1)
-    w = stats.poisson.pmf(ks, lam)
+    w = np.exp(special.xlogy(ks, lam) - special.gammaln(ks + 1) - lam)
     retained = float(w.sum())
     m = DiscreteMeasure.from_dense(w, defect=max(0.0, 1.0 - retained))
     bound = TailBound("poisson", cutoff, lam=lam)
@@ -437,7 +437,12 @@ def survival_transform(law: OffspringLaw) -> OffspringLaw:
         if k == 0:
             continue
         js = np.arange(1, k + 1)
-        out[1 : k + 1] += w * stats.binom.pmf(js, k, 1.0 - q)
+        # Binomial(k, 1 - q) pmf at js, in log space.
+        log_pmf = (
+            special.gammaln(k + 1) - special.gammaln(js + 1) - special.gammaln(k - js + 1)
+            + special.xlogy(js, 1.0 - q) + special.xlogy(k - js, q)
+        )
+        out[1 : k + 1] += w * np.exp(log_pmf)
     out /= 1.0 - q
     m = DiscreteMeasure.from_dense(out, defect=law.measure.defect / (1.0 - q))
     return OffspringLaw(m, measures.mean(m))

@@ -143,7 +143,24 @@ class TestConditionalConsistency:
         assert rep.instance["kinds"] == {4: "mc", 5: "mc"}
         assert rep.instance["values"] == {4: 0.0, 5: 0.0}
         assert rep.instance["std_errors"] == {4: 0.0, 5: 0.0}
-        assert rep.slack == pytest.approx(1.0, abs=1e-9)
+        # No level holds evidence, so none may pass as the best one.
+        assert rep.instance["best_n"] is None
+        assert rep.instance["first_n_below"] is None
+        assert (rep.lhs, rep.slack) == (1.0, 0.0)
+        assert not rep.passed
+        assert rep.note.startswith("inconclusive:")
+
+    def test_levels_lost_to_the_cap_cannot_be_the_best(self):
+        # Level 3 keeps one replication in 200 and levels 4 and 5 none: the
+        # best level is 3 even though 4 and 5 report the smaller value 0.
+        law = build(FamilySpec.raw([0.0, 0.0, 0.5, 0.5]))
+        rep = verify_conditional_consistency(
+            law, 0.4, 0.1, range(2, 6), exact_cutoff=1, replications=200, cap=8
+        )
+        assert rep.instance["values"][4] == rep.instance["values"][5] == 0.0
+        assert rep.instance["best_n"] == 3
+        assert rep.lhs == rep.instance["values"][3] > 0.0
+        assert rep.note == ""
 
     def test_sweep_and_check_switch_at_the_same_horizon(self, b75, monkeypatch):
         # Binary supports hold 2^(n-1) + 1 atoms, so a cutoff of 8 keeps

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import as_dict, random_measure
@@ -21,6 +23,7 @@ from gwlab import (
     truncate_tail,
     tv_distance,
 )
+from gwlab.measures import _convolve_dense
 
 
 def integer_measure(rng, max_atoms=6):
@@ -167,6 +170,43 @@ class TestConvolve:
             {int(x): w for x, w in a.items()}, {int(x): w for x, w in b.items()}
         )
         assert oracles.tv(got, {Fraction(k): v for k, v in ref.items()}) <= 1e-14
+
+
+@st.composite
+def lattice_array(draw):
+    """Nonnegative weights on ``gZ`` for g in {1, 2, 3, 5}, some trailing zeros.
+
+    Lattice points may carry zero, so the array's own span can be a
+    multiple of g, or 0 when only index 0 carries mass.
+    """
+    g = draw(st.sampled_from([1, 2, 3, 5]))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    atoms = draw(st.lists(weight, min_size=1, max_size=40))
+    out = np.zeros((len(atoms) - 1) * g + 1 + draw(st.integers(0, g - 1)))
+    out[: len(atoms) * g : g] = atoms
+    return out
+
+
+class TestSpanConvolution:
+    @settings(max_examples=300, deadline=None)
+    @given(a=lattice_array(), b=lattice_array())
+    def test_matches_dense_convolution(self, a, b):
+        got = _convolve_dense(a, b)
+        want = np.convolve(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got != 0.0, want != 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_single_atoms_on_different_lattices(self):
+        # Atoms at 4 and 9: the spans 4 and 9 share no factor.
+        a = np.zeros(5)
+        a[4] = 0.5
+        b = np.zeros(10)
+        b[9] = 0.25
+        out = _convolve_dense(a, b)
+        assert out.size == 14
+        assert np.flatnonzero(out).tolist() == [13]
+        assert out[13] == 0.125
 
 
 class TestConvolutionPower:

@@ -1,7 +1,10 @@
 """Seeded forward simulation and empirical estimator laws."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gwlab import (
@@ -15,6 +18,8 @@ from gwlab import (
     prohorov,
     simulate_paths,
 )
+from gwlab.lab import contamination_grid
+from gwlab.montecarlo import _group_pairs
 
 DELTA2 = FamilySpec.raw([0.0, 0.0, 1.0])
 
@@ -71,6 +76,67 @@ class TestSimulatePaths:
         for n, _, _, count in rows:
             level_totals[n] = level_totals.get(n, 0) + count
         assert level_totals == {1: 500, 2: 500, 3: 500}
+
+
+def _digest(table) -> str:
+    h = hashlib.sha256()
+    for n in sorted(table.levels):
+        for arr in table.levels[n]:
+            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(table.excluded, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestGroupPairs:
+    # (low, high) ranges of the prev and curr columns: below 2^31, straddling
+    # it, just past and far past the point where prev * pack + curr no longer
+    # fits in int64 unless one or both columns are replaced by their ranks.
+    RANGES = [
+        ((0, 50), (0, 50)),
+        ((0, 2**31 - 1), (0, 2**31 - 1)),
+        ((2**31 - 40, 2**31 + 40), (2**31 - 40, 2**31 + 40)),
+        ((2**20, 2**40), (2**31 - 5, 2**31 + 5)),
+        ((2**32 - 50, 2**32 + 50), (2**31 - 5, 2**31 + 5)),
+        ((2**62 - 60, 2**62 + 60), (0, 30)),
+        ((0, 30), (2**62 - 60, 2**62 + 60)),
+        ((2**62 - 60, 2**62 + 60), (2**62 - 60, 2**62 + 60)),
+    ]
+
+    @pytest.mark.parametrize("prev_range,curr_range", RANGES)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_a_counter(self, prev_range, curr_range, weighted):
+        rng = np.random.default_rng(5)
+        size = 3_000
+        prev = rng.integers(*prev_range, size=size, endpoint=True, dtype=np.int64)
+        curr = rng.integers(*curr_range, size=size, endpoint=True, dtype=np.int64)
+        # Draw the rows from half as many pairs, so that pairs really merge.
+        rows = rng.integers(0, size // 2, size=size)
+        prev, curr = prev[rows], curr[rows]
+        if weighted:
+            counts = rng.integers(1, 10**6, size=size, dtype=np.int64)
+        else:
+            counts = np.ones(size, dtype=np.int64)
+        oracle = Counter()
+        for j, k, c in zip(prev.tolist(), curr.tolist(), counts.tolist()):
+            oracle[j, k] += c
+        want = sorted(oracle.items())
+        got_prev, got_curr, got_counts = _group_pairs(prev, curr, counts)
+        assert all(a.dtype == np.int64 for a in (got_prev, got_curr, got_counts))
+        got = list(zip(zip(got_prev.tolist(), got_curr.tolist()), got_counts.tolist()))
+        assert got == want
+        assert len(want) < size
+
+    def test_contamination_table_is_pinned(self):
+        # Populations of the k = 50 member pass 2^31 at level 7, and at
+        # level 8 prev * pack + curr passes int64.  The digest comes from a
+        # grouping by structured-dtype sort, which packs no keys.
+        law = build(contamination_grid(FamilySpec.binary(0.75), (50,))[0])
+        cfg = SimConfig(seed=0, replications=20_000, n_max=8, cap=10**12)
+        table = simulate_paths(law, cfg)
+        assert int(table.pairs(8)[1].max()) > 2**34
+        assert _digest(table) == (
+            "4ab120dae4a283e0b70c022387a3cb11c473055014d5c33c26a2b376d1f4184c"
+        )
 
 
 class TestEmpiricalEstimatorLaw:
