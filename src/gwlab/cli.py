@@ -456,9 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.budget is None:
-        args.budget = _default_budget()
     try:
+        if args.budget is None:
+            args.budget = _default_budget()
         return args.func(args)
     except (GwError, OSError, json.JSONDecodeError, KeyError) as exc:
         line = json.dumps(

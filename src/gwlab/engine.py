@@ -29,7 +29,8 @@ from .errors import (
     DegenerateConditioning,
     InvalidParameter,
 )
-from .measures import DiscreteMeasure, _convolve_dense, _truncate_dense, convolution_power
+from .measures import DiscreteMeasure, _convolve_dense, _span, _truncate_dense
+from .measures import convolution_power
 from .offspring import OffspringLaw
 
 __all__ = [
@@ -117,7 +118,8 @@ class PowerCache:
     ``get(j)`` returns ``(weights, defect)`` for the law of the sum of ``j``
     independent offspring draws.  Powers combine from cached pieces: a dense
     sweep over consecutive ``j`` costs one convolution each, an isolated
-    large ``j`` is built by repeated halving.
+    large ``j`` is built by repeated halving.  Each power's lattice span is
+    found once, when it is stored, and handed to every convolution using it.
     """
 
     def __init__(self, law: OffspringLaw):
@@ -126,6 +128,7 @@ class PowerCache:
             0: (np.ones(1), 0.0),
             1: (base, law.measure.defect),
         }
+        self._spans: dict[int, int] = {0: 0, 1: _span(base)}
 
     def get(self, j: int) -> tuple[np.ndarray, float]:
         if j < 0:
@@ -141,9 +144,11 @@ class PowerCache:
         wa, da = self.get(left)
         wb, db = self.get(right)
         # Far tails can underflow to 0; trim them so lengths stay honest.
-        w = np.trim_zeros(_convolve_dense(wa, wb), "b")
+        spans = self._spans
+        w = np.trim_zeros(_convolve_dense(wa, wb, spans[left], spans[right]), "b")
         entry = (w, da + db)
         self._cache[j] = entry
+        spans[j] = _span(w)
         return entry
 
 

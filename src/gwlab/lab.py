@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy import special
 
 from .engine import (
     MIN_SURVIVAL,
@@ -720,8 +719,11 @@ def verify_conditional_occupancy(
         if survival < MIN_SURVIVAL:
             raise DegenerateConditioning(f"survival vanished by horizon {n}")
         occ = gen.law.mass_at(k) / survival
-        # bdtr is NaN for k > n, where the binomial CDF is already 1.
-        bnd = float(special.bdtr(min(k, n), n, p)) + leak * gamma**n
+        # A finite pmf sum keeps dyadic p (binary laws) exact.
+        cdf = sum(
+            math.comb(n, i) * p**i * gamma ** (n - i) for i in range(min(k, n) + 1)
+        )
+        bnd = cdf + leak * gamma**n
         occupancy[n] = occ
         bounds[n] = bnd
         margin = occ - bnd

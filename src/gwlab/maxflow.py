@@ -1,14 +1,15 @@
 """Maximum matchable mass between two atom lists under a distance band.
 
-This is the work-horse behind the Prohorov metric and Strassen couplings:
-given atoms ``x_i`` with masses ``a_i`` and atoms ``y_j`` with masses
-``b_j``, find the largest total mass that can be shipped along pairs with
-``|x_i - y_j| <= eps``.  Because both supports are sorted, left atom ``i``
-sees a window ``[lo_i, hi_i)`` of right atoms and both ends never decrease:
-the bipartite graph is a staircase.  On a staircase the northwest-corner
-greedy, which fills each left atom from the first right atom with room, is
-already a maximum flow (Hoffman 1963, "On simple linear programming
-problems"; Glover 1967, "Maximum matching in a convex bipartite graph").
+It certifies the final coupling of each Prohorov call, and Strassen
+couplings at a given ``eps``: for atoms ``x_i`` with masses ``a_i`` and
+atoms ``y_j`` with masses ``b_j``, find the largest total mass that can be
+shipped along pairs with ``|x_i - y_j| <= eps``.  Because both supports are
+sorted, left atom ``i`` sees a window ``[lo_i, hi_i)`` of right atoms and
+both ends never decrease: the bipartite graph is a staircase.  On a
+staircase the northwest-corner greedy, which fills each left atom from the
+first right atom with room, is already a maximum flow (Hoffman 1963, "On
+simple linear programming problems"; Glover 1967, "Maximum matching in a
+convex bipartite graph").
 
 One residual search then certifies it.  Starting from every left atom with
 supply left over, it follows band edges to right atoms and flow edges back

@@ -244,15 +244,16 @@ def _span(w: np.ndarray) -> int:
     return int(np.gcd.reduce(np.flatnonzero(w)))
 
 
-def _convolve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _convolve_dense(a: np.ndarray, b: np.ndarray, ga: int, gb: int) -> np.ndarray:
     """``np.convolve(a, b)`` computed as ``a[::g] * b[::g]`` at stride ``g``.
 
-    Lengths and zero patterns match ``np.convolve``; values may differ in
-    the last bits, since the sums skip the zero terms.
+    ``ga`` and ``gb`` are the operands' ``_span`` values, and ``g`` is their
+    gcd.  Lengths and zero patterns match ``np.convolve``; values may differ
+    in the last bits, since the sums skip the zero terms.
     """
     if a.size == 0 or b.size == 0:
         return np.zeros(0, dtype=float)
-    g = math.gcd(_span(a), _span(b))
+    g = math.gcd(ga, gb)
     if g <= 1:
         return np.convolve(a, b)
     out = np.zeros(a.size + b.size - 1, dtype=float)
@@ -291,7 +292,7 @@ def convolve(
     """
     wa = a.dense_weights()
     wb = b.dense_weights()
-    out = _convolve_dense(wa, wb)
+    out = _convolve_dense(wa, wb, _span(wa), _span(wb))
     out, dropped = _truncate_dense(out, budget)
     return DiscreteMeasure.from_dense(out, defect=a.defect + b.defect + dropped)
 

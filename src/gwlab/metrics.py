@@ -3,13 +3,11 @@
 Prohorov distance is computed through its coupling characterization: the
 distance is the least ``eps`` such that mass ``>= T - eps`` fits on pairs
 within ``eps`` of each other, where ``T`` is the larger retained total.
-The matchable mass ``M(eps)`` is a step function whose breakpoints are the
-pairwise support distances, so the exact value is found by locating the
-first breakpoint band that admits a feasible ``eps`` and taking
-``max(d_k, T - M(d_k))`` there.  Each ``M`` evaluation is one bipartite
-max-flow; monotonicity makes binary search over breakpoints valid, and a
-plain linear scan is kept as a reference mode.  Inputs too large to
-enumerate breakpoints fall back to bisection on ``eps`` itself.
+The matchable mass ``M(eps)`` steps only at pair distances, so the value is
+``max(d_k, T - M(d_k))`` at the least pair distance (or 0) ``d_k`` with
+``T - M(d_k) < d_{k+1}``.  The ``n * m`` distances are never listed: pairs
+are counted from per-atom windows, each probe takes ``M`` from the greedy's
+value alone, and only ``d_k`` gets a full band flow.
 
 The coupling certificate is checkable from both sides.  Its marginals and
 slack show that the value is attained.  Its band mass at ``d_k`` reaches
@@ -51,12 +49,10 @@ __all__ = [
     "strassen_coupling",
     "joint_tv",
     "trajectory_tv",
-    "BREAKPOINT_LIMIT",
 ]
 
-BREAKPOINT_LIMIT = 6_000_000
-
-_REAL_BISECT_WIDTH = 1e-12
+# Rounding guard on value-only probes; widened by the flow's termination.
+_GUARD = 1e-9
 
 # HiGHS primal and dual feasibility tolerances for the bounded-Lipschitz LP.
 # At the defaults the duality gap reached 1.6e-7 on 161-atom estimator laws.
@@ -175,18 +171,6 @@ class MetricResult:
 # -- Prohorov ----------------------------------------------------------------
 
 
-def _solved_flow(
-    xs: np.ndarray,
-    aw: np.ndarray,
-    ys: np.ndarray,
-    bw: np.ndarray,
-    eps: float,
-) -> tuple[float, BandFlow]:
-    flow = BandFlow(xs, aw, ys, bw, eps)
-    matched = flow.solve()
-    return matched, flow
-
-
 def _complete_coupling(
     a: DiscreteMeasure, b: DiscreteMeasure, eps: float, flow: BandFlow
 ) -> Coupling:
@@ -215,105 +199,104 @@ def _complete_coupling(
     return Coupling(a, b, eps, entries, slack, flow.strassen, flow.eps)
 
 
-def _breakpoints(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    d = np.unique(np.abs(xs[:, None] - ys[None, :]).ravel())
-    if d.size == 0 or d[0] != 0.0:
-        d = np.concatenate([[0.0], d])
-    return d
+def _greedy_mass(a: list[float], low: list[float], high: list[float]) -> float:
+    """Mass the northwest-corner greedy ships, tracked by its position alone.
 
-
-def prohorov(
-    a: DiscreteMeasure, b: DiscreteMeasure, mode: str = "auto"
-) -> MetricResult:
-    """Exact Prohorov distance with an optimal-coupling certificate.
-
-    ``mode`` selects the breakpoint search: "bisect" (binary search, the
-    default resolution of "auto" at moderate sizes), "scan" (linear
-    reference), or "bisect-real" (bisection on eps itself, used by "auto"
-    when the breakpoint list would be too large; value is then exact only
-    up to 1e-12, which is added to the slack).
+    In cumulative right mass, with ``low_i``/``high_i`` at the ends of its
+    window, atom ``i`` moves the position ``P`` to ``min(max(P, low_i) + a_i,
+    high_i)`` and ships what it passed over after ``max(P, low_i)``.
     """
+    pos = total = 0.0
+    for mass, start, stop in zip(a, low, high):
+        start = pos if pos > start else start
+        pos = start + mass
+        pos = stop if pos > stop else pos
+        total += pos - start
+    return total
+
+
+def _pair_edges(xs: np.ndarray, ys: np.ndarray, split: np.ndarray, t: float) -> np.ndarray:
+    """``lo`` then ``hi``: windows ``[lo_i, hi_i)`` of pairs ``|x_i - y_j| <= t``.
+
+    Row ``i`` is a falling run ``x_i - y_j`` (``j < split_i``), then a rising
+    run ``y_j - x_i``; rounding keeps both monotone, so each searchsorted
+    guess (made at the rounded ``x_i -+ t``) steps onto the exact edge.
+    """
+    top = len(ys) - 1
+    lo = np.minimum(np.searchsorted(ys, xs - t, "left"), split)
+    hi = np.maximum(np.searchsorted(ys, xs + t, "right"), split)
+    while True:
+        lo_in = (lo > 0) & (xs - ys[np.maximum(lo - 1, 0)] <= t)
+        lo_out = (lo < split) & (xs - ys[np.minimum(lo, top)] > t)
+        hi_in = (hi <= top) & (ys[np.minimum(hi, top)] - xs <= t)
+        hi_out = (hi > split) & (ys[np.maximum(hi - 1, 0)] - xs > t)
+        if not (lo_in | lo_out | hi_in | hi_out).any():
+            return np.concatenate([lo, hi])
+        lo = lo - lo_in + lo_out
+        hi = hi + hi_in - hi_out
+
+
+def _least_feasible_distance(
+    xs: np.ndarray, aw: np.ndarray, ys: np.ndarray, bw: np.ndarray, t_goal: float
+) -> float:
+    """The least ``d`` in ``{0} | {|x_i - y_j|}`` with ``T - M(d) < d'``.
+
+    ``d'`` is the next pair distance (infinite past the last); the test is
+    monotone in ``d``.  The bracket ``(low, high]`` is cut at weighted
+    medians of the pairs inside it until none is left.  A probe whose
+    ``T - M`` is within the guard band of ``d'`` is redone with a BandFlow.
+    """
+    n, m = len(xs), len(ys)
+    split = np.searchsorted(ys, xs, "left")
+    cum_b = np.concatenate([[0.0], np.cumsum(bw)])
+    a_list = aw.tolist()
+    guard = _GUARD + (n + m) * FLOW_TERMINATION
+    run_x = np.tile(xs, 2)
+    is_lo = np.arange(2 * n) < n
+
+    def feasible(d: float, nxt: float) -> bool:
+        lo, hi = band_windows(xs, ys, d)
+        matched = _greedy_mass(a_list, cum_b[lo].tolist(), cum_b[hi].tolist())
+        if abs(t_goal - matched - nxt) <= guard:
+            matched = BandFlow(xs, aw, ys, bw, d).solve()
+        return t_goal - matched < nxt
+
+    # The bracket's pairs lie between the window edges at ``low`` (inner)
+    # and those just below ``high`` (outer): per row, one run on each side.
+    low, inner = -np.inf, np.concatenate([split, split])
+    high = float(max(xs[-1] - ys[0], ys[-1] - xs[0]))
+    outer = _pair_edges(xs, ys, split, np.nextafter(high, -np.inf))
+    while (live := outer != inner).any():
+        # Half of every run sits at or below (above) its middle element, so
+        # the weighted median of those has a quarter of the pairs either side.
+        mids = np.abs(run_x[live] - ys[(outer + inner)[live] // 2])
+        order = np.argsort(mids, kind="stable")
+        cum = np.cumsum(np.abs(outer - inner)[live][order])
+        d = float(mids[order[np.searchsorted(cum, (cum[-1] + 1) // 2)]])
+        edges = _pair_edges(xs, ys, split, d)
+        beyond = edges - is_lo  # the nearest pair outside each window
+        fits = (beyond >= 0) & (beyond < m)
+        nxt = np.abs(run_x - ys[np.clip(beyond, 0, m - 1)])[fits].min(initial=np.inf)
+        if feasible(d, float(nxt)):
+            high, outer = d, _pair_edges(xs, ys, split, np.nextafter(d, -np.inf))
+        else:
+            low, inner = d, edges
+    # No pair distance is left between low and high, but 0 is a candidate.
+    if low < 0.0 < high and feasible(0.0, high):
+        return 0.0
+    return high
+
+
+def prohorov(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
+    """Exact Prohorov distance with an optimal-coupling certificate."""
     xs, aw = a.float_support, a.weights_array
     ys, bw = b.float_support, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    base_slack = a.defect + b.defect
-
-    if mode == "auto":
-        mode = "bisect" if len(xs) * len(ys) <= BREAKPOINT_LIMIT else "bisect-real"
-    if mode == "bisect-real":
-        return _prohorov_real(a, b, xs, aw, ys, bw, t_goal, base_slack)
-    if mode not in ("scan", "bisect"):
-        raise InvalidParameter(f"unknown prohorov mode {mode!r}")
-    if len(xs) * len(ys) > 4 * BREAKPOINT_LIMIT:
-        raise InvalidParameter(
-            "breakpoint enumeration too large; use mode='bisect-real'"
-        )
-
-    d = _breakpoints(xs, ys)
-
-    def probe(k: int) -> tuple[bool, float, BandFlow]:
-        matched, flow = _solved_flow(xs, aw, ys, bw, float(d[k]))
-        nxt = float(d[k + 1]) if k + 1 < len(d) else np.inf
-        return (t_goal - matched) < nxt, matched, flow
-
-    if mode == "scan":
-        k = 0
-        while True:
-            ok, matched, flow = probe(k)
-            if ok:
-                break
-            k += 1
-    else:
-        lo, hi = 0, len(d) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            ok, _, _ = probe(mid)
-            if ok:
-                hi = mid
-            else:
-                lo = mid + 1
-        k = lo
-        ok, matched, flow = probe(k)
-        assert ok, "last breakpoint band is always feasible"
-
-    value = max(float(d[k]), t_goal - matched)
+    d = _least_feasible_distance(xs, aw, ys, bw, t_goal)
+    flow = BandFlow(xs, aw, ys, bw, d)
+    value = max(d, t_goal - flow.solve())
     coupling = _complete_coupling(a, b, value, flow)
-    return MetricResult(value=value, certificate=coupling, defect_slack=base_slack)
-
-
-def _prohorov_real(
-    a: DiscreteMeasure,
-    b: DiscreteMeasure,
-    xs: np.ndarray,
-    aw: np.ndarray,
-    ys: np.ndarray,
-    bw: np.ndarray,
-    t_goal: float,
-    base_slack: float,
-) -> MetricResult:
-    matched0, flow0 = _solved_flow(xs, aw, ys, bw, 0.0)
-    if t_goal - matched0 <= 0.0:
-        coupling = _complete_coupling(a, b, 0.0, flow0)
-        return MetricResult(value=0.0, certificate=coupling, defect_slack=base_slack)
-    spread = max(abs(float(xs[-1] - ys[0])), abs(float(ys[-1] - xs[0])))
-    hi = max(spread, t_goal - matched0)
-    lo = 0.0
-    matched_hi, flow_hi = _solved_flow(xs, aw, ys, bw, hi)
-    for _ in range(100):
-        if hi - lo <= _REAL_BISECT_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        matched, flow = _solved_flow(xs, aw, ys, bw, mid)
-        if t_goal - matched <= mid:
-            hi, matched_hi, flow_hi = mid, matched, flow
-        else:
-            lo = mid
-    coupling = _complete_coupling(a, b, hi, flow_hi)
-    return MetricResult(
-        value=hi,
-        certificate=coupling,
-        defect_slack=base_slack + (hi - lo),
-    )
+    return MetricResult(value, coupling, a.defect + b.defect)
 
 
 def strassen_coupling(
@@ -330,7 +313,8 @@ def strassen_coupling(
     xs, aw = a.float_support, a.weights_array
     ys, bw = b.float_support, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    matched, flow = _solved_flow(xs, aw, ys, bw, eps)
+    flow = BandFlow(xs, aw, ys, bw, eps)
+    matched = flow.solve()
     if matched < t_goal - eps - 1e-12:
         raise CouplingInfeasible(
             f"band mass {matched:.12f} at eps={eps} cannot reach "

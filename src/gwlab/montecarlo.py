@@ -59,6 +59,8 @@ class SimConfig:
     cap: int = 10_000_000
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InvalidParameter("seed must be nonnegative")
         if self.replications < 1:
             raise InvalidParameter("need at least one replication")
         if self.n_max < 1:

@@ -71,6 +71,9 @@ class FamilySpec:
             raise InvalidParameter(f"unknown family {self.family!r}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        params = (self.p, self.p0, self.p2, self.p3, self.lam, *(self.weights or ()))
+        if not all(math.isfinite(v) for v in params if v is not None):
+            raise InvalidParameter(f"{self.family} family parameters must be finite")
         if self.family == "binary":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise InvalidParameter("binary family needs p in [0, 1]")

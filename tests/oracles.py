@@ -2,9 +2,10 @@
 
 Everything here favors obviousness over speed: per-individual outcome
 enumeration with itertools.product, dict-based convolution, subset
-enumeration for the Prohorov metric, and a grid search for the
-bounded-Lipschitz metric.  Tests compute expected values from these and
-compare the fast implementations against them on small instances.
+enumeration for the Prohorov metric and a Prohorov search over the full
+list of pair distances, and a grid search for the bounded-Lipschitz
+metric.  Tests compute expected values from these and compare the fast
+implementations against them on small instances.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
+
+from gwlab.maxflow import BandFlow
+from gwlab.metrics import MetricResult, _complete_coupling
 
 # -- laws as plain dicts -------------------------------------------------------
 
@@ -165,6 +169,50 @@ def prohorov(
         )
         best = min(best, max(float(c), deficit))
     return best
+
+
+def prohorov_by_breakpoints(a, b, scan: bool = False):
+    """Prohorov distance by searching the full list of pair distances.
+
+    Every ``|x_i - y_j|`` (and 0) is listed and sorted, and each probe of
+    ``T - M(d_k) < d_{k+1}`` solves a certified ``BandFlow``.  The search
+    bisects over the list, or walks it from the start when ``scan`` is set.
+    The result is built from the flow at the chosen ``d_k`` as in
+    ``gwlab.prohorov``, so values and couplings are comparable bit for bit.
+    """
+    xs, aw = a.float_support, a.weights_array
+    ys, bw = b.float_support, b.weights_array
+    t_goal = max(a.total_mass, b.total_mass)
+    d = np.unique(np.abs(xs[:, None] - ys[None, :]).ravel())
+    if d[0] != 0.0:
+        d = np.concatenate([[0.0], d])
+
+    def probe(k):
+        flow = BandFlow(xs, aw, ys, bw, float(d[k]))
+        matched = flow.solve()
+        nxt = float(d[k + 1]) if k + 1 < len(d) else np.inf
+        return (t_goal - matched) < nxt, matched, flow
+
+    if scan:
+        k = 0
+        while not probe(k)[0]:
+            k += 1
+    else:
+        lo, hi = 0, len(d) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe(mid)[0]:
+                hi = mid
+            else:
+                lo = mid + 1
+        k = lo
+    _, matched, flow = probe(k)
+    value = max(float(d[k]), t_goal - matched)
+    return MetricResult(
+        value=value,
+        certificate=_complete_coupling(a, b, value, flow),
+        defect_slack=a.defect + b.defect,
+    )
 
 
 def _bl_at_slope(

@@ -207,3 +207,21 @@ class TestErrorChannels:
         assert out.returncode == 1
         err = json.loads(out.stderr)
         assert "needs --p" in err["message"]
+
+    def test_negative_seed_is_a_typed_error(self):
+        out = run(["simulate", "--family", "binary", "--p", "0.75", "--n-max", "2",
+                   "--seed", "-1"])
+        assert out.returncode == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "seed" in err["message"]
+
+    def test_unreadable_budget_environment_is_one_error_line(self):
+        out = run(["extinction", "--family", "binary", "--p", "0.75"],
+                  env_extra={"GW_BUDGET": "abc"})
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "GW_BUDGET" in err["message"]

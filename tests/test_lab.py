@@ -206,6 +206,11 @@ class TestConditionalOccupancy:
         occ, bounds = rep.instance["occupancy"], rep.instance["bounds"]
         assert all(occ[n] <= bounds[n] + 1e-10 for n in occ)
 
+    def test_dyadic_bounds_are_exact(self, b75):
+        # p = gamma = 1/2: (1 + 10 + 45) / 2**10 + (1/2) * 2**-10.
+        rep = verify_conditional_occupancy(b75, 2, [7, 10])
+        assert rep.instance["bounds"] == {7: 0.23046875, 10: 0.05517578125}
+
     def test_bound_ingredients_match_derivative_at_q(self, b75):
         rep = verify_conditional_occupancy(b75, 2, range(1, 5))
         gamma = rep.instance["gamma"]

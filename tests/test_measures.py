@@ -23,7 +23,7 @@ from gwlab import (
     truncate_tail,
     tv_distance,
 )
-from gwlab.measures import _convolve_dense
+from gwlab.measures import _convolve_dense, _span
 
 
 def integer_measure(rng, max_atoms=6):
@@ -191,7 +191,7 @@ class TestSpanConvolution:
     @settings(max_examples=300, deadline=None)
     @given(a=lattice_array(), b=lattice_array())
     def test_matches_dense_convolution(self, a, b):
-        got = _convolve_dense(a, b)
+        got = _convolve_dense(a, b, _span(a), _span(b))
         want = np.convolve(a, b)
         assert got.shape == want.shape
         assert np.array_equal(got != 0.0, want != 0.0)
@@ -203,7 +203,7 @@ class TestSpanConvolution:
         a[4] = 0.5
         b = np.zeros(10)
         b[9] = 0.25
-        out = _convolve_dense(a, b)
+        out = _convolve_dense(a, b, _span(a), _span(b))
         assert out.size == 14
         assert np.flatnonzero(out).tolist() == [13]
         assert out[13] == 0.125

@@ -24,6 +24,7 @@ from gwlab import (
     joint_law,
     joint_tv,
     maxflow,
+    metrics,
     prohorov,
     strassen_coupling,
     trajectory_tv,
@@ -110,15 +111,63 @@ class TestProhorov:
             assert left_err <= 1e-10 and right_err <= 1e-10
             assert cert.band_mass() >= 1.0 - res.value - 1e-10
 
-    def test_all_modes_agree(self):
-        rng = np.random.default_rng(36)
-        for _ in range(10):
-            a, b = random_measure(rng), random_measure(rng)
-            reference = prohorov(a, b, mode="scan").value
-            for mode in ("auto", "bisect", "bisect-real"):
-                assert prohorov(a, b, mode=mode).value == pytest.approx(
-                    reference, abs=1e-9
-                )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_full_breakpoint_search(self, data):
+        # Quarter lattices tie many distances; tenths round them.
+        denominator = data.draw(st.sampled_from([4, 10]))
+
+        def side():
+            points = data.draw(
+                st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True)
+            )
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            total = data.draw(st.sampled_from([1.0, 0.9, 0.5]))
+            weights = rng.dirichlet(np.ones(len(points))) * total
+            return DiscreteMeasure.from_items(
+                zip((Fraction(p, denominator) for p in points), weights),
+                defect=max(0.0, 1.0 - float(weights.sum())),
+            )
+
+        a, b = side(), side()
+        res = prohorov(a, b)
+        ref = oracles.prohorov_by_breakpoints(a, b)
+        assert res.value == ref.value
+        assert res.certificate.entries == ref.certificate.entries
+        assert res.value == oracles.prohorov_by_breakpoints(a, b, scan=True).value
+        enumerated = oracles.prohorov(*as_arrays(a), *as_arrays(b))
+        assert res.value == pytest.approx(enumerated, abs=1e-9)
+
+    def test_horizon_ten_is_exact_with_a_valid_certificate(self):
+        a, b = (
+            estimator_law(joint_law(build(FamilySpec.binary(p)), 10)).law
+            for p in (0.75, 0.74)
+        )
+        assert len(a) * len(b) > 200_000_000
+        res = prohorov(a, b)
+        assert res.defect_slack == a.defect + b.defect
+        res.certificate.validate()
+        assert res.certificate.band_mass() >= 1.0 - res.value - 1e-10
+
+    def test_guard_redo_leaves_the_value_unchanged(self, monkeypatch):
+        a, b = (
+            estimator_law(joint_law(build(FamilySpec.binary(p)), 4)).law
+            for p in (0.75, 0.74)
+        )
+        plain = prohorov(a, b)
+        solves = []
+        solve = maxflow.BandFlow.solve
+
+        def counted(flow):
+            solves.append(flow.eps)
+            return solve(flow)
+
+        monkeypatch.setattr(maxflow.BandFlow, "solve", counted)
+        monkeypatch.setattr(metrics, "_GUARD", 10.0)
+        redone = prohorov(a, b)
+        assert len(solves) > 1  # every probe plus the final flow
+        assert redone.value == plain.value
+        assert redone.certificate.entries == plain.certificate.entries
 
     def test_defects_reported_as_slack_not_value(self):
         a = DiscreteMeasure.from_items([(Fraction(0), 0.95)], defect=0.05)

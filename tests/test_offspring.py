@@ -36,6 +36,24 @@ class TestBuild:
         with pytest.raises(InvalidParameter):
             build(FamilySpec.binary(1.5))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FamilySpec.raw([0.5, math.nan]),
+            lambda: FamilySpec.poisson(math.nan),
+            lambda: FamilySpec.poisson(math.inf),
+            lambda: FamilySpec.binary(math.nan),
+            lambda: FamilySpec.three_point(0.5, math.nan, 0.5),
+            lambda: FamilySpec.polynomial(math.inf, truncation=100),
+            lambda: FamilySpec.from_json_dict({"family": "raw", "weights": [-math.inf, 1.0]}),
+        ],
+        ids=["raw-nan", "poisson-nan", "poisson-inf", "binary-nan", "three-point-nan",
+             "polynomial-inf", "json-raw-minus-inf"],
+    )
+    def test_non_finite_parameters_are_rejected(self, make):
+        with pytest.raises(InvalidParameter, match="finite"):
+            make()
+
     def test_three_point_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParameter):
             build(FamilySpec.three_point(0.5, 0.5, 0.5))
