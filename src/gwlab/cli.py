@@ -270,13 +270,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     law = build(_family_from_args(args), args.budget)
-    cfg = SimConfig(
-        seed=args.seed,
-        replications=args.replications,
-        n_max=args.n_max,
-        z0=args.z0,
-        cap=args.cap,
-    )
+    cfg = SimConfig(args.seed, args.replications, args.n_max, args.z0, args.cap)
     table = simulate_paths(law, cfg, jobs=args.jobs)
     rows = [
         {"level": n, "prev": j, "curr": k, "count": c}

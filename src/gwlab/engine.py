@@ -103,10 +103,8 @@ def _measure_from_value_sums(
     values: np.ndarray, probs: np.ndarray, defect: float
 ) -> DiscreteMeasure:
     order = np.argsort(values, kind="stable")
-    vals = values[order]
-    ps = probs[order]
-    uniq, start = np.unique(vals, return_index=True)
-    sums = np.add.reduceat(ps, start)
+    uniq, start = np.unique(values[order], return_index=True)
+    sums = np.add.reduceat(probs[order], start)
     return DiscreteMeasure.from_sorted_arrays(
         uniq.astype(np.int64), np.ones(len(uniq), dtype=np.int64), sums, defect
     )
@@ -182,18 +180,12 @@ class Propagator:
     def _advance(self) -> None:
         prev, prev_defect = self._gen[-1]
         step = len(self._gen)
-        support = np.nonzero(prev)[0]
-        length = 1
-        rows: list[tuple[int, np.ndarray]] = []
-        for j in support.tolist():
-            w, _ = self.powers.get(j)
-            rows.append((j, w))
-            length = max(length, len(w))
-        out = np.zeros(length)
+        rows = [(j, *self.powers.get(j)) for j in np.flatnonzero(prev).tolist()]
+        out = np.zeros(max([1] + [len(w) for _, w, _ in rows]))
         inherited = prev_defect
-        for j, w in rows:
+        for j, w, d in rows:
             out[: len(w)] += prev[j] * w
-            inherited += prev[j] * self.powers.get(j)[1]
+            inherited += prev[j] * d
         out, dropped = _truncate_dense(out, self.budget / self.n_max)
         defect = inherited + dropped
         if defect > self.budget * (1.0 + 1e-9):
@@ -224,17 +216,11 @@ class Propagator:
         if n < 1:
             raise InvalidParameter("a joint law needs n >= 1")
         prev, prev_defect = self._dense_generation(n - 1)
-        support = np.nonzero(prev)[0]
         prev_col: list[np.ndarray] = []
         curr_col: list[np.ndarray] = []
         prob_col: list[np.ndarray] = []
         defect = prev_defect
-        for j in support.tolist():
-            if j == 0:
-                prev_col.append(np.zeros(1, dtype=np.int64))
-                curr_col.append(np.zeros(1, dtype=np.int64))
-                prob_col.append(np.array([prev[0]]))
-                continue
+        for j in np.flatnonzero(prev).tolist():
             w, d = self.powers.get(j)
             ks = np.nonzero(w)[0]
             prev_col.append(np.full(len(ks), j, dtype=np.int64))

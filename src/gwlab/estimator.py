@@ -18,7 +18,10 @@ from .engine import JointLaw, condition_on_survival
 from .errors import InvalidParameter
 from .measures import DiscreteMeasure
 
-__all__ = ["EstimatorLaw", "estimator_law", "ratio_law", "consistency_probability"]
+__all__ = [
+    "EstimatorLaw", "estimator_law", "ratio_law", "deviation_mask",
+    "consistency_probability",
+]
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,9 @@ def ratio_law(
         return DiscreteMeasure.from_sorted_arrays(
             unums[keep], udens[keep], weights[keep], defect
         )
-    # Values too large to pack into one int64: fall back to exact Fractions.
-    acc: dict[Fraction, float] = {}
-    for num, den, p in zip(nums.tolist(), dens.tolist(), probs.tolist()):
-        key = Fraction(num, den)
-        acc[key] = acc.get(key, 0.0) + p
-    return DiscreteMeasure.from_items(acc.items(), defect=defect)
+    # Values too large to pack into one int64: merge exact Fractions.
+    atoms = map(Fraction, nums.tolist(), dens.tolist())
+    return DiscreteMeasure.from_items(zip(atoms, probs.tolist()), defect=defect)
 
 
 def estimator_law(joint: JointLaw, conditioned: bool = False) -> EstimatorLaw:
@@ -88,24 +88,42 @@ def estimator_law(joint: JointLaw, conditioned: bool = False) -> EstimatorLaw:
     return EstimatorLaw(n=joint.n, z0=joint.z0, conditioned=conditioned, law=law)
 
 
+def deviation_mask(
+    nums: np.ndarray, dens: np.ndarray, m: object, eta: object
+) -> np.ndarray:
+    """Exact ``|nums/dens - m| >= eta`` per entry, for positive ``dens``.
+
+    With ``m = a/b`` and ``eta = c/e`` the test is the integer inequality
+    ``|n*b - a*d| * e >= c * d * b``.  It runs in int64 when Python-int
+    bounds on the largest entries show no product can overflow, and on
+    object arrays of Python ints otherwise.
+    """
+    m, eta = Fraction(m), Fraction(eta)
+    if eta <= 0:
+        raise InvalidParameter("deviation threshold eta must be positive")
+    a, b, c, e = m.numerator, m.denominator, eta.numerator, eta.denominator
+    top_n = int(np.abs(nums).max(initial=0))
+    top_d = int(dens.max(initial=0))
+    if max(((top_n + 1) * b + abs(a) * (top_d + 1)) * e, c * (top_d + 1) * b) >= 2**63:
+        nums, dens = nums.astype(object), dens.astype(object)
+    return np.abs(nums * b - a * dens) * e >= c * dens * b
+
+
 def consistency_probability(
     e: EstimatorLaw, m: object, eta: object
 ) -> tuple[float, float]:
     """Mass the estimator law puts at distance >= eta from m, with slack.
 
-    When ``m`` and ``eta`` are given as Fractions the comparison is done in
-    exact integer arithmetic, so boundary atoms (deviation exactly eta) are
-    classified correctly; float inputs use float comparison.
+    When ``m`` and ``eta`` are given as Fractions the atoms are classified
+    exactly by ``deviation_mask`` on the law's integer arrays, so boundary
+    atoms (deviation exactly eta) count as deviating; the selected weights
+    are added one by one in support order.  Float inputs use float
+    comparison.
     """
     law = e.law
     if isinstance(m, Fraction) and isinstance(eta, Fraction):
-        if eta <= 0:
-            raise InvalidParameter("deviation threshold eta must be positive")
-        total = 0.0
-        for x, w in law.items():
-            if abs(x - m) >= eta:
-                total += w
-        return total, law.defect
+        far = law.weights_array[deviation_mask(law.nums, law.dens, m, eta)]
+        return (float(np.cumsum(far)[-1]) if far.size else 0.0), law.defect
     m_f = float(m)
     eta_f = float(eta)
     if eta_f <= 0.0:

@@ -19,7 +19,7 @@ check share this one route (``_horizon_laws``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -147,6 +147,12 @@ class ExperimentSpec:
             raise InvalidParameter("n_range must be nonempty with n >= 1")
         if self.z0 < 1:
             raise InvalidParameter("start size z0 must be at least 1")
+        if self.cap < self.z0:
+            raise InvalidParameter("population cap must be at least z0")
+        if self.seed < 0:
+            raise InvalidParameter("seed must be nonnegative")
+        if not (math.isfinite(self.budget) and self.budget >= 0.0):
+            raise InvalidParameter("tail budget must be finite and nonnegative")
         if self.metric not in ("prohorov", "bounded_lipschitz"):
             raise InvalidParameter(f"unknown sweep metric {self.metric!r}")
         if self.replications < 1:
@@ -157,20 +163,13 @@ class ExperimentSpec:
             raise InvalidParameter("bin denominator must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "center": self.center.to_json_dict(),
-            "grid": [g.to_json_dict() for g in self.grid],
-            "n_range": list(self.n_range),
-            "z0": self.z0,
-            "metric": self.metric,
-            "budget": self.budget,
-            "seed": self.seed,
-            "replications": self.replications,
-            "cap": self.cap,
-            "exact_cutoff": self.exact_cutoff,
-            "bin_denominator": self.bin_denominator,
-            "output": self.output,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            center=self.center.to_json_dict(),
+            grid=[g.to_json_dict() for g in self.grid],
+            n_range=list(self.n_range),
+        )
+        return out
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentSpec":
@@ -289,13 +288,10 @@ def _exact_support(
     generation for free.
     """
     prev = prop.generation(n - 1).law
-    top = int(prev.support[-1])
-    max_count = int(law.counts[-1])
-    length = top * max_count + 1
-    convs = len(prev.support)
+    length = int(prev.nums[-1]) * int(law.counts[-1]) + 1
     if (
         length > _DENSE_LEN_CAP
-        or convs * length > _DENSE_WORK_CAP
+        or len(prev) * length > _DENSE_WORK_CAP
         or (length / 2) ** 2 > _POWER_WORK_CAP
     ):
         return None
@@ -383,9 +379,7 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
             curve2, mc_from = _estimator_curve(
                 law2, spec, _member_seed(spec.seed, idx + 1), jobs
             )
-        best = -1.0
-        best_n = None
-        best_slack = 0.0
+        best, best_n, best_slack = -1.0, None, 0.0
         for n in sorted(set(spec.n_range)):
             a, slack_a = center_curve[n]
             b, slack_b = curve2[n]
@@ -396,9 +390,7 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
                 value = result.value
                 total_slack = result.defect_slack + slack_a + slack_b
             if value > best:
-                best = value
-                best_n = n
-                best_slack = total_slack
+                best, best_n, best_slack = value, n, total_slack
         if center_mc is not None:
             mc_from = min(n for n in (mc_from, center_mc) if n is not None)
         rows.append(
@@ -485,9 +477,7 @@ def _geometric_sum(ratio: float, n: int) -> float:
 
 def _horizon_constant(law1: OffspringLaw, law2: OffspringLaw, n: int) -> float:
     """min over the two laws of ``sum_{i=1..n} m^(i-1)``."""
-    c1 = sum(law1.mean_m ** (i - 1) for i in range(1, n + 1))
-    c2 = sum(law2.mean_m ** (i - 1) for i in range(1, n + 1))
-    return min(c1, c2)
+    return min(sum(law.mean_m ** (i - 1) for i in range(1, n + 1)) for law in (law1, law2))
 
 
 def verify_joint_tv_bound(
@@ -711,8 +701,7 @@ def verify_conditional_occupancy(
     prop = _propagator(law, n_max, 1, budget)
     occupancy: dict[int, float] = {}
     bounds: dict[int, float] = {}
-    worst = -math.inf
-    worst_slack = 0.0
+    worst, worst_slack = -math.inf, 0.0
     for n in levels:
         gen = prop.generation(n)
         survival = 1.0 - extinction_by_n(law, n)
@@ -728,8 +717,7 @@ def verify_conditional_occupancy(
         bounds[n] = bnd
         margin = occ - bnd
         if margin > worst:
-            worst = margin
-            worst_slack = gen.law.defect / survival
+            worst, worst_slack = margin, gen.law.defect / survival
     note = ""
     lhs = worst
     slack = worst_slack + 1e-10
@@ -792,10 +780,7 @@ def verify_wlln(
     suffix = np.maximum.accumulate(vals[1:][::-1])[::-1]
     hits = np.nonzero(suffix <= eps)[0]
     k0 = int(hits[0]) + 1 if hits.size else None
-    if k0 is not None:
-        lhs = float(suffix[k0 - 1])
-    else:
-        lhs = float(suffix[-1])
+    lhs = float(suffix[k0 - 1] if k0 is not None else suffix[-1])
     slack = float(defects[1:].max()) + 1e-12
     # Three-term bound at the smallest truncation clearing the indicator.
     ell = None

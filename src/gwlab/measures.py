@@ -1,10 +1,15 @@
 """Finite discrete measures on the nonnegative rationals.
 
-Atoms sit at exact rational points stored as reduced fractions, so ``2/6``
-and ``1/3`` name the same atom and structural equality of two canonical
-measures is meaningful.  Mass that is deliberately dropped from the upper
-tail during a computation is never renormalized away; it accumulates in
-``defect`` so that every downstream quantity can report a rigorous slack.
+A measure stores its atoms as two parallel arrays, reduced numerators
+``nums`` and positive denominators ``dens``, sorted by value, next to the
+float array ``weights_array``.  The integer arrays are ``int64``, or object
+arrays of Python ints when a value does not fit.  ``2/6`` and ``1/3`` are
+the same atom, so equality of two canonical measures is meaningful.  The
+``Fraction`` tuple ``support``, the tuple ``weights``, ``items()`` and the
+JSON form are views built on first use; code that reads only the arrays
+never creates a ``Fraction``.  Mass that is deliberately dropped from the
+upper tail during a computation is never renormalized away; it accumulates
+in ``defect`` so that every downstream quantity can report a rigorous slack.
 
 Truncation policy: when a budget is spent, the largest support points are
 removed first and their mass is moved to ``defect``.  Nothing is ever
@@ -18,7 +23,6 @@ pays a quarter of the multiplications; the skipped terms are exact zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -51,41 +55,56 @@ def _as_fraction(x: object) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
+def _parse_point(entry: object) -> Fraction:
+    try:
+        num, den = entry
+        return Fraction(int(num), int(den))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidParameter(
+            f"support entry {entry!r} is not a [numerator, denominator] pair of ints"
+        ) from None
+
+
+def _check_weights(weights: np.ndarray, defect: float) -> None:
+    if not (np.isfinite(weights).all() and math.isfinite(defect)):
+        raise InvalidParameter("weights and defect must be finite")
+    if np.any(weights <= 0.0) or defect < 0.0:
+        raise InvalidParameter("weights must be positive and the defect nonnegative")
+
+
 class DiscreteMeasure:
     """A canonical finite measure: sorted rational atoms, positive weights.
 
+    Atom ``i`` is ``nums[i] / dens[i]`` in lowest terms with mass
+    ``weights_array[i] > 0``; the atoms strictly increase, and
     ``sum(weights) + defect`` is within ``MASS_TOL`` of one.  Zero-weight
     atoms are dropped by the constructors, so equality of two instances is
-    equality of measures (up to the float weights).
+    equality of measures (up to the float weights).  ``support`` and
+    ``weights`` are tuple views cached on first access.
     """
 
-    support: tuple[Fraction, ...]
-    weights: tuple[float, ...]
-    defect: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", tuple(_as_fraction(x) for x in self.support))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "defect", float(self.defect))
-        if len(self.support) != len(self.weights):
+    def __init__(
+        self, support: Iterable[object], weights: Iterable[float], defect: float = 0.0
+    ) -> None:
+        pts = [_as_fraction(x) for x in support]
+        w = np.array([float(v) for v in weights], dtype=float)
+        defect = float(defect)
+        if len(pts) != len(w):
             raise InvalidParameter("support and weights must have equal length")
-        if not self.support:
+        if not pts:
             raise InvalidParameter("a measure needs at least one atom")
-        for x in self.support:
-            if x < 0:
-                raise InvalidParameter(f"support point {x} is negative")
-        for a, b in zip(self.support, self.support[1:]):
-            if not a < b:
-                raise InvalidParameter("support must be strictly increasing")
-        for w in self.weights:
-            if w <= 0.0:
-                raise InvalidParameter("weights must be strictly positive")
-        if self.defect < 0.0:
-            raise InvalidParameter("defect must be nonnegative")
-        total = float(sum(self.weights)) + self.defect
+        if min(pts) < 0:
+            raise InvalidParameter(f"support point {min(pts)} is negative")
+        if not all(a < b for a, b in zip(pts, pts[1:])):
+            raise InvalidParameter("support must be strictly increasing")
+        _check_weights(w, defect)
+        total = float(sum(w.tolist())) + defect
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidParameter(f"mass {total} is not within {MASS_TOL} of 1")
+        ints = [x.numerator for x in pts] + [x.denominator for x in pts]
+        ints = np.array(ints, dtype=np.int64 if max(ints) < 2**63 else object)
+        self.nums, self.dens = ints[: len(pts)], ints[len(pts):]
+        self.weights_array, self.defect = w, defect
 
     # -- constructors ------------------------------------------------------
 
@@ -99,11 +118,11 @@ class DiscreteMeasure:
             key = _as_fraction(x)
             acc[key] = acc.get(key, 0.0) + float(w)
         pts = sorted(k for k, w in acc.items() if w != 0.0)
-        return cls(tuple(pts), tuple(acc[k] for k in pts), defect)
+        return cls(pts, [acc[k] for k in pts], defect)
 
     @classmethod
     def delta(cls, point: object) -> "DiscreteMeasure":
-        return cls((_as_fraction(point),), (1.0,), 0.0)
+        return cls((point,), (1.0,))
 
     @classmethod
     def from_dense(
@@ -111,25 +130,19 @@ class DiscreteMeasure:
     ) -> "DiscreteMeasure":
         """Integer-supported measure from a dense weight array at start, start+1, ..."""
         w = np.asarray(weights, dtype=float)
-        idx = np.nonzero(w)[0]
+        idx = np.flatnonzero(w)
         if idx.size == 0:
             raise InvalidParameter("dense weight array has no mass")
-        support = tuple(Fraction(int(i) + start) for i in idx)
-        return cls._trusted(support, tuple(float(v) for v in w[idx]), float(defect))
+        return cls.from_sorted_arrays(idx + start, np.ones_like(idx), w[idx], defect)
 
     @classmethod
     def _trusted(
-        cls,
-        support: tuple[Fraction, ...],
-        weights: tuple[float, ...],
-        defect: float,
+        cls, nums: np.ndarray, dens: np.ndarray, weights: np.ndarray, defect: float
     ) -> "DiscreteMeasure":
-        # Fast path for internally produced, already-canonical data.  Skips
-        # the O(n) Fraction comparisons of __post_init__ on large supports.
+        # Fast path for internally produced, already-canonical arrays.
         self = object.__new__(cls)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "defect", defect)
+        self.nums, self.dens = nums, dens
+        self.weights_array, self.defect = weights, float(defect)
         return self
 
     @classmethod
@@ -143,7 +156,8 @@ class DiscreteMeasure:
         """Build from parallel arrays of reduced fractions sorted by value.
 
         The fractions must already be reduced and strictly increasing; this is
-        checked with exact integer cross-multiplication.
+        checked with exact integer cross-multiplication (on Python ints when
+        an int64 product could wrap).
         """
         nums = np.asarray(numerators, dtype=np.int64)
         dens = np.asarray(denominators, dtype=np.int64)
@@ -151,25 +165,31 @@ class DiscreteMeasure:
         if np.any(dens <= 0):
             raise InvalidParameter("denominators must be positive")
         if len(nums) > 1:
-            left = nums[:-1] * dens[1:]
-            right = nums[1:] * dens[:-1]
-            if not np.all(left < right):
+            big = int(np.abs(nums).max()) * int(dens.max()) >= 2**63
+            a, b = (nums.astype(object), dens.astype(object)) if big else (nums, dens)
+            if not np.all(a[:-1] * b[1:] < a[1:] * b[:-1]):
                 raise InvalidParameter("fractions must be strictly increasing")
         keep = w != 0.0
-        support = tuple(
-            Fraction(int(n), int(d)) for n, d in zip(nums[keep], dens[keep])
-        )
-        return cls._trusted(support, tuple(float(v) for v in w[keep]), float(defect))
+        _check_weights(w[keep], float(defect))
+        return cls._trusted(nums[keep], dens[keep], w[keep], defect)
 
     # -- views -------------------------------------------------------------
 
     @cached_property
-    def weights_array(self) -> np.ndarray:
-        return np.array(self.weights, dtype=float)
+    def support(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.nums.tolist(), self.dens.tolist()))
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self.weights_array.tolist())
 
     @cached_property
     def float_support(self) -> np.ndarray:
-        return np.array([float(x) for x in self.support], dtype=float)
+        # Both operands are exact doubles below 2**53, so the correctly
+        # rounded quotient equals float(Fraction(n, d)).
+        if max(int(self.nums.max(initial=0)), int(self.dens.max(initial=0))) < 2**53:
+            return self.nums.astype(float) / self.dens.astype(float)
+        return np.array([n / d for n, d in zip(self.nums.tolist(), self.dens.tolist())])
 
     @cached_property
     def total_mass(self) -> float:
@@ -177,13 +197,13 @@ class DiscreteMeasure:
 
     @cached_property
     def is_integer_supported(self) -> bool:
-        return all(x.denominator == 1 for x in self.support)
+        return bool(np.all(self.dens == 1))
 
     @cached_property
     def integer_values(self) -> np.ndarray:
         if not self.is_integer_supported:
             raise NonIntegerSupport("measure has fractional atoms")
-        return np.array([x.numerator for x in self.support], dtype=np.int64)
+        return self.nums.astype(np.int64)
 
     @cached_property
     def _index(self) -> dict[Fraction, int]:
@@ -191,7 +211,7 @@ class DiscreteMeasure:
 
     def mass_at(self, point: object) -> float:
         i = self._index.get(_as_fraction(point))
-        return self.weights[i] if i is not None else 0.0
+        return float(self.weights_array[i]) if i is not None else 0.0
 
     def dense_weights(self) -> np.ndarray:
         """Dense weight array over 0..max for an integer-supported measure."""
@@ -204,21 +224,45 @@ class DiscreteMeasure:
         return zip(self.support, self.weights)
 
     def __len__(self) -> int:
-        return len(self.support)
+        return len(self.nums)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return self.defect == other.defect and all(
+            np.array_equal(x, y) for x, y in zip(self._arrays(), other._arrays())
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.defect, *(tuple(a.tolist()) for a in self._arrays())))
+
+    def __reduce__(self):
+        # Pickle the arrays only, not the cached views.
+        return type(self)._trusted, (*self._arrays(), self.defect)
+
+    def __repr__(self) -> str:
+        return f"DiscreteMeasure({self.support!r}, {self.weights!r}, {self.defect!r})"
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.nums, self.dens, self.weights_array
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
-            "support": [[x.numerator, x.denominator] for x in self.support],
-            "weights": list(self.weights),
+            "support": [[n, d] for n, d in zip(self.nums.tolist(), self.dens.tolist())],
+            "weights": self.weights_array.tolist(),
             "defect": self.defect,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        support = tuple(Fraction(int(n), int(d)) for n, d in data["support"])
-        return cls(support, tuple(float(w) for w in data["weights"]), float(data.get("defect", 0.0)))
+        try:
+            weights = [float(w) for w in data["weights"]]
+            defect = float(data.get("defect", 0.0))
+        except (TypeError, ValueError):
+            raise InvalidParameter("measure weights and defect must be numbers") from None
+        return cls(map(_parse_point, data["support"]), weights, defect)
 
 
 # -- dense helpers shared with the generation engine ------------------------
@@ -331,11 +375,11 @@ def truncate_tail(m: DiscreteMeasure, budget: float) -> DiscreteMeasure:
     k = int(np.searchsorted(tail, budget, side="right"))
     if k == 0:
         return m
-    if k == len(m.support):
+    if k == len(m):
         raise InvalidParameter("truncation budget would remove every atom")
     dropped = float(tail[k - 1])
     return DiscreteMeasure._trusted(
-        m.support[:-k], m.weights[:-k], m.defect + dropped
+        m.nums[:-k], m.dens[:-k], m.weights_array[:-k], m.defect + dropped
     )
 
 
@@ -348,13 +392,9 @@ def coarsen(m: DiscreteMeasure, resolution: Fraction) -> tuple[DiscreteMeasure, 
     resolution = _as_fraction(resolution) if not isinstance(resolution, Fraction) else resolution
     if resolution <= 0:
         raise InvalidParameter("resolution must be positive")
-    acc: dict[Fraction, float] = {}
-    for x, w in m.items():
-        snapped = Fraction(round(x / resolution)) * resolution
-        acc[snapped] = acc.get(snapped, 0.0) + w
-    pts = sorted(acc)
-    out = DiscreteMeasure._trusted(
-        tuple(pts), tuple(acc[p] for p in pts), m.defect
+    out = DiscreteMeasure.from_items(
+        ((Fraction(round(x / resolution)) * resolution, w) for x, w in m.items()),
+        m.defect,
     )
     return out, float(resolution) / 2.0
 

@@ -156,11 +156,9 @@ class MetricResult:
     defect_slack: float = 0.0
 
     def to_json_dict(self) -> dict:
-        cert: Any = None
-        if isinstance(self.certificate, Coupling):
-            cert = self.certificate.to_json_dict()
-        elif self.certificate is not None:
-            cert = self.certificate
+        cert = self.certificate
+        if isinstance(cert, Coupling):
+            cert = cert.to_json_dict()
         return {
             "value": self.value,
             "defect_slack": self.defect_slack,
@@ -444,9 +442,7 @@ def trajectory_tv(
     if z0 < 1:
         raise InvalidParameter("start size z0 must be at least 1")
     cache1, cache2 = PowerCache(law1), PowerCache(law2)
-    total = 0.0
-    seen1 = 0.0
-    seen2 = 0.0
+    total = seen1 = seen2 = 0.0
 
     def padded(z: int) -> tuple[np.ndarray, np.ndarray]:
         w1, _ = cache1.get(z)

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateConditioning, InvalidParameter
-from .estimator import ratio_law
+from .estimator import deviation_mask, ratio_law
 from .measures import DiscreteMeasure
 from .offspring import OffspringLaw
 
@@ -95,15 +95,15 @@ class SimTable:
                 yield n, j, k, c
 
     def equals(self, other: "SimTable") -> bool:
-        if sorted(self.levels) != sorted(other.levels):
-            return False
-        if not np.array_equal(self.excluded, other.excluded):
-            return False
-        for n in self.levels:
-            for mine, theirs in zip(self.levels[n], other.levels[n]):
-                if not np.array_equal(mine, theirs):
-                    return False
-        return True
+        return (
+            sorted(self.levels) == sorted(other.levels)
+            and np.array_equal(self.excluded, other.excluded)
+            and all(
+                np.array_equal(mine, theirs)
+                for n in self.levels
+                for mine, theirs in zip(self.levels[n], other.levels[n])
+            )
+        )
 
 
 def _group_pairs(
@@ -208,20 +208,11 @@ def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable
     else:
         results = list(map(chunk, range(len(sizes)), sizes))
 
-    excluded = np.zeros(cfg.n_max + 1, dtype=np.int64)
-    merged: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
-        n: [] for n in range(1, cfg.n_max + 1)
-    }
-    for levels, exc in results:
-        excluded += exc
-        for n, triple in levels.items():
-            merged[n].append(triple)
-    final: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for n, triples in merged.items():
-        prev = np.concatenate([t[0] for t in triples])
-        curr = np.concatenate([t[1] for t in triples])
-        counts = np.concatenate([t[2] for t in triples])
-        final[n] = _group_pairs(prev, curr, counts)
+    excluded = np.sum([exc for _, exc in results], axis=0, dtype=np.int64)
+    final = {}
+    for n in range(1, cfg.n_max + 1):
+        columns = zip(*(levels[n] for levels, _ in results))
+        final[n] = _group_pairs(*(np.concatenate(col) for col in columns))
     return SimTable(cfg=cfg, levels=final, excluded=excluded)
 
 
@@ -278,8 +269,11 @@ def binned_estimator_law(
     idx = np.rint(ratios / res_f).astype(np.int64)
     uniq, inverse = np.unique(idx, return_inverse=True)
     weights = np.bincount(inverse, weights=counts.astype(float)) / size
-    support = [Fraction(int(i)) * resolution for i in uniq.tolist()]
-    out = DiscreteMeasure.from_items(zip(support, weights.tolist()), excluded / size)
+    nums = uniq * resolution.numerator
+    g = np.gcd(nums, resolution.denominator)
+    out = DiscreteMeasure.from_sorted_arrays(
+        nums // g, resolution.denominator // g, weights, excluded / size
+    )
     return out, res_f / 2.0
 
 
@@ -289,17 +283,10 @@ def empirical_consistency_probability(
     """Frequency of ``|Z_n/Z_{n-1} - m| >= eta`` given ``Z_{n-1} > 0``.
 
     Returns ``(value, excluded share, binomial standard error)``.  Rows are
-    classified in floats; those within rounding of ``eta`` are rechecked
-    exactly, as ``consistency_probability`` does with Fractions.
+    classified exactly by ``deviation_mask`` on ``(Z_n, Z_{n-1})``, the
+    same test ``consistency_probability`` applies to exact laws.
     """
     prev, curr, counts, excluded, size = _event(table, n, conditioned=True)
-    m_f, eta_f = float(m), float(eta)
-    ratios = curr / prev.astype(float)
-    dev = np.abs(ratios - m_f)
-    far = dev >= eta_f
-    near = np.nonzero(np.abs(dev - eta_f) <= 1e-9 * (ratios + m_f + eta_f))[0]
-    for i in near.tolist():
-        far[i] = abs(Fraction(int(curr[i]), int(prev[i])) - m) >= eta
-    value = float(counts[far].sum()) / size
+    value = float(counts[deviation_mask(curr, prev, m, eta)].sum()) / size
     std_error = math.sqrt(max(value * (1.0 - value), 0.0) / size)
     return value, excluded / size, std_error

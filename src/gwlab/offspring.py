@@ -303,9 +303,7 @@ def pgf_derivative(law: OffspringLaw, s: float) -> float:
         raise InvalidParameter("pgf argument must lie in [0, 1]")
     ks = law.counts
     pos = ks >= 1
-    return float(
-        np.dot(ks[pos] * law.probs[pos], np.power(s, ks[pos] - 1))
-    )
+    return float(np.dot(ks[pos] * law.probs[pos], np.power(s, ks[pos] - 1)))
 
 
 def criticality(law: OffspringLaw) -> str:
@@ -346,6 +344,14 @@ def extinction_probability(law: OffspringLaw) -> ExtinctionResult:
     def g(s: float) -> float:
         return pgf(law, s) - s
 
+    def bisect(lo: float, hi: float, width: float) -> tuple[float, float]:
+        nonlocal iterations
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            iterations += 1
+            lo, hi = (mid, hi) if g(mid) >= 0.0 else (lo, mid)
+        return lo, hi
+
     # Find an upper bracket strictly above the root: g < 0 between q and 1.
     eta = 1e-3
     hi = 1.0 - eta
@@ -356,15 +362,8 @@ def extinction_probability(law: OffspringLaw) -> ExtinctionResult:
             raise SolverDidNotConverge(
                 "could not bracket the extinction probability below 1"
             )
-    lo = 0.0
     iterations = 0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(0.0, hi, 1e-6)
     q = 0.5 * (lo + hi)
     for _ in range(50):
         iterations += 1
@@ -381,13 +380,7 @@ def extinction_probability(law: OffspringLaw) -> ExtinctionResult:
     residual = abs(g(q))
     if residual > 1e-13:
         # Newton stalled; fall back to bisection at full precision.
-        while hi - lo > 5e-17:
-            mid = 0.5 * (lo + hi)
-            iterations += 1
-            if g(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect(lo, hi, 5e-17)
         q = 0.5 * (lo + hi)
         residual = abs(g(q))
         if residual > 1e-13:

@@ -129,6 +129,11 @@ def deviation_mass(pmf: dict[int, float], k: int, eta: float) -> float:
     return sum(p for total, p in power.items() if abs(total / k - mean) >= eta)
 
 
+def deviates(num: int, den: int, m: Fraction, eta: Fraction) -> bool:
+    """``|num/den - m| >= eta`` decided in Fraction arithmetic."""
+    return abs(Fraction(num, den) - m) >= eta
+
+
 # -- metrics -------------------------------------------------------------------
 
 

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gwlab import binary_sweep_spec
 
 GW = [sys.executable, "-m", "gwlab.cli"]
+DATA = Path(__file__).parent / "data"
 
 
 def run(args, env_extra=None):
@@ -104,6 +106,28 @@ class TestMetricCommand:
         assert {"points", "values", "lipschitz", "sup", "upper", "gap"} <= set(cert)
         assert cert["gap"] == pytest.approx(0.0, abs=1e-9)
 
+
+    def test_non_finite_weight_is_a_typed_error(self, tmp_path):
+        a = tmp_path / "nan.json"
+        a.write_text('{"support": [[0, 1], [1, 1]], "weights": [NaN, 1.0], "defect": 0.0}')
+        b = build_law_file(tmp_path, "b.json", "--family", "binary", "--p", "0.75")
+        out = run(["metric", "--kind", "prohorov", str(a), str(b)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "finite" in err["message"]
+
+    def test_malformed_measure_file_is_one_error_line(self, tmp_path):
+        a = tmp_path / "bad.json"
+        a.write_text('{"support": ["0", "1"], "weights": [0.5, 0.5], "defect": 0.0}')
+        out = run(["metric", "--kind", "tv", str(a), str(a)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "'0'" in err["message"]
 
 class TestVerifyCommand:
     def test_full_suite_exits_zero(self, tmp_path):
@@ -225,3 +249,23 @@ class TestErrorChannels:
         err = json.loads(out.stderr)
         assert err["error"] == "InvalidParameter"
         assert "GW_BUDGET" in err["message"]
+
+
+class TestReferenceOutputBytes:
+    """``--no-timestamp`` output is pinned byte for byte to checked-in files."""
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("verify_suite_all.json", ["verify", "--suite", "all"]),
+            (
+                "estimator_law_binary_p075_n8.json",
+                ["estimator-law", "--family", "binary", "--p", "0.75", "--n", "8"],
+            ),
+        ],
+    )
+    def test_output_matches_reference(self, name, args):
+        out = run([*args, "--format", "json", "--no-timestamp"])
+        assert out.returncode == 0, out.stderr
+        expected = (DATA / name).read_text()
+        assert out.stdout == expected

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import as_dict
@@ -12,12 +14,16 @@ from gwlab import (
     DiscreteMeasure,
     EstimatorLaw,
     FamilySpec,
+    InvalidParameter,
+    SimConfig,
     build,
     consistency_probability,
     estimator_law,
     extinction_by_n,
     joint_law,
 )
+from gwlab.estimator import deviation_mask, ratio_law
+from gwlab.montecarlo import SimTable, empirical_consistency_probability
 
 B75_PMF = {0: 0.25, 2: 0.75}
 T1_PMF = {0: 0.20, 2: 0.50, 3: 0.30}
@@ -133,6 +139,16 @@ class TestConsistencyProbability:
         floating, _ = consistency_probability(e, 1.5, 0.5)
         assert floating == exact
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rational_threshold_matches_the_fraction_loop_bit_for_bit(self, t1, n):
+        e = estimator_law(joint_law(t1, n), conditioned=True)
+        m, eta = Fraction(19, 10), Fraction(3, 10)
+        total = 0.0
+        for x, w in e.law.items():
+            if abs(x - m) >= eta:
+                total += w
+        assert consistency_probability(e, m, eta) == (total, e.law.defect)
+
     def test_matches_direct_mass_computation(self, t1):
         e = estimator_law(joint_law(t1, 2), conditioned=True)
         m, eta = t1.mean_m, 0.3
@@ -141,3 +157,85 @@ class TestConsistencyProbability:
         )
         value, _ = consistency_probability(e, m, eta)
         assert value == pytest.approx(expected, abs=1e-15)
+
+
+def small_fractions(top=400):
+    return st.builds(Fraction, st.integers(0, top), st.integers(1, top))
+
+
+@st.composite
+def classifier_case(draw, points, m_values, eta_values):
+    """Reduced sorted atoms plus ``m`` and ``eta``; ``m +- eta`` are atoms."""
+    m, eta = draw(m_values), draw(eta_values)
+    pts = set(draw(st.lists(points, max_size=30)))
+    pts |= {m + eta} | ({m - eta} if m >= eta else set())
+    pts = sorted(pts)
+    nums = [x.numerator for x in pts]
+    dens = [x.denominator for x in pts]
+    return nums, dens, m, eta
+
+
+def as_ints(values):
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class TestDeviationMask:
+    @settings(max_examples=300, deadline=None)
+    @given(case=classifier_case(
+        small_fractions(),
+        st.builds(Fraction, st.integers(0, 60), st.integers(1, 60)),
+        st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+    ))
+    def test_matches_fraction_oracle_including_boundary_atoms(self, case):
+        nums, dens, m, eta = case
+        mask = deviation_mask(as_ints(nums), as_ints(dens), m, eta)
+        expected = [oracles.deviates(n, d, m, eta) for n, d in zip(nums, dens)]
+        assert mask.tolist() == expected
+        atoms = [Fraction(n, d) for n, d in zip(nums, dens)]
+        assert mask[atoms.index(m + eta)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=classifier_case(
+        st.one_of(small_fractions(2**20), small_fractions(2**70)),
+        # Float means carry denominators of 2**52 and more; the extra 2**-60
+        # guarantees that n * m_den leaves int64 for any numerator >= 8.
+        st.floats(0.0, 8.0).map(lambda x: Fraction(x) + Fraction(1, 2**60)),
+        st.floats(1e-3, 4.0).map(Fraction),
+    ))
+    def test_products_past_int64_fall_back_to_exact_python_ints(self, case):
+        nums, dens, m, eta = case
+        assert (max(nums) + 1) * m.denominator >= 2**63
+        mask = deviation_mask(as_ints(nums), as_ints(dens), m, eta)
+        assert mask.tolist() == [oracles.deviates(n, d, m, eta) for n, d in zip(nums, dens)]
+
+    def test_nonpositive_eta_rejected(self):
+        with pytest.raises(InvalidParameter):
+            deviation_mask(np.array([1]), np.array([1]), Fraction(1), Fraction(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.tuples(st.integers(1, 30), st.integers(0, 90)), st.integers(1, 5),
+            min_size=1, max_size=40,
+        ),
+        m=st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+        eta=st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)),
+    )
+    def test_exact_and_empirical_paths_agree_on_the_same_pairs(self, rows, m, eta):
+        prev, curr = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        counts = np.array(list(rows.values()), dtype=np.int64)
+        size = int(counts.sum())
+        table = SimTable(
+            cfg=SimConfig(seed=0, replications=size, n_max=1),
+            levels={1: (prev, curr, counts)},
+            excluded=np.zeros(2, dtype=np.int64),
+        )
+        empirical, excluded, _ = empirical_consistency_probability(table, 1, m, eta)
+        far = sum(c for (j, k), c in rows.items() if oracles.deviates(k, j, m, eta))
+        assert empirical == far / size and excluded == 0.0
+        law = ratio_law(prev, curr, counts / size, 0.0)
+        exact, _ = consistency_probability(EstimatorLaw(1, 1, True, law), m, eta)
+        assert exact == pytest.approx(empirical, abs=1e-12)

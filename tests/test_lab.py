@@ -18,6 +18,7 @@ from gwlab import (
     binary_sweep_spec,
     binned_estimator_law,
     build,
+    consistency_probability,
     contamination_grid,
     contamination_sweep_spec,
     empirical_estimator_law,
@@ -285,6 +286,18 @@ class TestDefaultSuite:
         with pytest.raises(InvalidParameter):
             run_default_suite(claims=["lemma-unheard-of"])
 
+    def test_consistency_laws_keep_their_fraction_views_unbuilt(self, monkeypatch):
+        laws = []
+
+        def recording(e, m, eta):
+            laws.append(e.law)
+            return consistency_probability(e, m, eta)
+
+        monkeypatch.setattr(lab, "consistency_probability", recording)
+        run_default_suite()
+        assert len(laws) == 11
+        assert all("support" not in law.__dict__ for law in laws)
+
 
 class TestRobustnessModulus:
     def test_center_row_is_exactly_zero(self):
@@ -375,6 +388,22 @@ class TestExperimentSpec:
                 grid=(),
                 n_range=range(1, 3),
             )
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [
+            ("seed", -1, "seed"),
+            ("budget", -1.0, "budget"),
+            ("budget", float("nan"), "budget"),
+            ("budget", float("inf"), "budget"),
+            ("cap", 1, "cap"),
+        ],
+    )
+    def test_from_json_dict_rejects_out_of_range_fields(self, field, value, words):
+        data = binary_sweep_spec(n_max=2, z0=2).to_json_dict()
+        data[field] = value
+        with pytest.raises(InvalidParameter, match=words):
+            ExperimentSpec.from_json_dict(data)
 
 
 class TestBinnedEstimatorLaw:

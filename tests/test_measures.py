@@ -66,6 +66,78 @@ class TestConstruction:
         assert m.mass_at(Fraction(1, 2)) == 0.0
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_and_defects_rejected(self, bad):
+        builds = [
+            lambda: DiscreteMeasure.from_items([(0, bad), (1, 1.0)]),
+            lambda: DiscreteMeasure.from_items([(0, 1.0)], defect=bad),
+            lambda: DiscreteMeasure.from_dense(np.array([0.5, bad])),
+            lambda: DiscreteMeasure.from_dense(np.array([1.0]), defect=bad),
+            lambda: DiscreteMeasure.from_sorted_arrays(
+                np.array([0, 1]), np.array([1, 1]), np.array([bad, 1.0])
+            ),
+            lambda: DiscreteMeasure.from_json_dict(
+                {"support": [[0, 1], [1, 1]], "weights": [bad, 1.0], "defect": 0.0}
+            ),
+        ]
+        for make in builds:
+            with pytest.raises(InvalidParameter, match="finite"):
+                make()
+
+    @pytest.mark.parametrize(
+        "support", [["0", "1"], [[0, 1], [1]], [[0, 1], [1, 0]], [[0, 1], None]]
+    )
+    def test_malformed_json_support_is_a_typed_error(self, support):
+        data = {"support": support, "weights": [0.5, 0.5], "defect": 0.0}
+        with pytest.raises(InvalidParameter, match="support entry"):
+            DiscreteMeasure.from_json_dict(data)
+
+
+class TestArrayStorage:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        atoms=st.dictionaries(
+            st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**40)),
+            st.floats(0.01, 1.0), min_size=1, max_size=12,
+        )
+    )
+    def test_equality_hash_and_pickle_round_trip(self, atoms):
+        import pickle
+
+        total = sum(atoms.values())
+        m = DiscreteMeasure.from_items((x, w / total) for x, w in atoms.items())
+        twin = DiscreteMeasure.from_json_dict(m.to_json_dict())
+        assert twin == m and hash(twin) == hash(m)
+        assert m.float_support.tolist() == [float(x) for x in m.support]
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and hash(back) == hash(m)
+        assert "support" not in back.__dict__
+        assert back.support == m.support and back.weights == m.weights
+        heavier = DiscreteMeasure.from_items(m.items(), defect=1e-10)
+        assert heavier != m
+
+    def test_order_check_does_not_wrap_in_int64(self):
+        # 845087558022/764513224103 > 293970699566/883567286527, but the int64
+        # cross products wrap and compare the other way.
+        nums = np.array([845087558022, 293970699566])
+        dens = np.array([764513224103, 883567286527])
+        with pytest.raises(InvalidParameter, match="increasing"):
+            DiscreteMeasure.from_sorted_arrays(nums, dens, np.array([0.5, 0.5]))
+        m = DiscreteMeasure.from_sorted_arrays(nums[::-1], dens[::-1], np.array([0.5, 0.5]))
+        assert m.support == tuple(sorted(map(Fraction, nums.tolist(), dens.tolist())))
+
+    def test_array_and_fraction_routes_build_equal_measures(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = random_measure(rng)
+            arrays = DiscreteMeasure.from_sorted_arrays(m.nums, m.dens, m.weights_array)
+            assert arrays == m and hash(arrays) == hash(m)
+            assert "support" not in arrays.__dict__
+        dense = DiscreteMeasure.from_dense(np.array([0.25, 0.0, 0.75]))
+        assert dense == DiscreteMeasure.from_items([(0, 0.25), (2, 0.75)])
+        assert dense.nums.dtype == np.int64 and dense.is_integer_supported
+        assert {dense: 1}[DiscreteMeasure.from_items([(2, 0.75), (0, 0.25)])] == 1
+
 class TestTvDistance:
     def test_identical_measures(self):
         d0 = DiscreteMeasure.from_items([(Fraction(0), 1.0)])
