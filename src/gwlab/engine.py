@@ -18,6 +18,7 @@ at the offending step.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -127,6 +128,7 @@ class PowerCache:
             1: (base, law.measure.defect),
         }
         self._spans: dict[int, int] = {0: 0, 1: _span(base)}
+        self._keys = [0, 1]  # sorted keys of _cache
 
     def get(self, j: int) -> tuple[np.ndarray, float]:
         if j < 0:
@@ -134,7 +136,7 @@ class PowerCache:
         hit = self._cache.get(j)
         if hit is not None:
             return hit
-        anchor = max(i for i in self._cache if i <= j)
+        anchor = self._keys[bisect_right(self._keys, j) - 1]
         if anchor > j // 2:
             left, right = anchor, j - anchor
         else:
@@ -146,6 +148,7 @@ class PowerCache:
         w = np.trim_zeros(_convolve_dense(wa, wb, spans[left], spans[right]), "b")
         entry = (w, da + db)
         self._cache[j] = entry
+        insort(self._keys, j)
         spans[j] = _span(w)
         return entry
 

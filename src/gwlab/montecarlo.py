@@ -4,12 +4,13 @@ Replications are processed in fixed-size chunks of 4096; chunk ``i`` draws
 from ``default_rng(SeedSequence([seed, i]))``, so the output is a pure
 function of the seed and is identical no matter how chunks are scheduled
 across workers.  Within a chunk each generation is drawn either
-individual-by-individual through the inverse CDF (small populations) or as
-one multinomial split per replication (large populations with a narrow
-offspring support); both produce the offspring-sum law exactly.
+individual-by-individual through a guide table of the inverse CDF and
+summed in int64 (small populations), or as one multinomial split per
+replication (large populations with a narrow offspring support); both
+produce the offspring-sum law exactly.
 
-Chunks and their merge group (Z_{n-1}, Z_n) rows by one sorted int64 key
-per row (see ``_group_pairs``).
+Chunks and their merge group (Z_{n-1}, Z_n) rows by sorting one packed
+int64 key per row and reading off runs (see ``_group_pairs``).
 
 Replications whose population passes the cap stop being tabulated from the
 offending generation on; per-generation exclusion counts are part of the
@@ -107,65 +108,87 @@ class SimTable:
 
 
 def _group_pairs(
-    prev: np.ndarray, curr: np.ndarray, counts: np.ndarray
+    prev: np.ndarray, curr: np.ndarray, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate duplicate (prev, curr) pairs; output sorted by pair.
+    """Sum the ``counts`` (one per row if None) of equal (prev, curr) pairs.
 
     Each pair is packed into one int64 key ``prev * pack + curr`` with
-    ``pack > max(curr)``, so key order is pair order.  A column whose
-    values would push the key past int64 is replaced by its ranks among
-    its distinct values first, which keeps the order and bounds the key
-    by the number of rows.
+    ``pack > max(curr)``, so sorted keys hold each pair as one run, in pair
+    order.  A column whose values would push the key past int64 is replaced
+    by its ranks among its distinct values first, which keeps the order and
+    bounds the key by the number of rows.
     """
     if prev.size == 0:
-        return prev, curr, counts
+        return prev, curr, np.zeros(0, dtype=np.int64)
     prev_vals = curr_vals = None
     if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
         prev_vals, prev = np.unique(prev, return_inverse=True)
     if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
         curr_vals, curr = np.unique(curr, return_inverse=True)
     pack = np.int64(curr.max()) + 1
-    uniq, inverse = np.unique(prev * pack + curr, return_inverse=True)
-    sums = np.bincount(inverse, weights=counts.astype(float))
-    prev, curr = uniq // pack, uniq % pack
+    keys = prev * pack + curr
+    order = None if counts is None else np.argsort(keys)
+    keys = np.sort(keys) if order is None else keys[order]
+    cut = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    counts = np.diff(cut) if order is None else np.add.reduceat(counts[order], cut[:-1])
+    prev, curr = np.divmod(keys[cut[:-1]], pack)
     if prev_vals is not None:
         prev = prev_vals[prev]
     if curr_vals is not None:
         curr = curr_vals[curr]
-    return prev.astype(np.int64), curr.astype(np.int64), np.rint(sums).astype(np.int64)
+    return prev, curr, counts
+
+
+class _Sampler:
+    """An offspring law's inverse CDF with a guide table (Chen & Asau 1974).
+
+    The table has ``G`` buckets, a power of two so that ``floor(u * G)`` is
+    exact.  Only the buckets a CDF step lies strictly inside, at most
+    ``len(cum) - 1``, need a ``searchsorted``; the rest have one index each.
+    """
+
+    def __init__(self, measure: DiscreteMeasure):
+        self.support = support = measure.integer_values
+        self.pvals = measure.weights_array / measure.total_mass
+        self.cum = cum = np.cumsum(self.pvals)
+        cum[-1] = 1.0
+        size = max(64, 1 << (4 * len(cum) - 1).bit_length())
+        edges = np.arange(size + 1) / size
+        lo = np.searchsorted(cum, edges[:-1], side="right")
+        hi = np.searchsorted(cum, edges[1:], side="left")
+        self.kids, self.ambiguous = support[lo], lo != hi
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """``support[searchsorted(cum, u, "right")]`` for uniforms ``u``."""
+        bucket = (u * len(self.kids)).astype(np.intp)
+        kids = np.take(self.kids, bucket)
+        hit = np.flatnonzero(np.take(self.ambiguous, bucket))
+        kids[hit] = self.support[np.searchsorted(self.cum, u[hit], side="right")]
+        return kids
 
 
 def _draw_next(
-    rng: np.random.Generator,
-    pos: np.ndarray,
-    support: np.ndarray,
-    pvals: np.ndarray,
-    cum: np.ndarray,
+    rng: np.random.Generator, pos: np.ndarray, sampler: _Sampler
 ) -> np.ndarray:
-    """Offspring sums for populations ``pos``, one entry per replication."""
-    total = int(pos.sum())
-    if total <= INDIV_LIMIT or len(support) > MULTINOMIAL_SUPPORT_LIMIT:
+    """Offspring sums for populations ``pos`` (all positive), one per replication."""
+    top = int(pos.max()) * int(sampler.support[-1])  # the largest possible sum
+    if top >= 2**63:
+        raise InvalidParameter(f"offspring sums can reach {top}, past int64; lower cap")
+    total = pos.sum(dtype=np.float64)  # exact below 2**53, and never wraps
+    if total <= INDIV_LIMIT or len(sampler.support) > MULTINOMIAL_SUPPORT_LIMIT:
         if total > _INDIV_HARD_LIMIT:
             raise InvalidParameter(
                 "population too large for individual draws and support too "
                 "wide for multinomial splitting"
             )
-        u = rng.random(total)
-        kids = support[np.searchsorted(cum, u, side="right")]
-        rep = np.repeat(np.arange(pos.size), pos)
-        sums = np.bincount(rep, weights=kids.astype(float), minlength=pos.size)
-        return np.rint(sums).astype(np.int64)
-    table = rng.multinomial(pos, pvals)
-    return table @ support
+        kids = sampler.lookup(rng.random(int(total)))
+        return np.add.reduceat(kids, np.cumsum(pos) - pos)  # needs pos > 0
+    return rng.multinomial(pos, sampler.pvals) @ sampler.support
 
 
 def _simulate_chunk(
-    law: OffspringLaw, cfg: SimConfig, chunk_idx: int, size: int
+    sampler: _Sampler, cfg: SimConfig, chunk_idx: int, size: int
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
-    support = law.measure.integer_values
-    pvals = law.measure.weights_array / law.measure.total_mass
-    cum = np.cumsum(pvals)
-    cum[-1] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, chunk_idx]))
 
     z = np.full(size, cfg.z0, dtype=np.int64)
@@ -178,13 +201,12 @@ def _simulate_chunk(
         zprev = z.copy()
         draw = np.nonzero(active & (z > 0))[0]
         if draw.size:
-            z[draw] = _draw_next(rng, z[draw], support, pvals, cum)
+            z[draw] = _draw_next(rng, z[draw], sampler)
         newly = active & (z > cfg.cap)
         excluded |= newly
         keep = active & ~newly
         exc_counts[step] = size - int(keep.sum())
-        ones = np.ones(int(keep.sum()), dtype=np.int64)
-        levels[step] = _group_pairs(zprev[keep], z[keep], ones)
+        levels[step] = _group_pairs(zprev[keep], z[keep])
     return levels, exc_counts
 
 
@@ -201,7 +223,7 @@ def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable
     if not law.measure.is_integer_supported:
         raise InvalidParameter("offspring law must have integer support")
     sizes = _chunk_sizes(cfg.replications)
-    chunk = partial(_simulate_chunk, law, cfg)
+    chunk = partial(_simulate_chunk, _Sampler(law.measure), cfg)
     if jobs > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(chunk, range(len(sizes)), sizes, chunksize=8))

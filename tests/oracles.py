@@ -278,3 +278,17 @@ def _signed_union(
     points = np.array(sorted(acc))
     coeffs = np.array([acc[p] for p in points])
     return points, coeffs
+
+
+# -- Monte Carlo ---------------------------------------------------------------
+
+
+def summed_draws(kids: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of ``pos[i]`` entries of ``kids``, via floats.
+
+    One replication label per draw, a float-weighted ``bincount`` and a
+    rounding back to int64: exact while every sum stays below 2**53.
+    """
+    rep = np.repeat(np.arange(pos.size), pos)
+    sums = np.bincount(rep, weights=kids.astype(float), minlength=pos.size)
+    return np.rint(sums).astype(np.int64)

@@ -276,7 +276,9 @@ def test_criterion_09_simulation_reproduces_exact_law(b75):
     assert table.equals(simulate_paths(b75, cfg))
     assert table.equals(simulate_paths(b75, cfg, jobs=3))
     elapsed = time.perf_counter() - start
-    assert elapsed < 60.0
+    # Twice the slowest of five runs of this gate alone: 0.45-0.61 s on a
+    # 2-core Xeon (0.49, 0.45, 0.60, 0.61, 0.53 s).
+    assert elapsed < 1.22
     record_criterion(
         9,
         "PASS",

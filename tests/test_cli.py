@@ -240,6 +240,18 @@ class TestErrorChannels:
         assert err["error"] == "InvalidParameter"
         assert "seed" in err["message"]
 
+    @pytest.mark.parametrize("replications", ["1", "3"])
+    def test_simulation_past_int64_is_one_error_line(self, replications):
+        out = run(["simulate", "--family", "binary", "--p", "0.75", "--n-max", "3",
+                   "--z0", str(2**62), "--cap", str(2**63 - 1),
+                   "--replications", replications, "--seed", "0"])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "cap" in err["message"]
+
     def test_unreadable_budget_environment_is_one_error_line(self):
         out = run(["extinction", "--family", "binary", "--p", "0.75"],
                   env_extra={"GW_BUDGET": "abc"})
@@ -261,6 +273,22 @@ class TestReferenceOutputBytes:
             (
                 "estimator_law_binary_p075_n8.json",
                 ["estimator-law", "--family", "binary", "--p", "0.75", "--n", "8"],
+            ),
+            (
+                "simulate_binary_p075_n6.json",
+                ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "6",
+                 "--replications", "20000", "--seed", "5"],
+            ),
+            (
+                # Poisson CDF steps fall inside guide-table buckets.
+                "simulate_poisson_lam16_n4.json",
+                ["simulate", "--family", "poisson", "--lam", "1.6", "--n-max", "4",
+                 "--replications", "20000", "--seed", "5"],
+            ),
+            (
+                "simulate_binary_p075_n6_cap12.json",
+                ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "6",
+                 "--cap", "12", "--replications", "20000", "--seed", "5"],
             ),
         ],
     )

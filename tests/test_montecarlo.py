@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwlab import (
+    DiscreteMeasure,
     FamilySpec,
     SimConfig,
     binned_estimator_law,
@@ -18,8 +21,11 @@ from gwlab import (
     prohorov,
     simulate_paths,
 )
+from gwlab.errors import InvalidParameter
 from gwlab.lab import contamination_grid
-from gwlab.montecarlo import _group_pairs
+from gwlab.montecarlo import _draw_next, _group_pairs, _Sampler
+
+import oracles
 
 DELTA2 = FamilySpec.raw([0.0, 0.0, 1.0])
 
@@ -77,6 +83,27 @@ class TestSimulatePaths:
             level_totals[n] = level_totals.get(n, 0) + count
         assert level_totals == {1: 500, 2: 500, 3: 500}
 
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_population_that_can_pass_int64_is_a_typed_error(self, b75, replications):
+        # 2**62 parents with up to 2 children each can reach 2**63.  With one
+        # replication Z_2 used to wrap negative; with three, the total number
+        # of draws did.
+        cfg = SimConfig(
+            seed=0, replications=replications, n_max=3, z0=2**62, cap=2**63 - 1
+        )
+        with pytest.raises(InvalidParameter, match="cap"):
+            simulate_paths(b75, cfg)
+
+    def test_total_past_int64_still_draws(self):
+        # No sum can pass int64 with at most one child each, but the four
+        # populations add up to 2**64.  The int64 total wrapped to zero, and
+        # the per-individual labels that followed crashed the interpreter.
+        law = build(FamilySpec.raw([0.5, 0.5]))
+        cfg = SimConfig(seed=0, replications=4, n_max=1, z0=2**62, cap=2**63 - 1)
+        prev, curr, counts = simulate_paths(law, cfg).pairs(1)
+        assert list(prev) == [2**62] * 4 and list(counts) == [1] * 4
+        assert all(abs(int(k) - 2**61) < 2**33 for k in curr)
+
 
 def _digest(table) -> str:
     h = hashlib.sha256()
@@ -112,12 +139,10 @@ class TestGroupPairs:
         # Draw the rows from half as many pairs, so that pairs really merge.
         rows = rng.integers(0, size // 2, size=size)
         prev, curr = prev[rows], curr[rows]
-        if weighted:
-            counts = rng.integers(1, 10**6, size=size, dtype=np.int64)
-        else:
-            counts = np.ones(size, dtype=np.int64)
+        counts = rng.integers(1, 10**6, size=size, dtype=np.int64) if weighted else None
+        weights = counts.tolist() if weighted else [1] * size
         oracle = Counter()
-        for j, k, c in zip(prev.tolist(), curr.tolist(), counts.tolist()):
+        for j, k, c in zip(prev.tolist(), curr.tolist(), weights):
             oracle[j, k] += c
         want = sorted(oracle.items())
         got_prev, got_curr, got_counts = _group_pairs(prev, curr, counts)
@@ -137,6 +162,66 @@ class TestGroupPairs:
         assert _digest(table) == (
             "4ab120dae4a283e0b70c022387a3cb11c473055014d5c33c26a2b376d1f4184c"
         )
+
+
+@st.composite
+def offspring_pvals(draw):
+    """Probability vectors: arbitrary, dyadic with CDF steps on bucket edges,
+    or a heavy head with a tail of tiny atoms sharing one bucket."""
+    kind = draw(st.sampled_from(["random", "dyadic", "tail"]))
+    if kind == "random":
+        weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40))
+        pvals = np.array(weights) / sum(weights)
+    elif kind == "dyadic":
+        bits = draw(st.integers(1, 8))
+        cuts = draw(st.sets(st.integers(1, 2**bits - 1), max_size=30))
+        pvals = np.diff([0, *sorted(cuts), 2**bits]) / 2**bits
+    else:
+        tail = draw(st.integers(1, 200))
+        tiny = draw(st.floats(1e-12, 1e-6))
+        pvals = np.array([1.0 - tail * tiny] + [tiny] * tail)
+    return pvals
+
+
+def _sampler(pvals):
+    support = np.arange(len(pvals), dtype=np.int64) * 3 + 1
+    measure = DiscreteMeasure.from_sorted_arrays(support, np.ones_like(support), pvals)
+    return support, _Sampler(measure)
+
+
+class TestGuideTable:
+    @settings(max_examples=300, deadline=None)
+    @given(pvals=offspring_pvals(), seed=st.integers(0, 2**32 - 1))
+    def test_lookup_is_the_inverse_cdf(self, pvals, seed):
+        support, sampler = _sampler(pvals)
+        size = len(sampler.kids)
+        assert size >= max(64, 4 * len(pvals)) and size & (size - 1) == 0
+        assert sampler.ambiguous.sum() <= len(pvals) - 1
+        edges = np.arange(size) / size
+        steps = sampler.cum[:-1]
+        u = np.concatenate([
+            edges, np.nextafter(edges[1:], 0), steps,
+            np.nextafter(steps, 0), np.nextafter(steps, 1),
+            np.random.default_rng(seed).random(1000),
+        ])
+        u = u[(u >= 0) & (u < 1)]
+        want = support[np.searchsorted(sampler.cum, u, side="right")]
+        assert np.array_equal(sampler.lookup(u), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pvals=offspring_pvals(),
+        pos=st.lists(st.integers(1, 40), min_size=1, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_sums_match_the_float_reduction(self, pvals, pos, seed):
+        support, sampler = _sampler(pvals)
+        pos = np.array(pos, dtype=np.int64)
+        u = np.random.default_rng(seed).random(int(pos.sum()))
+        kids = support[np.searchsorted(sampler.cum, u, side="right")]
+        got = _draw_next(np.random.default_rng(seed), pos, sampler)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracles.summed_draws(kids, pos))
 
 
 class TestEmpiricalEstimatorLaw:
