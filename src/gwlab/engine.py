@@ -7,7 +7,9 @@ is the mixture, over the current support, of convolution powers of the
 offspring law.  All inner arithmetic runs on dense float arrays indexed by
 population size; measures are materialized only at the API boundary.
 Convolution powers are taken on the offspring law's lattice (see
-``measures``), since every power of a law on ``gZ`` lives on ``gZ``.
+``measures``), since every power of a law on ``gZ`` lives on ``gZ``.  A
+power is a dense product of two smaller ones or, where that costs fewer
+multiply-adds, stepped up from a cached power by the law's atoms.
 
 Truncation discipline: a propagation with horizon ``n`` and budget ``b``
 may move at most ``b / n`` of mass per step into the defect, always from the
@@ -116,9 +118,13 @@ class PowerCache:
 
     ``get(j)`` returns ``(weights, defect)`` for the law of the sum of ``j``
     independent offspring draws.  Powers combine from cached pieces: a dense
-    sweep over consecutive ``j`` costs one convolution each, an isolated
-    large ``j`` is built by repeated halving.  Each power's lattice span is
-    found once, when it is stored, and handed to every convolution using it.
+    sweep over consecutive ``j`` costs one convolution each.  An isolated
+    ``j`` (largest cached ``anchor <= j // 2``) takes the route with fewer
+    multiply-adds on the base lattice, where ``P^i`` has ``L_i = i*ell + 1``
+    entries and the base ``K`` atoms: halving, ``L_{j//2} * L_{j-j//2}``, or
+    stepping from the anchor, ``K * sum(L_i, i = anchor+1..j)``.  Dense laws
+    (``2K`` near ``ell``) always halve.  Each power's lattice span is found
+    once, when it is stored, and handed to every convolution using it.
     """
 
     def __init__(self, law: OffspringLaw):
@@ -129,6 +135,8 @@ class PowerCache:
         }
         self._spans: dict[int, int] = {0: 0, 1: _span(base)}
         self._keys = [0, 1]  # sorted keys of _cache
+        self._lattice = base[:: self._spans[1] or 1]
+        self._atoms = np.flatnonzero(self._lattice)
 
     def get(self, j: int) -> tuple[np.ndarray, float]:
         if j < 0:
@@ -137,20 +145,38 @@ class PowerCache:
         if hit is not None:
             return hit
         anchor = self._keys[bisect_right(self._keys, j) - 1]
-        if anchor > j // 2:
-            left, right = anchor, j - anchor
-        else:
-            left, right = j // 2, j - j // 2
-        wa, da = self.get(left)
-        wb, db = self.get(right)
-        # Far tails can underflow to 0; trim them so lengths stay honest.
+        halving = anchor <= j // 2
+        left, right = (j // 2, j - j // 2) if halving else (anchor, j - anchor)
+        ell, k = len(self._lattice) - 1, len(self._atoms)
+        stepping = k * (ell * (j * (j + 1) - anchor * (anchor + 1)) // 2 + j - anchor)
         spans = self._spans
-        w = np.trim_zeros(_convolve_dense(wa, wb, spans[left], spans[right]), "b")
-        entry = (w, da + db)
+        if halving and stepping < (left * ell + 1) * (right * ell + 1):
+            entry = self._step(anchor, j)
+        else:
+            wa, da = self.get(left)
+            wb, db = self.get(right)
+            # Far tails can underflow to 0; trim them so lengths stay honest.
+            w = np.trim_zeros(_convolve_dense(wa, wb, spans[left], spans[right]), "b")
+            entry = (w, da + db)
         self._cache[j] = entry
         insort(self._keys, j)
-        spans[j] = _span(w)
+        spans[j] = _span(entry[0])
         return entry
+
+    def _step(self, anchor: int, j: int) -> tuple[np.ndarray, float]:
+        """``P^j`` from the cached ``P^anchor`` by ``j - anchor`` steps
+        ``P^{i+1}[s] = sum_k p_k P^i[s - x_k]`` over the base's lattice atoms."""
+        g = self._spans[1] or 1
+        wa, da = self._cache[anchor]
+        cur = wa[::g]
+        for _ in range(j - anchor):
+            nxt = np.zeros(cur.size + len(self._lattice) - 1)
+            for x in self._atoms:
+                nxt[x : x + cur.size] += self._lattice[x] * cur
+            cur = np.trim_zeros(nxt, "b")
+        w = np.zeros((cur.size - 1) * g + 1)
+        w[::g] = cur
+        return w, da + (j - anchor) * self._cache[1][1]
 
 
 class Propagator:

@@ -68,6 +68,8 @@ class SimConfig:
             raise InvalidParameter("horizon n_max must be at least 1")
         if self.z0 < 1:
             raise InvalidParameter("start size z0 must be at least 1")
+        if self.z0 >= 2**63:
+            raise InvalidParameter("start size z0 must be below 2**63, the int64 limit")
         if self.cap < self.z0:
             raise InvalidParameter("population cap must be at least z0")
 

@@ -37,6 +37,15 @@ def dict_power(pmf: dict[int, float], k: int) -> dict[int, float]:
     return out
 
 
+def dense_power(weights: np.ndarray, j: int) -> np.ndarray:
+    """``j``-fold convolution power of a dense pmf, ``j >= 1``, by ``j - 1``
+    plain convolutions with the base; no trimming, no lattice."""
+    out = np.asarray(weights, dtype=float)
+    for _ in range(j - 1):
+        out = np.convolve(out, weights)
+    return out
+
+
 def sum_of_draws(pmf: dict[int, float], z: int) -> dict[int, float]:
     """Law of the sum of z draws by enumerating every outcome tuple.
 

@@ -252,6 +252,16 @@ class TestErrorChannels:
         assert err["error"] == "InvalidParameter"
         assert "cap" in err["message"]
 
+    def test_start_size_past_int64_is_one_error_line(self):
+        out = run(["simulate", "--family", "binary", "--p", "0.75", "--n-max", "2",
+                   "--replications", "3", "--z0", str(2**63), "--cap", str(2**63)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "int64" in err["message"]
+
     def test_unreadable_budget_environment_is_one_error_line(self):
         out = run(["extinction", "--family", "binary", "--p", "0.75"],
                   env_extra={"GW_BUDGET": "abc"})

@@ -2,15 +2,21 @@
 
 from fractions import Fraction
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import as_dict
 from gwlab import (
     BudgetExceeded,
     DegenerateConditioning,
+    DiscreteMeasure,
     FamilySpec,
+    OffspringLaw,
     PowerCache,
     Propagator,
     build,
@@ -228,3 +234,99 @@ class TestPowerCache:
             ref = convolution_power(t1.measure, j)
             assert np.allclose(dense, ref.dense_weights(), atol=1e-13)
             assert defect <= 1e-12
+
+    # sha256 over get(j)[0].tobytes() and float(defect).hex() for j in
+    # HALVING_JS, recorded before the stepping route existed.  The cost rule
+    # keeps these dense laws on the halving route, so their bits must hold.
+    HALVING_JS = (*range(1, 13), 31, 64, 100, 257)
+    HALVING_DIGESTS = {
+        ("binary", "cold"): "9a42cd52986d64190b919b6e1f55cdebaa745c1d58e34035160f2ea76ee832c9",
+        ("binary", "sweep"): "d2b3ac02c3b501d4d6ae0017b022ffffffdef9f0f589e5edf83afa19d1ce00ea",
+        ("three_point", "cold"): "78eece49c23ea34fdd7e9263befae17c874efb0cab18ec7d6f31680822a04880",
+        ("three_point", "sweep"): "77b1545dafcd163f50cb8b846fb81d302fe21503f5affc6be9ec0b396233cbb6",
+        ("poisson", "cold"): "7d1b644de321b49abee8f20e2798be926416df7e3aea026d7ea6fcc1f64f3c85",
+        ("poisson", "sweep"): "7469b0574948aaafde20556bb58775030c0b9d51b5472e6742786f395e4e8654",
+    }
+
+    @pytest.mark.parametrize("family,mode", sorted(HALVING_DIGESTS))
+    def test_dense_laws_keep_halving_bits(self, family, mode):
+        spec = {
+            "binary": FamilySpec.binary(0.75),
+            "three_point": FamilySpec.three_point(0.20, 0.50, 0.30),
+            "poisson": FamilySpec.poisson(2.0),
+        }[family]
+        law = build(spec)
+        sweep = StepCounter(law)
+        h = hashlib.sha256()
+        for j in self.HALVING_JS:
+            cache = StepCounter(law) if mode == "cold" else sweep
+            w, defect = cache.get(j)
+            h.update(w.tobytes())
+            h.update(float(defect).hex().encode())
+            assert cache.steps == 0
+        assert h.hexdigest() == self.HALVING_DIGESTS[family, mode]
+
+    def test_sparse_law_takes_stepping_route(self):
+        # Three atoms over 150 lattice points: stepping to j costs about
+        # 3 * 150 * j**2 / 2 multiply-adds, halving about (150 * j / 2)**2.
+        law = sparse_law([0, 1, 150], [0.3, 0.3, 0.4])
+        cache = StepCounter(law)
+        w, _ = cache.get(30)
+        assert cache.steps == 1
+        np.testing.assert_allclose(
+            w, oracles.dense_power(law.measure.dense_weights(), 30), rtol=1e-12, atol=0
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        span=st.integers(1, 3),
+        data=st.data(),
+        defect=st.sampled_from([0.0, 1e-10]),
+        js=st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True),
+    )
+    def test_powers_match_dense_oracle(self, span, data, defect, js):
+        sites = data.draw(
+            st.lists(st.integers(0, 150 // span), min_size=2, max_size=4, unique=True)
+        )
+        raw = data.draw(
+            st.lists(st.floats(0.04, 1.0), min_size=len(sites), max_size=len(sites))
+        )
+        assert_powers_match_oracle(sparse_law([span * s for s in sites], raw, defect), js)
+
+    def test_underflowing_tail_is_trimmed(self):
+        # The top atom's square underflows to 0, so every power past the
+        # first ends in zeros that both routes must trim.
+        law = sparse_law([0, 1, 150], [0.5, 0.5, 1e-170])
+        assert_powers_match_oracle(law, [2, 3, 30])
+
+
+def assert_powers_match_oracle(law, js):
+    """Cold and ascending-sweep powers against ``oracles.dense_power``."""
+    base = law.measure.dense_weights()
+    sweep = PowerCache(law)
+    for j in sorted(js):
+        expected = np.trim_zeros(oracles.dense_power(base, j), "b")
+        for cache in (PowerCache(law), sweep):
+            w, d = cache.get(j)
+            assert w.shape == expected.shape
+            assert np.array_equal(w != 0, expected != 0)
+            np.testing.assert_allclose(w, expected, rtol=1e-12, atol=0)
+            assert abs(d - j * law.measure.defect) <= 1e-15
+
+
+class StepCounter(PowerCache):
+    """A PowerCache that counts how often it takes the stepping route."""
+
+    steps = 0
+
+    def _step(self, anchor, j):
+        self.steps += 1
+        return super()._step(anchor, j)
+
+
+def sparse_law(sites, raw, defect=0.0):
+    """Offspring law with mass ``raw / sum(raw) * (1 - defect)`` at ``sites``."""
+    w = np.zeros(max(sites) + 1)
+    w[sites] = np.asarray(raw, dtype=float) / sum(raw) * (1.0 - defect)
+    measure = DiscreteMeasure.from_dense(w, defect=defect)
+    return OffspringLaw(measure, mean_m=float(np.arange(w.size) @ w))

@@ -94,6 +94,11 @@ class TestSimulatePaths:
         with pytest.raises(InvalidParameter, match="cap"):
             simulate_paths(b75, cfg)
 
+    def test_start_size_past_int64_is_a_typed_error(self):
+        # np.full(..., z0, dtype=np.int64) used to raise OverflowError.
+        with pytest.raises(InvalidParameter, match="int64"):
+            SimConfig(seed=0, replications=3, n_max=2, z0=2**63, cap=2**63)
+
     def test_total_past_int64_still_draws(self):
         # No sum can pass int64 with at most one child each, but the four
         # populations add up to 2**64.  The int64 total wrapped to zero, and
