@@ -21,15 +21,7 @@ from .errors import (
     SolverDidNotConverge,
     SupercriticalRequired,
 )
-from .measures import (
-    DiscreteMeasure,
-    coarsen,
-    convolution_power,
-    convolve,
-    mean,
-    truncate_tail,
-    tv_distance,
-)
+from .measures import DiscreteMeasure, mean, tv_distance
 from .offspring import (
     DEFAULT_TAIL_BUDGET,
     ExtinctionResult,

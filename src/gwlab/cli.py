@@ -25,6 +25,7 @@ from .lab import (
     CLAIM_IDS,
     MODULUS_COLUMNS,
     ExperimentSpec,
+    check_budget,
     robustness_modulus,
     run_default_suite,
     _jsonable,
@@ -101,6 +102,11 @@ def _emit_rows(
     }
     if extra:
         doc.update(_jsonable(extra))
+    _emit_doc(args, doc)
+
+
+def _emit_doc(args: argparse.Namespace, doc: dict) -> None:
+    """Write a JSON document, timestamped unless --no-timestamp."""
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
     _write_text(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -145,7 +151,7 @@ def _load_measure(path: str) -> DiscreteMeasure:
     with open(path) as fh:
         data = json.load(fh)
     # Accept both a bare measure and a document that wraps one.
-    if "support" not in data:
+    if isinstance(data, dict) and "support" not in data:
         for key in ("measure", "law"):
             if key in data:
                 data = data[key]
@@ -237,9 +243,7 @@ def _cmd_extinction(args: argparse.Namespace) -> int:
             "residual": result.residual,
             "iterations": result.iterations,
         }
-        if not args.no_timestamp:
-            doc["timestamp"] = _timestamp()
-        _write_text(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit_doc(args, doc)
     else:
         _write_text(args, f"{result.value:.12f}\n")
     return 0
@@ -260,9 +264,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
         doc = {"schema": "gw-metric-1", "kind": args.kind, "value": value,
                "slack": slack,
                "certificate": result.to_json_dict()["certificate"]}
-        if not args.no_timestamp:
-            doc["timestamp"] = _timestamp()
-        _write_text(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit_doc(args, doc)
     else:
         _write_text(args, f"{value:.12f}\n")
     return 0
@@ -453,6 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.budget is None:
             args.budget = _default_budget()
+        check_budget(args.budget)
         return args.func(args)
     except (GwError, OSError, json.JSONDecodeError, KeyError) as exc:
         line = json.dumps(

@@ -21,7 +21,7 @@ at the offending step.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import (
     InvalidParameter,
 )
 from .measures import DiscreteMeasure, _convolve_dense, _span, _truncate_dense
-from .measures import convolution_power
 from .offspring import OffspringLaw
 
 __all__ = [
@@ -92,25 +91,6 @@ class JointLaw:
     @property
     def total_mass(self) -> float:
         return float(self.probs.sum())
-
-    def row_marginal(self) -> DiscreteMeasure:
-        """Law of the earlier generation implied by the rows."""
-        return _measure_from_value_sums(self.prev, self.probs, self.defect)
-
-    def col_marginal(self) -> DiscreteMeasure:
-        """Law of the later generation implied by the rows."""
-        return _measure_from_value_sums(self.curr, self.probs, self.defect)
-
-
-def _measure_from_value_sums(
-    values: np.ndarray, probs: np.ndarray, defect: float
-) -> DiscreteMeasure:
-    order = np.argsort(values, kind="stable")
-    uniq, start = np.unique(values[order], return_index=True)
-    sums = np.add.reduceat(probs[order], start)
-    return DiscreteMeasure.from_sorted_arrays(
-        uniq.astype(np.int64), np.ones(len(uniq), dtype=np.int64), sums, defect
-    )
 
 
 class PowerCache:
@@ -271,24 +251,9 @@ def propagate(
     n: int,
     z0: int = 1,
     budget: float = DEFAULT_BUDGET,
-    method: str = "recursion",
 ) -> GenerationLaw:
-    """Law of the population size after ``n`` generations.
-
-    ``method="recursion"`` runs the mixture recursion from ``z0`` ancestors
-    directly.  ``method="power"`` propagates a single ancestor and takes the
-    ``z0``-fold convolution power of the result; the two agree within twice
-    the budget and the tests hold them to that.
-    """
-    if method == "recursion":
-        return Propagator(law, z0=z0, n_max=n, budget=budget).generation(n)
-    if method == "power":
-        single = Propagator(law, z0=1, n_max=n, budget=budget / 2).generation(n)
-        if z0 == 1:
-            return single
-        combined = convolution_power(single.law, z0, budget=budget / 2)
-        return GenerationLaw(n, z0, combined)
-    raise InvalidParameter(f"unknown propagation method {method!r}")
+    """Law of the population size after ``n`` generations from ``z0`` ancestors."""
+    return Propagator(law, z0=z0, n_max=n, budget=budget).generation(n)
 
 
 def extinction_by_n(law: OffspringLaw, n: int, z0: int = 1) -> float:

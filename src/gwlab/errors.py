@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field reader
+that turns a malformed input document into one of them."""
 
 from __future__ import annotations
+
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "GwError",
@@ -12,6 +15,7 @@ __all__ = [
     "DegenerateConditioning",
     "CouplingInfeasible",
     "MismatchedLaws",
+    "json_field",
 ]
 
 
@@ -58,3 +62,23 @@ class CouplingInfeasible(GwError):
 class MismatchedLaws(GwError):
     """Two joint laws disagree on horizon or start size and cannot be compared."""
 
+
+def json_field(data: object, key: str, convert: Callable[[Any], Any], *default: Any) -> Any:
+    """``convert(data[key])``, or ``default`` when given and the key is absent.
+
+    A ``data`` that is not a JSON object, or a value that ``convert`` rejects
+    with ``TypeError`` or ``ValueError``, raises ``InvalidParameter`` naming
+    ``key``.  An ``InvalidParameter`` from ``convert`` passes through, and a
+    missing key without a default raises ``KeyError``.
+    """
+    if not isinstance(data, Mapping):
+        kind = type(data).__name__
+        raise InvalidParameter(f"expected a JSON object with field {key!r}, got {kind}")
+    if default and key not in data:
+        return default[0]
+    try:
+        return convert(data[key])
+    except InvalidParameter:
+        raise
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"field {key!r} has an unusable value {data[key]!r:.80}") from None

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
     DegenerateConditioning,
     InvalidParameter,
     SupercriticalRequired,
+    json_field,
 )
 from .estimator import EstimatorLaw, consistency_probability, estimator_law
 from .measures import DiscreteMeasure, tv_distance
@@ -121,6 +123,11 @@ MODULUS_COLUMNS = (
 )
 
 
+def check_budget(budget: float) -> None:
+    if not (math.isfinite(budget) and budget >= 0.0):
+        raise InvalidParameter("tail budget must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One robustness sweep: a center law, a grid, and horizon settings."""
@@ -151,8 +158,7 @@ class ExperimentSpec:
             raise InvalidParameter("population cap must be at least z0")
         if self.seed < 0:
             raise InvalidParameter("seed must be nonnegative")
-        if not (math.isfinite(self.budget) and self.budget >= 0.0):
-            raise InvalidParameter("tail budget must be finite and nonnegative")
+        check_budget(self.budget)
         if self.metric not in ("prohorov", "bounded_lipschitz"):
             raise InvalidParameter(f"unknown sweep metric {self.metric!r}")
         if self.replications < 1:
@@ -161,6 +167,8 @@ class ExperimentSpec:
             raise InvalidParameter("exact cutoff must be positive")
         if self.bin_denominator < 1:
             raise InvalidParameter("bin denominator must be positive")
+        if not isinstance(self.output, (str, type(None))):
+            raise InvalidParameter(f"'output' must be a path string, got {self.output!r:.80}")
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -173,18 +181,19 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentSpec":
+        read = partial(json_field, data)
         return cls(
-            center=FamilySpec.from_json_dict(data["center"]),
-            grid=tuple(FamilySpec.from_json_dict(g) for g in data["grid"]),
-            n_range=tuple(int(n) for n in data["n_range"]),
-            z0=int(data.get("z0", 1)),
+            center=read("center", FamilySpec.from_json_dict),
+            grid=read("grid", lambda g: tuple(map(FamilySpec.from_json_dict, g))),
+            n_range=read("n_range", lambda ns: tuple(int(n) for n in ns)),
+            z0=read("z0", int, 1),
             metric=data.get("metric", "prohorov"),
-            budget=float(data.get("budget", DEFAULT_TAIL_BUDGET)),
-            seed=int(data.get("seed", 0)),
-            replications=int(data.get("replications", DEFAULT_REPLICATIONS)),
-            cap=int(data.get("cap", DEFAULT_SIM_CAP)),
-            exact_cutoff=int(data.get("exact_cutoff", EXACT_CUTOFF)),
-            bin_denominator=int(data.get("bin_denominator", DEFAULT_BIN_DEN)),
+            budget=read("budget", float, DEFAULT_TAIL_BUDGET),
+            seed=read("seed", int, 0),
+            replications=read("replications", int, DEFAULT_REPLICATIONS),
+            cap=read("cap", int, DEFAULT_SIM_CAP),
+            exact_cutoff=read("exact_cutoff", int, EXACT_CUTOFF),
+            bin_denominator=read("bin_denominator", int, DEFAULT_BIN_DEN),
             output=data.get("output"),
         )
 

@@ -11,13 +11,13 @@ never creates a ``Fraction``.  Mass that is deliberately dropped from the
 upper tail during a computation is never renormalized away; it accumulates
 in ``defect`` so that every downstream quantity can report a rigorous slack.
 
-Truncation policy: when a budget is spent, the largest support points are
-removed first and their mass is moved to ``defect``.  Nothing is ever
-redistributed over the remaining atoms.
-
-Dense convolutions run on the lattice ``gZ`` that both operands live on
-(``g`` the gcd of their nonzero indices), so a law on the even numbers
-pays a quarter of the multiplications; the skipped terms are exact zeros.
+Measures do not convolve or truncate themselves: the generation engine
+does both on dense arrays with the helpers here.  Truncation removes the
+largest support points first and moves their mass to the defect; nothing
+is ever redistributed over the remaining atoms.  Convolutions run on the
+lattice ``gZ`` that both operands live on (``g`` the gcd of their nonzero
+indices), so a law on the even numbers pays a quarter of the
+multiplications; the skipped terms are exact zeros.
 """
 
 from __future__ import annotations
@@ -29,17 +29,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidParameter, NonIntegerSupport
+from .errors import InvalidParameter, NonIntegerSupport, json_field
 
-__all__ = [
-    "DiscreteMeasure",
-    "tv_distance",
-    "convolve",
-    "convolution_power",
-    "truncate_tail",
-    "coarsen",
-    "mean",
-]
+__all__ = ["DiscreteMeasure", "tv_distance", "mean"]
 
 # Total retained mass plus defect must stay within this window of 1.
 MASS_TOL = 1e-9
@@ -257,15 +249,13 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        try:
-            weights = [float(w) for w in data["weights"]]
-            defect = float(data.get("defect", 0.0))
-        except (TypeError, ValueError):
-            raise InvalidParameter("measure weights and defect must be numbers") from None
-        return cls(map(_parse_point, data["support"]), weights, defect)
+        weights = json_field(data, "weights", lambda ws: [float(w) for w in ws])
+        defect = json_field(data, "defect", float, 0.0)
+        support = json_field(data, "support", lambda xs: [_parse_point(x) for x in xs])
+        return cls(support, weights, defect)
 
 
-# -- dense helpers shared with the generation engine ------------------------
+# -- dense helpers of the generation engine ---------------------------------
 
 
 def _truncate_dense(w: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
@@ -323,80 +313,6 @@ def tv_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> tuple[float, float]:
     # argument order, so symmetry holds exactly rather than within an ulp.
     value = 0.5 * sum(abs(diff[x]) for x in sorted(diff))
     return value, 0.5 * (a.defect + b.defect)
-
-
-def convolve(
-    a: DiscreteMeasure, b: DiscreteMeasure, budget: float = 0.0
-) -> DiscreteMeasure:
-    """Distribution of the sum of independent draws from ``a`` and ``b``.
-
-    Both measures must be integer-supported.  The convolution itself is
-    exact; afterwards the largest points are truncated so that the mass
-    moved to the defect is at most ``budget``.  Input defects add.
-    """
-    wa = a.dense_weights()
-    wb = b.dense_weights()
-    out = _convolve_dense(wa, wb, _span(wa), _span(wb))
-    out, dropped = _truncate_dense(out, budget)
-    return DiscreteMeasure.from_dense(out, defect=a.defect + b.defect + dropped)
-
-
-def convolution_power(
-    a: DiscreteMeasure, k: int, budget: float = 0.0
-) -> DiscreteMeasure:
-    """k-fold convolution of ``a`` with itself via repeated squaring.
-
-    ``k = 0`` gives the unit mass at zero.  The truncation budget is split
-    evenly over the individual convolutions performed.
-    """
-    if k < 0:
-        raise InvalidParameter("convolution power needs k >= 0")
-    if k == 0:
-        return DiscreteMeasure.delta(0)
-    ops = max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
-    per = budget / ops if ops else 0.0
-    result: DiscreteMeasure | None = None
-    square = a
-    while k:
-        if k & 1:
-            result = square if result is None else convolve(result, square, per)
-        k >>= 1
-        if k:
-            square = convolve(square, square, per)
-    assert result is not None
-    return result
-
-
-def truncate_tail(m: DiscreteMeasure, budget: float) -> DiscreteMeasure:
-    """Remove the largest atoms whose combined mass fits in ``budget``."""
-    if budget <= 0.0:
-        return m
-    tail = np.cumsum(m.weights_array[::-1])
-    k = int(np.searchsorted(tail, budget, side="right"))
-    if k == 0:
-        return m
-    if k == len(m):
-        raise InvalidParameter("truncation budget would remove every atom")
-    dropped = float(tail[k - 1])
-    return DiscreteMeasure._trusted(
-        m.nums[:-k], m.dens[:-k], m.weights_array[:-k], m.defect + dropped
-    )
-
-
-def coarsen(m: DiscreteMeasure, resolution: Fraction) -> tuple[DiscreteMeasure, float]:
-    """Snap atoms to the nearest multiple of ``resolution``, merging mass.
-
-    Returns the coarsened measure and the worst-case displacement of any
-    atom (half the resolution), which callers should add to metric slack.
-    """
-    resolution = _as_fraction(resolution) if not isinstance(resolution, Fraction) else resolution
-    if resolution <= 0:
-        raise InvalidParameter("resolution must be positive")
-    out = DiscreteMeasure.from_items(
-        ((Fraction(round(x / resolution)) * resolution, w) for x, w in m.items()),
-        m.defect,
-    )
-    return out, float(resolution) / 2.0
 
 
 def mean(a: DiscreteMeasure) -> float:

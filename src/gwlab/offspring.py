@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 from . import measures
-from .errors import InvalidParameter, SolverDidNotConverge, SupercriticalRequired
+from .errors import InvalidParameter, SolverDidNotConverge, SupercriticalRequired, json_field
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -141,18 +141,19 @@ class FamilySpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FamilySpec":
-        family = data.get("family")
-        trunc = data.get("truncation")
+        read = partial(json_field, data)
+        family = read("family", str, None)
+        trunc = read("truncation", lambda t: None if t is None else int(t), None)
         if family == "binary":
-            return cls.binary(float(data["p"]))
+            return cls.binary(read("p", float))
         if family == "three_point":
-            return cls.three_point(float(data["p0"]), float(data["p2"]), float(data["p3"]))
+            return cls.three_point(read("p0", float), read("p2", float), read("p3", float))
         if family == "poisson":
-            return cls.poisson(float(data["lambda"]), trunc)
+            return cls.poisson(read("lambda", float), trunc)
         if family == "polynomial":
-            return cls.polynomial(float(data["p"]), trunc)
+            return cls.polynomial(read("p", float), trunc)
         if family == "raw":
-            return cls.raw([float(w) for w in data["weights"]])
+            return cls.raw(read("weights", lambda ws: [float(w) for w in ws]))
         raise InvalidParameter(f"unknown family {family!r}")
 
 

@@ -205,6 +205,30 @@ class TestBudgetEnvironment:
         doc = json.loads(path.read_text())
         assert doc["measure"]["defect"] <= 1e-12
 
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["law", "--family", "poisson", "--lam", "2", "--n", "2",
+              "--budget", "nan"], None),
+            (["verify"], {"GW_BUDGET": "-1"}),
+        ],
+        ids=["flag-nan", "env-negative"],
+    )
+    def test_nonfinite_or_negative_budget_is_one_error_line(self, args, env):
+        out = run(args, env_extra=env)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "finite and nonnegative" in err["message"]
+
+
+def _spec_doc(**changes):
+    doc = binary_sweep_spec(offsets=(0.0,), n_max=2).to_json_dict()
+    doc.update(changes)
+    return doc
+
 
 class TestErrorChannels:
     def test_domain_error_is_json_on_stderr_with_exit_one(self):
@@ -271,6 +295,37 @@ class TestErrorChannels:
         err = json.loads(out.stderr)
         assert err["error"] == "InvalidParameter"
         assert "GW_BUDGET" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("metric", 5, "weights"),
+            ("metric", {"support": 5, "weights": [1.0]}, "support"),
+            ("modulus", 5, "center"),
+            ("modulus", _spec_doc(z0="abc"), "z0"),
+            ("modulus", _spec_doc(center={"family": "binary", "p": "abc"}), "p"),
+            ("modulus", _spec_doc(grid=5), "grid"),
+            ("modulus", _spec_doc(n_range=5), "n_range"),
+            # ``open(True, "w")`` would write to file descriptor 1.
+            ("modulus", _spec_doc(output=True), "output"),
+        ],
+        ids=["metric-number", "metric-support-number", "modulus-number",
+             "modulus-z0-string", "modulus-center-p-string", "modulus-grid-number",
+             "modulus-n_range-number", "modulus-output-bool"],
+    )
+    def test_malformed_json_input_names_the_field(self, tmp_path, command, doc, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        if command == "metric":
+            out = run(["metric", "--kind", "tv", str(path), str(path)])
+        else:
+            out = run(["modulus", "--config", str(path)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert repr(field) in err["message"]
 
 
 class TestReferenceOutputBytes:

@@ -1,4 +1,4 @@
-"""Measure construction, total variation, convolution, truncation, coarsening."""
+"""Measure construction, total variation, the dense lattice convolution, mean."""
 
 from fractions import Fraction
 
@@ -13,14 +13,9 @@ from gwlab import (
     DiscreteMeasure,
     FamilySpec,
     InvalidParameter,
-    NonIntegerSupport,
     build,
-    coarsen,
-    convolution_power,
-    convolve,
     mean,
     prohorov,
-    truncate_tail,
     tv_distance,
 )
 from gwlab.measures import _convolve_dense, _span
@@ -195,55 +190,6 @@ class TestTvDistance:
             assert prohorov(a, b).value == pytest.approx(value, abs=1e-9)
 
 
-class TestConvolve:
-    def test_delta_zero_is_identity(self):
-        rng = np.random.default_rng(15)
-        m = integer_measure(rng)
-        d0 = DiscreteMeasure.from_items([(Fraction(0), 1.0)])
-        assert convolve(d0, m) == m
-
-    def test_binary_square_at_four(self):
-        p = 0.75
-        m = build(FamilySpec.binary(p)).measure
-        sq = convolve(m, m)
-        assert sq.mass_at(4) == pytest.approx(p * p, abs=1e-15)
-
-    def test_budget_zero_keeps_defect(self):
-        a = DiscreteMeasure.from_items([(Fraction(0), 0.5), (Fraction(1), 0.5)])
-        out = convolve(a, a, budget=0.0)
-        assert out.defect == 0.0
-
-    def test_defects_add(self):
-        a = DiscreteMeasure.from_items([(Fraction(0), 0.9)], defect=0.1)
-        b = DiscreteMeasure.from_items([(Fraction(1), 0.8)], defect=0.2)
-        assert convolve(a, b).defect == pytest.approx(0.3, abs=1e-15)
-
-    def test_rational_support_rejected(self):
-        a = DiscreteMeasure.from_items([(Fraction(1, 2), 1.0)])
-        with pytest.raises(NonIntegerSupport):
-            convolve(a, a)
-
-    def test_commutative_and_associative(self):
-        rng = np.random.default_rng(16)
-        for _ in range(10):
-            a, b, c = (integer_measure(rng, max_atoms=4) for _ in range(3))
-            ab = convolve(a, b)
-            ba = convolve(b, a)
-            assert oracles.tv(as_dict(ab), as_dict(ba)) <= 1e-12
-            left = convolve(ab, c)
-            right = convolve(a, convolve(b, c))
-            assert oracles.tv(as_dict(left), as_dict(right)) <= 1e-12
-
-    def test_matches_dict_oracle(self):
-        rng = np.random.default_rng(17)
-        a, b = integer_measure(rng), integer_measure(rng)
-        got = as_dict(convolve(a, b))
-        ref = oracles.dict_convolve(
-            {int(x): w for x, w in a.items()}, {int(x): w for x, w in b.items()}
-        )
-        assert oracles.tv(got, {Fraction(k): v for k, v in ref.items()}) <= 1e-14
-
-
 @st.composite
 def lattice_array(draw):
     """Nonnegative weights on ``gZ`` for g in {1, 2, 3, 5}, some trailing zeros.
@@ -281,53 +227,6 @@ class TestSpanConvolution:
         assert out[13] == 0.125
 
 
-class TestConvolutionPower:
-    def test_power_one_is_identity(self):
-        rng = np.random.default_rng(18)
-        m = integer_measure(rng)
-        assert convolution_power(m, 1) == m
-
-    def test_power_zero_is_delta_zero(self):
-        rng = np.random.default_rng(19)
-        m = integer_measure(rng)
-        out = convolution_power(m, 0)
-        assert out.support == (Fraction(0),)
-        assert out.weights == (1.0,)
-
-    def test_mean_is_linear_in_k(self):
-        rng = np.random.default_rng(20)
-        m = integer_measure(rng)
-        for k in (2, 3, 5):
-            assert mean(convolution_power(m, k)) == pytest.approx(
-                k * mean(m), rel=1e-12
-            )
-
-    def test_power_splits_as_convolution(self):
-        rng = np.random.default_rng(21)
-        m = integer_measure(rng, max_atoms=4)
-        whole = convolution_power(m, 5)
-        split = convolve(convolution_power(m, 2), convolution_power(m, 3))
-        assert oracles.tv(as_dict(whole), as_dict(split)) <= 1e-12
-        assert whole.defect <= split.defect + 1e-15
-
-    def test_tv_contraction_under_powers(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            a, b = integer_measure(rng, 4), integer_measure(rng, 4)
-            base, _ = tv_distance(a, b)
-            for k in (2, 3, 5):
-                powered, _ = tv_distance(
-                    convolution_power(a, k), convolution_power(b, k)
-                )
-                assert powered <= k * base + 1e-12
-
-    def test_matches_dict_power_oracle(self):
-        m = DiscreteMeasure.from_items([(Fraction(0), 0.25), (Fraction(2), 0.75)])
-        got = as_dict(convolution_power(m, 4))
-        ref = oracles.dict_power({0: 0.25, 2: 0.75}, 4)
-        assert oracles.tv(got, {Fraction(k): v for k, v in ref.items()}) <= 1e-14
-
-
 class TestMean:
     def test_point_mass(self):
         assert mean(DiscreteMeasure.from_items([(Fraction(7, 2), 1.0)])) == 3.5
@@ -342,35 +241,3 @@ class TestMean:
         lam = 2.0
         m = build(FamilySpec.poisson(lam)).measure
         assert lam - 1e-9 <= mean(m) <= lam
-
-
-class TestTruncateAndCoarsen:
-    def test_truncation_drops_largest_points_first(self):
-        m = DiscreteMeasure.from_items(
-            [(Fraction(0), 0.5), (Fraction(5), 0.3), (Fraction(9), 0.2)]
-        )
-        out = truncate_tail(m, 0.25)
-        assert out.support == (Fraction(0), Fraction(5))
-        assert out.weights == (0.5, 0.3)
-        assert out.defect == pytest.approx(0.2, abs=1e-15)
-
-    def test_truncation_respects_budget(self):
-        m = DiscreteMeasure.from_items(
-            [(Fraction(0), 0.5), (Fraction(5), 0.3), (Fraction(9), 0.2)]
-        )
-        out = truncate_tail(m, 0.1)
-        assert out == m
-
-    def test_coarsen_rounds_onto_grid_and_reports_radius(self):
-        m = DiscreteMeasure.from_items([(Fraction(1, 3), 0.5), (Fraction(2, 3), 0.5)])
-        out, radius = coarsen(m, Fraction(1, 2))
-        assert out.support == (Fraction(1, 2),)
-        assert out.weights == (1.0,)
-        assert radius == 0.25
-
-    def test_coarsen_preserves_mass_and_defect(self):
-        rng = np.random.default_rng(23)
-        m = random_measure(rng)
-        out, _ = coarsen(m, Fraction(1, 8))
-        assert sum(out.weights) == pytest.approx(sum(m.weights), abs=1e-12)
-        assert out.defect == m.defect
