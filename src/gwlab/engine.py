@@ -32,7 +32,7 @@ from .errors import (
     DegenerateConditioning,
     InvalidParameter,
 )
-from .measures import DiscreteMeasure, _convolve_dense, _span, _truncate_dense
+from .measures import DiscreteMeasure, _convolve_dense, _span, _trim_back, _truncate_dense
 from .offspring import OffspringLaw
 
 __all__ = [
@@ -136,7 +136,7 @@ class PowerCache:
             wa, da = self.get(left)
             wb, db = self.get(right)
             # Far tails can underflow to 0; trim them so lengths stay honest.
-            w = np.trim_zeros(_convolve_dense(wa, wb, spans[left], spans[right]), "b")
+            w = _trim_back(_convolve_dense(wa, wb, spans[left], spans[right]))
             entry = (w, da + db)
         self._cache[j] = entry
         insort(self._keys, j)
@@ -153,7 +153,7 @@ class PowerCache:
             nxt = np.zeros(cur.size + len(self._lattice) - 1)
             for x in self._atoms:
                 nxt[x : x + cur.size] += self._lattice[x] * cur
-            cur = np.trim_zeros(nxt, "b")
+            cur = _trim_back(nxt)
         w = np.zeros((cur.size - 1) * g + 1)
         w[::g] = cur
         return w, da + (j - anchor) * self._cache[1][1]

@@ -3,6 +3,7 @@ that turns a malformed input document into one of them."""
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Mapping
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "CouplingInfeasible",
     "MismatchedLaws",
     "json_field",
+    "json_int",
 ]
 
 
@@ -82,3 +84,19 @@ def json_field(data: object, key: str, convert: Callable[[Any], Any], *default: 
         raise
     except (TypeError, ValueError):
         raise InvalidParameter(f"field {key!r} has an unusable value {data[key]!r:.80}") from None
+
+
+def json_int(value: object) -> int:
+    """``value`` as an ``int``: an integer, or a finite float with an integral value.
+
+    ``bool``, NaN, infinities, fractional floats and non-numbers raise
+    ``TypeError`` or ``ValueError``, which ``json_field`` reports as
+    ``InvalidParameter`` naming the field.
+    """
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not an integer")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError("not an integral value")
+        return int(value)
+    return operator.index(value)

@@ -39,6 +39,7 @@ from .errors import (
     InvalidParameter,
     SupercriticalRequired,
     json_field,
+    json_int,
 )
 from .estimator import EstimatorLaw, consistency_probability, estimator_law
 from .measures import DiscreteMeasure, tv_distance
@@ -185,15 +186,15 @@ class ExperimentSpec:
         return cls(
             center=read("center", FamilySpec.from_json_dict),
             grid=read("grid", lambda g: tuple(map(FamilySpec.from_json_dict, g))),
-            n_range=read("n_range", lambda ns: tuple(int(n) for n in ns)),
-            z0=read("z0", int, 1),
+            n_range=read("n_range", lambda ns: tuple(map(json_int, ns))),
+            z0=read("z0", json_int, 1),
             metric=data.get("metric", "prohorov"),
             budget=read("budget", float, DEFAULT_TAIL_BUDGET),
-            seed=read("seed", int, 0),
-            replications=read("replications", int, DEFAULT_REPLICATIONS),
-            cap=read("cap", int, DEFAULT_SIM_CAP),
-            exact_cutoff=read("exact_cutoff", int, EXACT_CUTOFF),
-            bin_denominator=read("bin_denominator", int, DEFAULT_BIN_DEN),
+            seed=read("seed", json_int, 0),
+            replications=read("replications", json_int, DEFAULT_REPLICATIONS),
+            cap=read("cap", json_int, DEFAULT_SIM_CAP),
+            exact_cutoff=read("exact_cutoff", json_int, EXACT_CUTOFF),
+            bin_denominator=read("bin_denominator", json_int, DEFAULT_BIN_DEN),
             output=data.get("output"),
         )
 

@@ -267,10 +267,19 @@ def _truncate_dense(w: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
         if k:
             dropped = float(tail[k - 1])
             w = w[:-k]
-    nz = np.nonzero(w)[0]
-    if nz.size == 0:
-        return w[:0], dropped
-    return w[: int(nz[-1]) + 1], dropped
+    return _trim_back(w), dropped
+
+
+def _trim_back(w: np.ndarray) -> np.ndarray:
+    """``w`` without its trailing zeros; empty when ``w`` is all zeros.
+
+    Same view as ``np.trim_zeros(w, "b")``, found by one ``argmax`` from
+    the end rather than by listing every nonzero index.
+    """
+    nonzero = w[::-1] != 0
+    if not nonzero.any():
+        return w[:0]
+    return w[: w.size - int(nonzero.argmax())]
 
 
 def _span(w: np.ndarray) -> int:

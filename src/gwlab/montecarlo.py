@@ -21,7 +21,6 @@ result, never silently dropped.  Every tabulation reads a level through
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -227,6 +226,8 @@ def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable
     sizes = _chunk_sizes(cfg.replications)
     chunk = partial(_simulate_chunk, _Sampler(law.measure), cfg)
     if jobs > 1 and len(sizes) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(chunk, range(len(sizes)), sizes, chunksize=8))
     else:

@@ -5,6 +5,9 @@ with its mean and, for truncated families, an analytic bound on the first
 moment carried by the discarded tail.  On top of it live the generating
 function, the extinction probability solver, and the two conditional
 transforms (conditioning the whole process on survival or on extinction).
+
+``scipy.special`` is imported inside the three functions that call it, so
+that importing the package (and every ``gw`` command) does not load scipy.
 """
 
 from __future__ import annotations
@@ -15,10 +18,15 @@ from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from . import measures
-from .errors import InvalidParameter, SolverDidNotConverge, SupercriticalRequired, json_field
+from .errors import (
+    InvalidParameter,
+    SolverDidNotConverge,
+    SupercriticalRequired,
+    json_field,
+    json_int,
+)
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -143,7 +151,7 @@ class FamilySpec:
     def from_json_dict(cls, data: dict) -> "FamilySpec":
         read = partial(json_field, data)
         family = read("family", str, None)
-        trunc = read("truncation", lambda t: None if t is None else int(t), None)
+        trunc = read("truncation", lambda t: None if t is None else json_int(t), None)
         if family == "binary":
             return cls.binary(read("p", float))
         if family == "three_point":
@@ -250,6 +258,8 @@ def build(spec: FamilySpec, budget: float = DEFAULT_TAIL_BUDGET) -> OffspringLaw
 
 
 def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
+    from scipy import special
+
     lam = float(spec.lam)
     if spec.truncation is not None:
         cutoff = spec.truncation
@@ -268,6 +278,8 @@ def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
 
 
 def _build_polynomial(spec: FamilySpec, budget: float) -> OffspringLaw:
+    from scipy import special
+
     p = float(spec.p)
     c = 1.0 / float(special.zeta(p))
     if spec.truncation is not None:
@@ -423,6 +435,8 @@ def survival_transform(law: OffspringLaw) -> OffspringLaw:
     positive at the root.  The result has no mass at zero, mass ``f'(q)``
     at one, and extinction probability zero.
     """
+    from scipy import special
+
     ext = _require_supercritical(law, "survival transform")
     q = ext.value
     if q == 0.0:

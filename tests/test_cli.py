@@ -22,6 +22,25 @@ def run(args, env_extra=None):
     return subprocess.run(GW + list(args), capture_output=True, text=True, env=env)
 
 
+# Run in a fresh interpreter: import the CLI, list the heavy top-level
+# modules it loaded, then run two pinned commands in the same process.
+COLD_START = """
+import contextlib, io, json, sys
+import gwlab.cli
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "multiprocessing"})
+
+print(json.dumps(loaded()))
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert gwlab.cli.main(json.loads(argv)) == 0
+    print(json.dumps(out.getvalue()))
+print(json.dumps(loaded()))
+"""
+
+
 def build_law_file(tmp_path, name, *args):
     path = tmp_path / name
     out = run(["build-law", *args, "--format", "json", "--output", str(path)])
@@ -308,10 +327,21 @@ class TestErrorChannels:
             ("modulus", _spec_doc(n_range=5), "n_range"),
             # ``open(True, "w")`` would write to file descriptor 1.
             ("modulus", _spec_doc(output=True), "output"),
+            # Integer fields take integral values only: no truncation to
+            # ``int``, and no ``OverflowError`` from ``int(inf)``.
+            ("modulus", _spec_doc(z0=1.9), "z0"),
+            ("modulus", _spec_doc(z0=float("inf")), "z0"),
+            ("modulus", _spec_doc(seed=True), "seed"),
+            ("modulus", _spec_doc(replications=float("nan")), "replications"),
+            ("modulus", _spec_doc(n_range=[1, 2.5]), "n_range"),
+            ("modulus", _spec_doc(center={"family": "poisson", "lambda": 2.0,
+                                          "truncation": float("inf")}), "truncation"),
         ],
         ids=["metric-number", "metric-support-number", "modulus-number",
              "modulus-z0-string", "modulus-center-p-string", "modulus-grid-number",
-             "modulus-n_range-number", "modulus-output-bool"],
+             "modulus-n_range-number", "modulus-output-bool", "modulus-z0-fraction",
+             "modulus-z0-inf", "modulus-seed-bool", "modulus-replications-nan",
+             "modulus-n_range-fraction", "modulus-truncation-inf"],
     )
     def test_malformed_json_input_names_the_field(self, tmp_path, command, doc, field):
         path = tmp_path / "input.json"
@@ -326,6 +356,31 @@ class TestErrorChannels:
         err = json.loads(out.stderr)
         assert err["error"] == "InvalidParameter"
         assert repr(field) in err["message"]
+
+
+class TestColdStart:
+    def test_cli_import_loads_neither_scipy_nor_multiprocessing(self):
+        # scipy.special serves only Poisson and polynomial laws and the
+        # survival transform; both pinned commands below need it.
+        flags = ["--format", "json", "--no-timestamp"]
+        commands = {
+            "simulate_poisson_lam16_n4.json": [
+                "simulate", "--family", "poisson", "--lam", "1.6", "--n-max", "4",
+                "--replications", "20000", "--seed", "5", *flags],
+            "verify_suite_all.json": ["verify", "--suite", "all", *flags],
+        }
+        env = os.environ.copy()
+        env.pop("GW_BUDGET", None)
+        out = subprocess.run(
+            [sys.executable, "-c", COLD_START, *map(json.dumps, commands.values())],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        before, *outputs, after = map(json.loads, out.stdout.splitlines())
+        assert before == []
+        for name, output in zip(commands, outputs):
+            assert output == (DATA / name).read_text(), name
+        assert "scipy" in after
 
 
 class TestReferenceOutputBytes:

@@ -21,6 +21,7 @@ from gwlab import (
     Propagator,
     build,
     condition_on_survival,
+    contamination_grid,
     extinction_by_n,
     extinction_probability,
     joint_law,
@@ -258,6 +259,39 @@ class TestPowerCache:
             h.update(float(defect).hex().encode())
             assert cache.steps == 0
         assert h.hexdigest() == self.HALVING_DIGESTS[family, mode]
+
+    # sha256 over len(w), w.tobytes() and float(defect).hex() for j in
+    # TRIM_JS, recorded with ``np.trim_zeros(w, "b")`` as the trim.  The
+    # contamination member's top atom underflows by j = 257, so that power
+    # ends in 792 trimmed zeros.
+    TRIM_JS = (*range(1, 13), 31, 64, 100, 257)
+    TRIM_DIGESTS = {
+        ("contamination", "cold"): "9bacf34b45071e17224b2c119c3fab01cee365d0acee6eaa1e8f42d8e6578066",
+        ("contamination", "sweep"): "589a1894138e8f91f16368c4395d9804df68b978ece0c4fd305ad2a8b1a01730",
+        ("binary", "cold"): "1e4cac3b31a745a16952065e5f5baf71ed95ad4b3110fbacac209da36e0c9bf9",
+        ("binary", "sweep"): "05b7332a285baec580ee15aaf6c128c3b234a6e453cd985c60f88193f95a8844",
+    }
+
+    @pytest.mark.parametrize("family,mode", sorted(TRIM_DIGESTS))
+    def test_trimmed_powers_keep_their_bits_and_lengths(self, family, mode):
+        if family == "binary":
+            spec = FamilySpec.binary(0.75)
+        else:
+            spec = contamination_grid(FamilySpec.binary(0.75), (20,))[0]
+        law = build(spec)
+        sweep = StepCounter(law)
+        h = hashlib.sha256()
+        used = []
+        for j in self.TRIM_JS:
+            cache = StepCounter(law) if mode == "cold" else sweep
+            used.append(cache)
+            w, defect = cache.get(j)
+            h.update(len(w).to_bytes(8, "little"))
+            h.update(w.tobytes())
+            h.update(float(defect).hex().encode())
+        # Both trimming sites run: the stepping route only for the sparse law.
+        assert any(c.steps for c in used) == (family == "contamination")
+        assert h.hexdigest() == self.TRIM_DIGESTS[family, mode]
 
     def test_sparse_law_takes_stepping_route(self):
         # Three atoms over 150 lattice points: stepping to j costs about

@@ -397,6 +397,13 @@ class TestExperimentSpec:
             ("budget", float("nan"), "budget"),
             ("budget", float("inf"), "budget"),
             ("cap", 1, "cap"),
+            ("z0", 1.9, "z0"),
+            ("z0", float("inf"), "z0"),
+            ("seed", False, "seed"),
+            ("cap", "12", "cap"),
+            ("exact_cutoff", float("nan"), "exact_cutoff"),
+            ("bin_denominator", 64.5, "bin_denominator"),
+            ("n_range", [1, float("-inf")], "n_range"),
         ],
     )
     def test_from_json_dict_rejects_out_of_range_fields(self, field, value, words):
@@ -404,6 +411,13 @@ class TestExperimentSpec:
         data[field] = value
         with pytest.raises(InvalidParameter, match=words):
             ExperimentSpec.from_json_dict(data)
+
+    def test_from_json_dict_takes_integral_floats(self):
+        data = binary_sweep_spec(n_max=2, z0=2).to_json_dict()
+        data.update(z0=2.0, n_range=[1.0, 2.0], replications=1e4)
+        spec = ExperimentSpec.from_json_dict(data)
+        assert (spec.z0, spec.n_range, spec.replications) == (2, (1, 2), 10_000)
+        assert all(type(v) is int for v in (spec.z0, *spec.n_range, spec.replications))
 
 
 class TestBinnedEstimatorLaw:

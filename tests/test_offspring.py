@@ -54,6 +54,16 @@ class TestBuild:
         with pytest.raises(InvalidParameter, match="finite"):
             make()
 
+    @pytest.mark.parametrize("truncation", [3.7, math.inf, math.nan, True, "4"])
+    def test_json_truncation_must_be_integral(self, truncation):
+        doc = {"family": "poisson", "lambda": 2.0, "truncation": truncation}
+        with pytest.raises(InvalidParameter, match="'truncation'"):
+            FamilySpec.from_json_dict(doc)
+
+    def test_json_truncation_takes_integral_float(self):
+        doc = {"family": "poisson", "lambda": 2.0, "truncation": 4.0}
+        assert FamilySpec.from_json_dict(doc) == FamilySpec.poisson(2.0, truncation=4)
+
     def test_three_point_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParameter):
             build(FamilySpec.three_point(0.5, 0.5, 0.5))
