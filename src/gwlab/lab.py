@@ -45,7 +45,7 @@ from .estimator import EstimatorLaw, consistency_probability, estimator_law
 from .measures import DiscreteMeasure, tv_distance
 from .metrics import bounded_lipschitz, joint_tv, prohorov, trajectory_tv
 from .montecarlo import (
-    DEFAULT_BIN_DEN, SimConfig, SimTable, binned_estimator_law,
+    DEFAULT_BIN_DEN, SimConfig, SimTable, binned_estimator_law, check_jobs,
     empirical_consistency_probability, simulate_paths,
 )
 from .offspring import (
@@ -368,6 +368,7 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
     flagged rather than rejected; every reported value carries a slack
     column covering truncation defects and simulation binning.
     """
+    check_jobs(jobs)
     center = build(spec.center, spec.budget)
     if criticality(center) != "supercritical":
         raise SupercriticalRequired("the sweep center must be supercritical")
@@ -622,6 +623,7 @@ def verify_conditional_consistency(
     horizons where the population cap excluded every replication are left
     out of that choice; when no horizon is left the report is inconclusive.
     """
+    check_jobs(jobs)
     if criticality(law) != "supercritical":
         raise SupercriticalRequired("conditional consistency needs a supercritical law")
     levels = sorted(set(int(x) for x in n_range))

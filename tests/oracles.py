@@ -18,6 +18,7 @@ from scipy.ndimage import maximum_filter1d
 
 from gwlab.maxflow import BandFlow
 from gwlab.metrics import MetricResult, _complete_coupling
+from gwlab.montecarlo import _draw_next, _group_pairs
 
 # -- laws as plain dicts -------------------------------------------------------
 
@@ -301,3 +302,29 @@ def summed_draws(kids: np.ndarray, pos: np.ndarray) -> np.ndarray:
     rep = np.repeat(np.arange(pos.size), pos)
     sums = np.bincount(rep, weights=kids.astype(float), minlength=pos.size)
     return np.rint(sums).astype(np.int64)
+
+
+def simulate_chunk(sampler, cfg, chunk_idx: int, size: int):
+    """``montecarlo._simulate_chunk`` over full arrays of ``size`` rows.
+
+    Every step masks all replications: the excluded ones, the extinct ones
+    (not drawn, kept as ``(0, 0)`` rows) and the live ones, which are drawn
+    in replication order and written back in place.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, chunk_idx]))
+    z = np.full(size, cfg.z0, dtype=np.int64)
+    excluded = np.zeros(size, dtype=bool)
+    levels = {}
+    exc_counts = np.zeros(cfg.n_max + 1, dtype=np.int64)
+    for step in range(1, cfg.n_max + 1):
+        active = ~excluded
+        zprev = z.copy()
+        draw = np.nonzero(active & (z > 0))[0]
+        if draw.size:
+            z[draw] = _draw_next(rng, z[draw], sampler)
+        newly = active & (z > cfg.cap)
+        excluded |= newly
+        keep = active & ~newly
+        exc_counts[step] = size - int(keep.sum())
+        levels[step] = _group_pairs(zprev[keep], z[keep])
+    return levels, exc_counts

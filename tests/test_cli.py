@@ -305,6 +305,26 @@ class TestErrorChannels:
         assert err["error"] == "InvalidParameter"
         assert "int64" in err["message"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "modulus"])
+    def test_jobs_below_one_is_one_error_line(self, tmp_path, command, jobs):
+        if command == "simulate":
+            args = ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "2",
+                    "--replications", "10"]
+        else:
+            # Horizons 1 and 2 are exact, so this sweep never simulates.
+            config = tmp_path / "sweep.json"
+            doc = binary_sweep_spec(offsets=(0.0,), n_max=2).to_json_dict()
+            config.write_text(json.dumps(doc))
+            args = ["modulus", "--config", str(config)]
+        out = run([*args, "--jobs", jobs])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "jobs" in err["message"]
+
     def test_unreadable_budget_environment_is_one_error_line(self):
         out = run(["extinction", "--family", "binary", "--p", "0.75"],
                   env_extra={"GW_BUDGET": "abc"})

@@ -107,6 +107,12 @@ class TestConditionalConsistency:
         rep = verify_conditional_consistency(b75, 0.4, 0.5, range(2, 7))
         assert rep.instance["values"][2] == 1.0
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_a_typed_error(self, b75, jobs):
+        # Horizons 2 to 4 are exact, so no simulation would reject it.
+        with pytest.raises(InvalidParameter, match="jobs"):
+            verify_conditional_consistency(b75, 0.4, 0.5, range(2, 5), jobs=jobs)
+
     def test_binary_threshold_found_and_decreasing(self, b75):
         rep = verify_conditional_consistency(b75, 0.4, 0.5, range(2, 7))
         assert rep.passed
@@ -321,6 +327,12 @@ class TestRobustnessModulus:
         assert moduli[0] >= moduli[1] - 1e-9 >= -1e-9
         assert moduli[4] >= moduli[3] - 1e-9 >= -1e-9
         assert all(r["mc_from"] is None for r in rows)
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_one_is_a_typed_error(self, jobs):
+        # Horizons 1 and 2 are exact, so no simulation would reject it.
+        with pytest.raises(InvalidParameter, match="jobs"):
+            robustness_modulus(binary_sweep_spec(offsets=(0.0,), n_max=2), jobs=jobs)
 
     def test_subcritical_member_flagged_not_fatal(self):
         spec = ExperimentSpec(

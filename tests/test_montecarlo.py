@@ -3,12 +3,14 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gwlab import montecarlo
 from gwlab import (
     DiscreteMeasure,
     FamilySpec,
@@ -23,7 +25,7 @@ from gwlab import (
 )
 from gwlab.errors import InvalidParameter
 from gwlab.lab import contamination_grid
-from gwlab.montecarlo import _draw_next, _group_pairs, _Sampler
+from gwlab.montecarlo import STEP_LIMIT, _draw_next, _group_pairs, _Sampler, _simulate_chunk
 
 import oracles
 
@@ -99,6 +101,12 @@ class TestSimulatePaths:
         with pytest.raises(InvalidParameter, match="int64"):
             SimConfig(seed=0, replications=3, n_max=2, z0=2**63, cap=2**63)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_a_typed_error(self, b75, jobs):
+        cfg = SimConfig(seed=0, replications=10, n_max=2)
+        with pytest.raises(InvalidParameter, match="jobs"):
+            simulate_paths(b75, cfg, jobs=jobs)
+
     def test_total_past_int64_still_draws(self):
         # No sum can pass int64 with at most one child each, but the four
         # populations add up to 2**64.  The int64 total wrapped to zero, and
@@ -171,15 +179,22 @@ class TestGroupPairs:
 
 @st.composite
 def offspring_pvals(draw):
-    """Probability vectors: arbitrary, dyadic with CDF steps on bucket edges,
-    or a heavy head with a tail of tiny atoms sharing one bucket."""
-    kind = draw(st.sampled_from(["random", "dyadic", "tail"]))
-    if kind == "random":
-        weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40))
+    """Probability vectors: arbitrary, dyadic with CDF steps on bucket edges
+    (up to 255 steps, so on both sides of ``STEP_LIMIT``), a heavy head with
+    a tail of tiny atoms sharing one bucket, or arbitrary with
+    ``STEP_LIMIT`` steps (the widest law drawn by counting) or one more."""
+    kind = draw(st.sampled_from(["random", "dyadic", "tail", "limit"]))
+    if kind in ("random", "limit"):
+        if kind == "random":
+            low, high = 1, 40
+        else:
+            low = high = STEP_LIMIT + 1 + draw(st.integers(0, 1))
+        weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=low, max_size=high))
         pvals = np.array(weights) / sum(weights)
     elif kind == "dyadic":
         bits = draw(st.integers(1, 8))
-        cuts = draw(st.sets(st.integers(1, 2**bits - 1), max_size=30))
+        cuts = draw(st.permutations(range(1, 2**bits)))
+        cuts = cuts[: draw(st.integers(0, len(cuts)))]
         pvals = np.diff([0, *sorted(cuts), 2**bits]) / 2**bits
     else:
         tail = draw(st.integers(1, 200))
@@ -188,45 +203,122 @@ def offspring_pvals(draw):
     return pvals
 
 
-def _sampler(pvals):
-    support = np.arange(len(pvals), dtype=np.int64) * 3 + 1
+# Laws on both sides of the crossover between the two ``_Sampler`` routes.
+AT_LIMIT = np.full(STEP_LIMIT + 1, 1.0 / (STEP_LIMIT + 1))
+PAST_LIMIT = np.full(STEP_LIMIT + 2, 1.0 / (STEP_LIMIT + 2))
+
+# Past the limit with every CDF step j/64 on an edge of the 256 buckets.
+DYADIC_64 = np.full(64, 1.0 / 64)
+
+# An atom that does not fit in int32, so that every draw must run in int64.
+WIDE_ATOM = 2**31
+
+# ``STEP_LIMIT`` values that send every law down one route.
+ROUTES = {"steps": 2**31, "guide": -1}
+
+
+def _sampler(pvals, wide=False, first=1, route=None):
+    """A sampler on ``first, first + 3, ...``; ``route`` overrides the choice."""
+    support = np.arange(len(pvals), dtype=np.int64) * 3 + first
+    if wide:
+        support[-1] = WIDE_ATOM
     measure = DiscreteMeasure.from_sorted_arrays(support, np.ones_like(support), pvals)
-    return support, _Sampler(measure)
+    if route is None:
+        return support, _Sampler(measure)
+    with mock.patch.object(montecarlo, "STEP_LIMIT", ROUTES[route]):
+        return support, _Sampler(measure)
 
 
 class TestGuideTable:
+    # Every law is read by both routes; ``by_steps`` picks the right one.
     @settings(max_examples=300, deadline=None)
-    @given(pvals=offspring_pvals(), seed=st.integers(0, 2**32 - 1))
-    def test_lookup_is_the_inverse_cdf(self, pvals, seed):
-        support, sampler = _sampler(pvals)
-        size = len(sampler.kids)
-        assert size >= max(64, 4 * len(pvals)) and size & (size - 1) == 0
-        assert sampler.ambiguous.sum() <= len(pvals) - 1
-        edges = np.arange(size) / size
-        steps = sampler.cum[:-1]
-        u = np.concatenate([
-            edges, np.nextafter(edges[1:], 0), steps,
-            np.nextafter(steps, 0), np.nextafter(steps, 1),
-            np.random.default_rng(seed).random(1000),
-        ])
-        u = u[(u >= 0) & (u < 1)]
-        want = support[np.searchsorted(sampler.cum, u, side="right")]
-        assert np.array_equal(sampler.lookup(u), want)
+    @given(pvals=offspring_pvals(), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(pvals=AT_LIMIT, wide=False, seed=0)
+    @example(pvals=PAST_LIMIT, wide=False, seed=0)
+    @example(pvals=DYADIC_64, wide=False, seed=0)
+    @example(pvals=np.array([0.25, 0.25, 0.5]), wide=True, seed=0)
+    def test_lookup_is_the_inverse_cdf(self, pvals, wide, seed):
+        assert _sampler(pvals, wide)[1].by_steps == (len(pvals) - 1 <= STEP_LIMIT)
+        for route in ROUTES:
+            support, sampler = _sampler(pvals, wide, route=route)
+            assert sampler.by_steps == (route == "steps")
+            steps = sampler.cum[:-1]
+            u = [
+                [0.0], steps, np.nextafter(steps, 0), np.nextafter(steps, 1),
+                np.random.default_rng(seed).random(1000),
+            ]
+            if route == "guide":
+                size = len(sampler.kids)
+                assert size >= max(64, 4 * len(pvals)) and size & (size - 1) == 0
+                assert sampler.ambiguous.sum() <= len(pvals) - 1
+                # Exactly the buckets a step lies strictly inside; a step on
+                # an edge starts its bucket and leaves it unambiguous.
+                at = steps[steps < 1] * size
+                inside = np.zeros(size, dtype=bool)
+                inside[np.floor(at[at != np.floor(at)]).astype(np.intp)] = True
+                assert np.array_equal(sampler.ambiguous, inside)
+                edges = np.arange(size) / size
+                u += [edges, np.nextafter(edges[1:], 0)]
+            u = np.concatenate(u)
+            u = u[(u >= 0) & (u < 1)]
+            want = support[np.searchsorted(sampler.cum, u, side="right")]
+            # Both routes hand ``_draw_next`` the dtype it reduces in.
+            for dtype in (np.int64,) if wide else (np.int32, np.int64):
+                got = sampler.lookup(u, dtype)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(
         pvals=offspring_pvals(),
+        wide=st.booleans(),
         pos=st.lists(st.integers(1, 40), min_size=1, max_size=60),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_draw_sums_match_the_float_reduction(self, pvals, pos, seed):
-        support, sampler = _sampler(pvals)
+    @example(pvals=AT_LIMIT, wide=False, pos=[40] * 60, seed=0)
+    @example(pvals=PAST_LIMIT, wide=False, pos=[40] * 60, seed=0)
+    @example(pvals=DYADIC_64, wide=False, pos=[40] * 60, seed=0)
+    @example(pvals=np.array([0.25, 0.25, 0.5]), wide=True, pos=[40] * 60, seed=0)
+    def test_draw_sums_match_the_float_reduction(self, pvals, wide, pos, seed):
         pos = np.array(pos, dtype=np.int64)
         u = np.random.default_rng(seed).random(int(pos.sum()))
-        kids = support[np.searchsorted(sampler.cum, u, side="right")]
-        got = _draw_next(np.random.default_rng(seed), pos, sampler)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, oracles.summed_draws(kids, pos))
+        for route in ROUTES:
+            support, sampler = _sampler(pvals, wide, route=route)
+            kids = support[np.searchsorted(sampler.cum, u, side="right")]
+            got = _draw_next(np.random.default_rng(seed), pos, sampler)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, oracles.summed_draws(kids, pos))
+
+
+class TestLiveChunkLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pvals=offspring_pvals(),
+        z0=st.integers(1, 5),
+        headroom=st.integers(0, 60),
+        n_max=st.integers(1, 8),
+        size=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        pvals=np.array([0.3, 0.3, 0.4]), z0=2, headroom=10, n_max=8, size=64, seed=0
+    )
+    def test_live_rows_match_the_full_array_loop(
+        self, pvals, z0, headroom, n_max, size, seed
+    ):
+        # An atom at 0 lets paths die out, and atoms 3 apart push the rest
+        # past a cap at most 60 above the start.
+        _, sampler = _sampler(pvals, first=0)
+        cfg = SimConfig(seed=seed, replications=size, n_max=n_max, z0=z0, cap=z0 + headroom)
+        levels, exc_counts = _simulate_chunk(sampler, cfg, 0, size)
+        want_levels, want_exc = oracles.simulate_chunk(sampler, cfg, 0, size)
+        assert exc_counts.dtype == want_exc.dtype
+        assert np.array_equal(exc_counts, want_exc)
+        assert sorted(levels) == sorted(want_levels)
+        for n, want in want_levels.items():
+            for got, arr in zip(levels[n], want):
+                assert got.dtype == arr.dtype
+                assert np.array_equal(got, arr)
 
 
 class TestEmpiricalEstimatorLaw:
