@@ -9,14 +9,16 @@ both ends never decrease: the bipartite graph is a staircase.  On a
 staircase the northwest-corner greedy, which fills each left atom from the
 first right atom with room, is already a maximum flow (Hoffman 1963, "On
 simple linear programming problems"; Glover 1967, "Maximum matching in a
-convex bipartite graph").
+convex bipartite graph").  Its right index never decreases, so its edges
+come out sorted by both ends and are kept as flat arrays.
 
 One residual search then certifies it.  Starting from every left atom with
 supply left over, it follows band edges to right atoms and flow edges back
 to left atoms.  The left atoms it reaches form the Strassen set ``A``: every
 right atom within ``eps`` of ``A`` is saturated by flow from ``A``, so the
 matched mass equals the cut ``a(A^c) + b(A^eps)``, an upper bound on every
-band flow.  A right atom with room reached by the search would be an
+band flow.  On the greedy's flow the search only moves down, through an
+interval of edges.  A right atom with room reached by the search would be an
 augmenting path, which the staircase argument rules out; it is reported as
 ``SolverDidNotConverge`` rather than repaired.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverDidNotConverge
+from .errors import InvalidParameter, SolverDidNotConverge
 
 __all__ = ["FLOW_TERMINATION", "BAND_TOL", "band_windows", "BandFlow"]
 
@@ -54,30 +56,12 @@ def band_windows(
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-class _SkipList:
-    """Union-find 'next unvisited index' structure; stores visited indices only."""
-
-    def __init__(self):
-        self.next: dict[int, int] = {}
-
-    def find(self, j: int) -> int:
-        nxt = self.next
-        root = j
-        while root in nxt:
-            root = nxt[root]
-        while j != root:
-            nxt[j], j = root, nxt[j]
-        return root
-
-    def remove(self, j: int) -> None:
-        self.next[j] = j + 1
-
-
 class BandFlow:
     """One max-flow problem at a fixed band width ``eps``.
 
-    After ``solve()``, ``strassen`` is the boolean mask of the Strassen set
-    over the left atoms.
+    After ``solve()``, edge ``k`` ships ``mass[k]`` from ``rows[k]`` to
+    ``cols[k]``, ``matched`` is the shipped mass summed row by row, and
+    ``strassen`` is the boolean mask of the Strassen set over the left atoms.
     """
 
     def __init__(
@@ -88,15 +72,12 @@ class BandFlow:
         b: np.ndarray,
         eps: float,
     ):
+        if not eps >= 0.0:  # NaN too; inf is the widest band
+            raise InvalidParameter(f"eps must be nonnegative, got {eps!r}")
         self.eps = eps
         self.lo, self.hi = band_windows(xs, ys, eps)
         self.excess = np.asarray(a, dtype=float).copy()
         self.resid = np.asarray(b, dtype=float).copy()
-        self.n = len(self.excess)
-        self.m = len(self.resid)
-        # flow[i] maps right index -> mass; by_right[j] maps left index -> mass
-        self.flow: list[dict[int, float]] = [{} for _ in range(self.n)]
-        self.by_right: list[dict[int, float]] = [{} for _ in range(self.m)]
 
     # -- greedy staircase ------------------------------------------------------
 
@@ -104,66 +85,74 @@ class BandFlow:
         # Every edge is written once, with more than FLOW_TERMINATION on it.
         lo, hi = self.lo.tolist(), self.hi.tolist()
         excess, resid = self.excess.tolist(), self.resid.tolist()
-        flow, by_right = self.flow, self.by_right
+        rows, cols, mass = [], [], []
+        matched = 0.0
         j = 0
-        for i in range(self.n):
-            need = excess[i]
+        for i, need in enumerate(excess):
             if need <= FLOW_TERMINATION:
                 continue
             j = max(j, lo[i])
             end = hi[i]
+            shipped = 0.0
             while need > FLOW_TERMINATION and j < end:
                 room = resid[j]
                 if room <= FLOW_TERMINATION:
                     j += 1
                     continue
                 take = min(need, room)
-                flow[i][j] = take
-                by_right[j][i] = take
+                rows.append(i)
+                cols.append(j)
+                mass.append(take)
+                shipped += take
                 resid[j] = room - take
                 need -= take
             excess[i] = need
+            matched += shipped
+        self.rows = np.array(rows, dtype=np.int64)
+        self.cols = np.array(cols, dtype=np.int64)
+        self.mass = np.array(mass, dtype=float)
+        self.matched = matched
         self.excess[:] = excess
         self.resid[:] = resid
 
     # -- Strassen certificate --------------------------------------------------
 
     def _strassen_search(self) -> None:
-        lo, hi = self.lo.tolist(), self.hi.tolist()
-        resid = self.resid
-        by_right = self.by_right
-        seen = (self.excess > FLOW_TERMINATION).tolist()
-        stack = [i for i, s in enumerate(seen) if s]
-        skip = _SkipList()
-        while stack:
-            u = stack.pop()
-            end = hi[u]
-            j = skip.find(lo[u])
-            while j < end:
-                if resid[j] > FLOW_TERMINATION:
-                    raise SolverDidNotConverge(
-                        f"band flow at eps={self.eps!r} left an augmenting path "
-                        f"to right atom {j}; the staircase greedy is not maximal"
-                    )
-                for w in by_right[j]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-                skip.remove(j)
-                j = skip.find(j + 1)
-        self.strassen = np.array(seen, dtype=bool)
+        # Edges into left atom u's window are the run [first[u], stop[u]).
+        # A seed u filled its window, so later rows' edges start at hi[u]
+        # and a search from u only goes down: it reaches the rows with an
+        # edge in [first[low], stop[u]), ``low`` stepping down to the lowest
+        # such row, and crosses [lo[low], hi[u]).  A search that reaches the
+        # span below joins it.
+        rows = self.rows.tolist()
+        first = np.searchsorted(self.cols, self.lo).tolist()
+        stop = np.searchsorted(self.cols, self.hi).tolist()
+        seen = self.excess > FLOW_TERMINATION
+        spans: list[tuple[int, int]] = []
+        for u in np.flatnonzero(seen).tolist():
+            low, end = u, stop[u]
+            while first[low] < end and rows[first[low]] < low:
+                low = rows[first[low]]
+                if spans and low <= spans[-1][1]:
+                    low = spans.pop()[0]
+                    break
+            spans.append((low, u))
+        low, high = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+        left, right = self.lo[low], self.hi[high]
+        room = np.concatenate([[0], np.cumsum(self.resid > FLOW_TERMINATION)])
+        if (room[right] > room[left]).any():
+            raise SolverDidNotConverge(
+                f"band flow at eps={self.eps!r} left an augmenting path; "
+                f"the staircase greedy is not maximal"
+            )
+        cover = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.add.at(cover, np.searchsorted(self.cols, left), 1)
+        np.add.at(cover, np.searchsorted(self.cols, right), -1)
+        seen[self.rows[np.cumsum(cover[:-1]) > 0]] = True
+        self.strassen = seen
 
     def solve(self) -> float:
         """Run the greedy and certify it; returns the matched mass."""
         self._greedy()
         self._strassen_search()
-        return self.matched_mass()
-
-    def matched_mass(self) -> float:
-        total = 0.0
-        for row in self.flow:
-            total += sum(row.values())
-        return total
-
-    def edges(self) -> dict[tuple[int, int], float]:
-        return {(i, j): v for i, row in enumerate(self.flow) for j, v in row.items()}
+        return self.matched

@@ -63,6 +63,8 @@ LP_FEASIBILITY_TOL = 1e-10
 class Coupling:
     """A joint measure on support-index pairs of two measures.
 
+    Entry ``k`` puts ``mass[k]`` on left atom ``rows[k]`` and right atom
+    ``cols[k]``; the pairs are distinct and sorted by ``(rows, cols)``.
     ``slack`` is the mass sitting on pairs farther apart than ``eps``; a
     Strassen coupling at level ``eps`` keeps ``slack <= eps``.
 
@@ -75,14 +77,16 @@ class Coupling:
     left: DiscreteMeasure
     right: DiscreteMeasure
     eps: float
-    entries: dict[tuple[int, int], float]
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
     slack: float
     strassen: np.ndarray | None = None
     strassen_eps: float = 0.0
 
     @property
     def total_mass(self) -> float:
-        return sum(self.entries.values())
+        return float(self.mass.sum())
 
     def band_mass(self, eps: float | None = None) -> float:
         """Mass on pairs within ``eps`` (default: the coupling's ``eps``).
@@ -94,14 +98,12 @@ class Coupling:
             self.right.float_support,
             self.eps if eps is None else eps,
         )
-        return sum(v for (i, j), v in self.entries.items() if lo[i] <= j < hi[i])
+        rows, cols = self.rows, self.cols
+        return float(self.mass[(lo[rows] <= cols) & (cols < hi[rows])].sum())
 
     def marginal_errors(self) -> tuple[float, float]:
-        row = np.zeros(len(self.left))
-        col = np.zeros(len(self.right))
-        for (i, j), v in self.entries.items():
-            row[i] += v
-            col[j] += v
+        row = np.bincount(self.rows, self.mass, minlength=len(self.left))
+        col = np.bincount(self.cols, self.mass, minlength=len(self.right))
         left_err = float(np.abs(row - self.left.weights_array).max())
         right_err = float(np.abs(col - self.right.weights_array).max())
         return left_err, right_err
@@ -121,7 +123,7 @@ class Coupling:
         )
 
     def validate(self, tol: float = 1e-10) -> None:
-        if any(v < 0.0 for v in self.entries.values()):
+        if (self.mass < 0.0).any():
             raise InvalidParameter("coupling has a negative mass entry")
         left_err, right_err = self.marginal_errors()
         allowance = tol + self.left.defect + self.right.defect
@@ -142,10 +144,11 @@ class Coupling:
             )
 
     def to_json_dict(self) -> dict:
+        entries = zip(self.rows.tolist(), self.cols.tolist(), self.mass.tolist())
         return {
             "eps": self.eps,
             "slack": self.slack,
-            "entries": [[i, j, v] for (i, j), v in sorted(self.entries.items())],
+            "entries": [[i, j, v] for i, j, v in entries],
         }
 
 
@@ -174,27 +177,36 @@ def _complete_coupling(
 ) -> Coupling:
     """Turn a solved band flow into a full coupling.
 
-    Leftover supply is paired with leftover capacity in support order; those
-    pairs typically violate the band and make up the coupling's slack.
+    Leftover supply is paired with leftover capacity in support order.  A
+    flow edge left one of its atoms at exactly zero, so each pair is a new
+    entry.  Flow edges lie on the band at ``eps >= flow.eps``, so the slack
+    is the paired mass off it, summed in pairing order.
     """
-    entries = flow.edges()
-    i = j = 0
-    excess = flow.excess.copy()
-    resid = flow.resid.copy()
-    while i < len(excess) and j < len(resid):
-        if excess[i] <= 0.0:
-            i += 1
-            continue
-        if resid[j] <= 0.0:
-            j += 1
-            continue
+    excess, resid = flow.excess.tolist(), flow.resid.tolist()
+    left = np.flatnonzero(flow.excess > 0.0).tolist()
+    right = np.flatnonzero(flow.resid > 0.0).tolist()
+    pi, pj, pv = [], [], []
+    p = q = 0
+    while p < len(left) and q < len(right):
+        i, j = left[p], right[q]
         take = min(excess[i], resid[j])
-        entries[(i, j)] = entries.get((i, j), 0.0) + take
+        pi.append(i)
+        pj.append(j)
+        pv.append(take)
         excess[i] -= take
         resid[j] -= take
+        p += excess[i] <= 0.0
+        q += resid[j] <= 0.0
     lo, hi = band_windows(a.float_support, b.float_support, eps)
-    slack = sum(v for (k, l), v in entries.items() if not lo[k] <= l < hi[k])
-    return Coupling(a, b, eps, entries, slack, flow.strassen, flow.eps)
+    pi, pj = np.array(pi, dtype=np.int64), np.array(pj, dtype=np.int64)
+    slack = sum(np.array(pv)[(pj < lo[pi]) | (pj >= hi[pi])].tolist())
+    rows = np.concatenate([flow.rows, pi])
+    cols = np.concatenate([flow.cols, pj])
+    mass = np.concatenate([flow.mass, pv])
+    order = np.lexsort((cols, rows))
+    return Coupling(
+        a, b, eps, rows[order], cols[order], mass[order], slack, flow.strassen, flow.eps
+    )
 
 
 def _greedy_mass(a: list[float], low: list[float], high: list[float]) -> float:
@@ -306,8 +318,6 @@ def strassen_coupling(
     that the band cannot hold enough mass and the call reports what was
     achievable.
     """
-    if eps < 0.0:
-        raise InvalidParameter("eps must be nonnegative")
     xs, aw = a.float_support, a.weights_array
     ys, bw = b.float_support, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)

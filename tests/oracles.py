@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from gwlab.maxflow import BandFlow
+from gwlab.maxflow import FLOW_TERMINATION, BandFlow, band_windows
 from gwlab.metrics import MetricResult, _complete_coupling
 from gwlab.montecarlo import _draw_next, _group_pairs
 
@@ -228,6 +228,67 @@ def prohorov_by_breakpoints(a, b, scan: bool = False):
         certificate=_complete_coupling(a, b, value, flow),
         defect_slack=a.defect + b.defect,
     )
+
+
+def complete_coupling(a, b, eps: float, flow: BandFlow):
+    """``gwlab.metrics._complete_coupling`` as a walk over a dict of entries.
+
+    The flow's edges seed a dict keyed by ``(i, j)``.  Leftover supply is
+    paired with leftover capacity in support order, stepping through every
+    atom as a numpy scalar; a pair adds to the entry it lands on.  Returns
+    the entries and the slack, the mass on entries off the band at ``eps``
+    summed in the dict's order.
+    """
+    entries = {
+        (i, j): v
+        for i, j, v in zip(flow.rows.tolist(), flow.cols.tolist(), flow.mass.tolist())
+    }
+    i = j = 0
+    excess = flow.excess.copy()
+    resid = flow.resid.copy()
+    while i < len(excess) and j < len(resid):
+        if excess[i] <= 0.0:
+            i += 1
+            continue
+        if resid[j] <= 0.0:
+            j += 1
+            continue
+        take = min(excess[i], resid[j])
+        entries[(i, j)] = entries.get((i, j), 0.0) + take
+        excess[i] -= take
+        resid[j] -= take
+    lo, hi = band_windows(a.float_support, b.float_support, eps)
+    slack = sum(v for (k, l), v in entries.items() if not lo[k] <= l < hi[k])
+    return entries, slack
+
+
+def strassen_set(flow: BandFlow) -> np.ndarray:
+    """The Strassen set of a solved ``BandFlow`` by a depth-first search.
+
+    From every left atom with supply left over, follow band edges to right
+    atoms and flow edges back to left atoms, scanning each right atom once.
+    Returns the mask of left atoms reached.  A right atom with room on the
+    way would be an augmenting path; it fails an assertion.
+    """
+    lo, hi = flow.lo.tolist(), flow.hi.tolist()
+    by_right: dict[int, list[int]] = {}
+    for i, j in zip(flow.rows.tolist(), flow.cols.tolist()):
+        by_right.setdefault(j, []).append(i)
+    seen = (flow.excess > FLOW_TERMINATION).tolist()
+    stack = [i for i, s in enumerate(seen) if s]
+    scanned: set[int] = set()
+    while stack:
+        u = stack.pop()
+        for j in range(lo[u], hi[u]):
+            if j in scanned:
+                continue
+            scanned.add(j)
+            assert flow.resid[j] <= FLOW_TERMINATION, f"augmenting path to {j}"
+            for w in by_right.get(j, ()):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return np.array(seen, dtype=bool)
 
 
 def _bl_at_slope(

@@ -437,3 +437,19 @@ class TestReferenceOutputBytes:
         assert out.returncode == 0, out.stderr
         expected = (DATA / name).read_text()
         assert out.stdout == expected
+
+    def test_prohorov_metric_matches_reference(self, tmp_path):
+        # The coupling certificate is printed in full, so this pins every
+        # entry and the slack as well as the value.
+        laws = []
+        for p in ("0.75", "0.74"):
+            path = tmp_path / f"binary_p{p}_n6.json"
+            out = run(["estimator-law", "--family", "binary", "--p", p, "--n", "6",
+                       "--format", "json", "--no-timestamp", "--output", str(path)])
+            assert out.returncode == 0, out.stderr
+            laws.append(str(path))
+        out = run(["metric", "--kind", "prohorov", *laws, "--format", "json",
+                   "--no-timestamp"])
+        assert out.returncode == 0, out.stderr
+        expected = (DATA / "metric_prohorov_binary_p075_p074_n6.json").read_text()
+        assert out.stdout == expected

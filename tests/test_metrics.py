@@ -1,5 +1,6 @@
 """Prohorov and bounded-Lipschitz metrics, couplings, joint and path distances."""
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from gwlab import (
     SolverDidNotConverge,
     bounded_lipschitz,
     build,
+    contamination_sweep_spec,
     estimator_law,
     joint_law,
     joint_tv,
@@ -34,6 +36,35 @@ from gwlab import (
 
 def dirac(x) -> DiscreteMeasure:
     return DiscreteMeasure.from_items([(Fraction(x), 1.0)])
+
+
+def lattice_pair(data) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """Two measures of up to 8 atoms on one lattice, some with a defect."""
+    # Quarter lattices tie many distances; tenths round them.
+    denominator = data.draw(st.sampled_from([4, 10]))
+
+    def side():
+        points = data.draw(
+            st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True)
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        total = data.draw(st.sampled_from([1.0, 0.9, 0.5]))
+        weights = rng.dirichlet(np.ones(len(points))) * total
+        return DiscreteMeasure.from_items(
+            zip((Fraction(p, denominator) for p in points), weights),
+            defect=max(0.0, 1.0 - float(weights.sum())),
+        )
+
+    return side(), side()
+
+
+def same_entries(c1, c2) -> bool:
+    """The two couplings hold the same pairs with bit-identical masses."""
+    return (
+        np.array_equal(c1.rows, c2.rows)
+        and np.array_equal(c1.cols, c2.cols)
+        and np.array_equal(c1.mass, c2.mass)
+    )
 
 
 # Kept as a past solver failure: this pair drove the former dense simplex
@@ -114,26 +145,11 @@ class TestProhorov:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_the_full_breakpoint_search(self, data):
-        # Quarter lattices tie many distances; tenths round them.
-        denominator = data.draw(st.sampled_from([4, 10]))
-
-        def side():
-            points = data.draw(
-                st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True)
-            )
-            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-            total = data.draw(st.sampled_from([1.0, 0.9, 0.5]))
-            weights = rng.dirichlet(np.ones(len(points))) * total
-            return DiscreteMeasure.from_items(
-                zip((Fraction(p, denominator) for p in points), weights),
-                defect=max(0.0, 1.0 - float(weights.sum())),
-            )
-
-        a, b = side(), side()
+        a, b = lattice_pair(data)
         res = prohorov(a, b)
         ref = oracles.prohorov_by_breakpoints(a, b)
         assert res.value == ref.value
-        assert res.certificate.entries == ref.certificate.entries
+        assert same_entries(res.certificate, ref.certificate)
         assert res.value == oracles.prohorov_by_breakpoints(a, b, scan=True).value
         enumerated = oracles.prohorov(*as_arrays(a), *as_arrays(b))
         assert res.value == pytest.approx(enumerated, abs=1e-9)
@@ -167,7 +183,7 @@ class TestProhorov:
         redone = prohorov(a, b)
         assert len(solves) > 1  # every probe plus the final flow
         assert redone.value == plain.value
-        assert redone.certificate.entries == plain.certificate.entries
+        assert same_entries(redone.certificate, plain.certificate)
 
     def test_defects_reported_as_slack_not_value(self):
         a = DiscreteMeasure.from_items([(Fraction(0), 0.95)], defect=0.05)
@@ -184,11 +200,14 @@ class TestStrassenCoupling:
         coup = strassen_coupling(m, m, 0.0)
         coup.validate()
         assert coup.band_mass() == pytest.approx(1.0, abs=1e-12)
-        assert all(i == j for i, j in coup.entries)
+        assert len(coup.rows) == len(m)
+        assert (coup.rows == coup.cols).all()
 
     def test_dirac_pair_at_exact_distance(self):
         coup = strassen_coupling(dirac(1), dirac(3), 2.0)
-        assert coup.entries == {(0, 0): 1.0}
+        assert coup.rows.tolist() == [0]
+        assert coup.cols.tolist() == [0]
+        assert coup.mass.tolist() == [1.0]
         assert coup.band_mass() == 1.0
 
     def test_estimator_laws_band_mass(self):
@@ -212,9 +231,20 @@ class TestStrassenCoupling:
         coup.validate()
         assert coup.strassen_cut() == pytest.approx(1.0, abs=1e-15)
         # Same marginals, but nothing on the band: the cut exposes it.
-        coup.entries = {(0, 1): 0.5, (1, 0): 0.5}
+        coup.rows, coup.cols = np.array([0, 1]), np.array([1, 0])
+        coup.mass = np.array([0.5, 0.5])
         with pytest.raises(InvalidParameter, match="Strassen cut"):
             coup.validate()
+
+    def test_nan_and_negative_eps_are_rejected(self):
+        m = dirac(1)
+        for eps in (float("nan"), -0.5):
+            with pytest.raises(InvalidParameter, match="eps"):
+                strassen_coupling(m, m, eps)
+            with pytest.raises(InvalidParameter, match="eps"):
+                maxflow.BandFlow(
+                    np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]), eps
+                )
 
     def test_band_mass_counts_the_pairs_the_flow_used(self):
         # 2.8 - 2 rounds above eps + BAND_TOL, while 2 + (eps + BAND_TOL)
@@ -234,8 +264,49 @@ class TestStrassenCoupling:
         xs, _ = as_arrays(a)
         ys, _ = as_arrays(b)
         eps = float(np.abs(xs[:, None] - ys[None, :]).max())
-        coup = strassen_coupling(a, b, eps)
-        assert coup.band_mass() == pytest.approx(1.0, abs=1e-10)
+        for width in (eps, float("inf")):  # inf is valid: the widest band
+            coup = strassen_coupling(a, b, width)
+            coup.validate()
+            assert coup.slack == 0
+            assert coup.band_mass() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestCouplingCompletion:
+    """The array completion against the dict walk of ``oracles``, bit for bit."""
+
+    @staticmethod
+    def check(a, b):
+        xs, aw = a.float_support, a.weights_array
+        ys, bw = b.float_support, b.weights_array
+        t_goal = max(a.total_mass, b.total_mass)
+        d = metrics._least_feasible_distance(xs, aw, ys, bw, t_goal)
+        flow = maxflow.BandFlow(xs, aw, ys, bw, d)
+        value = max(d, t_goal - flow.solve())
+        got = metrics._complete_coupling(a, b, value, flow)
+        entries, slack = oracles.complete_coupling(a, b, value, flow)
+        keys = sorted(entries)
+        assert got.rows.tolist() == [i for i, _ in keys]
+        assert got.cols.tolist() == [j for _, j in keys]
+        assert got.mass.tolist() == [entries[key] for key in keys]
+        # Same bits, and an int 0 where nothing is off the band.
+        assert json.dumps(got.slack) == json.dumps(slack)
+        assert np.array_equal(got.strassen, oracles.strassen_set(flow))
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dict_walk_on_lattice_pairs(self, data):
+        self.check(*lattice_pair(data))
+
+    def test_matches_the_dict_walk_on_the_one_sided_contamination_law(self):
+        spec = contamination_sweep_spec(k_values=(50,))
+        center, member = (
+            estimator_law(joint_law(build(family), 2)).law
+            for family in (spec.center, spec.grid[0])
+        )
+        assert (len(center), len(member)) == (3, 64_111)
+        for a, b in ((center, member), (member, center)):
+            assert self.check(a, b).slack > 0.0
 
 
 class TestBandFlow:
@@ -248,7 +319,8 @@ class TestBandFlow:
         flow = maxflow.BandFlow(xs, a, ys, b, eps)
         value = flow.solve()
         assert value == pytest.approx(min(a.sum(), b.sum()), abs=1e-12)
-        assert flow.matched_mass() == pytest.approx(value, abs=1e-12)
+        assert flow.matched == value
+        assert flow.mass.sum() == pytest.approx(value, abs=1e-12)
 
     def test_disconnected_band_moves_nothing(self):
         flow = maxflow.BandFlow(
@@ -290,6 +362,19 @@ class TestBandFlow:
             np.abs(xs[inside][:, None] - ys[None, :]) <= eps + maxflow.BAND_TOL
         ).any(axis=0)
         assert value == pytest.approx(a[~inside].sum() + b[near].sum(), abs=1e-12)
+
+
+    def test_an_augmenting_path_is_a_typed_error(self, monkeypatch):
+        def idle(flow):  # ships nothing: supply and room face each other
+            flow.rows = flow.cols = np.zeros(0, dtype=np.int64)
+            flow.mass, flow.matched = np.zeros(0), 0.0
+
+        monkeypatch.setattr(maxflow.BandFlow, "_greedy", idle)
+        flow = maxflow.BandFlow(
+            np.array([0.0, 2.0]), np.array([0.5, 0.5]), np.array([2.0]), np.array([1.0]), 0.0
+        )
+        with pytest.raises(SolverDidNotConverge, match="augmenting path"):
+            flow.solve()
 
 
 class TestBoundedLipschitz:
