@@ -35,7 +35,10 @@ from .metrics import MetricResult, bounded_lipschitz, prohorov
 from .montecarlo import SimConfig, simulate_paths
 from .offspring import (
     DEFAULT_TAIL_BUDGET,
+    FAMILIES,
+    TRUNCATED,
     FamilySpec,
+    OffspringLaw,
     build,
     extinction_probability,
 )
@@ -123,28 +126,23 @@ def _parse_weights(raw: str) -> list[float]:
         raise InvalidParameter(f"cannot parse weight list {raw!r}")
 
 
-def _require_flags(name: str, **flags: object) -> None:
-    for flag, value in flags.items():
+def _law_from_args(args: argparse.Namespace) -> OffspringLaw:
+    """Build the law named by ``--family`` and its parameter flags."""
+    kwargs = {name: getattr(args, name) for name in FAMILIES[args.family][0]}
+    for name, value in kwargs.items():
         if value is None:
-            raise InvalidParameter(f"family {name!r} needs --{flag}")
+            raise InvalidParameter(f"family {args.family!r} needs --{name}")
+    if "weights" in kwargs:
+        kwargs["weights"] = _parse_weights(args.weights)
+    if args.family in TRUNCATED:
+        kwargs["truncation"] = args.truncation
+    return build(FamilySpec(args.family, **kwargs), args.budget)
 
 
-def _family_from_args(args: argparse.Namespace) -> FamilySpec:
-    name = args.family
-    if name == "binary":
-        _require_flags(name, p=args.p)
-        return FamilySpec.binary(args.p)
-    if name == "three_point":
-        _require_flags(name, p0=args.p0, p2=args.p2, p3=args.p3)
-        return FamilySpec.three_point(args.p0, args.p2, args.p3)
-    if name == "poisson":
-        _require_flags(name, lam=args.lam)
-        return FamilySpec.poisson(args.lam, args.truncation)
-    if name == "polynomial":
-        _require_flags(name, p=args.p)
-        return FamilySpec.polynomial(args.p, args.truncation)
-    _require_flags(name, weights=args.weights)
-    return FamilySpec.raw(_parse_weights(args.weights))
+def _propagator_from_args(args: argparse.Namespace) -> Propagator:
+    """Propagator of the ``--family`` law from ``--z0`` to horizon ``--n``."""
+    law = _law_from_args(args)
+    return Propagator(law, z0=args.z0, n_max=args.n, budget=args.budget)
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
@@ -163,7 +161,7 @@ def _load_measure(path: str) -> DiscreteMeasure:
 
 
 def _cmd_build_law(args: argparse.Namespace) -> int:
-    law = build(_family_from_args(args), args.budget)
+    law = _law_from_args(args)
     comments = [
         f"family {args.family}",
         f"mean {law.mean_m!r}",
@@ -181,26 +179,15 @@ def _cmd_build_law(args: argparse.Namespace) -> int:
 
 
 def _cmd_law(args: argparse.Namespace) -> int:
-    law = build(_family_from_args(args), args.budget)
-    prop = Propagator(law, z0=args.z0, n_max=args.n, budget=args.budget)
-    gen = prop.generation(args.n)
-    comments = [
-        f"n {args.n}",
-        f"z0 {args.z0}",
-        f"defect {gen.law.defect!r}",
-    ]
-    extra = {"n": args.n, "z0": args.z0, "defect": gen.law.defect,
-             "measure": gen.law.to_json_dict()}
-    _emit_rows(
-        args, "generation", ("point", "weight"), _measure_rows(gen.law), comments, extra
-    )
+    gen = _propagator_from_args(args).generation(args.n).law
+    comments = [f"n {args.n}", f"z0 {args.z0}", f"defect {gen.defect!r}"]
+    extra = {"n": args.n, "z0": args.z0, "defect": gen.defect, "measure": gen.to_json_dict()}
+    _emit_rows(args, "generation", ("point", "weight"), _measure_rows(gen), comments, extra)
     return 0
 
 
 def _cmd_joint(args: argparse.Namespace) -> int:
-    law = build(_family_from_args(args), args.budget)
-    prop = Propagator(law, z0=args.z0, n_max=args.n, budget=args.budget)
-    joint = prop.joint(args.n)
+    joint = _propagator_from_args(args).joint(args.n)
     rows = [
         {"prev": int(j), "curr": int(k), "prob": float(p)}
         for j, k, p in joint.items()
@@ -212,9 +199,8 @@ def _cmd_joint(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimator_law(args: argparse.Namespace) -> int:
-    law = build(_family_from_args(args), args.budget)
-    prop = Propagator(law, z0=args.z0, n_max=args.n, budget=args.budget)
-    e = estimator_law(prop.joint(args.n), conditioned=args.conditioned)
+    joint = _propagator_from_args(args).joint(args.n)
+    e = estimator_law(joint, conditioned=args.conditioned)
     comments = [
         f"n {args.n}",
         f"z0 {args.z0}",
@@ -233,8 +219,7 @@ def _cmd_estimator_law(args: argparse.Namespace) -> int:
 
 
 def _cmd_extinction(args: argparse.Namespace) -> int:
-    law = build(_family_from_args(args), args.budget)
-    result = extinction_probability(law)
+    result = extinction_probability(_law_from_args(args))
     if args.format == "json":
         doc = {
             "schema": "gw-extinction-1",
@@ -271,7 +256,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    law = build(_family_from_args(args), args.budget)
+    law = _law_from_args(args)
     cfg = SimConfig(args.seed, args.replications, args.n_max, args.z0, args.cap)
     table = simulate_paths(law, cfg, jobs=args.jobs)
     rows = [
@@ -362,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     family.add_argument(
         "--family",
         required=True,
-        choices=("binary", "three_point", "poisson", "polynomial", "raw"),
+        choices=tuple(FAMILIES),
     )
     family.add_argument("--p", type=float, default=None, help="binary/polynomial parameter")
     family.add_argument("--p0", type=float, default=None, help="three_point mass at 0")
@@ -376,6 +361,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--weights", default=None, help="raw family: comma-separated masses at 0,1,2,..."
     )
 
+    horizon = argparse.ArgumentParser(add_help=False)
+    horizon.add_argument("--n", type=int, required=True)
+    horizon.add_argument("--z0", type=int, default=1)
+
     parser = argparse.ArgumentParser(
         prog="gw",
         description="Exact laws, metrics, and robustness sweeps for branching-process ratio estimation.",
@@ -385,25 +374,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-law", parents=[common, family], help="build an offspring law")
     p.set_defaults(func=_cmd_build_law)
 
-    p = sub.add_parser("law", parents=[common, family], help="population-size law at generation n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--z0", type=int, default=1)
+    p = sub.add_parser(
+        "law", parents=[common, family, horizon], help="population-size law at generation n"
+    )
     p.set_defaults(func=_cmd_law)
 
     p = sub.add_parser(
-        "joint", parents=[common, family], help="joint law of generations n-1 and n"
+        "joint", parents=[common, family, horizon], help="joint law of generations n-1 and n"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--z0", type=int, default=1)
     p.set_defaults(func=_cmd_joint)
 
     p = sub.add_parser(
         "estimator-law",
-        parents=[common, family],
+        parents=[common, family, horizon],
         help="law of the generation ratio Z_n/Z_(n-1)",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--z0", type=int, default=1)
     p.add_argument(
         "--conditioned", action="store_true", help="condition on survival of generation n-1"
     )
@@ -457,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
             args.budget = _default_budget()
         check_budget(args.budget)
         return args.func(args)
-    except (GwError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (GwError, OSError, json.JSONDecodeError) as exc:
         line = json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
         )

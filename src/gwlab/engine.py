@@ -53,6 +53,14 @@ DEFAULT_BUDGET = 1e-12
 MIN_SURVIVAL = 1e-12
 
 
+def check_start_size(z0: int) -> None:
+    """Refuse start sizes below 1, or too large for the int64 population arrays."""
+    if z0 < 1:
+        raise InvalidParameter("start size z0 must be at least 1")
+    if z0 >= 2**63:
+        raise InvalidParameter("start size z0 must be below 2**63, the int64 limit")
+
+
 @dataclass(frozen=True)
 class GenerationLaw:
     """Law of the population size after ``n`` generations from ``z0`` ancestors."""
@@ -173,8 +181,7 @@ class Propagator:
         n_max: int = 1,
         budget: float = DEFAULT_BUDGET,
     ):
-        if z0 < 1:
-            raise InvalidParameter("start size z0 must be at least 1")
+        check_start_size(z0)
         if n_max < 0:
             raise InvalidParameter("horizon must be nonnegative")
         self.law = law

@@ -70,14 +70,16 @@ def json_field(data: object, key: str, convert: Callable[[Any], Any], *default: 
 
     A ``data`` that is not a JSON object, or a value that ``convert`` rejects
     with ``TypeError`` or ``ValueError``, raises ``InvalidParameter`` naming
-    ``key``.  An ``InvalidParameter`` from ``convert`` passes through, and a
-    missing key without a default raises ``KeyError``.
+    ``key``, and so does a missing key without a default.  An
+    ``InvalidParameter`` from ``convert`` passes through.
     """
     if not isinstance(data, Mapping):
         kind = type(data).__name__
         raise InvalidParameter(f"expected a JSON object with field {key!r}, got {kind}")
-    if default and key not in data:
-        return default[0]
+    if key not in data:
+        if default:
+            return default[0]
+        raise InvalidParameter(f"missing field {key!r}")
     try:
         return convert(data[key])
     except InvalidParameter:

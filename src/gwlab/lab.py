@@ -19,9 +19,8 @@ check share this one route (``_horizon_laws``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -153,17 +152,11 @@ class ExperimentSpec:
             raise InvalidParameter("a sweep needs at least one grid member")
         if not self.n_range or any(n < 1 for n in self.n_range):
             raise InvalidParameter("n_range must be nonempty with n >= 1")
-        if self.z0 < 1:
-            raise InvalidParameter("start size z0 must be at least 1")
-        if self.cap < self.z0:
-            raise InvalidParameter("population cap must be at least z0")
-        if self.seed < 0:
-            raise InvalidParameter("seed must be nonnegative")
+        # The simulation settings pass the checks of the config they run with.
+        SimConfig(self.seed, self.replications, max(self.n_range), self.z0, self.cap)
         check_budget(self.budget)
         if self.metric not in ("prohorov", "bounded_lipschitz"):
             raise InvalidParameter(f"unknown sweep metric {self.metric!r}")
-        if self.replications < 1:
-            raise InvalidParameter("need at least one replication")
         if self.exact_cutoff < 1:
             raise InvalidParameter("exact cutoff must be positive")
         if self.bin_denominator < 1:
@@ -182,21 +175,22 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentSpec":
-        read = partial(json_field, data)
-        return cls(
-            center=read("center", FamilySpec.from_json_dict),
-            grid=read("grid", lambda g: tuple(map(FamilySpec.from_json_dict, g))),
-            n_range=read("n_range", lambda ns: tuple(map(json_int, ns))),
-            z0=read("z0", json_int, 1),
-            metric=data.get("metric", "prohorov"),
-            budget=read("budget", float, DEFAULT_TAIL_BUDGET),
-            seed=read("seed", json_int, 0),
-            replications=read("replications", json_int, DEFAULT_REPLICATIONS),
-            cap=read("cap", json_int, DEFAULT_SIM_CAP),
-            exact_cutoff=read("exact_cutoff", json_int, EXACT_CUTOFF),
-            bin_denominator=read("bin_denominator", json_int, DEFAULT_BIN_DEN),
-            output=data.get("output"),
-        )
+        """Spec from its JSON form: each present field through its converter
+        (``json_int`` by default), each absent one left at its declared default."""
+        convert = {
+            "center": FamilySpec.from_json_dict,
+            "grid": lambda g: tuple(map(FamilySpec.from_json_dict, g)),
+            "n_range": lambda ns: tuple(map(json_int, ns)),
+            "metric": lambda metric: metric,
+            "budget": float,
+            "output": lambda path: path,
+        }
+        return cls(**{
+            f.name: json_field(data, f.name, convert.get(f.name, json_int))
+            for f in fields(cls)
+            # ``center`` comes first, so a ``data`` that is no object fails in json_field.
+            if f.default is MISSING or f.name in data
+        })
 
 
 @dataclass(frozen=True)
@@ -252,18 +246,8 @@ def _jsonable(value):
 
 
 def _family_label(spec: FamilySpec | None) -> str:
-    if spec is None:
-        return "raw"
-    if spec.family == "binary":
-        return f"binary(p={spec.p:g})"
-    if spec.family == "three_point":
-        return f"three_point({spec.p0:g},{spec.p2:g},{spec.p3:g})"
-    if spec.family == "poisson":
-        return f"poisson(lam={spec.lam:g})"
-    if spec.family == "polynomial":
-        return f"polynomial(p={spec.p:g})"
-    top = len(spec.weights) - 1 if spec.weights else 0
-    return f"raw(top={top})"
+    # Laws without a spec (the conditional transforms) come from raw weights.
+    return spec.label if spec is not None else "raw"
 
 
 def _member_seed(base: int, index: int) -> int:

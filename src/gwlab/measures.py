@@ -33,7 +33,7 @@ from .errors import InvalidParameter, NonIntegerSupport, json_field
 
 __all__ = ["DiscreteMeasure", "tv_distance", "mean"]
 
-# Total retained mass plus defect must stay within this window of 1.
+# Tolerance of the mass check: sum(weights) <= 1 <= sum(weights) + defect.
 MASS_TOL = 1e-9
 
 
@@ -57,46 +57,59 @@ def _parse_point(entry: object) -> Fraction:
         ) from None
 
 
-def _check_weights(weights: np.ndarray, defect: float) -> None:
-    if not (np.isfinite(weights).all() and math.isfinite(defect)):
+def _check_order(nums: np.ndarray, dens: np.ndarray) -> None:
+    """Strict increase of ``nums / dens`` (``dens`` positive) by exact cross-
+    multiplication, on Python ints where an int64 product could wrap."""
+    if len(nums) > 1:
+        big = int(np.abs(nums).max()) * int(dens.max()) >= 2**63
+        a, b = (nums.astype(object), dens.astype(object)) if big else (nums, dens)
+        if not np.all(a[:-1] * b[1:] < a[1:] * b[:-1]):
+            raise InvalidParameter("support must be strictly increasing")
+
+
+def _check_mass(nums: np.ndarray, w: np.ndarray, defect: float) -> None:
+    """The rest of the class invariant on increasing atoms, in one vectorized pass."""
+    if not (np.isfinite(w).all() and math.isfinite(defect)):
         raise InvalidParameter("weights and defect must be finite")
-    if np.any(weights <= 0.0) or defect < 0.0:
+    if np.any(w <= 0.0) or defect < 0.0:
         raise InvalidParameter("weights must be positive and the defect nonnegative")
+    if len(nums) != len(w):
+        raise InvalidParameter("support and weights must have equal length")
+    if not len(nums):
+        raise InvalidParameter("a measure needs at least one atom")
+    if nums[0] < 0:
+        raise InvalidParameter("support points must be nonnegative")
+    total = float(w.sum())
+    if not total - MASS_TOL <= 1.0 <= total + defect + MASS_TOL:
+        raise InvalidParameter(f"need weight sum {total} <= 1 <= sum + defect {defect}")
 
 
 class DiscreteMeasure:
     """A canonical finite measure: sorted rational atoms, positive weights.
 
     Atom ``i`` is ``nums[i] / dens[i]`` in lowest terms with mass
-    ``weights_array[i] > 0``; the atoms strictly increase, and
-    ``sum(weights) + defect`` is within ``MASS_TOL`` of one.  Zero-weight
-    atoms are dropped by the constructors, so equality of two instances is
-    equality of measures (up to the float weights).  ``support`` and
-    ``weights`` are tuple views cached on first access.
+    ``weights_array[i] > 0``; the atoms are nonnegative and strictly
+    increase.  Up to ``MASS_TOL``, ``sum(weights) <= 1 <= sum(weights) +
+    defect``: the defect bounds the mass the atoms do not carry, and may
+    overstate it (the engine adds the defects of convolved powers).  Every
+    constructor checks this, and all but ``__init__`` drop zero weights,
+    so equality of two instances is equality of measures (up to the float
+    weights).  ``support`` and ``weights`` are tuple views cached on first
+    access.
     """
 
     def __init__(
         self, support: Iterable[object], weights: Iterable[float], defect: float = 0.0
     ) -> None:
         pts = [_as_fraction(x) for x in support]
-        w = np.array([float(v) for v in weights], dtype=float)
-        defect = float(defect)
-        if len(pts) != len(w):
-            raise InvalidParameter("support and weights must have equal length")
-        if not pts:
-            raise InvalidParameter("a measure needs at least one atom")
-        if min(pts) < 0:
-            raise InvalidParameter(f"support point {min(pts)} is negative")
-        if not all(a < b for a, b in zip(pts, pts[1:])):
-            raise InvalidParameter("support must be strictly increasing")
-        _check_weights(w, defect)
-        total = float(sum(w.tolist())) + defect
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidParameter(f"mass {total} is not within {MASS_TOL} of 1")
         ints = [x.numerator for x in pts] + [x.denominator for x in pts]
-        ints = np.array(ints, dtype=np.int64 if max(ints) < 2**63 else object)
-        self.nums, self.dens = ints[: len(pts)], ints[len(pts):]
-        self.weights_array, self.defect = w, defect
+        small = max(map(abs, ints), default=0) < 2**63
+        ints = np.array(ints, dtype=np.int64 if small else object)
+        nums, dens = ints[: len(pts)], ints[len(pts):]
+        w, defect = np.array([float(v) for v in weights], dtype=float), float(defect)
+        _check_order(nums, dens)
+        _check_mass(nums, w, defect)
+        self.nums, self.dens, self.weights_array, self.defect = nums, dens, w, defect
 
     # -- constructors ------------------------------------------------------
 
@@ -123,8 +136,6 @@ class DiscreteMeasure:
         """Integer-supported measure from a dense weight array at start, start+1, ..."""
         w = np.asarray(weights, dtype=float)
         idx = np.flatnonzero(w)
-        if idx.size == 0:
-            raise InvalidParameter("dense weight array has no mass")
         return cls.from_sorted_arrays(idx + start, np.ones_like(idx), w[idx], defect)
 
     @classmethod
@@ -147,23 +158,20 @@ class DiscreteMeasure:
     ) -> "DiscreteMeasure":
         """Build from parallel arrays of reduced fractions sorted by value.
 
-        The fractions must already be reduced and strictly increasing; this is
-        checked with exact integer cross-multiplication (on Python ints when
-        an int64 product could wrap).
+        The arrays must strictly increase; zero weights are then dropped, and
+        the rest of the class invariant is checked.  Lowest terms are the
+        caller's promise.
         """
         nums = np.asarray(numerators, dtype=np.int64)
         dens = np.asarray(denominators, dtype=np.int64)
         w = np.asarray(weights, dtype=float)
-        if np.any(dens <= 0):
-            raise InvalidParameter("denominators must be positive")
-        if len(nums) > 1:
-            big = int(np.abs(nums).max()) * int(dens.max()) >= 2**63
-            a, b = (nums.astype(object), dens.astype(object)) if big else (nums, dens)
-            if not np.all(a[:-1] * b[1:] < a[1:] * b[:-1]):
-                raise InvalidParameter("fractions must be strictly increasing")
+        if not len(nums) == len(dens) == len(w) or np.any(dens <= 0):
+            raise InvalidParameter("need equal-length arrays and positive denominators")
+        _check_order(nums, dens)
         keep = w != 0.0
-        _check_weights(w[keep], float(defect))
-        return cls._trusted(nums[keep], dens[keep], w[keep], defect)
+        nums, dens, w = nums[keep], dens[keep], w[keep]
+        _check_mass(nums, w, float(defect))
+        return cls._trusted(nums, dens, w, defect)
 
     # -- views -------------------------------------------------------------
 

@@ -32,6 +32,7 @@ from functools import partial
 
 import numpy as np
 
+from .engine import check_start_size
 from .errors import DegenerateConditioning, InvalidParameter
 from .estimator import deviation_mask, ratio_law
 from .measures import DiscreteMeasure
@@ -78,10 +79,7 @@ class SimConfig:
             raise InvalidParameter("need at least one replication")
         if self.n_max < 1:
             raise InvalidParameter("horizon n_max must be at least 1")
-        if self.z0 < 1:
-            raise InvalidParameter("start size z0 must be at least 1")
-        if self.z0 >= 2**63:
-            raise InvalidParameter("start size z0 must be below 2**63, the int64 limit")
+        check_start_size(self.z0)
         if self.cap < self.z0:
             raise InvalidParameter("population cap must be at least z0")
 

@@ -53,7 +53,19 @@ CRITICAL_DEAD_ZONE = 1e-9
 # Refuse to materialize truncated families beyond this many atoms.
 MAX_DERIVED_TRUNCATION = 2_000_000
 
-FAMILIES = ("binary", "three_point", "poisson", "polynomial", "raw")
+# Each family's parameters, as ``FamilySpec`` fields, and its label format.
+# A parameter's CLI flag and JSON key carry its field name, except that
+# ``lam`` is ``"lambda"`` in JSON.  ``truncation`` applies to the families
+# in ``TRUNCATED`` only; ``raw`` labels show their largest count, ``top``.
+FAMILIES = {
+    "binary": (("p",), "binary(p={p:g})"),
+    "three_point": (("p0", "p2", "p3"), "three_point({p0:g},{p2:g},{p3:g})"),
+    "poisson": (("lam",), "poisson(lam={lam:g})"),
+    "polynomial": (("p",), "polynomial(p={p:g})"),
+    "raw": (("weights",), "raw(top={top})"),
+}
+TRUNCATED = ("poisson", "polynomial")
+JSON_NAMES = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -62,7 +74,8 @@ class FamilySpec:
 
     Exactly one of the five families; unused parameters stay ``None``.
     ``truncation`` fixes the largest retained offspring count for the two
-    infinite families; when omitted it is derived from the build budget.
+    infinite families, and only for them; when omitted it is derived from
+    the build budget.
     """
 
     family: str
@@ -106,8 +119,8 @@ class FamilySpec:
                 raise InvalidParameter("raw weights must be nonnegative")
             if abs(sum(self.weights) - 1.0) > 1e-9:
                 raise InvalidParameter("raw weights must sum to 1")
-        if self.truncation is not None and self.truncation < 1:
-            raise InvalidParameter("truncation must be a positive integer")
+        if self.truncation is not None and (self.truncation < 1 or self.family not in TRUNCATED):
+            raise InvalidParameter("truncation is a positive integer for poisson or polynomial")
 
     # Convenience constructors -------------------------------------------
 
@@ -131,18 +144,21 @@ class FamilySpec:
     def raw(cls, weights: Sequence[float]) -> "FamilySpec":
         return cls("raw", weights=tuple(weights))
 
+    @property
+    def params(self) -> dict:
+        """The family's parameters by field name, in ``FAMILIES`` order."""
+        return {name: getattr(self, name) for name in FAMILIES[self.family][0]}
+
+    @property
+    def label(self) -> str:
+        """Short table name, e.g. ``binary(p=0.75)`` or ``raw(top=2)``."""
+        top = len(self.weights or ()) - 1
+        return FAMILIES[self.family][1].format(**self.params, top=top)
+
     def to_json_dict(self) -> dict:
         out: dict = {"family": self.family}
-        if self.family == "binary":
-            out["p"] = self.p
-        elif self.family == "three_point":
-            out.update(p0=self.p0, p2=self.p2, p3=self.p3)
-        elif self.family == "poisson":
-            out["lambda"] = self.lam
-        elif self.family == "polynomial":
-            out["p"] = self.p
-        elif self.family == "raw":
-            out["weights"] = list(self.weights or ())
+        for name, value in self.params.items():
+            out[JSON_NAMES.get(name, name)] = list(value) if name == "weights" else value
         if self.truncation is not None:
             out["truncation"] = self.truncation
         return out
@@ -150,19 +166,15 @@ class FamilySpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FamilySpec":
         read = partial(json_field, data)
-        family = read("family", str, None)
+        family = read("family", str)
         trunc = read("truncation", lambda t: None if t is None else json_int(t), None)
-        if family == "binary":
-            return cls.binary(read("p", float))
-        if family == "three_point":
-            return cls.three_point(read("p0", float), read("p2", float), read("p3", float))
-        if family == "poisson":
-            return cls.poisson(read("lambda", float), trunc)
-        if family == "polynomial":
-            return cls.polynomial(read("p", float), trunc)
-        if family == "raw":
-            return cls.raw(read("weights", lambda ws: [float(w) for w in ws]))
-        raise InvalidParameter(f"unknown family {family!r}")
+        if family not in FAMILIES:
+            raise InvalidParameter(f"unknown family {family!r}")
+        params = {"truncation": trunc} if family in TRUNCATED else {}
+        for name in FAMILIES[family][0]:
+            convert = (lambda ws: [float(w) for w in ws]) if name == "weights" else float
+            params[name] = read(JSON_NAMES.get(name, name), convert)
+        return cls(family, **params)
 
 
 @dataclass(frozen=True)

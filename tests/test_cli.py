@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gwlab import binary_sweep_spec
+from gwlab import FamilySpec, InvalidParameter, binary_sweep_spec, build
+from gwlab.cli import main
 
 GW = [sys.executable, "-m", "gwlab.cli"]
 DATA = Path(__file__).parent / "data"
@@ -305,6 +306,17 @@ class TestErrorChannels:
         assert err["error"] == "InvalidParameter"
         assert "int64" in err["message"]
 
+    @pytest.mark.parametrize("command", ["law", "joint", "estimator-law"])
+    def test_exact_route_start_size_past_int64_is_one_error_line(self, command):
+        out = run([command, "--family", "binary", "--p", "0.75", "--n", "1",
+                   "--z0", str(2**63)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "int64" in err["message"]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("command", ["simulate", "modulus"])
     def test_jobs_below_one_is_one_error_line(self, tmp_path, command, jobs):
@@ -356,12 +368,19 @@ class TestErrorChannels:
             ("modulus", _spec_doc(n_range=[1, 2.5]), "n_range"),
             ("modulus", _spec_doc(center={"family": "poisson", "lambda": 2.0,
                                           "truncation": float("inf")}), "truncation"),
+            # A field without a default must be present.
+            ("modulus", _spec_doc(center={"family": "binary"}), "p"),
+            ("modulus", _spec_doc(grid=[{"p": 0.75}]), "family"),
+            ("modulus", {k: v for k, v in _spec_doc().items() if k != "n_range"},
+             "n_range"),
         ],
         ids=["metric-number", "metric-support-number", "modulus-number",
              "modulus-z0-string", "modulus-center-p-string", "modulus-grid-number",
              "modulus-n_range-number", "modulus-output-bool", "modulus-z0-fraction",
              "modulus-z0-inf", "modulus-seed-bool", "modulus-replications-nan",
-             "modulus-n_range-fraction", "modulus-truncation-inf"],
+             "modulus-n_range-fraction", "modulus-truncation-inf",
+             "modulus-center-without-p", "modulus-grid-member-without-family",
+             "modulus-without-n_range"],
     )
     def test_malformed_json_input_names_the_field(self, tmp_path, command, doc, field):
         path = tmp_path / "input.json"
@@ -376,6 +395,55 @@ class TestErrorChannels:
         err = json.loads(out.stderr)
         assert err["error"] == "InvalidParameter"
         assert repr(field) in err["message"]
+
+
+# One member of each family, with and without truncation where it applies:
+# the spec, its CLI flags and its pinned sweep label.  Polynomial(3) needs a
+# looser budget than the default to derive its truncation.
+FAMILY_MEMBERS = [
+    (FamilySpec.binary(0.75), ["--family", "binary", "--p", "0.75"], "binary(p=0.75)"),
+    (FamilySpec.three_point(0.2, 0.5, 0.3),
+     ["--family", "three_point", "--p0", "0.2", "--p2", "0.5", "--p3", "0.3"],
+     "three_point(0.2,0.5,0.3)"),
+    (FamilySpec.poisson(2.0), ["--family", "poisson", "--lam", "2"], "poisson(lam=2)"),
+    (FamilySpec.poisson(2.0, truncation=30),
+     ["--family", "poisson", "--lam", "2", "--truncation", "30"], "poisson(lam=2)"),
+    (FamilySpec.polynomial(3.0), ["--family", "polynomial", "--p", "3"], "polynomial(p=3)"),
+    (FamilySpec.polynomial(3.0, truncation=40),
+     ["--family", "polynomial", "--p", "3", "--truncation", "40"], "polynomial(p=3)"),
+    (FamilySpec.raw([0.25, 0.25, 0.5]), ["--family", "raw", "--weights", "0.25,0.25,0.5"],
+     "raw(top=2)"),
+]
+
+
+class TestEveryFamily:
+    BUDGET = 1e-4
+
+    @pytest.mark.parametrize(
+        "spec, flags, label", FAMILY_MEMBERS,
+        ids=["binary", "three_point", "poisson", "poisson-truncated", "polynomial",
+             "polynomial-truncated", "raw"],
+    )
+    def test_json_cli_and_label_agree(self, capsys, spec, flags, label):
+        assert FamilySpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
+        assert spec.label == label
+        argv = ["build-law", *flags, "--budget", str(self.BUDGET), "--format", "json",
+                "--no-timestamp"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert FamilySpec.from_json_dict(doc["family"]) == spec
+        assert doc["measure"] == build(spec, self.BUDGET).measure.to_json_dict()
+
+    def test_lambda_is_the_json_name_of_lam(self):
+        assert FamilySpec.poisson(2.0).to_json_dict() == {"family": "poisson", "lambda": 2.0}
+
+    def test_truncation_applies_to_poisson_and_polynomial_only(self, capsys):
+        with pytest.raises(InvalidParameter, match="truncation"):
+            FamilySpec("binary", p=0.75, truncation=5)
+        argv = ["build-law", "--family", "binary", "--p", "0.75", "--truncation", "5",
+                "--budget", str(self.BUDGET), "--format", "json", "--no-timestamp"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["family"] == {"family": "binary", "p": 0.75}
 
 
 class TestColdStart:

@@ -424,6 +424,18 @@ class TestExperimentSpec:
         with pytest.raises(InvalidParameter, match=words):
             ExperimentSpec.from_json_dict(data)
 
+    def test_start_size_past_int64_is_refused_with_the_simulation_message(self):
+        with pytest.raises(InvalidParameter, match="int64"):
+            ExperimentSpec(center=FamilySpec.binary(0.75), grid=(FamilySpec.binary(0.75),),
+                           n_range=(1,), z0=2**63, cap=2**64)
+        with pytest.raises(InvalidParameter, match="int64"):
+            binary_sweep_spec(z0=2**63, cap=2**65)
+
+    def test_from_json_dict_leaves_absent_fields_at_their_defaults(self):
+        spec = binary_sweep_spec(n_max=2)
+        data = {k: spec.to_json_dict()[k] for k in ("center", "grid", "n_range")}
+        assert ExperimentSpec.from_json_dict(data) == spec
+
     def test_from_json_dict_takes_integral_floats(self):
         data = binary_sweep_spec(n_max=2, z0=2).to_json_dict()
         data.update(z0=2.0, n_range=[1.0, 2.0], replications=1e4)

@@ -13,12 +13,13 @@ from gwlab import (
     DiscreteMeasure,
     FamilySpec,
     InvalidParameter,
+    Propagator,
     build,
     mean,
     prohorov,
     tv_distance,
 )
-from gwlab.measures import _convolve_dense, _span
+from gwlab.measures import MASS_TOL, _convolve_dense, _span
 
 
 def integer_measure(rng, max_atoms=6):
@@ -60,6 +61,31 @@ class TestConstruction:
         assert m.mass_at(2) == 0.75
         assert m.mass_at(Fraction(1, 2)) == 0.0
 
+    @pytest.mark.parametrize(
+        "make, words",
+        [
+            (lambda: DiscreteMeasure.from_dense([0.5, 0.5], start=-1), "nonnegative"),
+            (lambda: DiscreteMeasure.from_sorted_arrays([0, 1], [1, 1], [0.0, 0.0], 1.0),
+             "at least one atom"),
+            (lambda: DiscreteMeasure.from_sorted_arrays([1], [1], [0.3]), "sum"),
+            (lambda: DiscreteMeasure.from_sorted_arrays([0, 1], [1, 1], [0.7, 0.7]), "sum"),
+            (lambda: DiscreteMeasure.from_items([(0, 0.7), (1, 0.7)]), "sum"),
+            (lambda: DiscreteMeasure.from_sorted_arrays([0, 1], [1, 1], [1.0]), "equal-length"),
+        ],
+        ids=["negative-start", "no-nonzero-weight", "missing-mass", "excess-mass",
+             "items-excess-mass", "length-mismatch"],
+    )
+    def test_every_constructor_checks_the_invariant(self, make, words):
+        with pytest.raises(InvalidParameter, match=words):
+            make()
+
+    def test_an_overstated_defect_passes_every_constructor(self):
+        # The engine adds the defects of convolved powers, a union bound, so
+        # the generations of a truncated law carry more defect than lost mass.
+        law = build(FamilySpec.poisson(2.0, truncation=8))
+        gen = Propagator(law, n_max=2, budget=0.01).generation(2).law
+        assert gen.total_mass < 1.0 < gen.total_mass + gen.defect - MASS_TOL
+        assert DiscreteMeasure.from_json_dict(gen.to_json_dict()) == gen
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_weights_and_defects_rejected(self, bad):
