@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from .engine import Propagator
 from .errors import GwError, InvalidParameter
@@ -68,14 +67,6 @@ def _write_text(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cell(value: object) -> object:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 def _emit_rows(
     args: argparse.Namespace,
     kind: str,
@@ -95,7 +86,7 @@ def _emit_rows(
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(col)) for col in columns])
+            writer.writerow([row.get(col) for col in columns])
         _write_text(args, buf.getvalue())
         return
     doc = {
@@ -115,8 +106,10 @@ def _emit_doc(args: argparse.Namespace, doc: dict) -> None:
     _write_text(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _measure_rows(measure: DiscreteMeasure) -> list[dict]:
-    return [{"point": x, "weight": w} for x, w in measure.items()]
+def _measure_rows(measure: DiscreteMeasure, column: str = "point") -> list[dict]:
+    """One row per atom, written ``n/d`` (``n`` when whole) from the arrays."""
+    atoms = zip(measure.nums.tolist(), measure.dens.tolist(), measure.weights_array.tolist())
+    return [{column: f"{n}/{d}" if d != 1 else str(n), "weight": w} for n, d, w in atoms]
 
 
 def _parse_weights(raw: str) -> list[float]:
@@ -211,7 +204,7 @@ def _cmd_estimator_law(args: argparse.Namespace) -> int:
         args,
         "estimator-law",
         ("ratio", "weight"),
-        [{"ratio": x, "weight": w} for x, w in e.law.items()],
+        _measure_rows(e.law, "ratio"),
         comments,
         e.to_json_dict(),
     )

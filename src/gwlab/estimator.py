@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import JointLaw, condition_on_survival
 from .errors import InvalidParameter
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, merge_atoms
 
 __all__ = [
     "EstimatorLaw", "estimator_law", "ratio_law", "deviation_mask",
@@ -62,22 +62,8 @@ def ratio_law(
     dens = np.ones(prev.size, dtype=np.int64)
     nums[alive] = curr[alive] // g
     dens[alive] = prev[alive] // g
-    if int(nums.max()) < 2**31 and int(dens.max()) < 2**31:
-        pack = int(dens.max()) + 1
-        keys = nums * pack + dens
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        weights = np.bincount(inverse, weights=probs)
-        unums = (uniq // pack).astype(np.int64)
-        udens = (uniq % pack).astype(np.int64)
-        order = np.lexsort((unums, udens, unums / udens))
-        unums, udens, weights = unums[order], udens[order], weights[order]
-        keep = weights != 0.0
-        return DiscreteMeasure.from_sorted_arrays(
-            unums[keep], udens[keep], weights[keep], defect
-        )
-    # Values too large to pack into one int64: merge exact Fractions.
-    atoms = map(Fraction, nums.tolist(), dens.tolist())
-    return DiscreteMeasure.from_items(zip(atoms, probs.tolist()), defect=defect)
+    unums, udens, weights, _ = merge_atoms(nums, dens, probs)
+    return DiscreteMeasure.from_sorted_arrays(unums, udens, weights, defect)
 
 
 def estimator_law(joint: JointLaw, conditioned: bool = False) -> EstimatorLaw:

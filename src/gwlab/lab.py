@@ -41,7 +41,7 @@ from .errors import (
     json_int,
 )
 from .estimator import EstimatorLaw, consistency_probability, estimator_law
-from .measures import DiscreteMeasure, tv_distance
+from .measures import DiscreteMeasure, merge_atoms, tv_distance
 from .metrics import bounded_lipschitz, joint_tv, prohorov, trajectory_tv
 from .montecarlo import (
     DEFAULT_BIN_DEN, SimConfig, SimTable, binned_estimator_law, check_jobs,
@@ -178,8 +178,8 @@ class ExperimentSpec:
         """Spec from its JSON form: each present field through its converter
         (``json_int`` by default), each absent one left at its declared default."""
         convert = {
-            "center": FamilySpec.from_json_dict,
-            "grid": lambda g: tuple(map(FamilySpec.from_json_dict, g)),
+            "center": lambda c: _family_at("center", c),
+            "grid": lambda g: tuple(_family_at(f"grid[{i}]", m) for i, m in enumerate(g)),
             "n_range": lambda ns: tuple(map(json_int, ns)),
             "metric": lambda metric: metric,
             "budget": float,
@@ -191,6 +191,14 @@ class ExperimentSpec:
             # ``center`` comes first, so a ``data`` that is no object fails in json_field.
             if f.default is MISSING or f.name in data
         })
+
+
+def _family_at(place: str, data: object) -> FamilySpec:
+    """``FamilySpec.from_json_dict``, its errors prefixed by the member's place."""
+    try:
+        return FamilySpec.from_json_dict(data)
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"{place}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -231,14 +239,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     return value
 
 
@@ -789,7 +791,7 @@ def verify_wlln(
     note = ""
     instance: dict = {
         "family": _family_label(law.family),
-        "eta": eta,
+        "eta": float(eta),
         "eps": eps,
         "k_max": k_max,
         "k0": k0,
@@ -836,35 +838,27 @@ def verify_decomposition_identity(
     unconditional = estimator_law(joint).law
     alive_mass = float(joint.probs[joint.prev > 0].sum())
     extinct_mass = joint.total_mass - alive_mass
-    if alive_mass < MIN_SURVIVAL:
-        worst = max(
-            abs(unconditional.mass_at(x) - (extinct_mass if x == 0 else 0.0))
-            for x in unconditional.support
-        )
+    degenerate = alive_mass < MIN_SURVIVAL
+    # The recombined law, then minus the unconditional one: the merge adds
+    # each atom's entries in input order.
+    recombined = [(np.zeros(1, np.int64), np.ones(1, np.int64), np.array([extinct_mass]))]
+    if not degenerate:
+        cond = estimator_law(joint, conditioned=True).law
+        recombined.insert(0, (cond.nums, cond.dens, cond.weights_array * alive_mass))
+    uncond = (unconditional.nums, unconditional.dens, -unconditional.weights_array)
+    diff = merge_atoms(*map(np.concatenate, zip(*recombined, uncond)))[2]
+    worst = float(np.abs(diff).max())
+    if degenerate:
         instance = {"survival": alive_mass, "n": n, "z0": z0, "degenerate": True}
-        return VerificationReport(
-            "lemma-decomposition",
-            instance,
-            worst,
-            0.0,
-            1e-12,
-            note="survival negligible; identity reduces to the extinction atom",
-        )
-    conditional = estimator_law(joint, conditioned=True).law
-    points = set(unconditional.support) | set(conditional.support) | {Fraction(0)}
-    worst = 0.0
-    for x in points:
-        recombined = conditional.mass_at(x) * alive_mass
-        if x == 0:
-            recombined += extinct_mass
-        worst = max(worst, abs(unconditional.mass_at(x) - recombined))
+        note = "survival negligible; identity reduces to the extinction atom"
+        return VerificationReport("lemma-decomposition", instance, worst, 0.0, 1e-12, note=note)
     instance = {
         "family": _family_label(law.family),
         "n": n,
         "z0": z0,
         "survival": alive_mass,
         "extinct": extinct_mass,
-        "atoms": len(points),
+        "atoms": len(diff),
     }
     return VerificationReport("lemma-decomposition", instance, worst, 0.0, 1e-12)
 

@@ -6,8 +6,8 @@ float array ``weights_array``.  The integer arrays are ``int64``, or object
 arrays of Python ints when a value does not fit.  ``2/6`` and ``1/3`` are
 the same atom, so equality of two canonical measures is meaningful.  The
 ``Fraction`` tuple ``support``, the tuple ``weights``, ``items()`` and the
-JSON form are views built on first use; code that reads only the arrays
-never creates a ``Fraction``.  Mass that is deliberately dropped from the
+JSON form are views for callers, built on first use; ``merge_atoms`` merges
+atoms on the arrays alone.  Mass that is deliberately dropped from the
 upper tail during a computation is never renormalized away; it accumulates
 in ``defect`` so that every downstream quantity can report a rigorous slack.
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NonIntegerSupport, json_field
 
-__all__ = ["DiscreteMeasure", "tv_distance", "mean"]
+__all__ = ["DiscreteMeasure", "merge_atoms", "difference", "tv_distance", "mean"]
 
 # Tolerance of the mass check: sum(weights) <= 1 <= sum(weights) + defect.
 MASS_TOL = 1e-9
@@ -55,6 +55,14 @@ def _parse_point(entry: object) -> Fraction:
         raise InvalidParameter(
             f"support entry {entry!r} is not a [numerator, denominator] pair of ints"
         ) from None
+
+
+def _float_values(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """``float(Fraction(n, d))`` per atom: numpy's quotient is correctly rounded
+    while both operands are exact doubles, Python's int division past that."""
+    if max(int(np.abs(nums).max(initial=0)), int(dens.max(initial=0))) < 2**53:
+        return nums.astype(float) / dens.astype(float)
+    return np.array([n / d for n, d in zip(nums.tolist(), dens.tolist())], dtype=float)
 
 
 def _check_order(nums: np.ndarray, dens: np.ndarray) -> None:
@@ -126,10 +134,6 @@ class DiscreteMeasure:
         return cls(pts, [acc[k] for k in pts], defect)
 
     @classmethod
-    def delta(cls, point: object) -> "DiscreteMeasure":
-        return cls((point,), (1.0,))
-
-    @classmethod
     def from_dense(
         cls, weights: np.ndarray, start: int = 0, defect: float = 0.0
     ) -> "DiscreteMeasure":
@@ -185,11 +189,7 @@ class DiscreteMeasure:
 
     @cached_property
     def float_support(self) -> np.ndarray:
-        # Both operands are exact doubles below 2**53, so the correctly
-        # rounded quotient equals float(Fraction(n, d)).
-        if max(int(self.nums.max(initial=0)), int(self.dens.max(initial=0))) < 2**53:
-            return self.nums.astype(float) / self.dens.astype(float)
-        return np.array([n / d for n, d in zip(self.nums.tolist(), self.dens.tolist())])
+        return _float_values(self.nums, self.dens)
 
     @cached_property
     def total_mass(self) -> float:
@@ -205,13 +205,10 @@ class DiscreteMeasure:
             raise NonIntegerSupport("measure has fractional atoms")
         return self.nums.astype(np.int64)
 
-    @cached_property
-    def _index(self) -> dict[Fraction, int]:
-        return {x: i for i, x in enumerate(self.support)}
-
     def mass_at(self, point: object) -> float:
-        i = self._index.get(_as_fraction(point))
-        return float(self.weights_array[i]) if i is not None else 0.0
+        x = _as_fraction(point)
+        hit = np.flatnonzero((self.nums == x.numerator) & (self.dens == x.denominator))
+        return float(self.weights_array[hit[0]]) if hit.size else 0.0
 
     def dense_weights(self) -> np.ndarray:
         """Dense weight array over 0..max for an integer-supported measure."""
@@ -316,6 +313,37 @@ def _convolve_dense(a: np.ndarray, b: np.ndarray, ga: int, gb: int) -> np.ndarra
 # -- operations --------------------------------------------------------------
 
 
+def merge_atoms(
+    nums: np.ndarray, dens: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Merge repeated atoms ``nums / dens`` (reduced, ``dens`` positive).
+
+    Returns the distinct atoms' ``nums`` and ``dens`` in increasing order,
+    each atom's weight summed in input order (as ``np.bincount`` adds), and
+    every input's atom index.  Atoms are ordered by float value; only when
+    two distinct atoms share a float are they ordered as ``Fraction``s.
+    """
+    values = _float_values(nums, dens)
+    order = np.argsort(values, kind="stable")
+    sn, sd = nums[order], dens[order]
+    same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
+    if (~same & (np.diff(values[order]) == 0.0)).any():
+        exact = list(map(Fraction, nums.tolist(), dens.tolist()))
+        order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
+        sn, sd = nums[order], dens[order]
+        same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
+    first = np.concatenate([[True], ~same])[: len(sn)]
+    index = np.empty(len(sn), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return sn[first], sd[first], np.bincount(index, weights=weights), index
+
+
+def difference(a: DiscreteMeasure, b: DiscreteMeasure) -> tuple[np.ndarray, ...]:
+    """The union support of ``a`` and ``b`` as ``nums``, ``dens``, with ``a{x} - b{x}``."""
+    negated = (b.nums, b.dens, -b.weights_array)
+    return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
+
+
 def tv_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> tuple[float, float]:
     """Total variation distance between the retained parts, with slack.
 
@@ -323,12 +351,9 @@ def tv_distance(a: DiscreteMeasure, b: DiscreteMeasure) -> tuple[float, float]:
     over the union support and ``slack = (defect_a + defect_b) / 2`` bounds
     the contribution the truncated tails could make.
     """
-    diff = dict(a.items())
-    for x, w in b.items():
-        diff[x] = diff.get(x, 0.0) - w
-    # Summing in sorted support order makes the result independent of the
+    # Summing in support order makes the result independent of the
     # argument order, so symmetry holds exactly rather than within an ulp.
-    value = 0.5 * sum(abs(diff[x]) for x in sorted(diff))
+    value = 0.5 * sum(np.abs(difference(a, b)[2]).tolist())
     return value, 0.5 * (a.defect + b.defect)
 
 

@@ -38,7 +38,7 @@ from .errors import (
     SolverDidNotConverge,
 )
 from .maxflow import FLOW_TERMINATION, BandFlow, band_windows
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, difference
 from .offspring import OffspringLaw
 
 __all__ = [
@@ -68,8 +68,8 @@ class Coupling:
     ``slack`` is the mass sitting on pairs farther apart than ``eps``; a
     Strassen coupling at level ``eps`` keeps ``slack <= eps``.
 
-    ``strassen`` optionally masks a set ``A`` of left atoms, the Strassen set
-    of the band flow solved at ``strassen_eps <= eps``.  No coupling puts
+    ``strassen`` masks a set ``A`` of left atoms, the Strassen set of the
+    band flow solved at ``strassen_eps <= eps``.  No coupling puts
     more than the cut ``a(A^c) + b(A^r)`` within ``r = strassen_eps``, so a
     band mass at ``r`` that reaches the cut is maximal there.
     """
@@ -81,8 +81,8 @@ class Coupling:
     cols: np.ndarray
     mass: np.ndarray
     slack: float
-    strassen: np.ndarray | None = None
-    strassen_eps: float = 0.0
+    strassen: np.ndarray
+    strassen_eps: float
 
     @property
     def total_mass(self) -> float:
@@ -132,8 +132,6 @@ class Coupling:
                 f"coupling marginals off by ({left_err:.2e}, {right_err:.2e}), "
                 f"allowed {allowance:.2e}"
             )
-        if self.strassen is None:
-            return
         cut, band = self.strassen_cut(), self.band_mass(self.strassen_eps)
         # The flow leaves up to FLOW_TERMINATION unshipped per atom.
         allowance = tol + (len(self.left) + len(self.right)) * FLOW_TERMINATION
@@ -352,10 +350,10 @@ def bounded_lipschitz(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
     from scipy import sparse
     from scipy.optimize import linprog
 
-    union = sorted(set(a.support) | set(b.support))
-    n = len(union)
-    diff = np.array([a.mass_at(x) - b.mass_at(x) for x in union])
-    gaps = np.array([float(union[i + 1] - union[i]) for i in range(n - 1)])
+    nums, dens, diff = difference(a, b)
+    n, p, q = len(diff), nums.tolist(), dens.tolist()
+    # Exact gaps on Python ints, rounded once as float(Fraction) rounds.
+    gaps = np.array([(p1 * q0 - p0 * q1) / (q0 * q1) for p0, q0, p1, q1 in zip(p, q, p[1:], q[1:])])
 
     # Columns: h (n, free), L, c.  Rows: +-h_i <= c, then
     # +-(h_{i+1} - h_i) <= gap_i L, then L + c <= 1.
@@ -411,7 +409,7 @@ def bounded_lipschitz(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
     )
     gap = max(upper - value, 0.0)
     cert = {
-        "points": [float(p) for p in union],
+        "points": [p0 / q0 for p0, q0 in zip(p, q)],
         "values": [float(v) for v in h],
         "lipschitz": lipschitz,
         "sup": sup,

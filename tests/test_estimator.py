@@ -16,11 +16,13 @@ from gwlab import (
     FamilySpec,
     InvalidParameter,
     SimConfig,
+    bounded_lipschitz,
     build,
     consistency_probability,
     estimator_law,
     extinction_by_n,
     joint_law,
+    tv_distance,
 )
 from gwlab.estimator import deviation_mask, ratio_law
 from gwlab.montecarlo import SimTable, empirical_consistency_probability
@@ -87,6 +89,19 @@ class TestEstimatorLaw:
             if x == 0:
                 expected += 1.0 - survival
             assert unconditional.mass_at(x) == pytest.approx(expected, abs=1e-12)
+
+    def test_distinct_ratios_with_one_float_come_back_in_exact_order(self):
+        # (2**27 + 1)/2**27 and (2**27 + 2)/(2**27 + 1) round to the same
+        # double; the second is the smaller.
+        law = ratio_law(
+            np.array([2**27, 2**27 + 1]), np.array([2**27 + 1, 2**27 + 2]),
+            np.array([0.5, 0.5]), 0.0,
+        )
+        assert law.support == (Fraction(2**27 + 2, 2**27 + 1), Fraction(2**27 + 1, 2**27))
+        assert law.float_support[0] == law.float_support[1]
+        assert law.weights == (0.5, 0.5)
+        assert tv_distance(law, law) == (0.0, 0.0)
+        assert bounded_lipschitz(law, law).value == 0.0
 
     def test_conditioning_needs_survivors(self):
         law = build(FamilySpec.raw([1.0]))

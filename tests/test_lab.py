@@ -8,6 +8,7 @@ import pytest
 
 from gwlab import lab, montecarlo
 from gwlab import (
+    DEFAULT_TAIL_BUDGET,
     CLAIM_IDS,
     ExperimentSpec,
     FamilySpec,
@@ -22,6 +23,7 @@ from gwlab import (
     contamination_grid,
     contamination_sweep_spec,
     empirical_estimator_law,
+    estimator_law,
     prohorov,
     robustness_modulus,
     run_default_suite,
@@ -259,6 +261,26 @@ class TestDecompositionIdentity:
     def test_two_ancestors(self, b75):
         assert verify_decomposition_identity(b75, 3, z0=2).passed
 
+    @pytest.mark.parametrize(
+        "spec, n, z0",
+        [(FamilySpec.binary(0.75), 4, 1), (FamilySpec.three_point(0.2, 0.5, 0.3), 3, 2),
+         (FamilySpec.poisson(2.0), 3, 1), (FamilySpec.binary(0.65), 5, 1)],
+    )
+    def test_matches_the_atom_by_atom_fraction_loop_bit_for_bit(self, spec, n, z0):
+        law = build(spec)
+        joint = lab._propagator(law, n, z0, DEFAULT_TAIL_BUDGET).joint(n)
+        unconditional = estimator_law(joint).law
+        conditional = estimator_law(joint, conditioned=True).law
+        alive = float(joint.probs[joint.prev > 0].sum())
+        extinct = joint.total_mass - alive
+        points = set(unconditional.support) | set(conditional.support) | {Fraction(0)}
+        worst = 0.0
+        for x in points:
+            recombined = conditional.mass_at(x) * alive + (extinct if x == 0 else 0.0)
+            worst = max(worst, abs(unconditional.mass_at(x) - recombined))
+        rep = verify_decomposition_identity(law, n, z0)
+        assert (rep.lhs, rep.instance["atoms"]) == (worst, len(points))
+
 
 class TestMeanContinuity:
     def test_binary_pair_exact_lhs(self, b75):
@@ -423,6 +445,22 @@ class TestExperimentSpec:
         data[field] = value
         with pytest.raises(InvalidParameter, match=words):
             ExperimentSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("grid", ["abc"], "grid[0]: expected a JSON object with field 'family', got str"),
+            ("grid", [{"p": 0.5}], "grid[0]: missing field 'family'"),
+            ("center", "abc", "center: expected a JSON object with field 'family', got str"),
+        ],
+        ids=["grid-member-string", "grid-member-without-family", "center-string"],
+    )
+    def test_from_json_dict_names_the_place_of_a_bad_family(self, field, value, message):
+        data = binary_sweep_spec(n_max=2).to_json_dict()
+        data[field] = value
+        with pytest.raises(InvalidParameter) as info:
+            ExperimentSpec.from_json_dict(data)
+        assert str(info.value) == message
 
     def test_start_size_past_int64_is_refused_with_the_simulation_message(self):
         with pytest.raises(InvalidParameter, match="int64"):

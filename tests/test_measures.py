@@ -19,7 +19,7 @@ from gwlab import (
     prohorov,
     tv_distance,
 )
-from gwlab.measures import MASS_TOL, _convolve_dense, _span
+from gwlab.measures import MASS_TOL, _convolve_dense, _span, merge_atoms
 
 
 def integer_measure(rng, max_atoms=6):
@@ -158,6 +158,50 @@ class TestArrayStorage:
         assert dense == DiscreteMeasure.from_items([(0, 0.25), (2, 0.75)])
         assert dense.nums.dtype == np.int64 and dense.is_integer_supported
         assert {dense: 1}[DiscreteMeasure.from_items([(2, 0.75), (0, 0.25)])] == 1
+
+# Reduced fractions to draw repeats from: big, small, and 1 + 1/j for three
+# neighbouring j past 2**26, where neighbours often share a double.
+atom_pool = st.tuples(
+    st.lists(
+        st.one_of(
+            st.builds(Fraction, st.integers(0, 2**62), st.integers(1, 2**62)),
+            st.builds(Fraction, st.integers(0, 40), st.integers(1, 6)),
+        ),
+        max_size=4,
+    ),
+    st.integers(2**26, 2**27),
+).map(lambda drawn: drawn[0] + [Fraction(j + 1, j) for j in range(drawn[1], drawn[1] + 3)])
+
+
+class TestMergeAtoms:
+    @settings(max_examples=150, deadline=None)
+    @given(pool=atom_pool, data=st.data())
+    def test_matches_a_fraction_dict_bit_for_bit(self, pool, data):
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+        weights = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=len(picks), max_size=len(picks)
+        )))
+        nums = np.array([x.numerator for x in picks], dtype=np.int64)
+        dens = np.array([x.denominator for x in picks], dtype=np.int64)
+        unums, udens, summed, index = merge_atoms(nums, dens, weights)
+        acc: dict[Fraction, float] = {}
+        for x, w in zip(picks, weights.tolist()):
+            acc[x] = acc.get(x, 0.0) + w
+        atoms = sorted(acc)
+        assert list(map(Fraction, unums.tolist(), udens.tolist())) == atoms
+        assert summed.tolist() == [acc[x] for x in atoms]
+        assert [atoms[i] for i in index.tolist()] == picks
+
+    def test_distinct_atoms_sharing_a_double_fall_back_to_exact_order(self):
+        j = 2**27
+        nums = np.array([j + 1, j + 2, j + 1, j + 3])
+        dens = np.array([j, j + 1, j, j + 2])
+        unums, udens, summed, index = merge_atoms(nums, dens, np.array([0.25, 0.5, 0.125, 0.125]))
+        assert len(set((unums / udens).tolist())) == 1
+        assert (unums.tolist(), udens.tolist()) == ([j + 3, j + 2, j + 1], [j + 2, j + 1, j])
+        assert summed.tolist() == [0.125, 0.5, 0.375]
+        assert index.tolist() == [2, 1, 2, 0]
+
 
 class TestTvDistance:
     def test_identical_measures(self):
