@@ -181,10 +181,8 @@ def _cmd_law(args: argparse.Namespace) -> int:
 
 def _cmd_joint(args: argparse.Namespace) -> int:
     joint = _propagator_from_args(args).joint(args.n)
-    rows = [
-        {"prev": int(j), "curr": int(k), "prob": float(p)}
-        for j, k, p in joint.items()
-    ]
+    cols = (joint.prev.tolist(), joint.curr.tolist(), joint.probs.tolist())
+    rows = [{"prev": j, "curr": k, "prob": p} for j, k, p in zip(*cols)]
     comments = [f"n {args.n}", f"z0 {args.z0}", f"defect {joint.defect!r}"]
     extra = {"n": args.n, "z0": args.z0, "defect": joint.defect}
     _emit_rows(args, "joint", ("prev", "curr", "prob"), rows, comments, extra)

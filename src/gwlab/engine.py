@@ -15,14 +15,17 @@ Truncation discipline: a propagation with horizon ``n`` and budget ``b``
 may move at most ``b / n`` of mass per step into the defect, always from the
 largest population sizes.  Defect inherited from a truncated offspring law
 is tracked as well, and crossing the total budget raises ``BudgetExceeded``
-at the offending step.
+at the offending step.  It is raised, before anything is convolved, by a
+step whose plan passes a cost cap on the next generation's dense length,
+the write work of its convolution rows or the work of halving its largest
+power; every caller, the sweeps' exact route included, is guarded alike.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +54,11 @@ __all__ = [
 DEFAULT_BUDGET = 1e-12
 
 MIN_SURVIVAL = 1e-12
+
+# Cost caps on one step's plan (see the module notes).
+_DENSE_LEN_CAP = 2_000_000
+_DENSE_WORK_CAP = 2 * 10**8
+_POWER_WORK_CAP = 3 * 10**10
 
 
 def check_start_size(z0: int) -> None:
@@ -85,16 +93,6 @@ class JointLaw:
     curr: np.ndarray
     probs: np.ndarray
     defect: float
-
-    def entries(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(j), int(k)): float(p)
-            for j, k, p in zip(self.prev, self.curr, self.probs)
-        }
-
-    def items(self) -> Iterator[tuple[int, int, float]]:
-        for j, k, p in zip(self.prev, self.curr, self.probs):
-            yield int(j), int(k), float(p)
 
     @property
     def total_mass(self) -> float:
@@ -193,10 +191,25 @@ class Propagator:
         start[z0] = 1.0
         self._gen: list[tuple[np.ndarray, float]] = [(start, 0.0)]
 
+    def _plan(self, prev: np.ndarray, step: int) -> list[int]:
+        """The sizes ``j`` with ``prev[j] > 0``, once the step from ``prev``
+        into generation ``step`` is within every cost cap."""
+        sizes = np.flatnonzero(prev).tolist()
+        length = sizes[-1] * int(self.law.counts[-1]) + 1
+        for name, planned, cap in (
+            ("_DENSE_LEN_CAP", length, _DENSE_LEN_CAP),
+            ("_DENSE_WORK_CAP", len(sizes) * length, _DENSE_WORK_CAP),
+            ("_POWER_WORK_CAP", (length / 2) ** 2, _POWER_WORK_CAP),
+        ):
+            if planned > cap:
+                msg = f"planned size {planned:.0f} exceeds {name} = {cap}"
+                raise BudgetExceeded(f"{msg} at generation {step}", step=step)
+        return sizes
+
     def _advance(self) -> None:
         prev, prev_defect = self._gen[-1]
         step = len(self._gen)
-        rows = [(j, *self.powers.get(j)) for j in np.flatnonzero(prev).tolist()]
+        rows = [(j, *self.powers.get(j)) for j in self._plan(prev, step)]
         out = np.zeros(max([1] + [len(w) for _, w, _ in rows]))
         inherited = prev_defect
         for j, w, d in rows:
@@ -236,7 +249,7 @@ class Propagator:
         curr_col: list[np.ndarray] = []
         prob_col: list[np.ndarray] = []
         defect = prev_defect
-        for j in np.flatnonzero(prev).tolist():
+        for j in self._plan(prev, n):
             w, d = self.powers.get(j)
             ks = np.nonzero(w)[0]
             prev_col.append(np.full(len(ks), j, dtype=np.int64))

@@ -38,7 +38,8 @@ class SupercriticalRequired(GwError):
 
 
 class BudgetExceeded(GwError):
-    """A law's tracked defect crossed the configured truncation budget."""
+    """A propagation step would cross the truncation budget or one of the
+    engine's cost caps; ``step`` is the generation it stopped at."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)

@@ -10,10 +10,11 @@ record the computed left and right sides together with an explicit slack,
 so a pass means something in floating point.
 
 Estimator laws are computed exactly while the population-size support
-stays below a cutoff; past it they come from seeded simulation, binned
-onto a fixed ratio grid, with the bin radius added to the slack column and
-cap-excluded replications counted as defect.  Sweeps and the consistency
-check share this one route (``_horizon_laws``).
+stays below a cutoff and the engine accepts each step (its cost caps and
+truncation budget, see ``engine``); past that they come from seeded
+simulation, binned onto a fixed ratio grid, with the bin radius added to the
+slack column and cap-excluded replications counted as defect.  Sweeps and
+the consistency check share this one route (``_horizon_laws``).
 """
 
 from __future__ import annotations
@@ -87,14 +88,6 @@ T = TypeVar("T")
 # Exact estimator laws are computed while the population-size support stays
 # below this many atoms; larger horizons fall back to seeded simulation.
 EXACT_CUTOFF = 20_000
-
-# Affordability guards for the exact route, checked before a dense advance:
-# the planned dense array length, the total write work across convolution
-# rows, and the cost of building the largest convolution power.  A horizon
-# whose plan exceeds any of them goes to simulation without being attempted.
-_DENSE_LEN_CAP = 2_000_000
-_DENSE_WORK_CAP = 2 * 10**8
-_POWER_WORK_CAP = 3 * 10**10
 
 DEFAULT_REPLICATIONS = 1_000_000
 
@@ -272,32 +265,6 @@ def _propagator(law: OffspringLaw, n: int, z0: int, budget: float) -> Propagator
     return Propagator(law, z0=z0, n_max=n, budget=budget)
 
 
-def _exact_support(
-    prop: Propagator, law: OffspringLaw, n: int, cutoff: int
-) -> int | None:
-    """Support size of generation ``n``, or None when the exact route ends.
-
-    Returns None when the planned dense advance is unaffordable (its array
-    length or convolution work exceeds the guards), the truncation budget
-    would be blown, or the computed support exceeds the cutoff.  Horizons
-    must be visited in increasing order so the plan can read the previous
-    generation for free.
-    """
-    prev = prop.generation(n - 1).law
-    length = int(prev.nums[-1]) * int(law.counts[-1]) + 1
-    if (
-        length > _DENSE_LEN_CAP
-        or len(prev) * length > _DENSE_WORK_CAP
-        or (length / 2) ** 2 > _POWER_WORK_CAP
-    ):
-        return None
-    try:
-        size = prop.support_size(n)
-    except BudgetExceeded:
-        return None
-    return size if size <= cutoff else None
-
-
 def _horizon_laws(
     law: OffspringLaw, levels: Iterable[int], conditioned: bool,
     from_exact: Callable[[EstimatorLaw], T], from_table: Callable[[SimTable, int], T],
@@ -306,18 +273,24 @@ def _horizon_laws(
 ) -> tuple[dict[int, T], int | None]:
     """The one exact-to-Monte-Carlo route: a result per horizon in ``levels``.
 
-    Horizons are walked in order and stay exact until ``_exact_support``
-    ends the route at ``mc_from``; a wanted exact horizon gives
-    ``from_exact(ratio law)``.  The switch is sticky: every wanted horizon
-    from ``mc_from`` on gives ``from_table(table, n)`` from one seeded
-    simulation.  Returns the results by horizon and ``mc_from``.
+    Horizons are walked in order and stay exact until the engine refuses a
+    step (``BudgetExceeded``: a cost cap or the truncation budget) or the
+    support passes ``exact_cutoff``; that horizon is ``mc_from``.  A wanted
+    exact horizon gives ``from_exact(ratio law)``.  The switch is sticky:
+    every wanted horizon from ``mc_from`` on gives ``from_table(table, n)``
+    from one seeded simulation.  Returns the results by horizon and
+    ``mc_from``.
     """
     wanted = sorted(set(levels))
     n_max = wanted[-1]
     prop = _propagator(law, n_max, z0, budget)
     out: dict[int, T] = {}
     for n in range(1, n_max + 1):
-        if _exact_support(prop, law, n, exact_cutoff) is None:
+        try:
+            exact = prop.support_size(n) <= exact_cutoff
+        except BudgetExceeded:
+            exact = False
+        if not exact:
             cfg = SimConfig(seed, replications, n_max, z0, cap)
             table = simulate_paths(law, cfg, jobs=jobs)
             out.update((k, from_table(table, k)) for k in wanted if k >= n)
@@ -468,15 +441,6 @@ def contamination_sweep_spec(
 # -- inequality checks ---------------------------------------------------------
 
 
-def _geometric_sum(ratio: float, n: int) -> float:
-    return sum(ratio**k for k in range(n + 1))
-
-
-def _horizon_constant(law1: OffspringLaw, law2: OffspringLaw, n: int) -> float:
-    """min over the two laws of ``sum_{i=1..n} m^(i-1)``."""
-    return min(sum(law.mean_m ** (i - 1) for i in range(1, n + 1)) for law in (law1, law2))
-
-
 def verify_joint_tv_bound(
     law1: OffspringLaw, law2: OffspringLaw, n: int, z0: int = 1
 ) -> VerificationReport:
@@ -492,7 +456,7 @@ def verify_joint_tv_bound(
     if n < 1:
         raise InvalidParameter("horizon n must be at least 1")
     d_tv, d_slack = tv_distance(law1.measure, law2.measure)
-    c_n = _horizon_constant(law1, law2, n)
+    c_n = min(sum(law.mean_m ** (i - 1) for i in range(1, n + 1)) for law in (law1, law2))
     if n <= 4:
         side = "trajectory"
         lhs, lhs_slack = trajectory_tv(law1, law2, n, z0=z0)
@@ -563,7 +527,7 @@ def verify_extinction_bound(
     if not gate_ok:
         note = "inconclusive: d_tv exceeds the contraction gate; "
     lhs = abs(iterate_pgf_at_zero(law1, n) - iterate_pgf_at_zero(law2, n))
-    geo = _geometric_sum(gamma, n)
+    geo = sum(gamma**k for k in range(n + 1))
     rhs = geo * d_tv
     d1 = law1.measure.defect
     d2 = law2.measure.defect

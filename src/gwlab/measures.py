@@ -31,7 +31,9 @@ import numpy as np
 
 from .errors import InvalidParameter, NonIntegerSupport, json_field
 
-__all__ = ["DiscreteMeasure", "merge_atoms", "difference", "tv_distance", "mean"]
+__all__ = [
+    "DiscreteMeasure", "merge_atoms", "group_pairs", "difference", "tv_distance", "mean",
+]
 
 # Tolerance of the mass check: sum(weights) <= 1 <= sum(weights) + defect.
 MASS_TOL = 1e-9
@@ -164,10 +166,13 @@ class DiscreteMeasure:
 
         The arrays must strictly increase; zero weights are then dropped, and
         the rest of the class invariant is checked.  Lowest terms are the
-        caller's promise.
+        caller's promise.  As in ``__init__``, integers past int64 are kept
+        in object arrays.
         """
-        nums = np.asarray(numerators, dtype=np.int64)
-        dens = np.asarray(denominators, dtype=np.int64)
+        try:
+            nums, dens = (np.asarray(a, dtype=np.int64) for a in (numerators, denominators))
+        except OverflowError:
+            nums, dens = (np.asarray(a, dtype=object) for a in (numerators, denominators))
         w = np.asarray(weights, dtype=float)
         if not len(nums) == len(dens) == len(w) or np.any(dens <= 0):
             raise InvalidParameter("need equal-length arrays and positive denominators")
@@ -336,6 +341,39 @@ def merge_atoms(
     index = np.empty(len(sn), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     return sn[first], sd[first], np.bincount(index, weights=weights), index
+
+
+def group_pairs(
+    prev: np.ndarray, curr: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the ``weights`` (a count of one per row if None) of equal integer
+    (prev, curr) pairs, returned in pair order.
+
+    Each pair is packed into one int64 key ``prev * pack + curr`` with
+    ``pack > max(curr)``, so sorted keys hold each pair as one run, in pair
+    order.  A column whose values would push the key past int64 is replaced
+    by its ranks among its distinct values first, which keeps the order and
+    bounds the key by the number of rows.
+    """
+    if prev.size == 0:
+        return prev, curr, np.zeros(0, dtype=np.int64)
+    prev_vals = curr_vals = None
+    if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
+        prev_vals, prev = np.unique(prev, return_inverse=True)
+    if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
+        curr_vals, curr = np.unique(curr, return_inverse=True)
+    pack = np.int64(curr.max()) + 1
+    keys = prev * pack + curr
+    order = None if weights is None else np.argsort(keys)
+    keys = np.sort(keys) if order is None else keys[order]
+    cut = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    sums = np.diff(cut) if order is None else np.add.reduceat(weights[order], cut[:-1])
+    prev, curr = np.divmod(keys[cut[:-1]], pack)
+    if prev_vals is not None:
+        prev = prev_vals[prev]
+    if curr_vals is not None:
+        curr = curr_vals[curr]
+    return prev, curr, sums
 
 
 def difference(a: DiscreteMeasure, b: DiscreteMeasure) -> tuple[np.ndarray, ...]:

@@ -38,7 +38,7 @@ from .errors import (
     SolverDidNotConverge,
 )
 from .maxflow import FLOW_TERMINATION, BandFlow, band_windows
-from .measures import DiscreteMeasure, difference
+from .measures import DiscreteMeasure, difference, group_pairs
 from .offspring import OffspringLaw
 
 __all__ = [
@@ -428,10 +428,9 @@ def joint_tv(j1: JointLaw, j2: JointLaw) -> tuple[float, float]:
         raise MismatchedLaws(
             f"joint laws disagree on n or z0: ({j1.n},{j1.z0}) vs ({j2.n},{j2.z0})"
         )
-    diff = j1.entries()
-    for key, p in j2.entries().items():
-        diff[key] = diff.get(key, 0.0) - p
-    value = 0.5 * sum(abs(v) for v in diff.values())
+    negated = (j2.prev, j2.curr, -j2.probs)
+    diff = group_pairs(*map(np.concatenate, zip((j1.prev, j1.curr, j1.probs), negated)))[2]
+    value = 0.5 * sum(np.abs(diff).tolist())
     return value, 0.5 * (j1.defect + j2.defect)
 
 

@@ -15,7 +15,7 @@ A chunk keeps only its live replications, in replication order, and
 counts the extinct ones; each level groups the live (Z_{n-1}, Z_n) rows and
 puts one (0, 0) row in front for the extinct.  Chunks and their merge group
 rows by sorting one packed int64 key per row and reading off runs (see
-``_group_pairs``).
+``measures.group_pairs``).
 
 Replications whose population passes the cap stop being tabulated from the
 offending generation on; per-generation exclusion counts are part of the
@@ -35,7 +35,7 @@ import numpy as np
 from .engine import check_start_size
 from .errors import DegenerateConditioning, InvalidParameter
 from .estimator import deviation_mask, ratio_law
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, group_pairs
 from .offspring import OffspringLaw
 
 __all__ = [
@@ -117,38 +117,6 @@ class SimTable:
                 for mine, theirs in zip(self.levels[n], other.levels[n])
             )
         )
-
-
-def _group_pairs(
-    prev: np.ndarray, curr: np.ndarray, counts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum the ``counts`` (one per row if None) of equal (prev, curr) pairs.
-
-    Each pair is packed into one int64 key ``prev * pack + curr`` with
-    ``pack > max(curr)``, so sorted keys hold each pair as one run, in pair
-    order.  A column whose values would push the key past int64 is replaced
-    by its ranks among its distinct values first, which keeps the order and
-    bounds the key by the number of rows.
-    """
-    if prev.size == 0:
-        return prev, curr, np.zeros(0, dtype=np.int64)
-    prev_vals = curr_vals = None
-    if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
-        prev_vals, prev = np.unique(prev, return_inverse=True)
-    if (int(prev.max()) + 1) * (int(curr.max()) + 1) > 2**63:
-        curr_vals, curr = np.unique(curr, return_inverse=True)
-    pack = np.int64(curr.max()) + 1
-    keys = prev * pack + curr
-    order = None if counts is None else np.argsort(keys)
-    keys = np.sort(keys) if order is None else keys[order]
-    cut = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-    counts = np.diff(cut) if order is None else np.add.reduceat(counts[order], cut[:-1])
-    prev, curr = np.divmod(keys[cut[:-1]], pack)
-    if prev_vals is not None:
-        prev = prev_vals[prev]
-    if curr_vals is not None:
-        curr = curr_vals[curr]
-    return prev, curr, counts
 
 
 class _Sampler:
@@ -242,7 +210,7 @@ def _simulate_chunk(
 
     ``z`` holds the live populations (positive, not excluded) in replication
     order, which is the array every draw takes.  Extinct replications are
-    only counted; ``_group_pairs`` would sort their ``(0, 0)`` row first.
+    only counted; ``group_pairs`` would sort their ``(0, 0)`` row first.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, chunk_idx]))
 
@@ -258,7 +226,7 @@ def _simulate_chunk(
         if over.any():
             prev, curr = prev[~over], curr[~over]
         exc_counts[step] = size - extinct - curr.size
-        level = _group_pairs(prev, curr)
+        level = group_pairs(prev, curr)
         if extinct:
             level = tuple(
                 np.concatenate((np.array([head], dtype=np.int64), column))
@@ -268,14 +236,6 @@ def _simulate_chunk(
         z = curr[curr > 0]
         extinct += curr.size - z.size
     return levels, exc_counts
-
-
-def _chunk_sizes(replications: int) -> list[int]:
-    full, rest = divmod(replications, CHUNK)
-    sizes = [CHUNK] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
 
 
 def check_jobs(jobs: int) -> None:
@@ -288,7 +248,8 @@ def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable
     check_jobs(jobs)
     if not law.measure.is_integer_supported:
         raise InvalidParameter("offspring law must have integer support")
-    sizes = _chunk_sizes(cfg.replications)
+    full, rest = divmod(cfg.replications, CHUNK)
+    sizes = [CHUNK] * full + ([rest] if rest else [])
     chunk = partial(_simulate_chunk, _Sampler(law.measure), cfg)
     if jobs > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -302,7 +263,7 @@ def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable
     final = {}
     for n in range(1, cfg.n_max + 1):
         columns = zip(*(levels[n] for levels, _ in results))
-        final[n] = _group_pairs(*(np.concatenate(col) for col in columns))
+        final[n] = group_pairs(*(np.concatenate(col) for col in columns))
     return SimTable(cfg=cfg, levels=final, excluded=excluded)
 
 

@@ -52,6 +52,14 @@ def as_dict(m: DiscreteMeasure) -> dict:
     return {x: w for x, w in m.items()}
 
 
+def joint_entries(joint) -> dict[tuple[int, int], float]:
+    """A joint law's rows as ``{(prev, curr): prob}``."""
+    return {
+        (j, k): p
+        for j, k, p in zip(joint.prev.tolist(), joint.curr.tolist(), joint.probs.tolist())
+    }
+
+
 @pytest.fixture(scope="session")
 def b75():
     return build(FamilySpec.binary(0.75))

@@ -18,7 +18,8 @@ from scipy.ndimage import maximum_filter1d
 
 from gwlab.maxflow import FLOW_TERMINATION, BandFlow, band_windows
 from gwlab.metrics import MetricResult, _complete_coupling
-from gwlab.montecarlo import _draw_next, _group_pairs
+from gwlab.measures import group_pairs
+from gwlab.montecarlo import _draw_next
 
 # -- laws as plain dicts -------------------------------------------------------
 
@@ -387,5 +388,5 @@ def simulate_chunk(sampler, cfg, chunk_idx: int, size: int):
         excluded |= newly
         keep = active & ~newly
         exc_counts[step] = size - int(keep.sum())
-        levels[step] = _group_pairs(zprev[keep], z[keep])
+        levels[step] = group_pairs(zprev[keep], z[keep])
     return levels, exc_counts

@@ -258,6 +258,18 @@ class TestErrorChannels:
         err = json.loads(out.stderr)
         assert err["error"] == "InvalidParameter"
 
+    @pytest.mark.parametrize("command, n", [("law", "100000"), ("joint", "40")])
+    def test_unaffordable_step_names_the_engine_cap(self, capsys, command, n):
+        # The binary(0.75) support widens each generation, so by generation
+        # 19 or 20 a step plans more dense write work than the engine allows.
+        argv = [command, "--family", "binary", "--p", "0.75", "--n", n]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        err = json.loads(err)
+        assert err["error"] == "BudgetExceeded"
+        assert "_DENSE_WORK_CAP" in err["message"]
+
     def test_missing_input_file(self):
         out = run(["metric", "--kind", "tv", "/nonexistent/a.json",
                    "/nonexistent/b.json"])

@@ -9,10 +9,12 @@ import pytest
 from gwlab import lab, montecarlo
 from gwlab import (
     DEFAULT_TAIL_BUDGET,
+    BudgetExceeded,
     CLAIM_IDS,
     ExperimentSpec,
     FamilySpec,
     InvalidParameter,
+    Propagator,
     SimConfig,
     SupercriticalRequired,
     VerificationReport,
@@ -393,6 +395,18 @@ class TestRobustnessModulus:
         assert all(r["mc_from"] is None for r in rows)
         assert rows[2]["modulus"] == 0.0
         assert all(r["modulus"] <= 0.1 for r in rows)
+
+
+    def test_engine_cap_ends_the_exact_route_of_the_k50_member(self):
+        # Generation 2 reaches about 19,000, so step 3 plans a dense array
+        # of about 500 times that, past the engine's caps: the sweep's exact
+        # route ends at the step the engine refuses.
+        spec = contamination_sweep_spec(k_values=(50,), n_max=3, replications=1_000)
+        (row,) = robustness_modulus(spec)
+        prop = Propagator(build(spec.grid[0]), n_max=3, budget=spec.budget)
+        with pytest.raises(BudgetExceeded, match="_DENSE_LEN_CAP") as err:
+            prop.joint(3)
+        assert err.value.step == row["mc_from"] == 3
 
 
 class TestContaminationGrid:

@@ -134,6 +134,7 @@ class TestArrayStorage:
         assert back == m and hash(back) == hash(m)
         assert "support" not in back.__dict__
         assert back.support == m.support and back.weights == m.weights
+        assert DiscreteMeasure.from_sorted_arrays(m.nums, m.dens, m.weights_array) == m
         heavier = DiscreteMeasure.from_items(m.items(), defect=1e-10)
         assert heavier != m
 
@@ -146,6 +147,15 @@ class TestArrayStorage:
             DiscreteMeasure.from_sorted_arrays(nums, dens, np.array([0.5, 0.5]))
         m = DiscreteMeasure.from_sorted_arrays(nums[::-1], dens[::-1], np.array([0.5, 0.5]))
         assert m.support == tuple(sorted(map(Fraction, nums.tolist(), dens.tolist())))
+
+    def test_sorted_arrays_past_int64_are_kept_as_object_arrays(self):
+        m = DiscreteMeasure.from_sorted_arrays(
+            np.array([2**70], dtype=object), np.array([1], dtype=object), np.array([1.0])
+        )
+        assert m == DiscreteMeasure([2**70], [1.0])
+        assert m.nums.dtype == object and m.support == (Fraction(2**70),)
+        mixed = DiscreteMeasure.from_sorted_arrays([3, 2**70], [1, 3], np.array([0.5, 0.5]))
+        assert mixed.support == (Fraction(3), Fraction(2**70, 3))
 
     def test_array_and_fraction_routes_build_equal_measures(self):
         rng = np.random.default_rng(5)

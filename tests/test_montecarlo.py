@@ -25,7 +25,8 @@ from gwlab import (
 )
 from gwlab.errors import InvalidParameter
 from gwlab.lab import contamination_grid
-from gwlab.montecarlo import STEP_LIMIT, _draw_next, _group_pairs, _Sampler, _simulate_chunk
+from gwlab.measures import group_pairs
+from gwlab.montecarlo import STEP_LIMIT, _draw_next, _Sampler, _simulate_chunk
 
 import oracles
 
@@ -158,7 +159,7 @@ class TestGroupPairs:
         for j, k, c in zip(prev.tolist(), curr.tolist(), weights):
             oracle[j, k] += c
         want = sorted(oracle.items())
-        got_prev, got_curr, got_counts = _group_pairs(prev, curr, counts)
+        got_prev, got_curr, got_counts = group_pairs(prev, curr, counts)
         assert all(a.dtype == np.int64 for a in (got_prev, got_curr, got_counts))
         got = list(zip(zip(got_prev.tolist(), got_curr.tolist()), got_counts.tolist()))
         assert got == want
