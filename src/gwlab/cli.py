@@ -24,7 +24,6 @@ from .lab import (
     CLAIM_IDS,
     MODULUS_COLUMNS,
     ExperimentSpec,
-    check_budget,
     robustness_modulus,
     run_default_suite,
     _jsonable,
@@ -310,23 +309,12 @@ def _cmd_modulus(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each subcommand takes only the flags it reads: the shared output flags
+    # and, from these parents, the ones its handler uses.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        help="truncation budget for built laws (default: GW_BUDGET or 1e-12)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     common.add_argument("--output", default=None, help="write to this file instead of stdout")
     common.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format (default csv)"
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for simulation (default: all cores); results do not depend on it",
     )
     common.add_argument(
         "--no-timestamp",
@@ -334,7 +322,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="omit the timestamp so reruns are byte-identical",
     )
 
-    family = argparse.ArgumentParser(add_help=False)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        help="truncation budget for built laws (default: GW_BUDGET or 1e-12)",
+    )
+
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes for simulation (default: all cores); results do not depend on it",
+    )
+
+    family = argparse.ArgumentParser(add_help=False, parents=[budget])
     family.add_argument(
         "--family",
         required=True,
@@ -397,8 +401,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser(
-        "simulate", parents=[common, family], help="seeded path simulation, pair counts per level"
+        "simulate",
+        parents=[common, family, jobs],
+        help="seeded path simulation, pair counts per level",
     )
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     p.add_argument("--replications", type=int, default=1_000_000)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--z0", type=int, default=1)
@@ -406,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
-        "verify", parents=[common], help="run the inequality verification suite"
+        "verify", parents=[common, budget], help="run the inequality verification suite"
     )
     p.add_argument(
         "--suite",
@@ -417,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "modulus", parents=[common], help="robustness sweep from an experiment config"
+        "modulus", parents=[common, jobs], help="robustness sweep from an experiment config"
     )
     p.add_argument("--config", required=True, help="experiment spec JSON file")
     p.set_defaults(func=_cmd_modulus)
@@ -429,9 +436,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.budget is None:
+        if "budget" in args and args.budget is None:
             args.budget = _default_budget()
-        check_budget(args.budget)
         return args.func(args)
     except (GwError, OSError, json.JSONDecodeError) as exc:
         line = json.dumps(

@@ -11,14 +11,15 @@ Convolution powers are taken on the offspring law's lattice (see
 power is a dense product of two smaller ones or, where that costs fewer
 multiply-adds, stepped up from a cached power by the law's atoms.
 
-Truncation discipline: a propagation with horizon ``n`` and budget ``b``
-may move at most ``b / n`` of mass per step into the defect, always from the
-largest population sizes.  Defect inherited from a truncated offspring law
-is tracked as well, and crossing the total budget raises ``BudgetExceeded``
-at the offending step.  It is raised, before anything is convolved, by a
-step whose plan passes a cost cap on the next generation's dense length,
-the write work of its convolution rows or the work of halving its largest
-power; every caller, the sweeps' exact route included, is guarded alike.
+Truncation discipline: the budget ``b`` of a propagation to horizon
+``n_max`` bounds only the mass the propagation drops: at most ``b / n_max``
+per step, always from the largest population sizes, and generations past
+``n_max`` are refused.  The defect a truncated offspring law carries is
+passed on into every generation's defect and is not charged to the budget.
+``BudgetExceeded`` is raised, before anything is convolved, by a step whose
+plan passes a cost cap on the write work of its convolution rows or the
+work of halving its largest power; every caller, the sweeps' exact route
+included, is guarded alike.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     InvalidParameter,
 )
 from .measures import DiscreteMeasure, _convolve_dense, _span, _trim_back, _truncate_dense
-from .offspring import OffspringLaw
+from .offspring import DEFAULT_TAIL_BUDGET, OffspringLaw, check_budget
 
 __all__ = [
     "GenerationLaw",
@@ -51,12 +52,9 @@ __all__ = [
     "wlln_probability",
 ]
 
-DEFAULT_BUDGET = 1e-12
-
 MIN_SURVIVAL = 1e-12
 
 # Cost caps on one step's plan (see the module notes).
-_DENSE_LEN_CAP = 2_000_000
 _DENSE_WORK_CAP = 2 * 10**8
 _POWER_WORK_CAP = 3 * 10**10
 
@@ -177,9 +175,10 @@ class Propagator:
         law: OffspringLaw,
         z0: int = 1,
         n_max: int = 1,
-        budget: float = DEFAULT_BUDGET,
+        budget: float = DEFAULT_TAIL_BUDGET,
     ):
         check_start_size(z0)
+        check_budget(budget)
         if n_max < 0:
             raise InvalidParameter("horizon must be nonnegative")
         self.law = law
@@ -197,7 +196,6 @@ class Propagator:
         sizes = np.flatnonzero(prev).tolist()
         length = sizes[-1] * int(self.law.counts[-1]) + 1
         for name, planned, cap in (
-            ("_DENSE_LEN_CAP", length, _DENSE_LEN_CAP),
             ("_DENSE_WORK_CAP", len(sizes) * length, _DENSE_WORK_CAP),
             ("_POWER_WORK_CAP", (length / 2) ** 2, _POWER_WORK_CAP),
         ):
@@ -211,23 +209,18 @@ class Propagator:
         step = len(self._gen)
         rows = [(j, *self.powers.get(j)) for j in self._plan(prev, step)]
         out = np.zeros(max([1] + [len(w) for _, w, _ in rows]))
-        inherited = prev_defect
+        defect = prev_defect
         for j, w, d in rows:
             out[: len(w)] += prev[j] * w
-            inherited += prev[j] * d
+            defect += prev[j] * d
         out, dropped = _truncate_dense(out, self.budget / self.n_max)
-        defect = inherited + dropped
-        if defect > self.budget * (1.0 + 1e-9):
-            raise BudgetExceeded(
-                f"defect {defect:.3e} exceeds budget {self.budget:.3e} "
-                f"at generation {step}",
-                step=step,
-            )
         if out.size == 0:
             raise BudgetExceeded("truncation removed all mass", step=step)
-        self._gen.append((out, defect))
+        self._gen.append((out, defect + dropped))
 
     def _dense_generation(self, n: int) -> tuple[np.ndarray, float]:
+        if n > self.n_max:
+            raise InvalidParameter(f"generation {n} is past the horizon n_max = {self.n_max}")
         while len(self._gen) <= n:
             self._advance()
         return self._gen[n]
@@ -270,7 +263,7 @@ def propagate(
     law: OffspringLaw,
     n: int,
     z0: int = 1,
-    budget: float = DEFAULT_BUDGET,
+    budget: float = DEFAULT_TAIL_BUDGET,
 ) -> GenerationLaw:
     """Law of the population size after ``n`` generations from ``z0`` ancestors."""
     return Propagator(law, z0=z0, n_max=n, budget=budget).generation(n)
@@ -283,8 +276,7 @@ def extinction_by_n(law: OffspringLaw, n: int, z0: int = 1) -> float:
     truncation at all; it doubles as an oracle for the mass the propagated
     law puts at zero.
     """
-    if z0 < 1:
-        raise InvalidParameter("start size z0 must be at least 1")
+    check_start_size(z0)
     return offspring_mod.iterate_pgf_at_zero(law, n) ** z0
 
 
@@ -292,7 +284,7 @@ def joint_law(
     law: OffspringLaw,
     n: int,
     z0: int = 1,
-    budget: float = DEFAULT_BUDGET,
+    budget: float = DEFAULT_TAIL_BUDGET,
 ) -> JointLaw:
     """Joint law of the sizes at generations ``n - 1`` and ``n``."""
     return Propagator(law, z0=z0, n_max=max(n - 1, 1), budget=budget).joint(n)

@@ -38,8 +38,8 @@ class SupercriticalRequired(GwError):
 
 
 class BudgetExceeded(GwError):
-    """A propagation step would cross the truncation budget or one of the
-    engine's cost caps; ``step`` is the generation it stopped at."""
+    """A propagation step would pass one of the engine's cost caps, or its
+    truncation would remove all mass; ``step`` is the generation it stopped at."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)

@@ -10,11 +10,11 @@ record the computed left and right sides together with an explicit slack,
 so a pass means something in floating point.
 
 Estimator laws are computed exactly while the population-size support
-stays below a cutoff and the engine accepts each step (its cost caps and
-truncation budget, see ``engine``); past that they come from seeded
-simulation, binned onto a fixed ratio grid, with the bin radius added to the
-slack column and cap-excluded replications counted as defect.  Sweeps and
-the consistency check share this one route (``_horizon_laws``).
+stays below a cutoff and the engine accepts each step (its cost caps, see
+``engine``); past that they come from seeded simulation, binned onto a
+fixed ratio grid, with the bin radius added to the slack column and
+cap-excluded replications counted as defect.  Sweeps and the consistency
+check share this one route (``_horizon_laws``).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .offspring import (
     FamilySpec,
     OffspringLaw,
     build,
+    check_budget,
     criticality,
     extinction_probability,
     extinction_transform,
@@ -114,11 +115,6 @@ MODULUS_COLUMNS = (
     "mc_from",
     "flagged",
 )
-
-
-def check_budget(budget: float) -> None:
-    if not (math.isfinite(budget) and budget >= 0.0):
-        raise InvalidParameter("tail budget must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -249,22 +245,6 @@ def _member_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _propagator(law: OffspringLaw, n: int, z0: int, budget: float) -> Propagator:
-    """Propagator to horizon ``n`` whose budget also covers the law's defect.
-
-    Every individual's draw loses at most the law defect ``d`` of retained
-    mass, so over ``n`` generations the inherited defect is at most
-    ``d * z0 * sum_t m^t`` with ``m`` an upper bound on the mean.  Exact
-    laws keep ``budget`` unchanged.
-    """
-    d = law.measure.defect
-    if d != 0.0:
-        m_ub = law.mean_m + (law.tail_bound(0) if law.tail_bound is not None else 0.0)
-        growth = sum(max(m_ub, 1.0) ** t for t in range(n))
-        budget = budget + 1.01 * z0 * d * growth
-    return Propagator(law, z0=z0, n_max=n, budget=budget)
-
-
 def _horizon_laws(
     law: OffspringLaw, levels: Iterable[int], conditioned: bool,
     from_exact: Callable[[EstimatorLaw], T], from_table: Callable[[SimTable, int], T],
@@ -274,8 +254,8 @@ def _horizon_laws(
     """The one exact-to-Monte-Carlo route: a result per horizon in ``levels``.
 
     Horizons are walked in order and stay exact until the engine refuses a
-    step (``BudgetExceeded``: a cost cap or the truncation budget) or the
-    support passes ``exact_cutoff``; that horizon is ``mc_from``.  A wanted
+    step (``BudgetExceeded``: a cost cap, or truncation emptying the law) or
+    the support passes ``exact_cutoff``; that horizon is ``mc_from``.  A wanted
     exact horizon gives ``from_exact(ratio law)``.  The switch is sticky:
     every wanted horizon from ``mc_from`` on gives ``from_table(table, n)``
     from one seeded simulation.  Returns the results by horizon and
@@ -283,7 +263,7 @@ def _horizon_laws(
     """
     wanted = sorted(set(levels))
     n_max = wanted[-1]
-    prop = _propagator(law, n_max, z0, budget)
+    prop = Propagator(law, z0=z0, n_max=n_max, budget=budget)
     out: dict[int, T] = {}
     for n in range(1, n_max + 1):
         try:
@@ -462,8 +442,8 @@ def verify_joint_tv_bound(
         lhs, lhs_slack = trajectory_tv(law1, law2, n, z0=z0)
     else:
         side = "pair"
-        j1 = _propagator(law1, n, z0, DEFAULT_TAIL_BUDGET).joint(n)
-        j2 = _propagator(law2, n, z0, DEFAULT_TAIL_BUDGET).joint(n)
+        j1 = Propagator(law1, z0=z0, n_max=n).joint(n)
+        j2 = Propagator(law2, z0=z0, n_max=n).joint(n)
         lhs, lhs_slack = joint_tv(j1, j2)
     rhs = z0 * c_n * d_tv
     slack = lhs_slack + z0 * c_n * d_slack + 1e-10
@@ -660,7 +640,7 @@ def verify_conditional_occupancy(
     if not levels or levels[0] < 1:
         raise InvalidParameter("n_range must contain horizons >= 1")
     n_max = levels[-1]
-    prop = _propagator(law, n_max, 1, budget)
+    prop = Propagator(law, n_max=n_max, budget=budget)
     occupancy: dict[int, float] = {}
     bounds: dict[int, float] = {}
     worst, worst_slack = -math.inf, 0.0
@@ -797,8 +777,7 @@ def verify_decomposition_identity(
     """
     if n < 1:
         raise InvalidParameter("horizon n must be at least 1")
-    prop = _propagator(law, n, z0, budget)
-    joint = prop.joint(n)
+    joint = Propagator(law, z0=z0, n_max=n, budget=budget).joint(n)
     unconditional = estimator_law(joint).law
     alive_mass = float(joint.probs[joint.prev > 0].sum())
     extinct_mass = joint.total_mass - alive_mass

@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .engine import JointLaw, PowerCache
+from .engine import JointLaw, PowerCache, check_start_size
 from .errors import (
     CouplingInfeasible,
     InvalidParameter,
@@ -446,8 +446,7 @@ def trajectory_tv(
     """
     if n < 1:
         raise InvalidParameter("trajectory TV needs n >= 1")
-    if z0 < 1:
-        raise InvalidParameter("start size z0 must be at least 1")
+    check_start_size(z0)
     cache1, cache2 = PowerCache(law1), PowerCache(law2)
     total = seen1 = seen2 = 0.0
 

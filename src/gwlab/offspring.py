@@ -245,6 +245,11 @@ class OffspringLaw:
         return self.measure.mass_at(0)
 
 
+def check_budget(budget: float) -> None:
+    if not (math.isfinite(budget) and budget >= 0.0):
+        raise InvalidParameter("tail budget must be finite and nonnegative")
+
+
 def build(spec: FamilySpec, budget: float = DEFAULT_TAIL_BUDGET) -> OffspringLaw:
     """Materialize a family member.
 
@@ -253,6 +258,7 @@ def build(spec: FamilySpec, budget: float = DEFAULT_TAIL_BUDGET) -> OffspringLaw
     bound is at most ``budget`` is derived.  The mass beyond the cutoff goes
     into the measure defect.
     """
+    check_budget(budget)
     if spec.family == "binary":
         m = DiscreteMeasure.from_items([(0, 1.0 - spec.p), (2, spec.p)])
         return OffspringLaw(m, measures.mean(m), family=spec)

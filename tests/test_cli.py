@@ -244,6 +244,36 @@ class TestBudgetEnvironment:
         assert "finite and nonnegative" in err["message"]
 
 
+    @pytest.mark.parametrize("args", [
+        ["joint", "--family", "polynomial", "--p", "3.5", "--truncation", "30", "--n", "3"],
+        ["law", "--family", "poisson", "--lam", "2", "--n", "8"],
+    ], ids=["polynomial-joint", "poisson-law"])
+    def test_law_defect_past_the_budget_is_carried(self, capsys, args):
+        # The budget bounds only the mass the propagation drops; the law's
+        # own tail defect is passed on, even past 1e-12.
+        assert main([*args, "--format", "json", "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["defect"] > 1e-12
+
+    def test_command_without_budget_ignores_the_environment(self, tmp_path):
+        path = build_law_file(tmp_path, "a.json", "--family", "binary", "--p", "0.75")
+        out = run(["metric", "--kind", "tv", str(path), str(path)],
+                  env_extra={"GW_BUDGET": "-1"})
+        assert out.returncode == 0, out.stderr
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["modulus", "--config", "sweep.json", "--seed", "7"],
+        ["law", "--family", "binary", "--p", "0.75", "--n", "2", "--jobs", "2"],
+        ["metric", "--kind", "tv", "a.json", "b.json", "--budget", "1e-6"],
+    ], ids=["modulus-seed", "law-jobs", "metric-budget"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def _spec_doc(**changes):
     doc = binary_sweep_spec(offsets=(0.0,), n_max=2).to_json_dict()
     doc.update(changes)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 import oracles
 from conftest import as_dict, joint_entries
 from gwlab import (
+    DEFAULT_TAIL_BUDGET,
     BudgetExceeded,
     DegenerateConditioning,
     DiscreteMeasure,
     FamilySpec,
+    InvalidParameter,
     OffspringLaw,
     PowerCache,
     Propagator,
@@ -26,6 +29,7 @@ from gwlab import (
     extinction_probability,
     joint_law,
     propagate,
+    trajectory_tv,
     wlln_probability,
 )
 
@@ -106,11 +110,69 @@ class TestPropagate:
                     z0 * b75.mean_m**n, abs=1e-9
                 )
 
-    def test_budget_exhaustion_names_the_step(self):
-        law = build(FamilySpec.poisson(2.0))
-        with pytest.raises(BudgetExceeded) as err:
-            propagate(law, 3, budget=0.0)
-        assert err.value.step >= 1
+    def test_generation_past_the_horizon_is_refused(self, b75):
+        # Each step may drop budget / n_max, so only a step past n_max
+        # could take the drops past the budget.
+        prop = Propagator(b75, n_max=3)
+        assert prop.joint(4).n == 4  # reads generation 3
+        with pytest.raises(InvalidParameter, match="past the horizon"):
+            prop.generation(4)
+
+    def test_law_defect_is_carried_not_charged_to_the_budget(self):
+        # Two Poisson(3) ancestors carry the law's own tail defect past the
+        # 1e-12 budget by generation 5; it goes into the defect instead.
+        # Only a cost cap ends the propagation, at step 6.
+        prop = Propagator(build(FamilySpec.poisson(3.0)), z0=2, n_max=6)
+        law = prop.generation(5).law
+        assert law.defect > DEFAULT_TAIL_BUDGET
+        assert law.total_mass + law.defect == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(BudgetExceeded, match="_DENSE_WORK_CAP") as err:
+            prop.joint(6)
+        assert err.value.step == 6
+
+    @pytest.mark.parametrize("make", [
+        lambda: build(FamilySpec.poisson(2.0), float("nan")),
+        lambda: Propagator(build(FamilySpec.binary(0.75)), budget=-1.0),
+    ], ids=["build-nan", "propagator-negative"])
+    def test_bad_budget_is_refused_where_it_is_spent(self, make):
+        with pytest.raises(InvalidParameter, match="budget"):
+            make()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.one_of(
+            st.builds(FamilySpec.poisson, st.floats(1.1, 2.0)),
+            st.builds(FamilySpec.polynomial, st.floats(2.5, 4.0), st.integers(4, 10)),
+        ),
+        z0=st.integers(1, 3),
+        n=st.integers(1, 6),
+        budget=st.sampled_from([1e-12, 1e-8, 1e-4]),
+    )
+    def test_drops_stay_within_the_budget(self, spec, z0, n, budget):
+        # A step's drops are its defect less the defect it inherits, summed
+        # in the engine's order; each difference is good to half an ulp.
+        prop = Propagator(build(spec), z0=z0, n_max=n, budget=budget)
+        drops = slop = 0.0
+        prev = prop.generation(0).law
+        for t in range(1, n + 1):
+            cur = prop.generation(t).law
+            inherited = prev.defect
+            w = prev.dense_weights()
+            for j in np.flatnonzero(w).tolist():
+                inherited += w[j] * prop.powers.get(j)[1]
+            drops += cur.defect - inherited
+            slop += math.ulp(cur.defect)
+            prev = cur
+        assert -slop <= drops <= budget * (1 + 1e-9) + slop
+
+
+@pytest.mark.parametrize("call", [
+    lambda law: extinction_by_n(law, 3, z0=2**63),
+    lambda law: trajectory_tv(law, law, 1, z0=2**63),
+], ids=["extinction_by_n", "trajectory_tv"])
+def test_start_size_past_int64_is_refused(b75, call):
+    with pytest.raises(InvalidParameter, match="int64"):
+        call(b75)
 
 
 class TestExtinctionByN:

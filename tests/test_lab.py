@@ -8,7 +8,6 @@ import pytest
 
 from gwlab import lab, montecarlo
 from gwlab import (
-    DEFAULT_TAIL_BUDGET,
     BudgetExceeded,
     CLAIM_IDS,
     ExperimentSpec,
@@ -270,7 +269,7 @@ class TestDecompositionIdentity:
     )
     def test_matches_the_atom_by_atom_fraction_loop_bit_for_bit(self, spec, n, z0):
         law = build(spec)
-        joint = lab._propagator(law, n, z0, DEFAULT_TAIL_BUDGET).joint(n)
+        joint = Propagator(law, z0=z0, n_max=n).joint(n)
         unconditional = estimator_law(joint).law
         conditional = estimator_law(joint, conditioned=True).law
         alive = float(joint.probs[joint.prev > 0].sum())
@@ -404,7 +403,7 @@ class TestRobustnessModulus:
         spec = contamination_sweep_spec(k_values=(50,), n_max=3, replications=1_000)
         (row,) = robustness_modulus(spec)
         prop = Propagator(build(spec.grid[0]), n_max=3, budget=spec.budget)
-        with pytest.raises(BudgetExceeded, match="_DENSE_LEN_CAP") as err:
+        with pytest.raises(BudgetExceeded, match="_DENSE_WORK_CAP") as err:
             prop.joint(3)
         assert err.value.step == row["mc_from"] == 3
 
