@@ -39,11 +39,9 @@ from .offspring import (
     survival_transform,
 )
 from .engine import (
-    GenerationLaw,
     JointLaw,
     PowerCache,
     Propagator,
-    SurvivalConditioned,
     condition_on_survival,
     extinction_by_n,
     joint_law,

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from typing import Iterable
 
 from .engine import Propagator
 from .errors import GwError, InvalidParameter
@@ -70,11 +71,11 @@ def _emit_rows(
     args: argparse.Namespace,
     kind: str,
     columns: tuple[str, ...],
-    rows: list[dict],
+    rows: Iterable[tuple],
     comments: list[str] | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write a row table as versioned CSV or JSON to --output or stdout."""
+    """Write tuple rows in ``columns`` order as versioned CSV or JSON."""
     if args.format == "csv":
         buf = io.StringIO()
         buf.write(f"# gw-csv-1 {kind}\n")
@@ -84,14 +85,13 @@ def _emit_rows(
             buf.write(f"# {line}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(col) for col in columns])
+        writer.writerows(rows)
         _write_text(args, buf.getvalue())
         return
     doc = {
         "schema": f"gw-{kind}-1",
         "columns": list(columns),
-        "rows": [{col: _jsonable(row.get(col)) for col in columns} for row in rows],
+        "rows": [dict(zip(columns, _jsonable(row))) for row in rows],
     }
     if extra:
         doc.update(_jsonable(extra))
@@ -105,17 +105,10 @@ def _emit_doc(args: argparse.Namespace, doc: dict) -> None:
     _write_text(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _measure_rows(measure: DiscreteMeasure, column: str = "point") -> list[dict]:
-    """One row per atom, written ``n/d`` (``n`` when whole) from the arrays."""
+def _measure_rows(measure: DiscreteMeasure) -> list[tuple]:
+    """One ``(atom, weight)`` row per atom, the atom written ``n/d`` (``n`` when whole)."""
     atoms = zip(measure.nums.tolist(), measure.dens.tolist(), measure.weights_array.tolist())
-    return [{column: f"{n}/{d}" if d != 1 else str(n), "weight": w} for n, d, w in atoms]
-
-
-def _parse_weights(raw: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",")]
-    except ValueError:
-        raise InvalidParameter(f"cannot parse weight list {raw!r}")
+    return [(f"{n}/{d}" if d != 1 else str(n), w) for n, d, w in atoms]
 
 
 def _law_from_args(args: argparse.Namespace) -> OffspringLaw:
@@ -125,7 +118,10 @@ def _law_from_args(args: argparse.Namespace) -> OffspringLaw:
         if value is None:
             raise InvalidParameter(f"family {args.family!r} needs --{name}")
     if "weights" in kwargs:
-        kwargs["weights"] = _parse_weights(args.weights)
+        try:
+            kwargs["weights"] = [float(tok) for tok in args.weights.split(",")]
+        except ValueError:
+            raise InvalidParameter(f"cannot parse weight list {args.weights!r}")
     if args.family in TRUNCATED:
         kwargs["truncation"] = args.truncation
     return build(FamilySpec(args.family, **kwargs), args.budget)
@@ -171,7 +167,7 @@ def _cmd_build_law(args: argparse.Namespace) -> int:
 
 
 def _cmd_law(args: argparse.Namespace) -> int:
-    gen = _propagator_from_args(args).generation(args.n).law
+    gen = _propagator_from_args(args).generation(args.n)
     comments = [f"n {args.n}", f"z0 {args.z0}", f"defect {gen.defect!r}"]
     extra = {"n": args.n, "z0": args.z0, "defect": gen.defect, "measure": gen.to_json_dict()}
     _emit_rows(args, "generation", ("point", "weight"), _measure_rows(gen), comments, extra)
@@ -180,8 +176,7 @@ def _cmd_law(args: argparse.Namespace) -> int:
 
 def _cmd_joint(args: argparse.Namespace) -> int:
     joint = _propagator_from_args(args).joint(args.n)
-    cols = (joint.prev.tolist(), joint.curr.tolist(), joint.probs.tolist())
-    rows = [{"prev": j, "curr": k, "prob": p} for j, k, p in zip(*cols)]
+    rows = zip(joint.prev.tolist(), joint.curr.tolist(), joint.probs.tolist())
     comments = [f"n {args.n}", f"z0 {args.z0}", f"defect {joint.defect!r}"]
     extra = {"n": args.n, "z0": args.z0, "defect": joint.defect}
     _emit_rows(args, "joint", ("prev", "curr", "prob"), rows, comments, extra)
@@ -201,7 +196,7 @@ def _cmd_estimator_law(args: argparse.Namespace) -> int:
         args,
         "estimator-law",
         ("ratio", "weight"),
-        _measure_rows(e.law, "ratio"),
+        _measure_rows(e.law),
         comments,
         e.to_json_dict(),
     )
@@ -249,10 +244,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     law = _law_from_args(args)
     cfg = SimConfig(args.seed, args.replications, args.n_max, args.z0, args.cap)
     table = simulate_paths(law, cfg, jobs=args.jobs)
-    rows = [
-        {"level": n, "prev": j, "curr": k, "count": c}
-        for n, j, k, c in table.rows()
-    ]
     excluded = {n: int(table.excluded[n]) for n in range(1, args.n_max + 1)}
     comments = [f"replications {args.replications}", f"seed {args.seed}"]
     comments += [f"excluded {n} {c}" for n, c in excluded.items() if c]
@@ -264,7 +255,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "excluded": excluded,
     }
     _emit_rows(
-        args, "simulate", ("level", "prev", "curr", "count"), rows, comments, extra
+        args, "simulate", ("level", "prev", "curr", "count"), table.rows(), comments, extra
     )
     return 0
 
@@ -272,17 +263,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     claims = None if args.suite == "all" else [args.suite]
     reports = run_default_suite(budget=args.budget, claims=claims)
-    rows = [
-        {
-            "claim": r.claim_id,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "slack": r.slack,
-            "passed": str(r.passed).lower(),
-            "note": r.note,
-        }
-        for r in reports
-    ]
+    rows = [(r.claim_id, r.lhs, r.rhs, r.slack, str(r.passed).lower(), r.note) for r in reports]
     extra = {"reports": [r.to_json_dict() for r in reports]}
     _emit_rows(
         args,
@@ -301,7 +282,8 @@ def _cmd_modulus(args: argparse.Namespace) -> int:
     if args.output is None and spec.output:
         args.output = spec.output
     rows = robustness_modulus(spec, jobs=args.jobs)
-    _emit_rows(args, "modulus", MODULUS_COLUMNS, rows)
+    ordered = [tuple(row[col] for col in MODULUS_COLUMNS) for row in rows]
+    _emit_rows(args, "modulus", MODULUS_COLUMNS, ordered)
     return 0
 
 

@@ -5,10 +5,11 @@ individual independently draws its offspring count from a common law.  The
 law of the population size is propagated exactly: the next generation's law
 is the mixture, over the current support, of convolution powers of the
 offspring law.  All inner arithmetic runs on dense float arrays indexed by
-population size; measures are materialized only at the API boundary.
-Convolution powers are taken on the offspring law's lattice (see
-``measures``), since every power of a law on ``gZ`` lives on ``gZ``.  A
-power is a dense product of two smaller ones or, where that costs fewer
+population size; a ``DiscreteMeasure`` or ``JointLaw`` is built only when
+``generation``, ``propagate``, ``joint`` or ``condition_on_survival``
+returns it.  Convolution powers are taken on the offspring law's lattice
+(see ``measures``), since every power of a law on ``gZ`` lives on ``gZ``.
+A power is a dense product of two smaller ones or, where that costs fewer
 multiply-adds, stepped up from a cached power by the law's atoms.
 
 Truncation discipline: the budget ``b`` of a propagation to horizon
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +40,7 @@ from .measures import DiscreteMeasure, _convolve_dense, _span, _trim_back, _trun
 from .offspring import DEFAULT_TAIL_BUDGET, OffspringLaw, check_budget
 
 __all__ = [
-    "GenerationLaw",
     "JointLaw",
-    "SurvivalConditioned",
     "PowerCache",
     "Propagator",
     "propagate",
@@ -67,15 +65,6 @@ def check_start_size(z0: int) -> None:
         raise InvalidParameter("start size z0 must be below 2**63, the int64 limit")
 
 
-@dataclass(frozen=True)
-class GenerationLaw:
-    """Law of the population size after ``n`` generations from ``z0`` ancestors."""
-
-    n: int
-    z0: int
-    law: DiscreteMeasure
-
-
 @dataclass(eq=False)
 class JointLaw:
     """Sparse joint law of two consecutive population sizes.
@@ -91,10 +80,6 @@ class JointLaw:
     curr: np.ndarray
     probs: np.ndarray
     defect: float
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
 
 
 class PowerCache:
@@ -225,9 +210,9 @@ class Propagator:
             self._advance()
         return self._gen[n]
 
-    def generation(self, n: int) -> GenerationLaw:
+    def generation(self, n: int) -> DiscreteMeasure:
         w, defect = self._dense_generation(n)
-        return GenerationLaw(n, self.z0, DiscreteMeasure.from_dense(w, defect=defect))
+        return DiscreteMeasure.from_dense(w, defect=defect)
 
     def support_size(self, n: int) -> int:
         w, _ = self._dense_generation(n)
@@ -264,7 +249,7 @@ def propagate(
     n: int,
     z0: int = 1,
     budget: float = DEFAULT_TAIL_BUDGET,
-) -> GenerationLaw:
+) -> DiscreteMeasure:
     """Law of the population size after ``n`` generations from ``z0`` ancestors."""
     return Propagator(law, z0=z0, n_max=n, budget=budget).generation(n)
 
@@ -290,17 +275,12 @@ def joint_law(
     return Propagator(law, z0=z0, n_max=max(n - 1, 1), budget=budget).joint(n)
 
 
-class SurvivalConditioned(NamedTuple):
-    joint: JointLaw
-    survival: float
-
-
-def condition_on_survival(joint: JointLaw) -> SurvivalConditioned:
+def condition_on_survival(joint: JointLaw) -> JointLaw:
     """Condition a joint law on the earlier generation being positive.
 
     Rows with an extinct earlier generation are removed and the remaining
-    mass renormalized; the normalizing constant (the survival probability
-    of generation ``n - 1``) is returned alongside.
+    mass and defect are divided by the survival probability of generation
+    ``n - 1``.
     """
     alive = joint.prev > 0
     survival = float(joint.probs[alive].sum())
@@ -308,7 +288,7 @@ def condition_on_survival(joint: JointLaw) -> SurvivalConditioned:
         raise DegenerateConditioning(
             f"survival probability {survival:.3e} below {MIN_SURVIVAL}"
         )
-    conditioned = JointLaw(
+    return JointLaw(
         n=joint.n,
         z0=joint.z0,
         prev=joint.prev[alive],
@@ -316,7 +296,6 @@ def condition_on_survival(joint: JointLaw) -> SurvivalConditioned:
         probs=joint.probs[alive] / survival,
         defect=joint.defect / survival,
     )
-    return SurvivalConditioned(conditioned, survival)
 
 
 def wlln_probability(

@@ -4,11 +4,13 @@ The estimator takes the value 0 when the previous generation is empty, so
 its law is the pushforward of the consecutive-pair law under
 ``(j, k) -> k/j`` for ``j > 0`` together with the extinction atom at 0.
 Ratios are reduced exactly with integer arithmetic before merging, so
-``2/6`` and ``1/3`` land on the same atom.
+``2/6`` and ``1/3`` land on the same atom.  ``deviation_mask`` decides
+``|ratio - m| >= eta`` on those atoms exactly, reading a float 0.4 as 2/5.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from .errors import InvalidParameter
 from .measures import DiscreteMeasure, merge_atoms
 
 __all__ = [
-    "EstimatorLaw", "estimator_law", "ratio_law", "deviation_mask",
+    "EstimatorLaw", "estimator_law", "ratio_law", "exact_fraction", "deviation_mask",
     "consistency_probability",
 ]
 
@@ -32,10 +34,6 @@ class EstimatorLaw:
     z0: int
     conditioned: bool
     law: DiscreteMeasure
-
-    @property
-    def defect(self) -> float:
-        return self.law.defect
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,9 +67,18 @@ def ratio_law(
 def estimator_law(joint: JointLaw, conditioned: bool = False) -> EstimatorLaw:
     """Pushforward of a consecutive-pair law under the ratio map."""
     if conditioned:
-        joint = condition_on_survival(joint).joint
+        joint = condition_on_survival(joint)
     law = ratio_law(joint.prev, joint.curr, joint.probs, joint.defect)
     return EstimatorLaw(n=joint.n, z0=joint.z0, conditioned=conditioned, law=law)
+
+
+def exact_fraction(value: object) -> Fraction:
+    """Ints and Fractions as they are, other numbers as the decimal their float prints as."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if not math.isfinite(float(value)):
+        raise InvalidParameter(f"the deviation test needs finite m and eta, got {value}")
+    return Fraction(repr(float(value)))
 
 
 def deviation_mask(
@@ -79,12 +86,12 @@ def deviation_mask(
 ) -> np.ndarray:
     """Exact ``|nums/dens - m| >= eta`` per entry, for positive ``dens``.
 
-    With ``m = a/b`` and ``eta = c/e`` the test is the integer inequality
-    ``|n*b - a*d| * e >= c * d * b``.  It runs in int64 when Python-int
-    bounds on the largest entries show no product can overflow, and on
-    object arrays of Python ints otherwise.
+    With ``m = a/b`` and ``eta = c/e``, both read by ``exact_fraction``, the
+    test is the integer inequality ``|n*b - a*d| * e >= c * d * b``.  It runs
+    in int64 when Python-int bounds on the largest entries show no product
+    can overflow, and on object arrays of Python ints otherwise.
     """
-    m, eta = Fraction(m), Fraction(eta)
+    m, eta = exact_fraction(m), exact_fraction(eta)
     if eta <= 0:
         raise InvalidParameter("deviation threshold eta must be positive")
     a, b, c, e = m.numerator, m.denominator, eta.numerator, eta.denominator
@@ -100,19 +107,10 @@ def consistency_probability(
 ) -> tuple[float, float]:
     """Mass the estimator law puts at distance >= eta from m, with slack.
 
-    When ``m`` and ``eta`` are given as Fractions the atoms are classified
-    exactly by ``deviation_mask`` on the law's integer arrays, so boundary
-    atoms (deviation exactly eta) count as deviating; the selected weights
-    are added one by one in support order.  Float inputs use float
-    comparison.
+    Atoms are classified exactly by ``deviation_mask`` on the law's integer
+    arrays, so boundary atoms (deviation exactly eta) count as deviating;
+    the selected weights are added one by one in support order.
     """
     law = e.law
-    if isinstance(m, Fraction) and isinstance(eta, Fraction):
-        far = law.weights_array[deviation_mask(law.nums, law.dens, m, eta)]
-        return (float(np.cumsum(far)[-1]) if far.size else 0.0), law.defect
-    m_f = float(m)
-    eta_f = float(eta)
-    if eta_f <= 0.0:
-        raise InvalidParameter("deviation threshold eta must be positive")
-    mask = np.abs(law.float_support - m_f) >= eta_f
-    return float(law.weights_array[mask].sum()), law.defect
+    far = law.weights_array[deviation_mask(law.nums, law.dens, m, eta)]
+    return (float(np.cumsum(far)[-1]) if far.size else 0.0), law.defect

@@ -41,7 +41,7 @@ from .errors import (
     json_field,
     json_int,
 )
-from .estimator import EstimatorLaw, consistency_probability, estimator_law
+from .estimator import EstimatorLaw, consistency_probability, estimator_law, exact_fraction
 from .measures import DiscreteMeasure, merge_atoms, tv_distance
 from .metrics import bounded_lipschitz, joint_tv, prohorov, trajectory_tv
 from .montecarlo import (
@@ -164,8 +164,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentSpec":
-        """Spec from its JSON form: each present field through its converter
-        (``json_int`` by default), each absent one left at its declared default."""
+        """Spec from its JSON form: each field present through its converter
+        (``json_int`` by default), each absent one at its default, no other key."""
         convert = {
             "center": lambda c: _family_at("center", c),
             "grid": lambda g: tuple(_family_at(f"grid[{i}]", m) for i, m in enumerate(g)),
@@ -174,12 +174,16 @@ class ExperimentSpec:
             "budget": float,
             "output": lambda path: path,
         }
-        return cls(**{
+        values = {
             f.name: json_field(data, f.name, convert.get(f.name, json_int))
             for f in fields(cls)
             # ``center`` comes first, so a ``data`` that is no object fails in json_field.
             if f.default is MISSING or f.name in data
-        })
+        }
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidParameter(f"unknown experiment spec keys: {unknown}")
+        return cls(**values)
 
 
 def _family_at(place: str, data: object) -> FamilySpec:
@@ -559,11 +563,7 @@ def verify_conditional_consistency(
     levels = sorted(set(int(x) for x in n_range))
     if not levels or levels[0] < 1:
         raise InvalidParameter("n_range must contain horizons >= 1")
-    m_frac = Fraction(law.mean_m)
-    # A float threshold is read as the decimal it prints as, so eta=0.4
-    # means exactly 2/5 and boundary atoms are classified in exact
-    # arithmetic.
-    eta_frac = eta if isinstance(eta, Fraction) else Fraction(str(float(eta)))
+    m_frac, eta_frac = Fraction(law.mean_m), exact_fraction(eta)
     results, mc_from = _horizon_laws(
         law, levels, True,
         lambda e: (*consistency_probability(e, m_frac, eta_frac), None),
@@ -649,7 +649,7 @@ def verify_conditional_occupancy(
         survival = 1.0 - extinction_by_n(law, n)
         if survival < MIN_SURVIVAL:
             raise DegenerateConditioning(f"survival vanished by horizon {n}")
-        occ = gen.law.mass_at(k) / survival
+        occ = gen.mass_at(k) / survival
         # A finite pmf sum keeps dyadic p (binary laws) exact.
         cdf = sum(
             math.comb(n, i) * p**i * gamma ** (n - i) for i in range(min(k, n) + 1)
@@ -659,7 +659,7 @@ def verify_conditional_occupancy(
         bounds[n] = bnd
         margin = occ - bnd
         if margin > worst:
-            worst, worst_slack = margin, gen.law.defect / survival
+            worst, worst_slack = margin, gen.defect / survival
     note = ""
     lhs = worst
     slack = worst_slack + 1e-10
@@ -780,7 +780,7 @@ def verify_decomposition_identity(
     joint = Propagator(law, z0=z0, n_max=n, budget=budget).joint(n)
     unconditional = estimator_law(joint).law
     alive_mass = float(joint.probs[joint.prev > 0].sum())
-    extinct_mass = joint.total_mass - alive_mass
+    extinct_mass = float(joint.probs.sum()) - alive_mass
     degenerate = alive_mass < MIN_SURVIVAL
     # The recombined law, then minus the unconditional one: the merge adds
     # each atom's entries in input order.

@@ -84,10 +84,6 @@ class Coupling:
     strassen: np.ndarray
     strassen_eps: float
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
-
     def band_mass(self, eps: float | None = None) -> float:
         """Mass on pairs within ``eps`` (default: the coupling's ``eps``).
 

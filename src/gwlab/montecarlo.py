@@ -92,9 +92,6 @@ class SimTable:
     levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     excluded: np.ndarray  # excluded[n] = replications missing at level n
 
-    def included(self, n: int) -> int:
-        return self.cfg.replications - int(self.excluded[n])
-
     def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if n not in self.levels:
             raise InvalidParameter(f"level {n} was not simulated")

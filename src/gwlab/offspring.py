@@ -240,10 +240,6 @@ class OffspringLaw:
     def probs(self) -> np.ndarray:
         return self.measure.weights_array
 
-    @cached_property
-    def mass_at_zero(self) -> float:
-        return self.measure.mass_at(0)
-
 
 def check_budget(budget: float) -> None:
     if not (math.isfinite(budget) and budget >= 0.0):
@@ -259,20 +255,24 @@ def build(spec: FamilySpec, budget: float = DEFAULT_TAIL_BUDGET) -> OffspringLaw
     into the measure defect.
     """
     check_budget(budget)
-    if spec.family == "binary":
-        m = DiscreteMeasure.from_items([(0, 1.0 - spec.p), (2, spec.p)])
-        return OffspringLaw(m, measures.mean(m), family=spec)
-    if spec.family == "three_point":
-        m = DiscreteMeasure.from_items([(0, spec.p0), (2, spec.p2), (3, spec.p3)])
-        return OffspringLaw(m, measures.mean(m), family=spec)
-    if spec.family == "raw":
-        m = DiscreteMeasure.from_items(enumerate(spec.weights))
-        return OffspringLaw(m, measures.mean(m), family=spec)
     if spec.family == "poisson":
         return _build_poisson(spec, budget)
     if spec.family == "polynomial":
         return _build_polynomial(spec, budget)
-    raise InvalidParameter(f"unknown family {spec.family!r}")
+    if spec.family == "binary":
+        items = [(0, 1.0 - spec.p), (2, spec.p)]
+    elif spec.family == "three_point":
+        items = [(0, spec.p0), (2, spec.p2), (3, spec.p3)]
+    else:
+        items = enumerate(spec.weights)
+    m = DiscreteMeasure.from_items(items)
+    return OffspringLaw(m, measures.mean(m), family=spec)
+
+
+def _truncated_law(spec: FamilySpec, w: np.ndarray, bound: TailBound) -> OffspringLaw:
+    """The law of dense weights ``w``, the mass they miss as its defect."""
+    m = DiscreteMeasure.from_dense(w, defect=max(0.0, 1.0 - float(w.sum())))
+    return OffspringLaw(m, measures.mean(m), tail_bound=bound, family=spec)
 
 
 def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
@@ -289,10 +289,7 @@ def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
                 raise InvalidParameter("poisson tail budget unattainable")
     ks = np.arange(cutoff + 1)
     w = np.exp(special.xlogy(ks, lam) - special.gammaln(ks + 1) - lam)
-    retained = float(w.sum())
-    m = DiscreteMeasure.from_dense(w, defect=max(0.0, 1.0 - retained))
-    bound = TailBound("poisson", cutoff, lam=lam)
-    return OffspringLaw(m, measures.mean(m), tail_bound=bound, family=spec)
+    return _truncated_law(spec, w, TailBound("poisson", cutoff, lam=lam))
 
 
 def _build_polynomial(spec: FamilySpec, budget: float) -> OffspringLaw:
@@ -313,10 +310,7 @@ def _build_polynomial(spec: FamilySpec, budget: float) -> OffspringLaw:
         cutoff = max(int(math.ceil(k_real)), 2)
     ks = np.arange(cutoff + 1, dtype=float)
     w = c * (ks + 1.0) ** (-p)
-    retained = float(w.sum())
-    m = DiscreteMeasure.from_dense(w, defect=max(0.0, 1.0 - retained))
-    bound = TailBound("polynomial", cutoff, exponent=p, normalizer=c)
-    return OffspringLaw(m, measures.mean(m), tail_bound=bound, family=spec)
+    return _truncated_law(spec, w, TailBound("polynomial", cutoff, exponent=p, normalizer=c))
 
 
 # -- generating function ------------------------------------------------------
@@ -369,7 +363,7 @@ def extinction_probability(law: OffspringLaw) -> ExtinctionResult:
     """
     if criticality(law) != "supercritical":
         return ExtinctionResult(1.0, False, 0.0, 0)
-    if law.mass_at_zero == 0.0:
+    if law.measure.mass_at(0) == 0.0:
         return ExtinctionResult(0.0, True, 0.0, 0)
 
     def g(s: float) -> float:
@@ -439,12 +433,6 @@ def iterate_pgf_at_zero(law: OffspringLaw, n: int) -> float:
 # -- conditional transforms ---------------------------------------------------
 
 
-def _require_supercritical(law: OffspringLaw, what: str) -> ExtinctionResult:
-    if criticality(law) != "supercritical":
-        raise SupercriticalRequired(f"{what} needs a supercritical law")
-    return extinction_probability(law)
-
-
 def survival_transform(law: OffspringLaw) -> OffspringLaw:
     """Offspring law of the process conditioned to survive forever.
 
@@ -455,8 +443,9 @@ def survival_transform(law: OffspringLaw) -> OffspringLaw:
     """
     from scipy import special
 
-    ext = _require_supercritical(law, "survival transform")
-    q = ext.value
+    if criticality(law) != "supercritical":
+        raise SupercriticalRequired("survival transform needs a supercritical law")
+    q = extinction_probability(law).value
     if q == 0.0:
         return OffspringLaw(law.measure, law.mean_m, tail_bound=law.tail_bound)
     ks = law.counts

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,9 +51,11 @@ from gwlab import (
 )
 
 GW = [sys.executable, "-m", "gwlab.cli"]
+DATA = Path(__file__).parent / "data"
 
 
-def run_modulus(spec, path):
+def run_modulus(spec, path, pin):
+    """Rows of ``gw modulus`` on ``spec``, whose CSV stdout must equal ``pin``."""
     path.write_text(json.dumps(spec.to_json_dict()))
     env = os.environ.copy()
     env.pop("GW_BUDGET", None)
@@ -63,6 +66,7 @@ def run_modulus(spec, path):
         env=env,
     )
     assert out.returncode == 0, out.stderr
+    assert out.stdout == (DATA / pin).read_text(), pin
     lines = [l for l in out.stdout.splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
@@ -214,7 +218,7 @@ def test_criterion_06_pair_law_matches_tree_enumeration(b75, t1):
         assert set(got) == set(reference)
         for key, weight in reference.items():
             assert abs(got[key] - weight) <= 1e-15
-    assert propagate(b75, 2).law.mass_at(0) == 0.296875
+    assert propagate(b75, 2).mass_at(0) == 0.296875
     elapsed = time.perf_counter() - start
     # Five runs of this gate alone took 1.2-1.4 ms on a 2-core Xeon (1.3,
     # 1.2, 1.4, 1.2, 1.4 ms).  Twice that is below one scheduler slice or
@@ -257,7 +261,9 @@ def test_criterion_07_conditional_deviation_drops_below_gate(b75):
 
 def test_criterion_08_modulus_contrast_between_families(tmp_path):
     start = time.perf_counter()
-    binary_rows = run_modulus(binary_sweep_spec(), tmp_path / "binary.json")
+    binary_rows = run_modulus(
+        binary_sweep_spec(), tmp_path / "binary.json", "modulus_binary_sweep.csv"
+    )
     assert len(binary_rows) == 5
     for row in binary_rows:
         assert float(row["modulus"]) <= 0.1
@@ -265,7 +271,8 @@ def test_criterion_08_modulus_contrast_between_families(tmp_path):
     assert centers and all(float(row["modulus"]) == 0.0 for row in centers)
 
     contamination_rows = run_modulus(
-        contamination_sweep_spec(), tmp_path / "contamination.json"
+        contamination_sweep_spec(), tmp_path / "contamination.json",
+        "modulus_contamination_sweep.csv",
     )
     k_values = (20, 25, 30, 40, 50)
     assert len(contamination_rows) == len(k_values)

@@ -415,6 +415,8 @@ class TestErrorChannels:
             ("modulus", _spec_doc(grid=[{"p": 0.75}]), "family"),
             ("modulus", {k: v for k, v in _spec_doc().items() if k != "n_range"},
              "n_range"),
+            # Misspelt keys are refused, not left at their defaults.
+            ("modulus", _spec_doc(replication=5, metirc="bounded_lipschitz"), "replication"),
         ],
         ids=["metric-number", "metric-support-number", "modulus-number",
              "modulus-z0-string", "modulus-center-p-string", "modulus-grid-number",
@@ -422,7 +424,7 @@ class TestErrorChannels:
              "modulus-z0-inf", "modulus-seed-bool", "modulus-replications-nan",
              "modulus-n_range-fraction", "modulus-truncation-inf",
              "modulus-center-without-p", "modulus-grid-member-without-family",
-             "modulus-without-n_range"],
+             "modulus-without-n_range", "modulus-unknown-keys"],
     )
     def test_malformed_json_input_names_the_field(self, tmp_path, command, doc, field):
         path = tmp_path / "input.json"
@@ -540,10 +542,12 @@ class TestReferenceOutputBytes:
                 ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "6",
                  "--cap", "12", "--replications", "20000", "--seed", "5"],
             ),
+            ("verify_suite_all.csv", ["verify", "--suite", "all"]),
         ],
     )
     def test_output_matches_reference(self, name, args):
-        out = run([*args, "--format", "json", "--no-timestamp"])
+        # The pin's suffix names the output format.
+        out = run([*args, "--format", name.rsplit(".", 1)[1], "--no-timestamp"])
         assert out.returncode == 0, out.stderr
         expected = (DATA / name).read_text()
         assert out.stdout == expected

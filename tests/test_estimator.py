@@ -113,7 +113,6 @@ class TestEstimatorLaw:
         doc = e.to_json_dict()
         assert doc["n"] == 2 and doc["conditioned"] is True
         assert DiscreteMeasure.from_json_dict(doc["law"]) == e.law
-        assert e.defect == e.law.defect
 
 
 class TestConsistencyProbability:
@@ -153,6 +152,22 @@ class TestConsistencyProbability:
         assert exact == pytest.approx(1.0, abs=1e-15)
         floating, _ = consistency_probability(e, 1.5, 0.5)
         assert floating == exact
+
+    def test_float_thresholds_are_read_as_the_decimals_they_print_as(self, b75):
+        # The atom 11/10 lies exactly 2/5 from 3/2, so it deviates at
+        # eta = 0.4; a float comparison of the atoms dropped it.
+        e = estimator_law(joint_law(b75, 6), conditioned=True)
+        exact = consistency_probability(e, Fraction(3, 2), Fraction(2, 5))
+        assert exact == (0.21145720288033495, 0.0)
+        assert consistency_probability(e, 1.5, 0.4) == exact
+
+    @pytest.mark.parametrize("m, eta", [
+        (float("nan"), 0.4), (float("inf"), 0.4), (1.5, float("nan")), (1.5, float("inf")),
+    ], ids=["m-nan", "m-inf", "eta-nan", "eta-inf"])
+    def test_non_finite_thresholds_are_refused(self, b75, m, eta):
+        e = estimator_law(joint_law(b75, 2), conditioned=True)
+        with pytest.raises(InvalidParameter, match="finite"):
+            consistency_probability(e, m, eta)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rational_threshold_matches_the_fraction_loop_bit_for_bit(self, t1, n):

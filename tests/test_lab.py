@@ -116,6 +116,11 @@ class TestConditionalConsistency:
         with pytest.raises(InvalidParameter, match="jobs"):
             verify_conditional_consistency(b75, 0.4, 0.5, range(2, 5), jobs=jobs)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_eta_is_a_typed_error(self, b75, eta):
+        with pytest.raises(InvalidParameter, match="finite"):
+            verify_conditional_consistency(b75, eta, 0.5, range(2, 5))
+
     def test_binary_threshold_found_and_decreasing(self, b75):
         rep = verify_conditional_consistency(b75, 0.4, 0.5, range(2, 7))
         assert rep.passed
@@ -273,7 +278,7 @@ class TestDecompositionIdentity:
         unconditional = estimator_law(joint).law
         conditional = estimator_law(joint, conditioned=True).law
         alive = float(joint.probs[joint.prev > 0].sum())
-        extinct = joint.total_mass - alive
+        extinct = float(joint.probs.sum()) - alive
         points = set(unconditional.support) | set(conditional.support) | {Fraction(0)}
         worst = 0.0
         for x in points:

@@ -83,7 +83,7 @@ class TestConstruction:
         # The engine adds the defects of convolved powers, a union bound, so
         # the generations of a truncated law carry more defect than lost mass.
         law = build(FamilySpec.poisson(2.0, truncation=8))
-        gen = Propagator(law, n_max=2, budget=0.01).generation(2).law
+        gen = Propagator(law, n_max=2, budget=0.01).generation(2)
         assert gen.total_mass < 1.0 < gen.total_mass + gen.defect - MASS_TOL
         assert DiscreteMeasure.from_json_dict(gen.to_json_dict()) == gen
 

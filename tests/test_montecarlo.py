@@ -72,8 +72,7 @@ class TestSimulatePaths:
         law = build(DELTA2)
         table = simulate_paths(law, SimConfig(seed=5, replications=10, n_max=5, cap=8))
         # Z_4 = 16 exceeds the cap, so levels 4 and 5 lose every replication.
-        assert table.included(3) == 10
-        assert table.included(4) == 0
+        assert table.excluded[3] == 0
         assert table.excluded[4] == 10
         assert table.pairs(4)[2].sum() == 0
 
