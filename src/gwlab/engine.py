@@ -20,7 +20,7 @@ passed on into every generation's defect and is not charged to the budget.
 ``BudgetExceeded`` is raised, before anything is convolved, by a step whose
 plan passes a cost cap on the write work of its convolution rows or the
 work of halving its largest power; every caller, the sweeps' exact route
-included, is guarded alike.
+included, is guarded alike, and so is a power asked of ``PowerCache``.
 """
 
 from __future__ import annotations
@@ -63,6 +63,17 @@ def check_start_size(z0: int) -> None:
         raise InvalidParameter("start size z0 must be at least 1")
     if z0 >= 2**63:
         raise InvalidParameter("start size z0 must be below 2**63, the int64 limit")
+
+
+def _check_work(length: int, where: str, step: int, rows: int = 0) -> None:
+    """Refuse ``rows`` dense rows of ``length``, or halving a power that long."""
+    for name, planned, cap in (
+        ("_DENSE_WORK_CAP", rows * length, _DENSE_WORK_CAP),
+        ("_POWER_WORK_CAP", (length / 2) ** 2, _POWER_WORK_CAP),
+    ):
+        if planned > cap:
+            msg = f"planned size {planned:.0f} exceeds {name} = {cap}"
+            raise BudgetExceeded(f"{msg} {where}", step=step)
 
 
 @dataclass(eq=False)
@@ -113,6 +124,7 @@ class PowerCache:
         hit = self._cache.get(j)
         if hit is not None:
             return hit
+        _check_work(j * (len(self._cache[1][0]) - 1) + 1, f"for power {j}", 1)
         anchor = self._keys[bisect_right(self._keys, j) - 1]
         halving = anchor <= j // 2
         left, right = (j // 2, j - j // 2) if halving else (anchor, j - anchor)
@@ -180,13 +192,7 @@ class Propagator:
         into generation ``step`` is within every cost cap."""
         sizes = np.flatnonzero(prev).tolist()
         length = sizes[-1] * int(self.law.counts[-1]) + 1
-        for name, planned, cap in (
-            ("_DENSE_WORK_CAP", len(sizes) * length, _DENSE_WORK_CAP),
-            ("_POWER_WORK_CAP", (length / 2) ** 2, _POWER_WORK_CAP),
-        ):
-            if planned > cap:
-                msg = f"planned size {planned:.0f} exceeds {name} = {cap}"
-                raise BudgetExceeded(f"{msg} at generation {step}", step=step)
+        _check_work(length, f"at generation {step}", step, rows=len(sizes))
         return sizes
 
     def _advance(self) -> None:

@@ -38,8 +38,8 @@ class SupercriticalRequired(GwError):
 
 
 class BudgetExceeded(GwError):
-    """A propagation step would pass one of the engine's cost caps, or its
-    truncation would remove all mass; ``step`` is the generation it stopped at."""
+    """A step would pass one of the engine's cost caps, or its truncation would
+    remove all mass; ``step`` is its generation (1 for a ``PowerCache`` power)."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)

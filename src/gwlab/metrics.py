@@ -5,9 +5,11 @@ distance is the least ``eps`` such that mass ``>= T - eps`` fits on pairs
 within ``eps`` of each other, where ``T`` is the larger retained total.
 The matchable mass ``M(eps)`` steps only at pair distances, so the value is
 ``max(d_k, T - M(d_k))`` at the least pair distance (or 0) ``d_k`` with
-``T - M(d_k) < d_{k+1}``.  The ``n * m`` distances are never listed: pairs
-are counted from per-atom windows, each probe takes ``M`` from the greedy's
-value alone, and only ``d_k`` gets a full band flow.
+``T - M(d_k) < d_{k+1}``.  The search starts from the bracket the
+total-variation bound ``T - M(0)`` gives: ``M`` only grows, so the largest
+candidate at or below it passes.  The ``n * m`` distances are never listed:
+pairs are counted from per-atom windows, stepped past a passing probe's
+distance for the pairs below it, and only ``d_k`` gets a full band flow.
 
 The coupling certificate is checkable from both sides.  Its marginals and
 slack show that the value is attained.  Its band mass at ``d_k`` reaches
@@ -176,23 +178,25 @@ def _complete_coupling(
     entry.  Flow edges lie on the band at ``eps >= flow.eps``, so the slack
     is the paired mass off it, summed in pairing order.
     """
-    excess, resid = flow.excess.tolist(), flow.resid.tolist()
-    left = np.flatnonzero(flow.excess > 0.0).tolist()
-    right = np.flatnonzero(flow.resid > 0.0).tolist()
-    pi, pj, pv = [], [], []
-    p = q = 0
-    while p < len(left) and q < len(right):
-        i, j = left[p], right[q]
-        take = min(excess[i], resid[j])
-        pi.append(i)
-        pj.append(j)
+    left, right = np.flatnonzero(flow.excess > 0.0), np.flatnonzero(flow.resid > 0.0)
+    # Pairs by positions ``p``, ``q``; a trailing 0 ends the walk on a side.
+    needs, rooms = flow.excess[left].tolist() + [0.0], flow.resid[right].tolist() + [0.0]
+    need, room, p, q, pp, pq, pv = needs[0], rooms[0], 0, 0, [], [], []
+    while need > 0.0 and room > 0.0:
+        take = need if need <= room else room  # as min(need, room) picks
+        pp.append(p)
+        pq.append(q)
         pv.append(take)
-        excess[i] -= take
-        resid[j] -= take
-        p += excess[i] <= 0.0
-        q += resid[j] <= 0.0
+        need -= take
+        room -= take
+        if need <= 0.0:
+            p += 1
+            need = needs[p]
+        if room <= 0.0:
+            q += 1
+            room = rooms[q]
     lo, hi = band_windows(a.float_support, b.float_support, eps)
-    pi, pj = np.array(pi, dtype=np.int64), np.array(pj, dtype=np.int64)
+    pi, pj = left[np.array(pp, dtype=np.int64)], right[np.array(pq, dtype=np.int64)]
     slack = sum(np.array(pv)[(pj < lo[pi]) | (pj >= hi[pi])].tolist())
     rows = np.concatenate([flow.rows, pi])
     cols = np.concatenate([flow.cols, pj])
@@ -226,9 +230,17 @@ def _pair_edges(xs: np.ndarray, ys: np.ndarray, split: np.ndarray, t: float) -> 
     run ``y_j - x_i``; rounding keeps both monotone, so each searchsorted
     guess (made at the rounded ``x_i -+ t``) steps onto the exact edge.
     """
-    top = len(ys) - 1
     lo = np.minimum(np.searchsorted(ys, xs - t, "left"), split)
     hi = np.maximum(np.searchsorted(ys, xs + t, "right"), split)
+    return _settle_edges(xs, ys, split, t, lo, hi)
+
+
+def _settle_edges(
+    xs: np.ndarray, ys: np.ndarray, split: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Step guessed window edges ``lo``, ``hi`` one pair at a time onto the
+    exact ones at ``t``, from a searchsorted guess or a probe's own windows."""
+    top = len(ys) - 1
     while True:
         lo_in = (lo > 0) & (xs - ys[np.maximum(lo - 1, 0)] <= t)
         lo_out = (lo < split) & (xs - ys[np.minimum(lo, top)] > t)
@@ -246,31 +258,50 @@ def _least_feasible_distance(
     """The least ``d`` in ``{0} | {|x_i - y_j|}`` with ``T - M(d) < d'``.
 
     ``d'`` is the next pair distance (infinite past the last); the test is
-    monotone in ``d``.  The bracket ``(low, high]`` is cut at weighted
-    medians of the pairs inside it until none is left.  A probe whose
-    ``T - M`` is within the guard band of ``d'`` is redone with a BandFlow.
+    monotone in ``d``.  The first probe is the largest candidate ``d <= r =
+    T - M(0)``; it passes, as ``T - M(d) <= r < d'``.  Then weighted medians
+    of the pairs in the bracket ``(low, high]`` cut it until none is left; a
+    passing probe's windows, stepped past ``d``, are its new outer edges.
+    Each probe takes ``M`` from the greedy's value alone; one within the
+    guard band of ``d'`` is redone with a BandFlow.
     """
     n, m = len(xs), len(ys)
     split = np.searchsorted(ys, xs, "left")
     cum_b = np.concatenate([[0.0], np.cumsum(bw)])
     a_list = aw.tolist()
     guard = _GUARD + (n + m) * FLOW_TERMINATION
-    run_x = np.tile(xs, 2)
+    run_x, run_split = np.tile(xs, 2), np.tile(split, 2)
     is_lo = np.arange(2 * n) < n
 
-    def feasible(d: float, nxt: float) -> bool:
+    def greedy(d: float) -> float:
         lo, hi = band_windows(xs, ys, d)
-        matched = _greedy_mass(a_list, cum_b[lo].tolist(), cum_b[hi].tolist())
+        return _greedy_mass(a_list, cum_b[lo].tolist(), cum_b[hi].tolist())
+
+    def feasible(d: float, nxt: float) -> bool:
+        matched = greedy(d) if d > 0.0 else at_zero
         if abs(t_goal - matched - nxt) <= guard:
             matched = BandFlow(xs, aw, ys, bw, d).solve()
         return t_goal - matched < nxt
 
     # The bracket's pairs lie between the window edges at ``low`` (inner)
     # and those just below ``high`` (outer): per row, one run on each side.
-    low, inner = -np.inf, np.concatenate([split, split])
-    high = float(max(xs[-1] - ys[0], ys[-1] - xs[0]))
-    outer = _pair_edges(xs, ys, split, np.nextafter(high, -np.inf))
-    while (live := outer != inner).any():
+    low, inner, high, outer = -np.inf, run_split, np.inf, np.repeat([0, m], n)
+    # The seed is the farthest pair in the windows at ``r = T - M(0)``, or 0.
+    at_zero = greedy(0.0)
+    edges = _pair_edges(xs, ys, split, max(t_goal - at_zero, 0.0))
+    far = np.abs(run_x - ys[np.clip(edges + is_lo - 1, 0, m - 1)])
+    d = float(far[edges != run_split].max(initial=0.0))
+    while True:
+        beyond = edges - is_lo  # the nearest pair outside each window
+        fits = (beyond >= 0) & (beyond < m)
+        nxt = np.abs(run_x - ys[np.clip(beyond, 0, m - 1)])[fits].min(initial=np.inf)
+        if feasible(d, float(nxt)):
+            below = np.nextafter(d, -np.inf)  # these windows, past the pairs at ``d``
+            high, outer = d, _settle_edges(xs, ys, split, below, edges[:n], edges[n:])
+        else:
+            low, inner = d, edges
+        if not (live := outer != inner).any():
+            break
         # Half of every run sits at or below (above) its middle element, so
         # the weighted median of those has a quarter of the pairs either side.
         mids = np.abs(run_x[live] - ys[(outer + inner)[live] // 2])
@@ -278,13 +309,6 @@ def _least_feasible_distance(
         cum = np.cumsum(np.abs(outer - inner)[live][order])
         d = float(mids[order[np.searchsorted(cum, (cum[-1] + 1) // 2)]])
         edges = _pair_edges(xs, ys, split, d)
-        beyond = edges - is_lo  # the nearest pair outside each window
-        fits = (beyond >= 0) & (beyond < m)
-        nxt = np.abs(run_x - ys[np.clip(beyond, 0, m - 1)])[fits].min(initial=np.inf)
-        if feasible(d, float(nxt)):
-            high, outer = d, _pair_edges(xs, ys, split, np.nextafter(d, -np.inf))
-        else:
-            low, inner = d, edges
     # No pair distance is left between low and high, but 0 is a candidate.
     if low < 0.0 < high and feasible(0.0, high):
         return 0.0
@@ -446,15 +470,10 @@ def trajectory_tv(
     cache1, cache2 = PowerCache(law1), PowerCache(law2)
     total = seen1 = seen2 = 0.0
 
-    def padded(z: int) -> tuple[np.ndarray, np.ndarray]:
-        w1, _ = cache1.get(z)
-        w2, _ = cache2.get(z)
-        length = max(len(w1), len(w2))
-        if len(w1) < length:
-            w1 = np.pad(w1, (0, length - len(w1)))
-        if len(w2) < length:
-            w2 = np.pad(w2, (0, length - len(w2)))
-        return w1, w2
+    def padded(z: int) -> list[np.ndarray]:
+        ws = [cache1.get(z)[0], cache2.get(z)[0]]
+        length = max(map(len, ws))
+        return [np.pad(w, (0, length - len(w))) if len(w) < length else w for w in ws]
 
     def walk(z: int, p1: float, p2: float, depth: int) -> None:
         nonlocal total, seen1, seen2

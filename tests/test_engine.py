@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,15 @@ class TestPropagate:
 def test_start_size_past_int64_is_refused(b75, call):
     with pytest.raises(InvalidParameter, match="int64"):
         call(b75)
+
+
+def test_a_power_past_the_halving_cap_is_refused(b75):
+    # The start size's power is asked of PowerCache outside any propagation
+    # plan; the cache checks it against the same cap a plan would.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="_POWER_WORK_CAP"):
+        trajectory_tv(b75, b75, 1, z0=10**6)
+    assert time.perf_counter() - start < 1.0
 
 
 class TestExtinctionByN:

@@ -38,10 +38,10 @@ def dirac(x) -> DiscreteMeasure:
     return DiscreteMeasure.from_items([(Fraction(x), 1.0)])
 
 
-def lattice_pair(data) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+def lattice_pair(data, denominators=(4, 10)) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """Two measures of up to 8 atoms on one lattice, some with a defect."""
     # Quarter lattices tie many distances; tenths round them.
-    denominator = data.draw(st.sampled_from([4, 10]))
+    denominator = data.draw(st.sampled_from(denominators))
 
     def side():
         points = data.draw(
@@ -56,6 +56,30 @@ def lattice_pair(data) -> tuple[DiscreteMeasure, DiscreteMeasure]:
         )
 
     return side(), side()
+
+
+def near_pair(data) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """One lattice support of up to 8 atoms under two weight vectors, the
+    second within 5% of the first, some with a defect.
+
+    This is the binary sweep's shape: ``T - M(0)`` is small, so the search's
+    first probe, at the largest pair distance at or below it, decides most of
+    the bracket.
+    """
+    denominator = data.draw(st.sampled_from([4, 10]))
+    points = data.draw(st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True))
+    support = [Fraction(p, denominator) for p in points]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    first = rng.dirichlet(np.ones(len(points)))
+    second = first * rng.uniform(0.95, 1.05, len(points))
+
+    def side(weights):
+        weights = weights / weights.sum() * data.draw(st.sampled_from([1.0, 0.97]))
+        return DiscreteMeasure.from_items(
+            zip(support, weights), defect=max(0.0, 1.0 - float(weights.sum()))
+        )
+
+    return side(first), side(second)
 
 
 def same_entries(c1, c2) -> bool:
@@ -153,6 +177,47 @@ class TestProhorov:
         assert res.value == oracles.prohorov_by_breakpoints(a, b, scan=True).value
         enumerated = oracles.prohorov(*as_arrays(a), *as_arrays(b))
         assert res.value == pytest.approx(enumerated, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_near_pairs_match_the_full_breakpoint_search(self, data):
+        a, b = near_pair(data)
+        res = prohorov(a, b)
+        for scan in (False, True):
+            ref = oracles.prohorov_by_breakpoints(a, b, scan=scan)
+            assert res.value == ref.value
+            assert same_entries(res.certificate, ref.certificate)
+        # M only grows, so the value is at most the total-variation bound.
+        xs, aw = a.float_support, a.weights_array
+        ys, bw = b.float_support, b.weights_array
+        matched = maxflow.BandFlow(xs, aw, ys, bw, 0.0).solve()
+        guard = metrics._GUARD + (len(a) + len(b)) * maxflow.FLOW_TERMINATION
+        assert res.value <= max(a.total_mass, b.total_mass) - matched + guard
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stepped_edges_match_a_fresh_search(self, data):
+        # Quarter lattices tie pair distances across rows.
+        a, b = lattice_pair(data, denominators=(4,))
+        xs, ys = a.float_support, b.float_support
+        split = np.searchsorted(ys, xs, "left")
+        n = len(xs)
+        for d in np.unique(np.abs(xs[:, None] - ys[None, :])).tolist():
+            edges = metrics._pair_edges(xs, ys, split, d)
+            below = np.nextafter(d, -np.inf)
+            stepped = metrics._settle_edges(xs, ys, split, below, edges[:n], edges[n:])
+            assert np.array_equal(stepped, metrics._pair_edges(xs, ys, split, below))
+
+    def test_stepped_edges_pass_pairs_that_round_to_one_distance(self):
+        # Near 1e16 the float spacing is 2: x - y rounds to 1e16 for three
+        # adjacent y below x, and y - x does for the one above.
+        xs, ys = np.array([1e16]), np.array([0.1, 0.2, 0.3, 2e16])
+        split = np.searchsorted(ys, xs, "left")
+        edges = metrics._pair_edges(xs, ys, split, 1e16)
+        assert edges.tolist() == [0, 4]
+        below = np.nextafter(1e16, -np.inf)
+        assert metrics._settle_edges(xs, ys, split, below, edges[:1], edges[1:]).tolist() == [3, 3]
+        assert metrics._pair_edges(xs, ys, split, below).tolist() == [3, 3]
 
     def test_horizon_ten_is_exact_with_a_valid_certificate(self):
         a, b = (
