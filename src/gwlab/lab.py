@@ -15,6 +15,13 @@ stays below a cutoff and the engine accepts each step (its cost caps, see
 fixed ratio grid, with the bin radius added to the slack column and
 cap-excluded replications counted as defect.  Sweeps and the consistency
 check share this one route (``_horizon_laws``).
+
+A Prohorov sweep skips a horizon once one greedy pass on the pairs within
+the running maximum ``best`` leaves ``T - M <= best`` (less the search's
+guard, see ``metrics.prohorov_at_most``): the largest candidate at or below
+``best`` then passes the search's test, so the distance is at most ``best``
+and the strict ``>`` rule would not pick that horizon.  Rows are the same
+as with every horizon computed.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .errors import (
 )
 from .estimator import EstimatorLaw, consistency_probability, estimator_law, exact_fraction
 from .measures import DiscreteMeasure, merge_atoms, tv_distance
-from .metrics import bounded_lipschitz, joint_tv, prohorov, trajectory_tv
+from .metrics import bounded_lipschitz, joint_tv, prohorov, prohorov_at_most, trajectory_tv
 from .montecarlo import (
     DEFAULT_BIN_DEN, SimConfig, SimTable, binned_estimator_law, check_jobs,
     empirical_consistency_probability, simulate_paths,
@@ -310,6 +317,11 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
     ``spec.n_range``.  Subcritical or numerically critical members are
     flagged rather than rejected; every reported value carries a slack
     column covering truncation defects and simulation binning.
+
+    A later horizon wins only with a value strictly above the running
+    maximum ``best``, so a Prohorov sweep skips it when
+    ``prohorov_at_most(a, b, best)`` proves its distance is at most ``best``
+    (see the module notes); the rows do not change.
     """
     check_jobs(jobs)
     center = build(spec.center, spec.budget)
@@ -339,6 +351,8 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
             b, slack_b = curve2[n]
             if a is b:
                 value, total_slack = 0.0, slack_a + slack_b
+            elif spec.metric == "prohorov" and best > 0.0 and prohorov_at_most(a, b, best):
+                continue  # its value is at most ``best``, so it cannot win
             else:
                 result = metric(a, b)
                 value = result.value

@@ -10,6 +10,8 @@ total-variation bound ``T - M(0)`` gives: ``M`` only grows, so the largest
 candidate at or below it passes.  The ``n * m`` distances are never listed:
 pairs are counted from per-atom windows, stepped past a passing probe's
 distance for the pairs below it, and only ``d_k`` gets a full band flow.
+``prohorov_at_most`` runs one greedy at a given bound instead of the
+search, to prove the value is at most that bound.
 
 The coupling certificate is checkable from both sides.  Its marginals and
 slack show that the value is attained.  Its band mass at ``d_k`` reaches
@@ -47,6 +49,7 @@ __all__ = [
     "Coupling",
     "MetricResult",
     "prohorov",
+    "prohorov_at_most",
     "bounded_lipschitz",
     "strassen_coupling",
     "joint_tv",
@@ -325,6 +328,30 @@ def prohorov(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
     value = max(d, t_goal - flow.solve())
     coupling = _complete_coupling(a, b, value, flow)
     return MetricResult(value, coupling, a.defect + b.defect)
+
+
+def prohorov_at_most(a: DiscreteMeasure, b: DiscreteMeasure, bound: float) -> bool:
+    """Whether one greedy pass proves ``prohorov(a, b).value <= bound``.
+
+    True when ``T - M <= bound - guard``, with ``M`` the greedy's mass on
+    the exact windows of pairs within ``bound`` (not ``band_windows``, whose
+    tolerance admits pairs just past it) and the search's own guard.  Then
+    the largest candidate ``c <= bound`` passes the search's test, as
+    ``T - M(c) <= T - M < c'``, so the search stops at some ``d <= c``, and
+    ``T - M(d)`` is below ``d' <= bound`` if ``d < c`` and at most ``T - M``
+    if ``d = c``: the value ``max(d, T - M(d))`` is at most ``bound``.
+    False proves nothing.
+    """
+    xs, ys = a.float_support, b.float_support
+    n = len(xs)
+    t_goal = max(a.total_mass, b.total_mass)
+    guard = _GUARD + (n + len(ys)) * FLOW_TERMINATION
+    edges = _pair_edges(xs, ys, np.searchsorted(ys, xs, "left"), bound)
+    cum_b = np.concatenate([[0.0], np.cumsum(b.weights_array)])
+    matched = _greedy_mass(
+        a.weights_array.tolist(), cum_b[edges[:n]].tolist(), cum_b[edges[n:]].tolist()
+    )
+    return t_goal - matched <= bound - guard
 
 
 def strassen_coupling(

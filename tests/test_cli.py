@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from gwlab import FamilySpec, InvalidParameter, binary_sweep_spec, build
+from gwlab import (
+    FamilySpec, InvalidParameter, binary_sweep_spec, build, contamination_sweep_spec,
+)
 from gwlab.cli import main
 
 GW = [sys.executable, "-m", "gwlab.cli"]
@@ -439,6 +441,28 @@ class TestErrorChannels:
         err = json.loads(out.stderr)
         assert err["error"] == "InvalidParameter"
         assert repr(field) in err["message"]
+
+    @pytest.mark.parametrize(
+        "doc, limit",
+        [
+            (_spec_doc(n_range=[10**30]), "HORIZON_LIMIT"),
+            (_spec_doc(n_range=[1, 2**40]), "HORIZON_LIMIT"),
+            # k = 50 leaves the exact route at n = 3, so n = 3 is binned.
+            (dict(contamination_sweep_spec(k_values=(50,), n_max=3, replications=100)
+                  .to_json_dict(), bin_denominator=10**20), "BIN_INDEX_LIMIT"),
+        ],
+        ids=["horizon-1e30", "horizon-2e40", "bin-denominator-1e20"],
+    )
+    def test_modulus_past_a_named_limit_is_one_error_line(self, tmp_path, doc, limit):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        out = run(["modulus", "--config", str(path)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert limit in err["message"]
 
 
 # One member of each family, with and without truncation where it applies:

@@ -1,6 +1,7 @@
 """Robustness sweeps and the machine-checkable inequality reports."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -413,6 +414,70 @@ class TestRobustnessModulus:
         assert err.value.step == row["mc_from"] == 3
 
 
+def reference_moduli(spec):
+    """``(modulus, modulus_slack, argmax_n)`` per member, from ``prohorov`` at
+    every horizon under the strict ``>`` rule."""
+    center = build(spec.center, spec.budget)
+    curve, _ = lab._estimator_curve(center, spec, lab._member_seed(spec.seed, 0))
+    out = []
+    for idx, member in enumerate(spec.grid):
+        law = build(member, spec.budget)
+        same = law.measure == center.measure
+        other = curve if same else lab._estimator_curve(
+            law, spec, lab._member_seed(spec.seed, idx + 1))[0]
+        best = (-1.0, 0.0, None)
+        for n in sorted(set(spec.n_range)):
+            (a, slack_a), (b, slack_b) = curve[n], other[n]
+            if same:
+                value, slack = 0.0, slack_a + slack_b
+            else:
+                result = prohorov(a, b)
+                value, slack = result.value, result.defect_slack + slack_a + slack_b
+            if value > best[0]:
+                best = (value, slack, n)
+        out.append(best)
+    return out
+
+
+class TestModulusSkip:
+    """Horizons whose distance provably cannot beat the running maximum are
+    skipped without changing a row."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [binary_sweep_spec(),
+         contamination_sweep_spec(k_values=(20, 50), n_max=4, replications=2_000)],
+        ids=["binary", "contamination"],
+    )
+    def test_rows_match_prohorov_at_every_horizon(self, spec):
+        rows = robustness_modulus(spec)
+        got = [(r["modulus"], r["modulus_slack"], r["argmax_n"]) for r in rows]
+        assert got == reference_moduli(spec)
+
+    def test_ties_keep_the_first_horizon(self):
+        # p = 0.74 reaches its largest distance at n = 6, 7 and 8 alike.
+        spec = binary_sweep_spec()
+        assert spec.grid[0] == FamilySpec.binary(0.74)
+        center, member = (lab._estimator_curve(build(s), spec, 0)[0]
+                          for s in (spec.center, spec.grid[0]))
+        values = [prohorov(center[n][0], member[n][0]).value for n in (6, 7, 8)]
+        assert values == [0.030303030303030276] * 3
+        row = robustness_modulus(spec)[0]
+        assert (row["modulus"], row["argmax_n"]) == (0.030303030303030276, 6)
+
+    def test_default_binary_sweep_skips_three_calls(self, monkeypatch):
+        calls = []
+        original = lab.prohorov
+
+        def counted(a, b):
+            calls.append(len(a) * len(b))
+            return original(a, b)
+
+        monkeypatch.setattr(lab, "prohorov", counted)
+        robustness_modulus(binary_sweep_spec())
+        assert (len(calls), sum(calls)) == (29, 12_187_465)
+
+
 class TestContaminationGrid:
     def test_distance_is_the_mixing_weight(self, b75):
         grid = contamination_grid(FamilySpec.binary(0.75), (20, 25, 50))
@@ -487,6 +552,14 @@ class TestExperimentSpec:
         with pytest.raises(InvalidParameter, match="int64"):
             binary_sweep_spec(z0=2**63, cap=2**65)
 
+    @pytest.mark.parametrize("n_range", [[10**30], [1, 2**40], [montecarlo.HORIZON_LIMIT + 1]])
+    def test_horizon_past_the_limit_is_refused(self, n_range):
+        data = binary_sweep_spec(n_max=2).to_json_dict()
+        data["n_range"] = n_range
+        with pytest.raises(InvalidParameter, match="HORIZON_LIMIT = 1000"):
+            ExperimentSpec.from_json_dict(data)
+        SimConfig(0, 1, montecarlo.HORIZON_LIMIT)  # the limit itself is a horizon
+
     def test_from_json_dict_leaves_absent_fields_at_their_defaults(self):
         spec = binary_sweep_spec(n_max=2)
         data = {k: spec.to_json_dict()[k] for k in ("center", "grid", "n_range")}
@@ -509,6 +582,16 @@ class TestBinnedEstimatorLaw:
         plain = empirical_estimator_law(table, 2)
         assert slack == pytest.approx(1.0 / 128.0, abs=1e-15)
         assert prohorov(binned, plain).value == 0.0
+
+    def test_resolution_past_exact_float_indices_is_refused(self, b75):
+        table = simulate_paths(b75, SimConfig(seed=29, replications=1_000, n_max=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for den in (2**53, 10**20):
+                with pytest.raises(InvalidParameter, match="BIN_INDEX_LIMIT"):
+                    binned_estimator_law(table, 2, resolution=Fraction(1, den))
+            # Ratios reach 2, so 2**52 is the finest power of two that fits.
+            binned_estimator_law(table, 2, resolution=Fraction(1, 2**52))
 
     def test_conditioned_variant(self, b75):
         table = simulate_paths(b75, SimConfig(seed=29, replications=20_000, n_max=2))

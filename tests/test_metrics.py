@@ -258,6 +258,32 @@ class TestProhorov:
         assert res.value <= 0.05
 
 
+class TestProhorovAtMost:
+    @staticmethod
+    def check(a, b):
+        value = prohorov(a, b).value
+        distances = np.unique(np.abs(a.float_support[:, None] - b.float_support[None, :]))
+        bounds = [value, value - 1e-6, value + 1e-6]
+        for d in distances.tolist():
+            bounds += [d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)]
+        for bound in bounds:
+            proved = metrics.prohorov_at_most(a, b, bound)
+            if proved:
+                assert value <= bound
+            if value <= bound - 1e-6:
+                assert proved
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sound_and_decisive_on_lattice_pairs(self, data):
+        self.check(*lattice_pair(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sound_and_decisive_on_near_pairs(self, data):
+        self.check(*near_pair(data))
+
+
 class TestStrassenCoupling:
     def test_identity_coupling(self):
         rng = np.random.default_rng(37)
