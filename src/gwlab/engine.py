@@ -18,9 +18,9 @@ per step, always from the largest population sizes, and generations past
 ``n_max`` are refused.  The defect a truncated offspring law carries is
 passed on into every generation's defect and is not charged to the budget.
 ``BudgetExceeded`` is raised, before anything is convolved, by a step whose
-plan passes a cost cap on the write work of its convolution rows or the
-work of halving its largest power; every caller, the sweeps' exact route
-included, is guarded alike, and so is a power asked of ``PowerCache``.
+plan passes a cost cap on the write work of its convolution rows, the work
+of halving its largest power, or a joint law's rows; every caller, the
+sweeps' exact route included, is guarded alike, and so is ``PowerCache``.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ MIN_SURVIVAL = 1e-12
 # Cost caps on one step's plan (see the module notes).
 _DENSE_WORK_CAP = 2 * 10**8
 _POWER_WORK_CAP = 3 * 10**10
+# No sweep, gate or pinned output plans over 145,924 joint rows (binary(0.75),
+# n = 12, gate 7).  `gw joint --family binary --p 0.75 --format json` plans
+# 765,625 at n = 14 (peak 830 MB) and 1,737,124 at n = 15 (peak 1.6 GB).
+_JOINT_ROW_CAP = 2**20
 
 
 def check_start_size(z0: int) -> None:
@@ -65,11 +69,13 @@ def check_start_size(z0: int) -> None:
         raise InvalidParameter("start size z0 must be below 2**63, the int64 limit")
 
 
-def _check_work(length: int, where: str, step: int, rows: int = 0) -> None:
-    """Refuse ``rows`` dense rows of ``length``, or halving a power that long."""
+def _check_work(length: int, where: str, step: int, rows: int = 0, joint: int = 0) -> None:
+    """Refuse ``rows`` dense rows of ``length``, halving a power that long, or
+    a joint law of ``joint`` rows."""
     for name, planned, cap in (
         ("_DENSE_WORK_CAP", rows * length, _DENSE_WORK_CAP),
         ("_POWER_WORK_CAP", (length / 2) ** 2, _POWER_WORK_CAP),
+        ("_JOINT_ROW_CAP", joint, _JOINT_ROW_CAP),
     ):
         if planned > cap:
             msg = f"planned size {planned:.0f} exceeds {name} = {cap}"
@@ -187,12 +193,14 @@ class Propagator:
         start[z0] = 1.0
         self._gen: list[tuple[np.ndarray, float]] = [(start, 0.0)]
 
-    def _plan(self, prev: np.ndarray, step: int) -> list[int]:
+    def _plan(self, prev: np.ndarray, step: int, joint: bool = False) -> list[int]:
         """The sizes ``j`` with ``prev[j] > 0``, once the step from ``prev``
-        into generation ``step`` is within every cost cap."""
+        into generation ``step`` is within every cost cap; with ``joint``, also
+        the joint law's rows, at most ``j * ell + 1`` from ``P^j`` on the lattice."""
         sizes = np.flatnonzero(prev).tolist()
         length = sizes[-1] * int(self.law.counts[-1]) + 1
-        _check_work(length, f"at generation {step}", step, rows=len(sizes))
+        rows = sum(sizes) * (len(self.powers._lattice) - 1) + len(sizes) if joint else 0
+        _check_work(length, f"at generation {step}", step, len(sizes), rows)
         return sizes
 
     def _advance(self) -> None:
@@ -233,7 +241,7 @@ class Propagator:
         curr_col: list[np.ndarray] = []
         prob_col: list[np.ndarray] = []
         defect = prev_defect
-        for j in self._plan(prev, n):
+        for j in self._plan(prev, n, joint=True):
             w, d = self.powers.get(j)
             ks = np.nonzero(w)[0]
             prev_col.append(np.full(len(ks), j, dtype=np.int64))

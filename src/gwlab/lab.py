@@ -260,7 +260,7 @@ def _horizon_laws(
     law: OffspringLaw, levels: Iterable[int], conditioned: bool,
     from_exact: Callable[[EstimatorLaw], T], from_table: Callable[[SimTable, int], T],
     *, z0: int, budget: float, exact_cutoff: int, seed: int, replications: int,
-    cap: int, jobs: int,
+    cap: int, jobs: int, resolution: Fraction | None = None,
 ) -> tuple[dict[int, T], int | None]:
     """The one exact-to-Monte-Carlo route: a result per horizon in ``levels``.
 
@@ -269,8 +269,8 @@ def _horizon_laws(
     the support passes ``exact_cutoff``; that horizon is ``mc_from``.  A wanted
     exact horizon gives ``from_exact(ratio law)``.  The switch is sticky:
     every wanted horizon from ``mc_from`` on gives ``from_table(table, n)``
-    from one seeded simulation.  Returns the results by horizon and
-    ``mc_from``.
+    from one seeded simulation, which tallies bins at ``resolution`` when
+    one is given.  Returns the results by horizon and ``mc_from``.
     """
     wanted = sorted(set(levels))
     n_max = wanted[-1]
@@ -283,7 +283,7 @@ def _horizon_laws(
             exact = False
         if not exact:
             cfg = SimConfig(seed, replications, n_max, z0, cap)
-            table = simulate_paths(law, cfg, jobs=jobs)
+            table = simulate_paths(law, cfg, jobs=jobs, resolution=resolution)
             out.update((k, from_table(table, k)) for k in wanted if k >= n)
             return out, n
         if n in wanted:
@@ -305,7 +305,7 @@ def _estimator_curve(
         lambda e: (e.law, 0.0),
         lambda table, n: binned_estimator_law(table, n, resolution),
         z0=spec.z0, budget=spec.budget, exact_cutoff=spec.exact_cutoff, seed=seed,
-        replications=spec.replications, cap=spec.cap, jobs=jobs,
+        replications=spec.replications, cap=spec.cap, jobs=jobs, resolution=resolution,
     )
 
 

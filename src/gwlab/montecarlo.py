@@ -12,10 +12,11 @@ its uniform reaches (at most ``STEP_LIMIT`` steps) or through a guide
 table (wider laws), in int32 whenever no sum can pass it.
 
 A chunk keeps only its live replications, in replication order, and
-counts the extinct ones; each level groups the live (Z_{n-1}, Z_n) rows and
-puts one (0, 0) row in front for the extinct.  Chunks and their merge group
-rows by sorting one packed int64 key per row and reading off runs (see
-``measures.group_pairs``).
+counts the extinct ones; each level groups the live (Z_{n-1}, Z_n) rows, or
+with a ``resolution`` the (1, rint((Z_n / Z_{n-1}) / resolution)) bins that
+the sweeps read, behind one (0, 0) row for the extinct.  Rows are grouped by
+sorting one packed int64 key per row and reading off runs (``group_pairs``):
+pair tables once every chunk is in, bin tallies as each chunk finishes.
 
 Replications whose population passes the cap stop being tabulated from the
 offending generation on; per-generation exclusion counts are part of the
@@ -26,6 +27,7 @@ result, never silently dropped.  Every tabulation reads a level through
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -66,10 +68,10 @@ STEP_LIMIT = 16
 
 _INDIV_HARD_LIMIT = 1 << 24
 
-# Every chunk tabulates every horizon, live or not: at 10^6 replications one
-# more horizon cost 5 ms and 0.12 MB of level tables held until the merge,
-# even with all replications capped (binary(0.75), cap 8, 2-core x86-64,
-# numpy 2.4).  A thousand horizons is about 5 s and 130 MB.
+# Every chunk tabulates every horizon, live or not.  With every replication
+# capped (binary(0.75), cap 8, 10^6 replications, 2-core x86-64, numpy 2.4),
+# one more horizon cost 5-6 ms and 0.15 MB of pair tables held until the
+# merge, or 13 ms as a bin tally: a thousand horizons is 5-13 s and 150 MB.
 HORIZON_LIMIT = 1_000
 
 
@@ -99,11 +101,12 @@ class SimConfig:
 
 @dataclass
 class SimTable:
-    """Aggregated (Z_{n-1}, Z_n) pair counts per generation."""
+    """Per generation, (Z_{n-1}, Z_n, count) rows or (Z_{n-1} > 0, bin, count) tallies."""
 
     cfg: SimConfig
     levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     excluded: np.ndarray  # excluded[n] = replications missing at level n
+    resolution: Fraction | None = None
 
     def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if n not in self.levels:
@@ -116,17 +119,6 @@ class SimTable:
             prev, curr, counts = self.levels[n]
             for j, k, c in zip(prev.tolist(), curr.tolist(), counts.tolist()):
                 yield n, j, k, c
-
-    def equals(self, other: "SimTable") -> bool:
-        return (
-            sorted(self.levels) == sorted(other.levels)
-            and np.array_equal(self.excluded, other.excluded)
-            and all(
-                np.array_equal(mine, theirs)
-                for n in self.levels
-                for mine, theirs in zip(self.levels[n], other.levels[n])
-            )
-        )
 
 
 class _Sampler:
@@ -213,14 +205,28 @@ def _draw_next(
     return rng.multinomial(pos, sampler.pvals) @ sampler.support
 
 
+def _bin_indices(ratios: np.ndarray, resolution: Fraction) -> np.ndarray:
+    """``rint(ratios / resolution)`` as int64, refused where a bin index, or the
+    denominator when no ratio reaches 1, would pass ``BIN_INDEX_LIMIT``."""
+    largest = float(ratios.max(initial=0.0))
+    if Fraction(max(largest, 1.0)) / resolution > BIN_INDEX_LIMIT:
+        raise InvalidParameter(
+            f"ratios up to {largest} at resolution {resolution} need bin "
+            f"indices past BIN_INDEX_LIMIT = 2**53"
+        )
+    return np.rint(ratios / float(resolution)).astype(np.int64)
+
+
 def _simulate_chunk(
-    sampler: _Sampler, cfg: SimConfig, chunk_idx: int, size: int
+    sampler: _Sampler, cfg: SimConfig, chunk_idx: int, size: int,
+    resolution: Fraction | None = None,
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
     """Levels and cumulative exclusion counts of ``size`` replications.
 
     ``z`` holds the live populations (positive, not excluded) in replication
     order, which is the array every draw takes.  Extinct replications are
     only counted; ``group_pairs`` would sort their ``(0, 0)`` row first.
+    Levels hold pairs, or bin tallies at ``resolution`` (see ``SimTable``).
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, chunk_idx]))
 
@@ -236,7 +242,10 @@ def _simulate_chunk(
         if over.any():
             prev, curr = prev[~over], curr[~over]
         exc_counts[step] = size - extinct - curr.size
-        level = group_pairs(prev, curr)
+        rows = (prev, curr)
+        if resolution is not None and curr.size:
+            rows = (np.ones_like(curr), _bin_indices(curr / prev.astype(float), resolution))
+        level = group_pairs(*rows)
         if extinct:
             level = tuple(
                 np.concatenate((np.array([head], dtype=np.int64), column))
@@ -253,40 +262,61 @@ def check_jobs(jobs: int) -> None:
         raise InvalidParameter(f"jobs must be at least 1, got {jobs}")
 
 
-def simulate_paths(law: OffspringLaw, cfg: SimConfig, jobs: int = 1) -> SimTable:
-    """Simulate the branching recursion; see the module notes on determinism."""
+def simulate_paths(
+    law: OffspringLaw, cfg: SimConfig, jobs: int = 1, resolution: Fraction | None = None
+) -> SimTable:
+    """Simulate the branching recursion; see the module notes on determinism.
+    With a ``resolution`` the levels tally bins for ``binned_estimator_law``."""
     check_jobs(jobs)
     if not law.measure.is_integer_supported:
         raise InvalidParameter("offspring law must have integer support")
+    resolution = None if resolution is None else _check_resolution(resolution)
     full, rest = divmod(cfg.replications, CHUNK)
     sizes = [CHUNK] * full + ([rest] if rest else [])
-    chunk = partial(_simulate_chunk, _Sampler(law.measure), cfg)
+    chunk = partial(_simulate_chunk, _Sampler(law.measure), cfg, resolution=resolution)
     if jobs > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(chunk, range(len(sizes)), sizes, chunksize=8))
-    else:
-        results = list(map(chunk, range(len(sizes)), sizes))
+            results = pool.map(chunk, range(len(sizes)), sizes, chunksize=8)
+            return _merge(cfg, resolution, results)
+    return _merge(cfg, resolution, map(chunk, range(len(sizes)), sizes))
 
-    excluded = np.sum([exc for _, exc in results], axis=0, dtype=np.int64)
-    final = {}
-    for n in range(1, cfg.n_max + 1):
-        columns = zip(*(levels[n] for levels, _ in results))
-        final[n] = group_pairs(*(np.concatenate(col) for col in columns))
-    return SimTable(cfg=cfg, levels=final, excluded=excluded)
+
+def _merge(cfg: SimConfig, resolution: Fraction | None, results: Iterable) -> SimTable:
+    """One table from the chunks' ``(levels, exclusions)``, in chunk order."""
+    excluded = np.zeros(cfg.n_max + 1, dtype=np.int64)
+    parts: dict[int, list] = {n: [] for n in range(1, cfg.n_max + 1)}
+    for levels, exc in results:
+        excluded += exc
+        for n, level in levels.items():
+            parts[n].append(level)
+            if resolution is not None and len(parts[n]) == 2:  # a running total
+                parts[n] = [group_pairs(*map(np.concatenate, zip(*parts[n])))]
+    final = {n: group_pairs(*map(np.concatenate, zip(*part))) for n, part in parts.items()}
+    return SimTable(cfg=cfg, levels=final, excluded=excluded, resolution=resolution)
+
+
+def _check_resolution(resolution: Fraction) -> Fraction:
+    resolution = Fraction(resolution)
+    if resolution <= 0:
+        raise InvalidParameter("bin resolution must be positive")
+    return resolution
 
 
 def _event(
-    table: SimTable, n: int, conditioned: bool
+    table: SimTable, n: int, conditioned: bool, resolution: Fraction | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """``(prev, curr, counts, excluded, size)`` of level ``n`` in the event.
 
     The event is all replications, or with ``conditioned`` those with
     ``Z_{n-1} > 0``.  Capped replications belong to it (they were alive
     when capped) but have no pair, so frequencies over ``size`` leave
-    ``excluded / size`` as defect.
+    ``excluded / size`` as defect; a tally is read only at its ``resolution``.
     """
+    if table.resolution not in (None, resolution):
+        wanted = resolution or "pairs"
+        raise InvalidParameter(f"level {n} holds bins at {table.resolution}, not {wanted}")
     prev, curr, counts = table.pairs(n)
     excluded = int(table.excluded[n])
     if conditioned:
@@ -317,25 +347,16 @@ def binned_estimator_law(
     """Empirical ratio law with atoms snapped to multiples of ``resolution``.
 
     Returns the measure and the bin radius, which any metric computed from
-    it should add to its slack.
+    it should add to its slack.  A tally at ``resolution`` is read as binned.
     """
-    resolution = Fraction(resolution)
-    if resolution <= 0:
-        raise InvalidParameter("bin resolution must be positive")
-    prev, curr, counts, excluded, size = _event(table, n, conditioned)
+    resolution = _check_resolution(resolution)
+    prev, curr, counts, excluded, size = _event(table, n, conditioned, resolution)
     if excluded == size:
         raise DegenerateConditioning(f"no tabulated replications at level {n}")
-    ratios = np.where(prev > 0, curr / np.maximum(prev, 1).astype(float), 0.0)
-    res_f = float(resolution)
-    # Bin indices, and the denominator when no ratio reaches 1, must stay
-    # where ``np.rint`` on floats and the int64 arithmetic after it are exact.
-    largest = float(ratios.max(initial=0.0))
-    if Fraction(max(largest, 1.0)) / resolution > BIN_INDEX_LIMIT:
-        raise InvalidParameter(
-            f"ratios up to {largest} at resolution {resolution} need bin "
-            f"indices past BIN_INDEX_LIMIT = 2**53"
-        )
-    idx = np.rint(ratios / res_f).astype(np.int64)
+    idx = curr  # a tally's bin indices, with the extinct in bin 0
+    if table.resolution is None:
+        ratios = np.where(prev > 0, curr / np.maximum(prev, 1).astype(float), 0.0)
+        idx = _bin_indices(ratios, resolution)
     uniq, inverse = np.unique(idx, return_inverse=True)
     weights = np.bincount(inverse, weights=counts.astype(float)) / size
     nums = uniq * resolution.numerator
@@ -343,7 +364,7 @@ def binned_estimator_law(
     out = DiscreteMeasure.from_sorted_arrays(
         nums // g, resolution.denominator // g, weights, excluded / size
     )
-    return out, res_f / 2.0
+    return out, float(resolution) / 2.0
 
 
 def empirical_consistency_probability(

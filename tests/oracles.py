@@ -390,3 +390,18 @@ def simulate_chunk(sampler, cfg, chunk_idx: int, size: int):
         exc_counts[step] = size - int(keep.sum())
         levels[step] = group_pairs(zprev[keep], z[keep])
     return levels, exc_counts
+
+
+def tables_equal(a, b) -> bool:
+    """Two ``SimTable``s hold the same levels, rows and exclusion counts,
+    compared field by field, and were tabulated at the same resolution."""
+    return (
+        a.resolution == b.resolution
+        and sorted(a.levels) == sorted(b.levels)
+        and np.array_equal(a.excluded, b.excluded)
+        and all(
+            np.array_equal(mine, theirs)
+            for n in a.levels
+            for mine, theirs in zip(a.levels[n], b.levels[n])
+        )
+    )

@@ -484,6 +484,60 @@ FAMILY_MEMBERS = [
 ]
 
 
+# Run the command in argv in a child and print its peak RSS in KiB.  This
+# interpreter has no other child, so RUSAGE_CHILDREN is the command's own.
+PEAK_RSS = """
+import resource, subprocess, sys
+out = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+assert out.returncode == 0, out.stderr
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+# Set an address-space limit (bytes, first argument) on this interpreter
+# only, then run the CLI on the remaining arguments.
+LIMITED_CLI = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from gwlab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestMemoryCeilings:
+    def test_contamination_sweep_tallies_bins_within_its_ceiling(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(contamination_sweep_spec(k_values=(50,)).to_json_dict()))
+        argv = GW + ["modulus", "--config", str(path), "--jobs", "1", "--no-timestamp"]
+        out = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, *argv], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        peak_mb = int(out.stdout) / 1024
+        # Five runs peaked at 54.6-54.8 MB on a 2-core Xeon (54.75, 54.75,
+        # 54.64, 54.75, 54.68 MB); grouping pair tables, the same run peaked
+        # at 133.5 MB.
+        assert peak_mb < 70.0
+
+    def test_joint_past_the_row_cap_is_refused_under_an_address_space_limit(self):
+        # Generation 17 of binary(0.75) plans 8.8 million joint rows and
+        # holds 4.9 million.  Written as JSON, they ran out of 1 GB of
+        # address space in a bare MemoryError with a traceback; now the plan
+        # is refused before any row is built.
+        argv = ["joint", "--family", "binary", "--p", "0.75", "--n", "17", "--format", "json"]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env.pop("GW_BUDGET", None)
+        out = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, str(2**30), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 1
+        assert out.stdout == "" and len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "BudgetExceeded"
+        assert "_JOINT_ROW_CAP" in err["message"]
+
+
 class TestEveryFamily:
     BUDGET = 1e-4
 

@@ -231,6 +231,17 @@ class TestJointLaw:
         assert joint_entries(prop.joint(3)) == joint_entries(direct)
         assert prop.support_size(3) == len(propagate(b75, 3).support)
 
+    def test_rows_past_the_cap_are_refused_before_any_is_built(self, b75):
+        # Generation 14 holds 1,318 sizes, so the joint law at 15 plans
+        # 1,737,124 rows; the step into generation 15 builds no rows and
+        # stays within every cap.
+        prop = Propagator(b75, n_max=15)
+        assert prop.support_size(15) > 0
+        assert len(prop.joint(14).prev) < 2**20
+        with pytest.raises(BudgetExceeded, match="_JOINT_ROW_CAP") as err:
+            prop.joint(15)
+        assert err.value.step == 15
+
 
 class TestConditionOnSurvival:
     def test_certain_survival_changes_nothing(self):

@@ -1,6 +1,7 @@
 """Seeded forward simulation and empirical estimator laws."""
 
 import hashlib
+import warnings
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -23,10 +24,10 @@ from gwlab import (
     prohorov,
     simulate_paths,
 )
-from gwlab.errors import InvalidParameter
+from gwlab.errors import DegenerateConditioning, InvalidParameter
 from gwlab.lab import contamination_grid
 from gwlab.measures import group_pairs
-from gwlab.montecarlo import STEP_LIMIT, _draw_next, _Sampler, _simulate_chunk
+from gwlab.montecarlo import CHUNK, STEP_LIMIT, _draw_next, _Sampler, _simulate_chunk
 
 import oracles
 
@@ -36,18 +37,20 @@ DELTA2 = FamilySpec.raw([0.0, 0.0, 1.0])
 class TestSimulatePaths:
     def test_rerun_is_bit_identical(self, b75):
         cfg = SimConfig(seed=99, replications=1, n_max=4)
-        assert simulate_paths(b75, cfg).equals(simulate_paths(b75, cfg))
+        assert oracles.tables_equal(simulate_paths(b75, cfg), simulate_paths(b75, cfg))
 
     def test_larger_runs_deterministic_across_jobs(self, b75):
         cfg = SimConfig(seed=42, replications=50_000, n_max=3)
         a = simulate_paths(b75, cfg, jobs=1)
         b = simulate_paths(b75, cfg, jobs=3)
-        assert a.equals(b)
+        assert oracles.tables_equal(a, b)
 
     def test_seed_changes_the_draws(self, b75):
         cfg1 = SimConfig(seed=1, replications=2_000, n_max=2)
         cfg2 = SimConfig(seed=2, replications=2_000, n_max=2)
-        assert not simulate_paths(b75, cfg1).equals(simulate_paths(b75, cfg2))
+        assert not oracles.tables_equal(
+            simulate_paths(b75, cfg1), simulate_paths(b75, cfg2)
+        )
 
     def test_binary_extinction_frequency_near_exact_value(self, b75):
         reps = 1_000_000
@@ -319,6 +322,85 @@ class TestLiveChunkLoop:
             for got, arr in zip(levels[n], want):
                 assert got.dtype == arr.dtype
                 assert np.array_equal(got, arr)
+
+
+@st.composite
+def small_laws(draw):
+    """Binary, three-point, or raw laws on 0..3 with one far atom at 8..60."""
+    kind = draw(st.sampled_from(["binary", "three-point", "far-atom"]))
+    if kind == "binary":
+        return build(FamilySpec.binary(draw(st.floats(0.05, 0.95))))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=4))
+    if kind == "three-point":
+        return build(FamilySpec.three_point(*(np.array(weights[:3]) / sum(weights[:3]))))
+    far = draw(st.integers(8, 60))
+    weights = np.array(weights + [0.0] * (far - len(weights)) + [0.05])
+    return build(FamilySpec.raw((weights / weights.sum()).tolist()))
+
+
+def _binned_outcome(table, n, resolution, conditioned):
+    try:
+        law, radius = binned_estimator_law(table, n, resolution, conditioned)
+    except (DegenerateConditioning, InvalidParameter) as err:
+        return type(err)
+    return law.nums.tolist(), law.dens.tolist(), law.weights_array.tobytes(), law.defect, radius
+
+
+class TestBinTally:
+    # ``CHUNK + 300`` replications make two chunks, so ``jobs = 2`` runs a
+    # pool; caps from 3 to 40 exclude replications.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        law=small_laws(),
+        den=st.one_of(st.integers(1, 300), st.sampled_from([2**47, 2**52, 2**53])),
+        z0=st.integers(1, 3),
+        cap=st.one_of(st.none(), st.integers(3, 40)),
+        jobs=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(law=build(FamilySpec.binary(0.75)), den=64, z0=1, cap=None, jobs=2, seed=0)
+    def test_tally_bins_like_the_pair_table(self, law, den, z0, cap, jobs, seed):
+        cfg = SimConfig(
+            seed=seed, replications=CHUNK + 300, n_max=4, z0=z0,
+            cap=max(cap or 10**7, z0),
+        )
+        resolution = Fraction(1, den)
+        pairs = simulate_paths(law, cfg)
+        want = {
+            (n, conditioned): _binned_outcome(pairs, n, resolution, conditioned)
+            for n in range(1, cfg.n_max + 1)
+            for conditioned in (False, True)
+        }
+        try:
+            tally = simulate_paths(law, cfg, jobs=jobs, resolution=resolution)
+        except InvalidParameter as err:
+            # A tally refuses every level when one needs indices past the limit.
+            assert "BIN_INDEX_LIMIT" in str(err)
+            assert InvalidParameter in want.values()
+            return
+        assert np.array_equal(tally.excluded, pairs.excluded)
+        for (n, conditioned), outcome in want.items():
+            assert _binned_outcome(tally, n, resolution, conditioned) == outcome
+
+    def test_past_exact_float_indices_is_refused(self, b75):
+        cfg = SimConfig(seed=29, replications=1_000, n_max=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for den in (2**53, 10**20):
+                with pytest.raises(InvalidParameter, match="BIN_INDEX_LIMIT"):
+                    simulate_paths(b75, cfg, resolution=Fraction(1, den))
+            # Ratios reach 2, so 2**52 is the finest power of two that fits.
+            resolution = Fraction(1, 2**52)
+            table = simulate_paths(b75, cfg, resolution=resolution)
+            binned_estimator_law(table, 2, resolution=resolution)
+
+    def test_tally_is_read_only_as_bins_at_its_resolution(self, b75):
+        cfg = SimConfig(seed=29, replications=1_000, n_max=2)
+        table = simulate_paths(b75, cfg, resolution=Fraction(1, 64))
+        with pytest.raises(InvalidParameter, match="not pairs"):
+            empirical_estimator_law(table, 2)
+        with pytest.raises(InvalidParameter, match="not 1/32"):
+            binned_estimator_law(table, 2, resolution=Fraction(1, 32))
 
 
 class TestEmpiricalEstimatorLaw:
