@@ -57,7 +57,8 @@ _DENSE_WORK_CAP = 2 * 10**8
 _POWER_WORK_CAP = 3 * 10**10
 # No sweep, gate or pinned output plans over 145,924 joint rows (binary(0.75),
 # n = 12, gate 7).  `gw joint --family binary --p 0.75 --format json` plans
-# 765,625 at n = 14 (peak 830 MB) and 1,737,124 at n = 15 (peak 1.6 GB).
+# 765,625 at n = 14 (peak 830 MB) and 1,737,124 at n = 15 (peak 1.6 GB); a
+# sweep or check reaching n = 15 simulates from there.
 _JOINT_ROW_CAP = 2**20
 
 
@@ -69,13 +70,11 @@ def check_start_size(z0: int) -> None:
         raise InvalidParameter("start size z0 must be below 2**63, the int64 limit")
 
 
-def _check_work(length: int, where: str, step: int, rows: int = 0, joint: int = 0) -> None:
-    """Refuse ``rows`` dense rows of ``length``, halving a power that long, or
-    a joint law of ``joint`` rows."""
+def _check_work(length: int, where: str, step: int, rows: int = 0) -> None:
+    """Refuse ``rows`` dense rows of ``length``, or halving a power that long."""
     for name, planned, cap in (
         ("_DENSE_WORK_CAP", rows * length, _DENSE_WORK_CAP),
         ("_POWER_WORK_CAP", (length / 2) ** 2, _POWER_WORK_CAP),
-        ("_JOINT_ROW_CAP", joint, _JOINT_ROW_CAP),
     ):
         if planned > cap:
             msg = f"planned size {planned:.0f} exceeds {name} = {cap}"
@@ -123,6 +122,7 @@ class PowerCache:
         self._keys = [0, 1]  # sorted keys of _cache
         self._lattice = base[:: self._spans[1] or 1]
         self._atoms = np.flatnonzero(self._lattice)
+        self.ell = len(self._lattice) - 1  # the base's largest lattice index
 
     def get(self, j: int) -> tuple[np.ndarray, float]:
         if j < 0:
@@ -134,7 +134,7 @@ class PowerCache:
         anchor = self._keys[bisect_right(self._keys, j) - 1]
         halving = anchor <= j // 2
         left, right = (j // 2, j - j // 2) if halving else (anchor, j - anchor)
-        ell, k = len(self._lattice) - 1, len(self._atoms)
+        ell, k = self.ell, len(self._atoms)
         stepping = k * (ell * (j * (j + 1) - anchor * (anchor + 1)) // 2 + j - anchor)
         spans = self._spans
         if halving and stepping < (left * ell + 1) * (right * ell + 1):
@@ -157,7 +157,7 @@ class PowerCache:
         wa, da = self._cache[anchor]
         cur = wa[::g]
         for _ in range(j - anchor):
-            nxt = np.zeros(cur.size + len(self._lattice) - 1)
+            nxt = np.zeros(cur.size + self.ell)
             for x in self._atoms:
                 nxt[x : x + cur.size] += self._lattice[x] * cur
             cur = _trim_back(nxt)
@@ -193,14 +193,12 @@ class Propagator:
         start[z0] = 1.0
         self._gen: list[tuple[np.ndarray, float]] = [(start, 0.0)]
 
-    def _plan(self, prev: np.ndarray, step: int, joint: bool = False) -> list[int]:
+    def _plan(self, prev: np.ndarray, step: int) -> list[int]:
         """The sizes ``j`` with ``prev[j] > 0``, once the step from ``prev``
-        into generation ``step`` is within every cost cap; with ``joint``, also
-        the joint law's rows, at most ``j * ell + 1`` from ``P^j`` on the lattice."""
+        into generation ``step`` is within every cost cap."""
         sizes = np.flatnonzero(prev).tolist()
         length = sizes[-1] * int(self.law.counts[-1]) + 1
-        rows = sum(sizes) * (len(self.powers._lattice) - 1) + len(sizes) if joint else 0
-        _check_work(length, f"at generation {step}", step, len(sizes), rows)
+        _check_work(length, f"at generation {step}", step, rows=len(sizes))
         return sizes
 
     def _advance(self) -> None:
@@ -237,11 +235,17 @@ class Propagator:
         if n < 1:
             raise InvalidParameter("a joint law needs n >= 1")
         prev, prev_defect = self._dense_generation(n - 1)
+        sizes = self._plan(prev, n)
+        # Size j contributes at most j * ell + 1 rows, the length of P^j.
+        joint_rows = sum(sizes) * self.powers.ell + len(sizes)
+        if joint_rows > _JOINT_ROW_CAP:
+            msg = f"planned joint rows {joint_rows} exceed _JOINT_ROW_CAP = {_JOINT_ROW_CAP}"
+            raise BudgetExceeded(f"{msg} at generation {n}", step=n)
         prev_col: list[np.ndarray] = []
         curr_col: list[np.ndarray] = []
         prob_col: list[np.ndarray] = []
         defect = prev_defect
-        for j in self._plan(prev, n, joint=True):
+        for j in sizes:
             w, d = self.powers.get(j)
             ks = np.nonzero(w)[0]
             prev_col.append(np.full(len(ks), j, dtype=np.int64))
@@ -249,12 +253,8 @@ class Propagator:
             prob_col.append(prev[j] * w[ks])
             defect += prev[j] * d
         return JointLaw(
-            n=n,
-            z0=self.z0,
-            prev=np.concatenate(prev_col),
-            curr=np.concatenate(curr_col),
-            probs=np.concatenate(prob_col),
-            defect=float(defect),
+            n=n, z0=self.z0, prev=np.concatenate(prev_col), curr=np.concatenate(curr_col),
+            probs=np.concatenate(prob_col), defect=float(defect),
         )
 
 

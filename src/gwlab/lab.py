@@ -265,12 +265,13 @@ def _horizon_laws(
     """The one exact-to-Monte-Carlo route: a result per horizon in ``levels``.
 
     Horizons are walked in order and stay exact until the engine refuses a
-    step (``BudgetExceeded``: a cost cap, or truncation emptying the law) or
-    the support passes ``exact_cutoff``; that horizon is ``mc_from``.  A wanted
-    exact horizon gives ``from_exact(ratio law)``.  The switch is sticky:
-    every wanted horizon from ``mc_from`` on gives ``from_table(table, n)``
-    from one seeded simulation, which tallies bins at ``resolution`` when
-    one is given.  Returns the results by horizon and ``mc_from``.
+    step or a wanted joint law (``BudgetExceeded``: a cost or row cap, or
+    truncation emptying the law) or the support passes ``exact_cutoff``;
+    that horizon is ``mc_from``.  A wanted exact horizon gives
+    ``from_exact(ratio law)``.  The switch is sticky: every wanted horizon
+    from ``mc_from`` on gives ``from_table(table, n)`` from one seeded
+    simulation, which tallies bins at ``resolution`` when one is given.
+    Returns the results by horizon and ``mc_from``.
     """
     wanted = sorted(set(levels))
     n_max = wanted[-1]
@@ -279,6 +280,8 @@ def _horizon_laws(
     for n in range(1, n_max + 1):
         try:
             exact = prop.support_size(n) <= exact_cutoff
+            if exact and n in wanted:
+                out[n] = from_exact(estimator_law(prop.joint(n), conditioned))
         except BudgetExceeded:
             exact = False
         if not exact:
@@ -286,8 +289,6 @@ def _horizon_laws(
             table = simulate_paths(law, cfg, jobs=jobs, resolution=resolution)
             out.update((k, from_table(table, k)) for k in wanted if k >= n)
             return out, n
-        if n in wanted:
-            out[n] = from_exact(estimator_law(prop.joint(n), conditioned))
     return out, None
 
 

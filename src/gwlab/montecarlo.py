@@ -278,8 +278,7 @@ def simulate_paths(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(chunk, range(len(sizes)), sizes, chunksize=8)
-            return _merge(cfg, resolution, results)
+            return _merge(cfg, resolution, pool.map(chunk, range(len(sizes)), sizes, chunksize=8))
     return _merge(cfg, resolution, map(chunk, range(len(sizes)), sizes))
 
 

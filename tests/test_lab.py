@@ -413,6 +413,20 @@ class TestRobustnessModulus:
             prop.joint(3)
         assert err.value.step == row["mc_from"] == 3
 
+    def test_joint_row_cap_ends_the_exact_route_of_binary_at_n_15(self, b75):
+        # Generation 15 holds far fewer sizes than the exact cutoff, but its
+        # joint law plans 1,737,124 rows, past the engine's row cap: the
+        # sweep and the check both simulate from n = 15 on instead of failing.
+        spec = binary_sweep_spec(offsets=(0.0,), n_max=15, replications=4_096)
+        (row,) = robustness_modulus(spec)
+        rep = verify_conditional_consistency(b75, 0.4, 0.5, range(14, 16), replications=4_096)
+        prop = Propagator(b75, n_max=15, budget=spec.budget)
+        assert prop.support_size(15) <= spec.exact_cutoff
+        with pytest.raises(BudgetExceeded, match="_JOINT_ROW_CAP") as err:
+            prop.joint(15)
+        assert err.value.step == row["mc_from"] == rep.instance["mc_from"] == 15
+        assert rep.instance["kinds"] == {14: "exact", 15: "mc"}
+
 
 def reference_moduli(spec):
     """``(modulus, modulus_slack, argmax_n)`` per member, from ``prohorov`` at

@@ -394,6 +394,22 @@ class TestBinTally:
             table = simulate_paths(b75, cfg, resolution=resolution)
             binned_estimator_law(table, 2, resolution=resolution)
 
+    def test_tally_refuses_a_level_the_pair_path_refuses_only_when_read(self):
+        # Offspring 2 or 64: level 1 reaches ratio 64, whose index at this
+        # resolution passes the limit, while level 2 stays at 33.  A pair
+        # table still bins level 2; a tally bins every level as it goes.
+        weights = [0.0] * 65
+        weights[2], weights[64] = 0.99, 0.01
+        law = build(FamilySpec.raw(weights))
+        cfg = SimConfig(seed=0, replications=500, n_max=2)
+        resolution = Fraction(48, 2**53)
+        pairs = simulate_paths(law, cfg)
+        with pytest.raises(InvalidParameter, match="BIN_INDEX_LIMIT"):
+            binned_estimator_law(pairs, 1, resolution=resolution)
+        binned_estimator_law(pairs, 2, resolution=resolution)
+        with pytest.raises(InvalidParameter, match="ratios up to 64.0 .*BIN_INDEX_LIMIT"):
+            simulate_paths(law, cfg, resolution=resolution)
+
     def test_tally_is_read_only_as_bins_at_its_resolution(self, b75):
         cfg = SimConfig(seed=29, replications=1_000, n_max=2)
         table = simulate_paths(b75, cfg, resolution=Fraction(1, 64))
