@@ -89,59 +89,6 @@ class Coupling:
     strassen: np.ndarray
     strassen_eps: float
 
-    def band_mass(self, eps: float | None = None) -> float:
-        """Mass on pairs within ``eps`` (default: the coupling's ``eps``).
-
-        Pairs are tested with ``band_windows``, the band the flow solved on.
-        """
-        lo, hi = band_windows(
-            self.left.float_support,
-            self.right.float_support,
-            self.eps if eps is None else eps,
-        )
-        rows, cols = self.rows, self.cols
-        return float(self.mass[(lo[rows] <= cols) & (cols < hi[rows])].sum())
-
-    def marginal_errors(self) -> tuple[float, float]:
-        row = np.bincount(self.rows, self.mass, minlength=len(self.left))
-        col = np.bincount(self.cols, self.mass, minlength=len(self.right))
-        left_err = float(np.abs(row - self.left.weights_array).max())
-        right_err = float(np.abs(col - self.right.weights_array).max())
-        return left_err, right_err
-
-    def strassen_cut(self) -> float:
-        """``a(A^c) + b(A^r)`` at ``r = strassen_eps``: the most any band holds."""
-        inside = self.strassen
-        m = len(self.right)
-        lo, hi = band_windows(
-            self.left.float_support[inside], self.right.float_support, self.strassen_eps
-        )
-        cover = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
-        near = np.cumsum(cover[:m]) > 0
-        return float(
-            self.left.weights_array[~inside].sum()
-            + self.right.weights_array[near].sum()
-        )
-
-    def validate(self, tol: float = 1e-10) -> None:
-        if (self.mass < 0.0).any():
-            raise InvalidParameter("coupling has a negative mass entry")
-        left_err, right_err = self.marginal_errors()
-        allowance = tol + self.left.defect + self.right.defect
-        if left_err > allowance or right_err > allowance:
-            raise InvalidParameter(
-                f"coupling marginals off by ({left_err:.2e}, {right_err:.2e}), "
-                f"allowed {allowance:.2e}"
-            )
-        cut, band = self.strassen_cut(), self.band_mass(self.strassen_eps)
-        # The flow leaves up to FLOW_TERMINATION unshipped per atom.
-        allowance = tol + (len(self.left) + len(self.right)) * FLOW_TERMINATION
-        if band < cut - allowance:
-            raise InvalidParameter(
-                f"band mass {band:.12f} at eps={self.strassen_eps} is below the "
-                f"Strassen cut {cut:.12f}, allowed {allowance:.2e}"
-            )
-
     def to_json_dict(self) -> dict:
         entries = zip(self.rows.tolist(), self.cols.tolist(), self.mass.tolist())
         return {

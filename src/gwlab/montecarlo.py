@@ -1,22 +1,22 @@
 """Forward simulation of the branching recursion at scale.
 
-Replications are processed in fixed-size chunks of 4096; chunk ``i`` draws
-from ``default_rng(SeedSequence([seed, i]))``, so the output is a pure
-function of the seed and is identical no matter how chunks are scheduled
-across workers.  Within a chunk each generation is drawn either
-individual-by-individual and summed per replication (small populations), or
-as one multinomial split per replication (large populations with a narrow
-offspring support); both produce the offspring-sum law exactly.  An
-individual's count is read off the inverse CDF by counting the CDF steps
-its uniform reaches (at most ``STEP_LIMIT`` steps) or through a guide
-table (wider laws), in int32 whenever no sum can pass it.
+Replications run in chunks of ``CHUNK``; chunk ``i`` draws from
+``default_rng(SeedSequence([seed, i]))``, so the output is a pure function
+of the seed, however chunks are scheduled across workers.  Each generation
+is drawn either individual-by-individual and summed per replication (small
+populations), or as one multinomial split per replication (large
+populations with a narrow offspring support); both produce the
+offspring-sum law exactly.  An individual's count is read off the inverse
+CDF by counting the CDF steps its uniform reaches (at most ``STEP_LIMIT``
+steps) or through a guide table (wider laws), in int32 whenever no sum can
+pass it.
 
-A chunk keeps only its live replications, in replication order, and
-counts the extinct ones; each level groups the live (Z_{n-1}, Z_n) rows, or
-with a ``resolution`` the (1, rint((Z_n / Z_{n-1}) / resolution)) bins that
-the sweeps read, behind one (0, 0) row for the extinct.  Rows are grouped by
-sorting one packed int64 key per row and reading off runs (``group_pairs``):
-pair tables once every chunk is in, bin tallies as each chunk finishes.
+Chunks run in batches of ``BATCH`` consecutive indices, one per worker
+task.  At each level a batch groups its chunks' live (Z_{n-1}, Z_n) rows at
+once, or with a ``resolution`` the bins rint((Z_n / Z_{n-1}) / resolution)
+that the sweeps read; ``_merge`` groups pair tables once all batches are
+in, sums tallies as each batch finishes, and counts the extinct into one
+(0, 0) row per level.
 
 Replications whose population passes the cap stop being tabulated from the
 offending generation on; per-generation exclusion counts are part of the
@@ -27,6 +27,7 @@ result, never silently dropped.  Every tabulation reads a level through
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .engine import check_start_size
-from .errors import DegenerateConditioning, InvalidParameter
+from .errors import DegenerateConditioning, InvalidParameter, json_field, json_int
 from .estimator import deviation_mask, ratio_law
 from .measures import DiscreteMeasure, group_pairs
 from .offspring import OffspringLaw
@@ -45,7 +46,9 @@ __all__ = [
     "binned_estimator_law", "empirical_consistency_probability",
 ]
 
-CHUNK = 4096
+# Replications per chunk, and chunks per batch (see ``_simulate_batch``).
+CHUNK, BATCH = 4096, 8
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # one level's columns (see ``SimTable``)
 
 # Ratio laws from simulation are binned to multiples of 1/DEFAULT_BIN_DEN by
 # default; half a bin is added to the metric slack.
@@ -68,10 +71,9 @@ STEP_LIMIT = 16
 
 _INDIV_HARD_LIMIT = 1 << 24
 
-# Every chunk tabulates every horizon, live or not.  With every replication
-# capped (binary(0.75), cap 8, 10^6 replications, 2-core x86-64, numpy 2.4),
-# one more horizon cost 5-6 ms and 0.15 MB of pair tables held until the
-# merge, or 13 ms as a bin tally: a thousand horizons is 5-13 s and 150 MB.
+# Every batch tabulates every horizon, live or not.  With every replication capped
+# (binary(0.75), cap 8, 10^6 replications, 2-core x86-64, numpy 2.4), one more
+# horizon costs 1.0 ms as pairs and 1.4 ms as a bin tally: 1-1.4 s per thousand.
 HORIZON_LIMIT = 1_000
 
 
@@ -84,16 +86,14 @@ class SimConfig:
     cap: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise InvalidParameter("seed must be nonnegative")
-        if self.replications < 1:
-            raise InvalidParameter("need at least one replication")
-        if self.n_max < 1:
-            raise InvalidParameter("horizon n_max must be at least 1")
+        for name in ("seed", "replications", "n_max", "z0", "cap"):
+            object.__setattr__(self, name, json_field(vars(self), name, json_int))
+        for name, low in (("seed", 0), ("replications", 1), ("n_max", 1)):
+            if getattr(self, name) < low:
+                raise InvalidParameter(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.n_max > HORIZON_LIMIT:
-            raise InvalidParameter(
-                f"horizon n_max = {self.n_max} is past HORIZON_LIMIT = {HORIZON_LIMIT}"
-            )
+            raise InvalidParameter(f"horizon n_max = {self.n_max} is past "
+                                   f"HORIZON_LIMIT = {HORIZON_LIMIT}")
         check_start_size(self.z0)
         if self.cap < self.z0:
             raise InvalidParameter("population cap must be at least z0")
@@ -104,11 +104,11 @@ class SimTable:
     """Per generation, (Z_{n-1}, Z_n, count) rows or (Z_{n-1} > 0, bin, count) tallies."""
 
     cfg: SimConfig
-    levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    levels: dict[int, Rows]
     excluded: np.ndarray  # excluded[n] = replications missing at level n
     resolution: Fraction | None = None
 
-    def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pairs(self, n: int) -> Rows:
         if n not in self.levels:
             raise InvalidParameter(f"level {n} was not simulated")
         return self.levels[n]
@@ -116,9 +116,7 @@ class SimTable:
     def rows(self):
         """Yields (n, z_prev, z, count) in deterministic order."""
         for n in sorted(self.levels):
-            prev, curr, counts = self.levels[n]
-            for j, k, c in zip(prev.tolist(), curr.tolist(), counts.tolist()):
-                yield n, j, k, c
+            yield from ((n, *row) for row in zip(*(a.tolist() for a in self.levels[n])))
 
 
 class _Sampler:
@@ -150,10 +148,8 @@ class _Sampler:
         self.kids, self.ambiguous = support[lo], lo != hi
 
     def lookup(self, u: np.ndarray, dtype: type) -> np.ndarray:
-        """``support[searchsorted(cum, u, "right")]`` for uniforms ``u``.
-
-        The counts come back as ``dtype``, which must hold ``support[-1]``.
-        """
+        """``support[searchsorted(cum, u, "right")]`` for uniforms ``u``, as
+        ``dtype``, which must hold ``support[-1]``."""
         if not self.by_steps:
             bucket = (u * len(self.kids)).astype(np.intp)
             kids = np.take(self.kids.astype(dtype), bucket)
@@ -163,10 +159,9 @@ class _Sampler:
         first = self.support[0]
         if not self.jumps.size:
             return np.full(u.size, first, dtype=dtype)
-        # The first step's product starts ``kids`` rather than a fill with
-        # ``first``, and a bool array adds as 0 or 1 without a multiply: the
-        # first saves 7% of simulating binary(0.75), the second 16% on
-        # Poisson(2) cut at 16 steps, whose jumps are all 1.
+        # The first step's product starts ``kids`` rather than a fill with ``first``,
+        # and a bool array adds as 0 or 1 without a multiply: the first saves 7% of
+        # simulating binary(0.75), the second 16% on Poisson(2) cut at 16 steps (jumps 1).
         steps, jumps = self.cum[:-1].tolist(), self.jumps.astype(dtype)
         reached = np.greater_equal(u, steps[0])
         kids = np.multiply(reached, jumps[0], dtype=dtype)
@@ -183,9 +178,7 @@ class _Sampler:
         return kids
 
 
-def _draw_next(
-    rng: np.random.Generator, pos: np.ndarray, sampler: _Sampler
-) -> np.ndarray:
+def _draw_next(rng: np.random.Generator, pos: np.ndarray, sampler: _Sampler) -> np.ndarray:
     """Offspring sums for populations ``pos`` (all positive), one per replication."""
     top = int(pos.max()) * int(sampler.support[-1])  # the largest possible sum
     if top >= 2**63:
@@ -193,10 +186,8 @@ def _draw_next(
     total = pos.sum(dtype=np.float64)  # exact below 2**53, and never wraps
     if total <= INDIV_LIMIT or len(sampler.support) > MULTINOMIAL_SUPPORT_LIMIT:
         if total > _INDIV_HARD_LIMIT:
-            raise InvalidParameter(
-                "population too large for individual draws and support too "
-                "wide for multinomial splitting"
-            )
+            raise InvalidParameter("population too large for individual draws and "
+                                   "support too wide for multinomial splitting")
         # Every count and every sum is at most ``top``.
         dtype = np.int32 if top < 2**31 else np.int64
         kids = sampler.lookup(rng.random(int(total)), dtype)
@@ -210,51 +201,38 @@ def _bin_indices(ratios: np.ndarray, resolution: Fraction) -> np.ndarray:
     denominator when no ratio reaches 1, would pass ``BIN_INDEX_LIMIT``."""
     largest = float(ratios.max(initial=0.0))
     if Fraction(max(largest, 1.0)) / resolution > BIN_INDEX_LIMIT:
-        raise InvalidParameter(
-            f"ratios up to {largest} at resolution {resolution} need bin "
-            f"indices past BIN_INDEX_LIMIT = 2**53"
-        )
+        raise InvalidParameter(f"ratios up to {largest} at resolution {resolution} need "
+                               f"bin indices past BIN_INDEX_LIMIT = 2**53")
     return np.rint(ratios / float(resolution)).astype(np.int64)
 
 
-def _simulate_chunk(
-    sampler: _Sampler, cfg: SimConfig, chunk_idx: int, size: int,
-    resolution: Fraction | None = None,
-) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
-    """Levels and cumulative exclusion counts of ``size`` replications.
+def _simulate_batch(sampler: _Sampler, cfg: SimConfig, resolution: Fraction | None,
+                    chunks: range) -> tuple[dict[int, Rows], np.ndarray]:
+    """Levels (pairs or bin tallies) and cumulative exclusion counts of ``chunks``.
 
-    ``z`` holds the live populations (positive, not excluded) in replication
-    order, which is the array every draw takes.  Extinct replications are
-    only counted; ``group_pairs`` would sort their ``(0, 0)`` row first.
-    Levels hold pairs, or bin tallies at ``resolution`` (see ``SimTable``).
+    ``zs[j]`` holds chunk ``j``'s live populations (positive, not excluded)
+    in replication order, drawn by its own generator, so each stream is read
+    as by the chunk alone.  The extinct are left for ``_merge`` to count.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, chunk_idx]))
-
-    z = np.full(size, cfg.z0, dtype=np.int64)
-    extinct = 0
-    levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    exc_counts = np.zeros(cfg.n_max + 1, dtype=np.int64)
-
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in chunks]
+    zs = [np.full(min(CHUNK, cfg.replications - i * CHUNK), cfg.z0, np.int64) for i in chunks]
+    levels: dict[int, Rows] = {}
+    excluded = np.zeros(cfg.n_max + 1, dtype=np.int64)
     for step in range(1, cfg.n_max + 1):
-        prev = z
-        curr = _draw_next(rng, z, sampler) if z.size else z
+        draws = [_draw_next(rng, z, sampler) if z.size else z for rng, z in zip(rngs, zs)]
+        prev, curr = np.concatenate(zs), np.concatenate(draws)
         over = curr > cfg.cap
+        excluded[step] = excluded[step - 1] + np.count_nonzero(over)
         if over.any():
             prev, curr = prev[~over], curr[~over]
-        exc_counts[step] = size - extinct - curr.size
-        rows = (prev, curr)
         if resolution is not None and curr.size:
-            rows = (np.ones_like(curr), _bin_indices(curr / prev.astype(float), resolution))
-        level = group_pairs(*rows)
-        if extinct:
-            level = tuple(
-                np.concatenate((np.array([head], dtype=np.int64), column))
-                for head, column in zip((0, 0, extinct), level)
-            )
-        levels[step] = level
-        z = curr[curr > 0]
-        extinct += curr.size - z.size
-    return levels, exc_counts
+            bins = _bin_indices(curr / prev.astype(float), resolution)
+            bins, counts = np.unique(bins, return_counts=True)
+            levels[step] = (np.ones_like(bins), bins, counts)
+        else:
+            levels[step] = group_pairs(prev, curr)
+        zs = [d[(d > 0) & (d <= cfg.cap)] for d in draws]
+    return levels, excluded
 
 
 def check_jobs(jobs: int) -> None:
@@ -271,36 +249,58 @@ def simulate_paths(
     if not law.measure.is_integer_supported:
         raise InvalidParameter("offspring law must have integer support")
     resolution = None if resolution is None else _check_resolution(resolution)
-    full, rest = divmod(cfg.replications, CHUNK)
-    sizes = [CHUNK] * full + ([rest] if rest else [])
-    chunk = partial(_simulate_chunk, _Sampler(law.measure), cfg, resolution=resolution)
-    if jobs > 1 and len(sizes) > 1:
+    chunks = range(-(-cfg.replications // CHUNK))
+    batches = [chunks[i : i + BATCH] for i in range(0, len(chunks), BATCH)]
+    batch = partial(_simulate_batch, _Sampler(law.measure), cfg, resolution)
+    if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return _merge(cfg, resolution, pool.map(chunk, range(len(sizes)), sizes, chunksize=8))
-    return _merge(cfg, resolution, map(chunk, range(len(sizes)), sizes))
+            return _merge(cfg, resolution, pool.map(batch, batches))
+    return _merge(cfg, resolution, map(batch, batches))
 
 
 def _merge(cfg: SimConfig, resolution: Fraction | None, results: Iterable) -> SimTable:
-    """One table from the chunks' ``(levels, exclusions)``, in chunk order."""
+    """One table from the batches' ``(levels, excluded)``, in batch order.
+
+    Pair levels are grouped once every batch is in.  A batch's tally is
+    added into the running total in place when the total holds all its
+    bins, else the two are regrouped.  A level's replications neither
+    excluded nor in its rows get one ``(0, 0)`` row in front.
+    """
     excluded = np.zeros(cfg.n_max + 1, dtype=np.int64)
-    parts: dict[int, list] = {n: [] for n in range(1, cfg.n_max + 1)}
+    parts: dict[int, list[Rows]] = {n: [] for n in range(1, cfg.n_max + 1)}
     for levels, exc in results:
         excluded += exc
         for n, level in levels.items():
-            parts[n].append(level)
-            if resolution is not None and len(parts[n]) == 2:  # a running total
-                parts[n] = [group_pairs(*map(np.concatenate, zip(*parts[n])))]
-    final = {n: group_pairs(*map(np.concatenate, zip(*part))) for n, part in parts.items()}
+            if resolution is None or not parts[n]:
+                parts[n].append(level)
+                continue
+            _, bins, counts = total = parts[n][0]
+            at = np.searchsorted(bins, level[1])
+            if (at < bins.size).all() and np.array_equal(bins[at], level[1]):
+                counts[at] += level[2]
+            else:
+                parts[n][0] = group_pairs(*map(np.concatenate, zip(total, level)))
+    final = {}
+    for n, part in parts.items():
+        level = part[0] if len(part) == 1 else group_pairs(*map(np.concatenate, zip(*part)))
+        extinct = cfg.replications - excluded[n] - level[2].sum()
+        if extinct:
+            level = tuple(np.concatenate(([head], column))
+                          for head, column in zip((0, 0, extinct), level))
+        final[n] = level
     return SimTable(cfg=cfg, levels=final, excluded=excluded, resolution=resolution)
 
 
 def _check_resolution(resolution: Fraction) -> Fraction:
-    resolution = Fraction(resolution)
-    if resolution <= 0:
-        raise InvalidParameter("bin resolution must be positive")
-    return resolution
+    try:
+        checked = Fraction(resolution) if isinstance(resolution, numbers.Real) else None
+    except (ValueError, OverflowError):  # NaN and infinities
+        checked = None
+    if checked is None or checked <= 0:
+        raise InvalidParameter(f"bin resolution must be a positive number, got {resolution!r:.80}")
+    return checked
 
 
 def _event(

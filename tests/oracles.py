@@ -16,10 +16,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
+from gwlab.errors import InvalidParameter
 from gwlab.maxflow import FLOW_TERMINATION, BandFlow, band_windows
 from gwlab.metrics import MetricResult, _complete_coupling
 from gwlab.measures import group_pairs
-from gwlab.montecarlo import _draw_next
+from gwlab.montecarlo import SimTable, _draw_next
 
 # -- laws as plain dicts -------------------------------------------------------
 
@@ -352,6 +353,67 @@ def _signed_union(
     return points, coeffs
 
 
+# -- coupling certificates -----------------------------------------------------
+
+
+def band_mass(coup, eps: float | None = None) -> float:
+    """Mass of a ``Coupling`` on pairs within ``eps`` (default: its ``eps``).
+
+    Pairs are tested with ``band_windows``, the band the flow solved on.
+    """
+    lo, hi = band_windows(
+        coup.left.float_support, coup.right.float_support, coup.eps if eps is None else eps
+    )
+    rows, cols = coup.rows, coup.cols
+    return float(coup.mass[(lo[rows] <= cols) & (cols < hi[rows])].sum())
+
+
+def marginal_errors(coup) -> tuple[float, float]:
+    """Largest gaps between a coupling's row and column sums and its marginals."""
+    row = np.bincount(coup.rows, coup.mass, minlength=len(coup.left))
+    col = np.bincount(coup.cols, coup.mass, minlength=len(coup.right))
+    left_err = float(np.abs(row - coup.left.weights_array).max())
+    right_err = float(np.abs(col - coup.right.weights_array).max())
+    return left_err, right_err
+
+
+def strassen_cut(coup) -> float:
+    """``a(A^c) + b(A^r)`` at ``r = strassen_eps``: the most any band holds."""
+    inside = coup.strassen
+    m = len(coup.right)
+    lo, hi = band_windows(
+        coup.left.float_support[inside], coup.right.float_support, coup.strassen_eps
+    )
+    cover = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
+    near = np.cumsum(cover[:m]) > 0
+    return float(
+        coup.left.weights_array[~inside].sum() + coup.right.weights_array[near].sum()
+    )
+
+
+def validate_coupling(coup, tol: float = 1e-10) -> None:
+    """Raise ``InvalidParameter`` unless the coupling's masses are
+    nonnegative, its marginals match and its band mass at ``strassen_eps``
+    reaches the Strassen cut, each within ``tol`` and the stated allowances."""
+    if (coup.mass < 0.0).any():
+        raise InvalidParameter("coupling has a negative mass entry")
+    left_err, right_err = marginal_errors(coup)
+    allowance = tol + coup.left.defect + coup.right.defect
+    if left_err > allowance or right_err > allowance:
+        raise InvalidParameter(
+            f"coupling marginals off by ({left_err:.2e}, {right_err:.2e}), "
+            f"allowed {allowance:.2e}"
+        )
+    cut, band = strassen_cut(coup), band_mass(coup, coup.strassen_eps)
+    # The flow leaves up to FLOW_TERMINATION unshipped per atom.
+    allowance = tol + (len(coup.left) + len(coup.right)) * FLOW_TERMINATION
+    if band < cut - allowance:
+        raise InvalidParameter(
+            f"band mass {band:.12f} at eps={coup.strassen_eps} is below the "
+            f"Strassen cut {cut:.12f}, allowed {allowance:.2e}"
+        )
+
+
 # -- Monte Carlo ---------------------------------------------------------------
 
 
@@ -367,7 +429,7 @@ def summed_draws(kids: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def simulate_chunk(sampler, cfg, chunk_idx: int, size: int):
-    """``montecarlo._simulate_chunk`` over full arrays of ``size`` rows.
+    """One chunk of ``montecarlo._simulate_batch`` over full arrays of ``size`` rows.
 
     Every step masks all replications: the excluded ones, the extinct ones
     (not drawn, kept as ``(0, 0)`` rows) and the live ones, which are drawn
@@ -392,16 +454,39 @@ def simulate_chunk(sampler, cfg, chunk_idx: int, size: int):
     return levels, exc_counts
 
 
+def simulate_table(sampler, cfg, chunk: int, resolution: Fraction | None = None):
+    """A ``SimTable`` of ``simulate_chunk`` run chunk by chunk on chunks of
+    ``chunk`` replications, each level's rows of all chunks grouped at once.
+
+    With a ``resolution`` a row ``(j > 0, k)`` becomes the tally row
+    ``(1, rint((k / j) / resolution))`` and ``(0, 0)`` stays.
+    """
+    excluded = np.zeros(cfg.n_max + 1, dtype=np.int64)
+    parts = {n: [] for n in range(1, cfg.n_max + 1)}
+    for idx, start in enumerate(range(0, cfg.replications, chunk)):
+        levels, exc = simulate_chunk(sampler, cfg, idx, min(chunk, cfg.replications - start))
+        excluded += exc
+        for n, level in levels.items():
+            parts[n].append(level)
+    levels = {}
+    for n, part in parts.items():
+        prev, curr, counts = map(np.concatenate, zip(*part))
+        if resolution is not None:
+            alive = prev > 0
+            ratios = curr / np.maximum(prev, 1).astype(float)
+            curr = np.where(alive, np.rint(ratios / float(resolution)), 0).astype(np.int64)
+            prev = alive.astype(np.int64)
+        levels[n] = group_pairs(prev, curr, counts)
+    return SimTable(cfg=cfg, levels=levels, excluded=excluded, resolution=resolution)
+
+
 def tables_equal(a, b) -> bool:
     """Two ``SimTable``s hold the same levels, rows and exclusion counts,
-    compared field by field, and were tabulated at the same resolution."""
-    return (
-        a.resolution == b.resolution
-        and sorted(a.levels) == sorted(b.levels)
-        and np.array_equal(a.excluded, b.excluded)
-        and all(
-            np.array_equal(mine, theirs)
-            for n in a.levels
-            for mine, theirs in zip(a.levels[n], b.levels[n])
-        )
-    )
+    compared field by field with their dtypes, and were tabulated at the
+    same resolution."""
+    if a.resolution != b.resolution or sorted(a.levels) != sorted(b.levels):
+        return False
+    arrays = [(a.excluded, b.excluded)]
+    arrays += [pair for n in a.levels for pair in zip(a.levels[n], b.levels[n])]
+    return all(mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+               for mine, theirs in arrays)

@@ -1,6 +1,7 @@
 """Seeded forward simulation and empirical estimator laws."""
 
 import hashlib
+import math
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -24,10 +25,10 @@ from gwlab import (
     prohorov,
     simulate_paths,
 )
-from gwlab.errors import DegenerateConditioning, InvalidParameter
+from gwlab.errors import DegenerateConditioning, GwError, InvalidParameter
 from gwlab.lab import contamination_grid
 from gwlab.measures import group_pairs
-from gwlab.montecarlo import CHUNK, STEP_LIMIT, _draw_next, _Sampler, _simulate_chunk
+from gwlab.montecarlo import BATCH, CHUNK, STEP_LIMIT, _draw_next, _Sampler
 
 import oracles
 
@@ -119,6 +120,49 @@ class TestSimulatePaths:
         prev, curr, counts = simulate_paths(law, cfg).pairs(1)
         assert list(prev) == [2**62] * 4 and list(counts) == [1] * 4
         assert all(abs(int(k) - 2**61) < 2**33 for k in curr)
+
+
+def _field(low=-3, high=6):
+    """Tiny integers and floats, integral or not, and values no field takes."""
+    return st.one_of(
+        st.integers(low, high),
+        st.floats(low, high),
+        st.sampled_from([math.nan, math.inf, -math.inf, True, "x", "3", None]),
+    )
+
+
+class TestSimConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.one_of(_field(), st.just(2**40)),
+        replications=_field(),
+        n_max=_field(),
+        z0=_field(),
+        cap=st.one_of(_field(), st.just(2**70)),
+        resolution=st.one_of(
+            st.none(),
+            st.integers(-2, 3),
+            st.fractions(-1, 1),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(["x", "1/64"]),
+        ),
+    )
+    @example(seed=0, replications=2, n_max=2, z0=1, cap=math.nan, resolution=None)
+    @example(seed=0, replications=2, n_max=2, z0=1.5, cap=4, resolution=None)
+    @example(seed=0.0, replications=2.0, n_max=2, z0=2.0, cap=9, resolution=math.inf)
+    def test_each_case_completes_or_raises_a_typed_error(
+        self, b75, seed, replications, n_max, z0, cap, resolution
+    ):
+        try:
+            cfg = SimConfig(seed, replications, n_max, z0, cap)
+            table = simulate_paths(b75, cfg, resolution=resolution)
+        except GwError:
+            return
+        fields = (cfg.seed, cfg.replications, cfg.n_max, cfg.z0, cfg.cap)
+        assert all(type(v) is int for v in fields)
+        assert sorted(table.levels) == list(range(1, cfg.n_max + 1))
+        for n in table.levels:
+            assert table.levels[n][2].sum() + table.excluded[n] == cfg.replications
 
 
 def _digest(table) -> str:
@@ -301,27 +345,65 @@ class TestLiveChunkLoop:
         headroom=st.integers(0, 60),
         n_max=st.integers(1, 8),
         size=st.integers(1, 64),
+        chunks=st.integers(1, 3),
+        last=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(
-        pvals=np.array([0.3, 0.3, 0.4]), z0=2, headroom=10, n_max=8, size=64, seed=0
+        pvals=np.array([0.3, 0.3, 0.4]), z0=2, headroom=10, n_max=8, size=64, chunks=3,
+        last=64, seed=0,
     )
     def test_live_rows_match_the_full_array_loop(
-        self, pvals, z0, headroom, n_max, size, seed
+        self, pvals, z0, headroom, n_max, size, chunks, last, seed
     ):
         # An atom at 0 lets paths die out, and atoms 3 apart push the rest
-        # past a cap at most 60 above the start.
+        # past a cap at most 60 above the start.  Chunks of ``size``
+        # replications, the last one of ``last`` or fewer, make one batch.
         _, sampler = _sampler(pvals, first=0)
-        cfg = SimConfig(seed=seed, replications=size, n_max=n_max, z0=z0, cap=z0 + headroom)
-        levels, exc_counts = _simulate_chunk(sampler, cfg, 0, size)
-        want_levels, want_exc = oracles.simulate_chunk(sampler, cfg, 0, size)
-        assert exc_counts.dtype == want_exc.dtype
-        assert np.array_equal(exc_counts, want_exc)
-        assert sorted(levels) == sorted(want_levels)
-        for n, want in want_levels.items():
-            for got, arr in zip(levels[n], want):
+        reps = size * (chunks - 1) + min(last, size)
+        cfg = SimConfig(seed=seed, replications=reps, n_max=n_max, z0=z0, cap=z0 + headroom)
+        with mock.patch.object(montecarlo, "CHUNK", size):
+            batch = montecarlo._simulate_batch(sampler, cfg, None, range(chunks))
+            table = montecarlo._merge(cfg, None, [batch])
+        want = oracles.simulate_table(sampler, cfg, size)
+        assert table.excluded.dtype == want.excluded.dtype
+        assert np.array_equal(table.excluded, want.excluded)
+        assert sorted(table.levels) == sorted(want.levels)
+        for n, rows in want.levels.items():
+            for got, arr in zip(table.levels[n], rows):
                 assert got.dtype == arr.dtype
                 assert np.array_equal(got, arr)
+
+
+class TestBatches:
+    # Replication counts on both sides of a chunk and of a batch, and past
+    # a batch by a chunk and a part; jobs = 2 runs a pool from two batches on.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        law=st.sampled_from([FamilySpec.binary(0.75), FamilySpec.raw([0.2, 0.3, 0.1, 0.4])]),
+        replications=st.sampled_from([
+            1, CHUNK - 1, CHUNK * BATCH - 1, CHUNK * BATCH + 1, CHUNK * BATCH + CHUNK + 300,
+        ]),
+        z0=st.integers(1, 3),
+        cap=st.one_of(st.none(), st.integers(3, 12)),
+        den=st.one_of(st.none(), st.integers(1, 300), st.just(2**40)),
+        jobs=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        law=FamilySpec.binary(0.75), replications=CHUNK * BATCH + CHUNK + 300, z0=2, cap=8,
+        den=64, jobs=2, seed=0,
+    )
+    def test_tables_match_the_chunks_grouped_one_by_one(
+        self, law, replications, z0, cap, den, jobs, seed
+    ):
+        law = build(law)
+        cfg = SimConfig(seed=seed, replications=replications, n_max=4, z0=z0,
+                        cap=max(cap or 10**7, z0))
+        resolution = None if den is None else Fraction(1, den)
+        table = simulate_paths(law, cfg, jobs=jobs, resolution=resolution)
+        want = oracles.simulate_table(_Sampler(law.measure), cfg, CHUNK, resolution)
+        assert oracles.tables_equal(table, want)
 
 
 @st.composite
@@ -347,8 +429,8 @@ def _binned_outcome(table, n, resolution, conditioned):
 
 
 class TestBinTally:
-    # ``CHUNK + 300`` replications make two chunks, so ``jobs = 2`` runs a
-    # pool; caps from 3 to 40 exclude replications.
+    # ``CHUNK * BATCH + 300`` replications make two batches, so ``jobs = 2``
+    # runs a pool; caps from 3 to 40 exclude replications.
     @settings(max_examples=30, deadline=None)
     @given(
         law=small_laws(),
@@ -361,7 +443,7 @@ class TestBinTally:
     @example(law=build(FamilySpec.binary(0.75)), den=64, z0=1, cap=None, jobs=2, seed=0)
     def test_tally_bins_like_the_pair_table(self, law, den, z0, cap, jobs, seed):
         cfg = SimConfig(
-            seed=seed, replications=CHUNK + 300, n_max=4, z0=z0,
+            seed=seed, replications=CHUNK * BATCH + 300, n_max=4, z0=z0,
             cap=max(cap or 10**7, z0),
         )
         resolution = Fraction(1, den)
