@@ -143,7 +143,11 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", tuple(self.grid))
-        object.__setattr__(self, "n_range", tuple(int(n) for n in self.n_range))
+        for name in ("z0", "seed", "replications", "cap", "exact_cutoff", "bin_denominator"):
+            object.__setattr__(self, name, json_field(vars(self), name, json_int))
+        n_range = json_field(vars(self), "n_range", lambda ns: tuple(map(json_int, ns)))
+        object.__setattr__(self, "n_range", n_range)
+        object.__setattr__(self, "budget", json_field(vars(self), "budget", float))
         if not self.grid:
             raise InvalidParameter("a sweep needs at least one grid member")
         if not self.n_range or any(n < 1 for n in self.n_range):
@@ -171,18 +175,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentSpec":
-        """Spec from its JSON form: each field present through its converter
-        (``json_int`` by default), each absent one at its default, no other key."""
+        """Spec from its JSON form: the laws through ``FamilySpec``, each other
+        field present as it is (``__post_init__`` converts and checks it), each
+        absent one at its default, no other key."""
         convert = {
             "center": lambda c: _family_at("center", c),
             "grid": lambda g: tuple(_family_at(f"grid[{i}]", m) for i, m in enumerate(g)),
-            "n_range": lambda ns: tuple(map(json_int, ns)),
-            "metric": lambda metric: metric,
-            "budget": float,
-            "output": lambda path: path,
         }
         values = {
-            f.name: json_field(data, f.name, convert.get(f.name, json_int))
+            f.name: json_field(data, f.name, convert.get(f.name, lambda value: value))
             for f in fields(cls)
             # ``center`` comes first, so a ``data`` that is no object fails in json_field.
             if f.default is MISSING or f.name in data

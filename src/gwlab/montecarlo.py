@@ -13,10 +13,10 @@ pass it.
 
 Chunks run in batches of ``BATCH`` consecutive indices, one per worker
 task.  At each level a batch groups its chunks' live (Z_{n-1}, Z_n) rows at
-once, or with a ``resolution`` the bins rint((Z_n / Z_{n-1}) / resolution)
-that the sweeps read; ``_merge`` groups pair tables once all batches are
-in, sums tallies as each batch finishes, and counts the extinct into one
-(0, 0) row per level.
+once with ``group_pairs``; with a ``resolution`` the rows are first
+replaced by (1, rint((Z_n / Z_{n-1}) / resolution)), the bins the sweeps
+read.  ``_merge`` groups each batch into one running total per level and
+counts the extinct into one (0, 0) row per level.
 
 Replications whose population passes the cap stop being tabulated from the
 offending generation on; per-generation exclusion counts are part of the
@@ -73,7 +73,7 @@ _INDIV_HARD_LIMIT = 1 << 24
 
 # Every batch tabulates every horizon, live or not.  With every replication capped
 # (binary(0.75), cap 8, 10^6 replications, 2-core x86-64, numpy 2.4), one more
-# horizon costs 1.0 ms as pairs and 1.4 ms as a bin tally: 1-1.4 s per thousand.
+# horizon costs 0.9-2.1 ms as pairs and 1.2-1.6 ms as a bin tally: 1-2 s per thousand.
 HORIZON_LIMIT = 1_000
 
 
@@ -226,11 +226,8 @@ def _simulate_batch(sampler: _Sampler, cfg: SimConfig, resolution: Fraction | No
         if over.any():
             prev, curr = prev[~over], curr[~over]
         if resolution is not None and curr.size:
-            bins = _bin_indices(curr / prev.astype(float), resolution)
-            bins, counts = np.unique(bins, return_counts=True)
-            levels[step] = (np.ones_like(bins), bins, counts)
-        else:
-            levels[step] = group_pairs(prev, curr)
+            prev, curr = np.ones_like(prev), _bin_indices(curr / prev.astype(float), resolution)
+        levels[step] = group_pairs(prev, curr)
         zs = [d[(d > 0) & (d <= cfg.cap)] for d in draws]
     return levels, excluded
 
@@ -263,34 +260,25 @@ def simulate_paths(
 def _merge(cfg: SimConfig, resolution: Fraction | None, results: Iterable) -> SimTable:
     """One table from the batches' ``(levels, excluded)``, in batch order.
 
-    Pair levels are grouped once every batch is in.  A batch's tally is
-    added into the running total in place when the total holds all its
-    bins, else the two are regrouped.  A level's replications neither
-    excluded nor in its rows get one ``(0, 0)`` row in front.
+    Each batch's level is grouped with the level's running total as the
+    batch arrives, pairs and tallies alike, so no batch's rows outlive its
+    merge.  A level's replications neither excluded nor in its rows get one
+    ``(0, 0)`` row in front.
     """
     excluded = np.zeros(cfg.n_max + 1, dtype=np.int64)
-    parts: dict[int, list[Rows]] = {n: [] for n in range(1, cfg.n_max + 1)}
+    totals: dict[int, Rows] = {}
     for levels, exc in results:
         excluded += exc
         for n, level in levels.items():
-            if resolution is None or not parts[n]:
-                parts[n].append(level)
-                continue
-            _, bins, counts = total = parts[n][0]
-            at = np.searchsorted(bins, level[1])
-            if (at < bins.size).all() and np.array_equal(bins[at], level[1]):
-                counts[at] += level[2]
-            else:
-                parts[n][0] = group_pairs(*map(np.concatenate, zip(total, level)))
-    final = {}
-    for n, part in parts.items():
-        level = part[0] if len(part) == 1 else group_pairs(*map(np.concatenate, zip(*part)))
+            if n in totals:
+                level = group_pairs(*map(np.concatenate, zip(totals[n], level)))
+            totals[n] = level
+    for n, level in totals.items():
         extinct = cfg.replications - excluded[n] - level[2].sum()
         if extinct:
-            level = tuple(np.concatenate(([head], column))
-                          for head, column in zip((0, 0, extinct), level))
-        final[n] = level
-    return SimTable(cfg=cfg, levels=final, excluded=excluded, resolution=resolution)
+            totals[n] = tuple(np.concatenate(([head], column))
+                              for head, column in zip((0, 0, extinct), level))
+    return SimTable(cfg=cfg, levels=totals, excluded=excluded, resolution=resolution)
 
 
 def _check_resolution(resolution: Fraction) -> Fraction:

@@ -50,7 +50,8 @@ DEFAULT_TAIL_BUDGET = 1e-12
 # Mean within this distance of 1 cannot be classified reliably in floats.
 CRITICAL_DEAD_ZONE = 1e-9
 
-# Refuse to materialize truncated families beyond this many atoms.
+# Refuse to materialize truncated families beyond this many atoms, whether
+# the truncation is derived or given.
 MAX_DERIVED_TRUNCATION = 2_000_000
 
 # Each family's parameters, as ``FamilySpec`` fields, and its label format.
@@ -121,6 +122,9 @@ class FamilySpec:
                 raise InvalidParameter("raw weights must sum to 1")
         if self.truncation is not None and (self.truncation < 1 or self.family not in TRUNCATED):
             raise InvalidParameter("truncation is a positive integer for poisson or polynomial")
+        if (self.truncation or 0) > MAX_DERIVED_TRUNCATION:
+            raise InvalidParameter(f"truncation {self.truncation} is past "
+                                   f"MAX_DERIVED_TRUNCATION = {MAX_DERIVED_TRUNCATION}")
 
     # Convenience constructors -------------------------------------------
 

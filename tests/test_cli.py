@@ -537,6 +537,19 @@ class TestMemoryCeilings:
         assert err["error"] == "BudgetExceeded"
         assert "_JOINT_ROW_CAP" in err["message"]
 
+    def test_explicit_truncation_past_the_limit_is_one_error_line(self):
+        # It ended in an ``_ArrayMemoryError`` traceback from building the law.
+        argv = ["build-law", "--family", "poisson", "--lam", "2", "--truncation", "1000000000000"]
+        out = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, str(2**30), *argv],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert out.returncode == 1
+        assert out.stdout == "" and len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "MAX_DERIVED_TRUNCATION" in err["message"]
+
 
 class TestEveryFamily:
     BUDGET = 1e-4
@@ -621,6 +634,12 @@ class TestReferenceOutputBytes:
                  "--cap", "12", "--replications", "20000", "--seed", "5"],
             ),
             ("verify_suite_all.csv", ["verify", "--suite", "all"]),
+            (
+                # 25 chunks in 4 batches: the merge folds in more than one batch.
+                "simulate_binary_p075_n6_r100k.csv",
+                ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "6",
+                 "--replications", "100000", "--seed", "5"],
+            ),
         ],
     )
     def test_output_matches_reference(self, name, args):

@@ -579,6 +579,24 @@ class TestExperimentSpec:
         data = {k: spec.to_json_dict()[k] for k in ("center", "grid", "n_range")}
         assert ExperimentSpec.from_json_dict(data) == spec
 
+    def test_integral_float_seed_from_python_runs_as_its_integer(self):
+        rows = robustness_modulus(binary_sweep_spec(n_max=2, offsets=(0.0,), seed=2.0))
+        assert rows == robustness_modulus(binary_sweep_spec(n_max=2, offsets=(0.0,), seed=2))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_range", (1.5, 2.7)), ("exact_cutoff", float("nan")), ("bin_denominator", 1.5),
+         ("budget", "abc")],
+    )
+    def test_python_fields_take_their_json_values_only(self, field, value):
+        # Each was accepted from Python: the horizons rounded down, every
+        # horizon sent to Monte Carlo, or a bare TypeError from ``Fraction``
+        # or from ``math.isfinite``.
+        with pytest.raises(InvalidParameter, match=repr(field)):
+            ExperimentSpec(**{"center": FamilySpec.binary(0.75),
+                              "grid": (FamilySpec.binary(0.75),), "n_range": (1, 2),
+                              field: value})
+
     def test_from_json_dict_takes_integral_floats(self):
         data = binary_sweep_spec(n_max=2, z0=2).to_json_dict()
         data.update(z0=2.0, n_range=[1.0, 2.0], replications=1e4)

@@ -376,13 +376,15 @@ class TestLiveChunkLoop:
 
 
 class TestBatches:
-    # Replication counts on both sides of a chunk and of a batch, and past
-    # a batch by a chunk and a part; jobs = 2 runs a pool from two batches on.
+    # Replication counts on both sides of a chunk and of a batch, past a
+    # batch by a chunk and a part, and three batches, so that a level's
+    # running total is regrouped twice; jobs = 2 runs a pool from two batches on.
     @settings(max_examples=25, deadline=None)
     @given(
         law=st.sampled_from([FamilySpec.binary(0.75), FamilySpec.raw([0.2, 0.3, 0.1, 0.4])]),
         replications=st.sampled_from([
             1, CHUNK - 1, CHUNK * BATCH - 1, CHUNK * BATCH + 1, CHUNK * BATCH + CHUNK + 300,
+            2 * CHUNK * BATCH + 1,
         ]),
         z0=st.integers(1, 3),
         cap=st.one_of(st.none(), st.integers(3, 12)),

@@ -21,6 +21,7 @@ from gwlab import (
     psi1_tail,
     survival_transform,
 )
+from gwlab.offspring import MAX_DERIVED_TRUNCATION
 
 POLY3 = FamilySpec.polynomial(3, truncation=200_000)
 
@@ -63,6 +64,14 @@ class TestBuild:
     def test_json_truncation_takes_integral_float(self):
         doc = {"family": "poisson", "lambda": 2.0, "truncation": 4.0}
         assert FamilySpec.from_json_dict(doc) == FamilySpec.poisson(2.0, truncation=4)
+
+    def test_explicit_truncation_past_the_limit_is_refused(self):
+        # It ran out of memory in a bare MemoryError while building the law.
+        with pytest.raises(InvalidParameter, match="MAX_DERIVED_TRUNCATION"):
+            FamilySpec.poisson(2.0, truncation=10**9)
+        with pytest.raises(InvalidParameter, match="MAX_DERIVED_TRUNCATION"):
+            FamilySpec.polynomial(3.0, truncation=MAX_DERIVED_TRUNCATION + 1)
+        FamilySpec.poisson(2.0, truncation=MAX_DERIVED_TRUNCATION)
 
     def test_three_point_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParameter):
