@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Iterable
 
 from .engine import Propagator
-from .errors import GwError, InvalidParameter
+from .errors import GwError, InvalidParameter, json_field
 from .estimator import estimator_law
 from .lab import (
     CLAIM_IDS,
@@ -53,6 +53,12 @@ def _default_budget() -> float:
         return float(raw)
     except ValueError:
         raise InvalidParameter(f"GW_BUDGET is not a number: {raw!r}")
+
+
+# Numeric flags reach ``main`` as text, so that one that does not parse is a
+# one-line ``InvalidParameter`` naming it, as one out of range is.
+NUMERIC_FLAGS = dict.fromkeys(("p", "p0", "p2", "p3", "lam", "budget"), float) | dict.fromkeys(
+    ("truncation", "n", "z0", "jobs", "seed", "replications", "n_max", "cap"), int)
 
 
 def _timestamp() -> str:
@@ -117,11 +123,6 @@ def _law_from_args(args: argparse.Namespace) -> OffspringLaw:
     for name, value in kwargs.items():
         if value is None:
             raise InvalidParameter(f"family {args.family!r} needs --{name}")
-    if "weights" in kwargs:
-        try:
-            kwargs["weights"] = [float(tok) for tok in args.weights.split(",")]
-        except ValueError:
-            raise InvalidParameter(f"cannot parse weight list {args.weights!r}")
     if args.family in TRUNCATED:
         kwargs["truncation"] = args.truncation
     return build(FamilySpec(args.family, **kwargs), args.budget)
@@ -307,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
         "--budget",
-        type=float,
         default=None,
         help="truncation budget for built laws (default: GW_BUDGET or 1e-12)",
     )
@@ -315,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument(
         "--jobs",
-        type=int,
         default=os.cpu_count() or 1,
         help="worker processes for simulation (default: all cores); results do not depend on it",
     )
@@ -326,21 +325,20 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=tuple(FAMILIES),
     )
-    family.add_argument("--p", type=float, default=None, help="binary/polynomial parameter")
-    family.add_argument("--p0", type=float, default=None, help="three_point mass at 0")
-    family.add_argument("--p2", type=float, default=None, help="three_point mass at 2")
-    family.add_argument("--p3", type=float, default=None, help="three_point mass at 3")
-    family.add_argument("--lam", type=float, default=None, help="poisson mean")
+    family.add_argument("--p", default=None, help="binary/polynomial parameter")
+    family.add_argument("--p0", default=None, help="three_point mass at 0")
+    family.add_argument("--p2", default=None, help="three_point mass at 2")
+    family.add_argument("--p3", default=None, help="three_point mass at 3")
+    family.add_argument("--lam", default=None, help="poisson mean")
     family.add_argument(
-        "--truncation", type=int, default=None, help="explicit support cut for built laws"
+        "--truncation", default=None, help="explicit support cut for built laws"
     )
-    family.add_argument(
-        "--weights", default=None, help="raw family: comma-separated masses at 0,1,2,..."
-    )
+    family.add_argument("--weights", type=lambda text: text.split(","), default=None,
+                        help="raw family: comma-separated masses at 0,1,2,...")
 
     horizon = argparse.ArgumentParser(add_help=False)
-    horizon.add_argument("--n", type=int, required=True)
-    horizon.add_argument("--z0", type=int, default=1)
+    horizon.add_argument("--n", required=True)
+    horizon.add_argument("--z0", default=1)
 
     parser = argparse.ArgumentParser(
         prog="gw",
@@ -387,11 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common, family, jobs],
         help="seeded path simulation, pair counts per level",
     )
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    p.add_argument("--replications", type=int, default=1_000_000)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--z0", type=int, default=1)
-    p.add_argument("--cap", type=int, default=10_000_000, help="exclude paths beyond this size")
+    p.add_argument("--seed", default=0, help="base RNG seed (default 0)")
+    p.add_argument("--replications", default=1_000_000)
+    p.add_argument("--n-max", required=True)
+    p.add_argument("--z0", default=1)
+    p.add_argument("--cap", default=10_000_000, help="exclude paths beyond this size")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -418,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, convert in NUMERIC_FLAGS.items():
+            if isinstance(getattr(args, name, None), str):
+                setattr(args, name, json_field(vars(args), name, convert))
         if "budget" in args and args.budget is None:
             args.budget = _default_budget()
         return args.func(args)

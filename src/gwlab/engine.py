@@ -60,6 +60,9 @@ _POWER_WORK_CAP = 3 * 10**10
 # 765,625 at n = 14 (peak 830 MB) and 1,737,124 at n = 15 (peak 1.6 GB); a
 # sweep or check reaching n = 15 simulates from there.
 _JOINT_ROW_CAP = 2**20
+# A law whose support stays small never reaches a cap: binary(0) steps at 26 us
+# each (2-core x86-64), so n_max = 2**63 would never end.  The horizon is bounded.
+EXACT_HORIZON_LIMIT = 100_000
 
 
 def check_start_size(z0: int) -> None:
@@ -182,8 +185,8 @@ class Propagator:
     ):
         check_start_size(z0)
         check_budget(budget)
-        if n_max < 0:
-            raise InvalidParameter("horizon must be nonnegative")
+        if not 0 <= n_max <= EXACT_HORIZON_LIMIT:
+            raise InvalidParameter(f"horizon {n_max} is outside [0, EXACT_HORIZON_LIMIT]")
         self.law = law
         self.z0 = z0
         self.n_max = max(n_max, 1)

@@ -91,6 +91,8 @@ class SimConfig:
         for name, low in (("seed", 0), ("replications", 1), ("n_max", 1)):
             if getattr(self, name) < low:
                 raise InvalidParameter(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.replications >= 2**63:
+            raise InvalidParameter("replications must be below 2**63, the int64 limit")
         if self.n_max > HORIZON_LIMIT:
             raise InvalidParameter(f"horizon n_max = {self.n_max} is past "
                                    f"HORIZON_LIMIT = {HORIZON_LIMIT}")

@@ -6,14 +6,15 @@ moment carried by the discarded tail.  On top of it live the generating
 function, the extinction probability solver, and the two conditional
 transforms (conditioning the whole process on survival or on extinction).
 
-``scipy.special`` is imported inside the three functions that call it, so
-that importing the package (and every ``gw`` command) does not load scipy.
+Poisson weights and the survival transform take ``log k!`` and ``k log y``
+from ``math`` alone, bit for bit as ``scipy.special``'s ``gammaln`` and
+``xlogy``; only ``_build_polynomial`` loads scipy, for ``zeta``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -91,8 +92,10 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InvalidParameter(f"unknown family {self.family!r}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        # Each given field is converted as from JSON, as ``ExperimentSpec``'s are.
+        convert = {"weights": lambda ws: tuple(map(float, ws)), "truncation": json_int}
+        for name in (f.name for f in fields(self)[1:] if getattr(self, f.name) is not None):
+            object.__setattr__(self, name, json_field(vars(self), name, convert.get(name, float)))
         params = (self.p, self.p0, self.p2, self.p3, self.lam, *(self.weights or ()))
         if not all(math.isfinite(v) for v in params if v is not None):
             raise InvalidParameter(f"{self.family} family parameters must be finite")
@@ -146,7 +149,7 @@ class FamilySpec:
 
     @classmethod
     def raw(cls, weights: Sequence[float]) -> "FamilySpec":
-        return cls("raw", weights=tuple(weights))
+        return cls("raw", weights=weights)
 
     @property
     def params(self) -> dict:
@@ -169,15 +172,14 @@ class FamilySpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FamilySpec":
-        read = partial(json_field, data)
+        # Fields pass as read; ``__post_init__`` converts and checks them.
+        read, same = partial(json_field, data), (lambda value: value)
         family = read("family", str)
-        trunc = read("truncation", lambda t: None if t is None else json_int(t), None)
         if family not in FAMILIES:
             raise InvalidParameter(f"unknown family {family!r}")
-        params = {"truncation": trunc} if family in TRUNCATED else {}
+        params = {"truncation": read("truncation", same, None)} if family in TRUNCATED else {}
         for name in FAMILIES[family][0]:
-            convert = (lambda ws: [float(w) for w in ws]) if name == "weights" else float
-            params[name] = read(JSON_NAMES.get(name, name), convert)
+            params[name] = read(JSON_NAMES.get(name, name), same)
         return cls(family, **params)
 
 
@@ -279,9 +281,24 @@ def _truncated_law(spec: FamilySpec, w: np.ndarray, bound: TailBound) -> Offspri
     return OffspringLaw(m, measures.mean(m), tail_bound=bound, family=spec)
 
 
-def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
-    from scipy import special
+def _log_factorial(ks: np.ndarray) -> np.ndarray:
+    """``scipy.special.gammaln(ks + 1)`` for integers ``ks >= 0``, bit for bit:
+    Cephes ``lgam`` (Moshier 1989) at ``x = k + 1``, the log of ``k!`` (exact in
+    a double) below 13 and Stirling's series with Cephes' ``A`` from 13 on.  The
+    logarithms are libm's, as in Cephes: numpy's ``log`` may differ in the last bit.
+    """
+    x = np.asarray(ks, dtype=float) + 1.0
+    log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    r, series = 1.0 / (x * x), 0.0
+    for a in (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+              7.93650340457716943945e-4, -2.77777777730099687205e-3, 8.33333333333331927722e-2):
+        series = series * r + a
+    stirling = (x - 0.5) * log_x - x + 0.91893853320467274178 + series / x
+    exact = np.array([math.log(math.factorial(k)) for k in range(12)])
+    return np.where(x < 13, exact[np.minimum(ks, 11)], stirling)
 
+
+def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
     lam = float(spec.lam)
     if spec.truncation is not None:
         cutoff = spec.truncation
@@ -292,7 +309,7 @@ def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
             if cutoff > MAX_DERIVED_TRUNCATION:
                 raise InvalidParameter("poisson tail budget unattainable")
     ks = np.arange(cutoff + 1)
-    w = np.exp(special.xlogy(ks, lam) - special.gammaln(ks + 1) - lam)
+    w = np.exp(np.where(ks == 0, 0.0, ks * math.log(lam)) - _log_factorial(ks) - lam)
     return _truncated_law(spec, w, TailBound("poisson", cutoff, lam=lam))
 
 
@@ -445,8 +462,6 @@ def survival_transform(law: OffspringLaw) -> OffspringLaw:
     positive at the root.  The result has no mass at zero, mass ``f'(q)``
     at one, and extinction probability zero.
     """
-    from scipy import special
-
     if criticality(law) != "supercritical":
         raise SupercriticalRequired("survival transform needs a supercritical law")
     q = extinction_probability(law).value
@@ -455,14 +470,13 @@ def survival_transform(law: OffspringLaw) -> OffspringLaw:
     ks = law.counts
     ws = law.probs
     out = np.zeros(int(ks[-1]) + 1, dtype=float)
+    log_fact = _log_factorial(np.arange(len(out)))
     for k, w in zip(ks.tolist(), ws.tolist()):
-        if k == 0:
-            continue
         js = np.arange(1, k + 1)
         # Binomial(k, 1 - q) pmf at js, in log space.
         log_pmf = (
-            special.gammaln(k + 1) - special.gammaln(js + 1) - special.gammaln(k - js + 1)
-            + special.xlogy(js, 1.0 - q) + special.xlogy(k - js, q)
+            log_fact[k] - log_fact[js] - log_fact[k - js]
+            + js * math.log(1.0 - q) + np.where(js == k, 0.0, (k - js) * math.log(q))
         )
         out[1 : k + 1] += w * np.exp(log_pmf)
     out /= 1.0 - q

@@ -583,8 +583,8 @@ class TestEveryFamily:
 
 class TestColdStart:
     def test_cli_import_loads_neither_scipy_nor_multiprocessing(self):
-        # scipy.special serves only Poisson and polynomial laws and the
-        # survival transform; both pinned commands below need it.
+        # Poisson laws and the survival transform take their special functions
+        # from ``math``, so neither pinned command below loads scipy either.
         flags = ["--format", "json", "--no-timestamp"]
         commands = {
             "simulate_poisson_lam16_n4.json": [
@@ -603,7 +603,7 @@ class TestColdStart:
         assert before == []
         for name, output in zip(commands, outputs):
             assert output == (DATA / name).read_text(), name
-        assert "scipy" in after
+        assert after == []
 
 
 class TestReferenceOutputBytes:

@@ -1,7 +1,11 @@
 """Malformed ``FamilySpec`` and ``ExperimentSpec`` documents: every one either
-constructs, builds and runs, or raises a ``GwError``."""
+constructs, builds and runs, or raises a ``GwError``.  Malformed numeric CLI
+flags: every command either exits 0 or exits 1 with one error line."""
 
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,8 +16,10 @@ from gwlab import (
     GwError,
     binary_sweep_spec,
     build,
+    errors,
     robustness_modulus,
 )
+from gwlab.cli import main
 
 # Values no field expects, and a few small ones that some fields accept.
 WILD = [
@@ -91,3 +97,51 @@ class TestJsonFuzz:
         # Only work of desk size is run: the limits themselves are tested elsewhere.
         if spec.replications <= 2000 and max(spec.n_range) <= 3:
             _construct(robustness_modulus, spec)
+
+
+# Flag values no flag expects, and a few that some accept.
+CLI_WILD = ["nan", "inf", "-inf", "-1", "-0.5", "0", "1", "2.5", str(2**63), "1e30", "abc", ""]
+
+# Each command at a tiny horizon, with the numeric flags it reads.
+CLI_BASES = [
+    (["build-law", "--family", "poisson", "--lam", "2", "--truncation", "10"],
+     ["--lam", "--truncation", "--budget"]),
+    (["build-law", "--family", "binary", "--p", "0.75"], ["--p", "--budget"]),
+    (["law", "--family", "binary", "--p", "0.75", "--n", "2"], ["--p", "--n", "--z0", "--budget"]),
+    (["estimator-law", "--family", "poisson", "--lam", "2", "--truncation", "8", "--n", "2"],
+     ["--lam", "--truncation", "--n", "--z0", "--budget"]),
+    (["simulate", "--family", "binary", "--p", "0.75", "--n-max", "2", "--replications", "200",
+      "--jobs", "1"], ["--p", "--n-max", "--z0", "--replications", "--cap", "--budget"]),
+    (["simulate", "--family", "poisson", "--lam", "2", "--truncation", "8", "--n-max", "2",
+      "--replications", "200", "--jobs", "1"],
+     ["--lam", "--truncation", "--n-max", "--z0", "--replications", "--cap"]),
+]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command with up to three of its numeric flags set again to a ``CLI_WILD``
+    value.  The later setting wins; ``--flag=value`` lets a value begin with ``-``."""
+    base, flags = draw(st.sampled_from(CLI_BASES))
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=3))
+    return [*base, "--no-timestamp", *(f"{f}={draw(st.sampled_from(CLI_WILD))}" for f in chosen)]
+
+
+class TestCliFuzz:
+    @FUZZ
+    @given(argv=cli_argvs())
+    # A value that did not parse was a usage error: exit 2 and two lines.
+    @example(argv=["law", "--family", "binary", "--p", "0.75", "--n=abc"])
+    @example(argv=["law", "--family", "binary", "--p", "0.75", "--n", "2", "--z0=2.5"])
+    # 2**63 replications ended in a MemoryError while listing the batches.
+    @example(argv=[*CLI_BASES[4][0], f"--replications={2**63}"])
+    # A law that never grows reached no cost cap, so 2**63 exact steps never ended.
+    @example(argv=[*CLI_BASES[2][0], "--p=0", f"--n={2**63}"])
+    def test_numeric_flags_exit_zero_or_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        if code != 0:
+            assert code == 1 and out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert issubclass(getattr(errors, json.loads(line)["error"]), GwError)

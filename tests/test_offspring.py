@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gwlab import (
+    DiscreteMeasure,
     FamilySpec,
     InvalidParameter,
     SupercriticalRequired,
@@ -21,7 +22,8 @@ from gwlab import (
     psi1_tail,
     survival_transform,
 )
-from gwlab.offspring import MAX_DERIVED_TRUNCATION
+from gwlab.lab import contamination_grid
+from gwlab.offspring import MAX_DERIVED_TRUNCATION, _log_factorial
 
 POLY3 = FamilySpec.polynomial(3, truncation=200_000)
 
@@ -72,6 +74,17 @@ class TestBuild:
         with pytest.raises(InvalidParameter, match="MAX_DERIVED_TRUNCATION"):
             FamilySpec.polynomial(3.0, truncation=MAX_DERIVED_TRUNCATION + 1)
         FamilySpec.poisson(2.0, truncation=MAX_DERIVED_TRUNCATION)
+
+    # Built from Python, fields were kept as given: a fractional truncation
+    # cut the law at 3, and strings ended in bare TypeErrors.
+    def test_python_parameter_converts_as_from_json(self):
+        assert FamilySpec.binary("0.5") == FamilySpec.binary(0.5)
+        assert FamilySpec.binary("0.5").to_json_dict() == {"family": "binary", "p": 0.5}
+
+    @pytest.mark.parametrize("truncation", [2.5, "5"])
+    def test_python_truncation_must_be_integral(self, truncation):
+        with pytest.raises(InvalidParameter, match="'truncation'"):
+            FamilySpec.poisson(2.0, truncation=truncation)
 
     def test_three_point_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParameter):
@@ -311,3 +324,55 @@ class TestPsi1Tail:
         for ell in (10, 100, 1000):
             assert psi1_tail(law, ell) <= c / ell
             assert psi1_tail(law, ell) > 0.0
+
+
+def _scipy_survival_weights(law):
+    """The survival transform's dense weights by its ``scipy.special`` formula."""
+    from scipy import special
+
+    q = extinction_probability(law).value
+    out = np.zeros(int(law.counts[-1]) + 1)
+    for k, w in zip(law.counts.tolist(), law.probs.tolist()):
+        js = np.arange(1, k + 1)
+        log_pmf = (
+            special.gammaln(k + 1) - special.gammaln(js + 1) - special.gammaln(k - js + 1)
+            + special.xlogy(js, 1.0 - q) + special.xlogy(k - js, q)
+        )
+        out[1 : k + 1] += w * np.exp(log_pmf)
+    return out / (1.0 - q), law.measure.defect / (1.0 - q)
+
+
+class TestSpecialFunctionsWithoutScipy:
+    """``log k!`` and ``k log y`` come from ``math``, bit for bit as from scipy."""
+
+    def test_log_factorial_is_gammaln_at_every_truncation(self):
+        from scipy import special
+
+        ks = np.arange(MAX_DERIVED_TRUNCATION + 1)
+        ours, theirs = _log_factorial(ks), special.gammaln(ks + 1)
+        assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+    @pytest.mark.parametrize("spec", [
+        *(FamilySpec.poisson(lam) for lam in (0.5, 1.6, 2.0, 2.02, 16.0, 150.0)),
+        *(FamilySpec.poisson(2.0, truncation=t) for t in (1, 11, 12, 13, 500)),
+        FamilySpec.poisson(0.25, truncation=40),
+    ], ids=lambda spec: f"{spec.lam:g}-{spec.truncation}")
+    def test_poisson_weights_match_the_scipy_formula(self, spec):
+        from scipy import special
+
+        law = build(spec)
+        ks = np.arange(law.tail_bound.cutoff + 1)
+        w = np.exp(special.xlogy(ks, spec.lam) - special.gammaln(ks + 1) - spec.lam)
+        assert law.measure == DiscreteMeasure.from_dense(w, defect=max(0.0, 1.0 - float(w.sum())))
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec.binary(0.75),
+        FamilySpec.three_point(0.2, 0.5, 0.3),
+        FamilySpec.poisson(2.0),
+        FamilySpec.poisson(16.0, truncation=60),
+        contamination_grid(FamilySpec.binary(0.75), [20])[0],
+    ], ids=["binary", "three_point", "poisson", "poisson16", "contamination-20"])
+    def test_survival_weights_match_the_scipy_formula(self, spec):
+        law = build(spec)
+        weights, defect = _scipy_survival_weights(law)
+        assert survival_transform(law).measure == DiscreteMeasure.from_dense(weights, defect=defect)
