@@ -49,17 +49,17 @@ def ratio_law(
 ) -> DiscreteMeasure:
     """Law of ``curr / prev`` (0 where ``prev`` is 0) with exactly reduced atoms.
 
-    ``probs[i]`` is the mass of the pair ``(prev[i], curr[i])``; pairs whose
-    reduced ratios coincide merge into one atom.
+    ``probs[i]`` is the mass of ``(prev[i], curr[i])``; equal reduced ratios
+    merge.  All rows are reduced at once, then ``prev == 0`` rows set to 0/1.
     """
     if prev.size == 0:
         raise InvalidParameter("no rows to build an estimator law from")
-    alive = prev > 0
-    g = np.gcd(curr[alive], prev[alive])
-    nums = np.zeros(prev.size, dtype=np.int64)
-    dens = np.ones(prev.size, dtype=np.int64)
-    nums[alive] = curr[alive] // g
-    dens[alive] = prev[alive] // g
+    dead = prev <= 0
+    g = np.gcd(curr, prev)
+    g[dead] = 1
+    nums = curr // g
+    dens = np.floor_divide(prev, g, out=g)
+    nums[dead], dens[dead] = 0, 1
     unums, udens, weights, _ = merge_atoms(nums, dens, probs)
     return DiscreteMeasure.from_sorted_arrays(unums, udens, weights, defect)
 

@@ -16,12 +16,12 @@ fixed ratio grid, with the bin radius added to the slack column and
 cap-excluded replications counted as defect.  Sweeps and the consistency
 check share this one route (``_horizon_laws``).
 
-A Prohorov sweep skips a horizon once one greedy pass on the pairs within
-the running maximum ``best`` leaves ``T - M <= best`` (less the search's
-guard, see ``metrics.prohorov_at_most``): the largest candidate at or below
-``best`` then passes the search's test, so the distance is at most ``best``
-and the strict ``>`` rule would not pick that horizon.  Rows are the same
-as with every horizon computed.
+Sweeps walk horizons by the two laws' atom count (ties by ``n``); a row
+names the least horizon with the largest distance.  A Prohorov sweep skips
+a horizon once one greedy pass on the pairs within a bound leaves ``T - M``
+at most the bound, less the search's guard (``metrics.prohorov_at_most``):
+``best`` past the running winner, the float below ``best`` before it.  The
+horizon cannot win then, and rows are as with every horizon computed.
 """
 
 from __future__ import annotations
@@ -320,10 +320,10 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
     flagged rather than rejected; every reported value carries a slack
     column covering truncation defects and simulation binning.
 
-    A later horizon wins only with a value strictly above the running
-    maximum ``best``, so a Prohorov sweep skips it when
-    ``prohorov_at_most(a, b, best)`` proves its distance is at most ``best``
-    (see the module notes); the rows do not change.
+    Horizons go in ``_horizon_order``.  One wins with a value above the
+    running maximum ``best``, or equal to it at a smaller ``n``, so a
+    Prohorov sweep skips it when ``prohorov_at_most`` proves it can do
+    neither (see the module notes); the rows do not change.
     """
     check_jobs(jobs)
     center = build(spec.center, spec.budget)
@@ -348,18 +348,18 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
                 law2, spec, _member_seed(spec.seed, idx + 1), jobs
             )
         best, best_n, best_slack = -1.0, None, 0.0
-        for n in sorted(set(spec.n_range)):
-            a, slack_a = center_curve[n]
-            b, slack_b = curve2[n]
+        for n in _horizon_order(center_curve, curve2, spec.n_range):
+            (a, slack_a), (b, slack_b) = center_curve[n], curve2[n]
             if a is b:
                 value, total_slack = 0.0, slack_a + slack_b
-            elif spec.metric == "prohorov" and best > 0.0 and prohorov_at_most(a, b, best):
-                continue  # its value is at most ``best``, so it cannot win
+            elif spec.metric == "prohorov" and best > 0.0 and prohorov_at_most(
+                a, b, best if n > best_n else math.nextafter(best, -math.inf)
+            ):
+                continue  # it cannot win
             else:
                 result = metric(a, b)
-                value = result.value
-                total_slack = result.defect_slack + slack_a + slack_b
-            if value > best:
+                value, total_slack = result.value, result.defect_slack + slack_a + slack_b
+            if value > best or (value == best and n < best_n):
                 best, best_n, best_slack = value, n, total_slack
         if center_mc is not None:
             mc_from = min(n for n in (mc_from, center_mc) if n is not None)
@@ -377,6 +377,11 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
             }
         )
     return rows
+
+
+def _horizon_order(center_curve: Mapping, curve: Mapping, n_range: Iterable[int]) -> list[int]:
+    """The horizons of ``n_range``, fewest atoms in the two laws first, then by ``n``."""
+    return sorted(set(n_range), key=lambda n: (len(center_curve[n][0]) + len(curve[n][0]), n))
 
 
 def contamination_grid(

@@ -330,9 +330,9 @@ def merge_atoms(
     """
     values = _float_values(nums, dens)
     order = np.argsort(values, kind="stable")
-    sn, sd = nums[order], dens[order]
+    values, sn, sd = values[order], nums[order], dens[order]
     same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
-    if (~same & (np.diff(values[order]) == 0.0)).any():
+    if (~same & (values[1:] == values[:-1])).any():
         exact = list(map(Fraction, nums.tolist(), dens.tolist()))
         order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
         sn, sd = nums[order], dens[order]
@@ -340,6 +340,7 @@ def merge_atoms(
     first = np.concatenate([[True], ~same])[: len(sn)]
     index = np.empty(len(sn), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
+    del values, order
     return sn[first], sd[first], np.bincount(index, weights=weights), index
 
 

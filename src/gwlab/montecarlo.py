@@ -11,9 +11,9 @@ CDF by counting the CDF steps its uniform reaches (at most ``STEP_LIMIT``
 steps) or through a guide table (wider laws), in int32 whenever no sum can
 pass it.
 
-Chunks run in batches of ``BATCH`` consecutive indices, one per worker
-task.  At each level a batch groups its chunks' live (Z_{n-1}, Z_n) rows at
-once with ``group_pairs``; with a ``resolution`` the rows are first
+Chunks run lazily in batches of ``BATCH`` consecutive indices, one per
+worker task.  At each level a batch groups its chunks' live (Z_{n-1}, Z_n)
+rows at once with ``group_pairs``; with a ``resolution`` the rows are first
 replaced by (1, rint((Z_n / Z_{n-1}) / resolution)), the bins the sweeps
 read.  ``_merge`` groups each batch into one running total per level and
 counts the extinct into one (0, 0) row per level.
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -249,14 +250,22 @@ def simulate_paths(
         raise InvalidParameter("offspring law must have integer support")
     resolution = None if resolution is None else _check_resolution(resolution)
     chunks = range(-(-cfg.replications // CHUNK))
-    batches = [chunks[i : i + BATCH] for i in range(0, len(chunks), BATCH)]
+    batches = (chunks[i : i + BATCH] for i in range(0, len(chunks), BATCH))
     batch = partial(_simulate_batch, _Sampler(law.measure), cfg, resolution)
-    if jobs > 1 and len(batches) > 1:
+    if jobs > 1 and len(chunks) > BATCH:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return _merge(cfg, resolution, pool.map(batch, batches))
+            return _merge(cfg, resolution, _in_flight(pool, batch, batches, 2 * jobs))
     return _merge(cfg, resolution, map(batch, batches))
+
+
+def _in_flight(pool, fn, items: Iterator, depth: int) -> Iterator:
+    """``pool.map(fn, items)`` in order, with at most ``depth`` tasks unread."""
+    pending = [pool.submit(fn, item) for item in islice(items, depth)]
+    while pending:
+        yield pending.pop(0).result()
+        pending.extend(pool.submit(fn, item) for item in islice(items, 1))
 
 
 def _merge(cfg: SimConfig, resolution: Fraction | None, results: Iterable) -> SimTable:

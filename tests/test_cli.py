@@ -514,10 +514,11 @@ class TestMemoryCeilings:
         )
         assert out.returncode == 0, out.stderr
         peak_mb = int(out.stdout) / 1024
-        # Five runs peaked at 54.6-54.8 MB on a 2-core Xeon (54.75, 54.75,
-        # 54.64, 54.75, 54.68 MB); grouping pair tables, the same run peaked
-        # at 133.5 MB.
-        assert peak_mb < 70.0
+        # Five runs peaked at 47.5 MB on a 2-core Xeon (47.50, 47.48, 47.51,
+        # 47.50, 47.54 MB).  Certifying the n = 2 pair (3 and 64,111 atoms)
+        # before the cheaper horizons, the same run peaked at 54.6 MB, and
+        # grouping pair tables at 133.5 MB.
+        assert peak_mb < 51.0
 
     def test_joint_past_the_row_cap_is_refused_under_an_address_space_limit(self):
         # Generation 17 of binary(0.75) plans 8.8 million joint rows and
@@ -536,6 +537,25 @@ class TestMemoryCeilings:
         err = json.loads(out.stderr)
         assert err["error"] == "BudgetExceeded"
         assert "_JOINT_ROW_CAP" in err["message"]
+
+    def test_huge_replication_count_runs_until_stopped(self):
+        # 2**62 replications are 2**47 batches.  Listing them all ran out of
+        # 1 GB of address space within 3.2-4.0 s in a bare MemoryError; the
+        # batches are now made as the run reaches them.
+        argv = ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "2",
+                "--jobs", "1", "--replications", str(2**62)]
+        child = subprocess.Popen(
+            [sys.executable, "-c", LIMITED_CLI, str(2**30), *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        )
+        try:
+            with pytest.raises(subprocess.TimeoutExpired):
+                child.wait(timeout=5)
+        finally:
+            child.kill()
+            _, err = child.communicate()
+        assert "MemoryError" not in err
 
     def test_explicit_truncation_past_the_limit_is_one_error_line(self):
         # It ended in an ``_ArrayMemoryError`` traceback from building the law.

@@ -31,6 +31,30 @@ B75_PMF = {0: 0.25, 2: 0.75}
 T1_PMF = {0: 0.20, 2: 0.50, 3: 0.30}
 
 
+def masked_ratio_arrays(prev, curr, probs):
+    """``ratio_law``'s ``nums``, ``dens`` and weights by its earlier formula:
+    masked copies of the live rows, and float ties found with ``np.diff``."""
+    alive = prev > 0
+    g = np.gcd(curr[alive], prev[alive])
+    nums = np.zeros(prev.size, dtype=np.int64)
+    dens = np.ones(prev.size, dtype=np.int64)
+    nums[alive] = curr[alive] // g
+    dens[alive] = prev[alive] // g
+    values = np.array([Fraction(int(a), int(b)).__float__() for a, b in zip(nums, dens)])
+    order = np.argsort(values, kind="stable")
+    sn, sd = nums[order], dens[order]
+    same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
+    if (~same & (np.diff(values[order]) == 0.0)).any():
+        exact = list(map(Fraction, nums.tolist(), dens.tolist()))
+        order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
+        sn, sd = nums[order], dens[order]
+        same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
+    first = np.concatenate([[True], ~same])[: len(sn)]
+    index = np.empty(len(sn), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return sn[first], sd[first], np.bincount(index, weights=probs)
+
+
 class TestEstimatorLaw:
     def test_first_step_reproduces_offspring_law(self, b75):
         e = estimator_law(joint_law(b75, 1))
@@ -102,6 +126,28 @@ class TestEstimatorLaw:
         assert law.weights == (0.5, 0.5)
         assert tv_distance(law, law) == (0.0, 0.0)
         assert bounded_lipschitz(law, law).value == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 40), st.integers(0, 120))
+                | st.integers(2**27, 2**27 + 3).map(lambda j: (j, j + 1)),
+                st.floats(1e-6, 1.0),
+            ),
+            min_size=1, max_size=60,
+        )
+    )
+    def test_matches_the_masked_formula_array_for_array(self, rows):
+        # Distinct ratios (j + 1)/j for j near 2**27 share floats, so the
+        # exact reordering is reached too; (0, k) rows take the atom at 0.
+        prev, curr = (np.array(col, dtype=np.int64) for col in zip(*[pair for pair, _ in rows]))
+        probs = np.array([p for _, p in rows])
+        probs /= probs.sum()
+        law = ratio_law(prev, curr, probs, 0.0)
+        for got, want in zip((law.nums, law.dens, law.weights_array),
+                             masked_ratio_arrays(prev, curr, probs)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_conditioning_needs_survivors(self):
         law = build(FamilySpec.raw([1.0]))

@@ -20,6 +20,7 @@ from gwlab import (
     VerificationReport,
     binary_sweep_spec,
     binned_estimator_law,
+    bounded_lipschitz,
     build,
     consistency_probability,
     contamination_grid,
@@ -429,8 +430,9 @@ class TestRobustnessModulus:
 
 
 def reference_moduli(spec):
-    """``(modulus, modulus_slack, argmax_n)`` per member, from ``prohorov`` at
-    every horizon under the strict ``>`` rule."""
+    """``(modulus, modulus_slack, argmax_n)`` per member, from the spec's
+    metric at every horizon walked forward under the strict ``>`` rule."""
+    metric = prohorov if spec.metric == "prohorov" else bounded_lipschitz
     center = build(spec.center, spec.budget)
     curve, _ = lab._estimator_curve(center, spec, lab._member_seed(spec.seed, 0))
     out = []
@@ -445,7 +447,7 @@ def reference_moduli(spec):
             if same:
                 value, slack = 0.0, slack_a + slack_b
             else:
-                result = prohorov(a, b)
+                result = metric(a, b)
                 value, slack = result.value, result.defect_slack + slack_a + slack_b
             if value > best[0]:
                 best = (value, slack, n)
@@ -453,14 +455,19 @@ def reference_moduli(spec):
     return out
 
 
+ORDER_SPECS = {
+    "binary": binary_sweep_spec(),
+    "contamination": contamination_sweep_spec(k_values=(20, 50), n_max=4, replications=2_000),
+    "binary-bl": binary_sweep_spec(n_max=5, metric="bounded_lipschitz"),
+}
+
+
 class TestModulusSkip:
-    """Horizons whose distance provably cannot beat the running maximum are
-    skipped without changing a row."""
+    """Horizons go cheapest first, and those whose distance provably cannot
+    win are skipped, without changing a row."""
 
     @pytest.mark.parametrize(
-        "spec",
-        [binary_sweep_spec(),
-         contamination_sweep_spec(k_values=(20, 50), n_max=4, replications=2_000)],
+        "spec", [ORDER_SPECS["binary"], ORDER_SPECS["contamination"]],
         ids=["binary", "contamination"],
     )
     def test_rows_match_prohorov_at_every_horizon(self, spec):
@@ -490,6 +497,50 @@ class TestModulusSkip:
         monkeypatch.setattr(lab, "prohorov", counted)
         robustness_modulus(binary_sweep_spec())
         assert (len(calls), sum(calls)) == (29, 12_187_465)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("name", sorted(ORDER_SPECS))
+    def test_rows_do_not_depend_on_the_horizon_order(self, monkeypatch, name, order):
+        spec = ORDER_SPECS[name]
+        cost_order = lab._horizon_order
+        rng = np.random.default_rng(7)
+
+        def permuted(center_curve, curve, n_range):
+            ns = cost_order(center_curve, curve, n_range)
+            return ns[::-1] if order == "reversed" else list(rng.permutation(ns))
+
+        monkeypatch.setattr(lab, "_horizon_order", permuted)
+        rows = robustness_modulus(spec)
+        got = [(r["modulus"], r["modulus_slack"], r["argmax_n"]) for r in rows]
+        assert got == reference_moduli(spec)
+
+    def test_binary_cost_order_is_the_horizon_order(self):
+        spec = binary_sweep_spec()
+        center, member = (lab._estimator_curve(build(s), spec, 0)[0]
+                          for s in (spec.center, spec.grid[0]))
+        assert lab._horizon_order(center, member, spec.n_range) == list(range(1, 9))
+
+    def test_contamination_never_certifies_its_largest_pair(self, monkeypatch):
+        # For k = 50 the n = 2 laws have 3 and 64,111 atoms; they go last,
+        # and the greedy bound proves them below the maximum at n = 8.
+        spec = contamination_sweep_spec(k_values=(50,), replications=4_096)
+        sizes, bounded = [], []
+        original, original_at_most = lab.prohorov, lab.prohorov_at_most
+
+        def counted(a, b):
+            sizes.append((len(a), len(b)))
+            return original(a, b)
+
+        def at_most(a, b, bound):
+            bounded.append((len(a), len(b)))
+            return original_at_most(a, b, bound)
+
+        monkeypatch.setattr(lab, "prohorov", counted)
+        monkeypatch.setattr(lab, "prohorov_at_most", at_most)
+        (row,) = robustness_modulus(spec)
+        assert (3, 64_111) not in sizes
+        assert bounded[-1] == (3, 64_111)
+        assert row["argmax_n"] == 8 and row["modulus"] > 0.1
 
 
 class TestContaminationGrid:

@@ -1,5 +1,6 @@
 """Seeded forward simulation and empirical estimator laws."""
 
+import concurrent.futures
 import hashlib
 import math
 import warnings
@@ -45,6 +46,39 @@ class TestSimulatePaths:
         a = simulate_paths(b75, cfg, jobs=1)
         b = simulate_paths(b75, cfg, jobs=3)
         assert oracles.tables_equal(a, b)
+
+    def test_a_pool_is_given_at_most_two_batches_per_job(self, b75, monkeypatch):
+        # Chunks of 16 make these replications 20 batches.  The pool holds
+        # 2 * jobs of them before the first result is read, and never more.
+        monkeypatch.setattr(montecarlo, "CHUNK", 16)
+        cfg = SimConfig(seed=3, replications=16 * BATCH * 20, n_max=3)
+        log = []  # unread batches after each submission, and each read
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                self.unread = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, batch):
+                self.unread += 1
+                log.append(self.unread)
+                return mock.Mock(result=lambda: self.read(fn(batch)))
+
+            def read(self, result):
+                self.unread -= 1
+                log.append("read")
+                return result
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        pooled = simulate_paths(b75, cfg, jobs=3)
+        assert log[: log.index("read")] == [1, 2, 3, 4, 5, 6]
+        assert max(n for n in log if n != "read") == 6 and log.count("read") == 20
+        assert oracles.tables_equal(pooled, simulate_paths(b75, cfg, jobs=1))
 
     def test_seed_changes_the_draws(self, b75):
         cfg1 = SimConfig(seed=1, replications=2_000, n_max=2)
