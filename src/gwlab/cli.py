@@ -5,18 +5,22 @@ it, push it through the ratio estimator, compute metrics between stored
 measures, simulate paths, run the verification suite, and run robustness
 sweeps.  Outputs are CSV (default) or JSON; both carry a schema version,
 and with ``--no-timestamp`` reruns are byte-identical for the same seed.
+Each command computes all its values first, then opens ``--output`` (or
+takes stdout) and writes as it encodes: CSV rows one by one, a JSON
+document in batches of encoder chunks, never the whole text at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .engine import Propagator
 from .errors import GwError, InvalidParameter, json_field
@@ -45,16 +49,6 @@ from .offspring import (
 __all__ = ["main"]
 
 
-def _default_budget() -> float:
-    raw = os.environ.get("GW_BUDGET")
-    if raw is None:
-        return DEFAULT_TAIL_BUDGET
-    try:
-        return float(raw)
-    except ValueError:
-        raise InvalidParameter(f"GW_BUDGET is not a number: {raw!r}")
-
-
 # Numeric flags reach ``main`` as text, so that one that does not parse is a
 # one-line ``InvalidParameter`` naming it, as one out of range is.
 NUMERIC_FLAGS = dict.fromkeys(("p", "p0", "p2", "p3", "lam", "budget"), float) | dict.fromkeys(
@@ -65,12 +59,9 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _write_text(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextIO]:
+    """``--output`` opened for writing, or stdout, which the ``with`` leaves open."""
+    return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_rows(
@@ -83,16 +74,14 @@ def _emit_rows(
 ) -> None:
     """Write tuple rows in ``columns`` order as versioned CSV or JSON."""
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# gw-csv-1 {kind}\n")
+        header = [f"gw-csv-1 {kind}"]
         if not args.no_timestamp:
-            buf.write(f"# timestamp {_timestamp()}\n")
-        for line in comments or []:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        _write_text(args, buf.getvalue())
+            header.append(f"timestamp {_timestamp()}")
+        with _open_output(args) as fh:
+            fh.writelines(f"# {line}\n" for line in header + (comments or []))
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
         return
     doc = {
         "schema": f"gw-{kind}-1",
@@ -105,16 +94,21 @@ def _emit_rows(
 
 
 def _emit_doc(args: argparse.Namespace, doc: dict) -> None:
-    """Write a JSON document, timestamped unless --no-timestamp."""
+    """Write a JSON document, timestamped unless --no-timestamp, as the chunks
+    ``json.dumps`` would join, in batches of 2**16 (a write per chunk is slower)."""
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
-    _write_text(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    with _open_output(args) as fh:
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 2**16)), ""):
+            fh.write(batch)
+        fh.write("\n")
 
 
-def _measure_rows(measure: DiscreteMeasure) -> list[tuple]:
+def _measure_rows(measure: DiscreteMeasure) -> Iterator[tuple]:
     """One ``(atom, weight)`` row per atom, the atom written ``n/d`` (``n`` when whole)."""
     atoms = zip(measure.nums.tolist(), measure.dens.tolist(), measure.weights_array.tolist())
-    return [(f"{n}/{d}" if d != 1 else str(n), w) for n, d, w in atoms]
+    return ((f"{n}/{d}" if d != 1 else str(n), w) for n, d, w in atoms)
 
 
 def _law_from_args(args: argparse.Namespace) -> OffspringLaw:
@@ -216,7 +210,8 @@ def _cmd_extinction(args: argparse.Namespace) -> int:
         }
         _emit_doc(args, doc)
     else:
-        _write_text(args, f"{result.value:.12f}\n")
+        with _open_output(args) as fh:
+            fh.write(f"{result.value:.12f}\n")
     return 0
 
 
@@ -237,7 +232,8 @@ def _cmd_metric(args: argparse.Namespace) -> int:
                "certificate": result.to_json_dict()["certificate"]}
         _emit_doc(args, doc)
     else:
-        _write_text(args, f"{value:.12f}\n")
+        with _open_output(args) as fh:
+            fh.write(f"{value:.12f}\n")
     return 0
 
 
@@ -308,8 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
         "--budget",
-        default=None,
-        help="truncation budget for built laws (default: GW_BUDGET or 1e-12)",
+        default=DEFAULT_TAIL_BUDGET,
+        help="truncation budget for built laws (default 1e-12)",
     )
 
     jobs = argparse.ArgumentParser(add_help=False)
@@ -419,8 +415,6 @@ def main(argv: list[str] | None = None) -> int:
         for name, convert in NUMERIC_FLAGS.items():
             if isinstance(getattr(args, name, None), str):
                 setattr(args, name, json_field(vars(args), name, convert))
-        if "budget" in args and args.budget is None:
-            args.budget = _default_budget()
         return args.func(args)
     except (GwError, OSError, json.JSONDecodeError) as exc:
         line = json.dumps(

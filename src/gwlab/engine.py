@@ -57,8 +57,8 @@ _DENSE_WORK_CAP = 2 * 10**8
 _POWER_WORK_CAP = 3 * 10**10
 # No sweep, gate or pinned output plans over 145,924 joint rows (binary(0.75),
 # n = 12, gate 7).  `gw joint --family binary --p 0.75 --format json` plans
-# 765,625 at n = 14 (peak 830 MB) and 1,737,124 at n = 15 (peak 1.6 GB); a
-# sweep or check reaching n = 15 simulates from there.
+# 765,625 at n = 14 (peak 236 MB) and 1,737,124 at n = 15 (448 MB with the cap
+# raised; 2-core Xeon); a sweep or check reaching n = 15 simulates from there.
 _JOINT_ROW_CAP = 2**20
 # A law whose support stays small never reaches a cap: binary(0) steps at 26 us
 # each (2-core x86-64), so n_max = 2**63 would never end.  The horizon is bounded.

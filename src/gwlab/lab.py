@@ -399,7 +399,7 @@ def contamination_grid(
         raise InvalidParameter("contamination mixing needs an exact center law")
     out = []
     for k in k_values:
-        k = int(k)
+        k = json_field({"k": k}, "k", json_int)
         if k < 2:
             raise InvalidParameter("mixing index k must be at least 2")
         far = 10 * k

@@ -304,10 +304,10 @@ def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
         cutoff = spec.truncation
     else:
         cutoff = max(int(math.ceil(lam)) + 1, 2)
-        while lam * _poisson_upper_tail(lam, cutoff) > budget:
+        while cutoff <= MAX_DERIVED_TRUNCATION and lam * _poisson_upper_tail(lam, cutoff) > budget:
             cutoff += 1
-            if cutoff > MAX_DERIVED_TRUNCATION:
-                raise InvalidParameter("poisson tail budget unattainable")
+        if cutoff > MAX_DERIVED_TRUNCATION:
+            raise InvalidParameter("poisson tail budget unattainable")
     ks = np.arange(cutoff + 1)
     w = np.exp(np.where(ks == 0, 0.0, ks * math.log(lam)) - _log_factorial(ks) - lam)
     return _truncated_law(spec, w, TailBound("poisson", cutoff, lam=lam))

@@ -12,7 +12,6 @@ why no conforming implementation can pass it.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -57,13 +56,10 @@ DATA = Path(__file__).parent / "data"
 def run_modulus(spec, path, pin):
     """Rows of ``gw modulus`` on ``spec``, whose CSV stdout must equal ``pin``."""
     path.write_text(json.dumps(spec.to_json_dict()))
-    env = os.environ.copy()
-    env.pop("GW_BUDGET", None)
     out = subprocess.run(
         GW + ["modulus", "--config", str(path), "--no-timestamp"],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == (DATA / pin).read_text(), pin

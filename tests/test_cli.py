@@ -17,12 +17,8 @@ GW = [sys.executable, "-m", "gwlab.cli"]
 DATA = Path(__file__).parent / "data"
 
 
-def run(args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("GW_BUDGET", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(GW + list(args), capture_output=True, text=True, env=env)
+def run(args):
+    return subprocess.run(GW + list(args), capture_output=True, text=True)
 
 
 # Run in a fresh interpreter: import the CLI, list the heavy top-level
@@ -205,46 +201,34 @@ class TestDeterminism:
         assert header[0] == "# gw-csv-1 modulus"
 
 
-class TestBudgetEnvironment:
-    def test_env_budget_loosens_truncation(self, tmp_path):
+class TestBudgetFlag:
+    def test_budget_flag_loosens_truncation(self, tmp_path):
         tight = build_law_file(tmp_path, "tight.json", "--family", "poisson",
                                "--lam", "2.0")
         loose_path = tmp_path / "loose.json"
-        out = run(["build-law", "--family", "poisson", "--lam", "2.0",
-                   "--format", "json", "--output", str(loose_path)],
-                  env_extra={"GW_BUDGET": "1e-4"})
+        out = run(["build-law", "--family", "poisson", "--lam", "2.0", "--budget", "1e-4",
+                   "--format", "json", "--output", str(loose_path)])
         assert out.returncode == 0
         tight_doc = json.loads(tight.read_text())
         loose_doc = json.loads(loose_path.read_text())
         assert len(loose_doc["measure"]["support"]) < len(tight_doc["measure"]["support"])
 
-    def test_budget_flag_beats_environment(self, tmp_path):
-        path = tmp_path / "law.json"
-        out = run(["build-law", "--family", "poisson", "--lam", "2.0",
-                   "--budget", "1e-12", "--format", "json", "--output", str(path)],
-                  env_extra={"GW_BUDGET": "1e-2"})
-        assert out.returncode == 0
-        doc = json.loads(path.read_text())
-        assert doc["measure"]["defect"] <= 1e-12
-
     @pytest.mark.parametrize(
-        "args, env",
+        "args",
         [
-            (["law", "--family", "poisson", "--lam", "2", "--n", "2",
-              "--budget", "nan"], None),
-            (["verify"], {"GW_BUDGET": "-1"}),
+            ["law", "--family", "poisson", "--lam", "2", "--n", "2", "--budget", "nan"],
+            ["verify", "--budget", "-1"],
         ],
-        ids=["flag-nan", "env-negative"],
+        ids=["flag-nan", "flag-negative"],
     )
-    def test_nonfinite_or_negative_budget_is_one_error_line(self, args, env):
-        out = run(args, env_extra=env)
+    def test_nonfinite_or_negative_budget_is_one_error_line(self, args):
+        out = run(args)
         assert out.returncode == 1
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1
         err = json.loads(out.stderr)
         assert err["error"] == "InvalidParameter"
         assert "finite and nonnegative" in err["message"]
-
 
     @pytest.mark.parametrize("args", [
         ["joint", "--family", "polynomial", "--p", "3.5", "--truncation", "30", "--n", "3"],
@@ -255,12 +239,6 @@ class TestBudgetEnvironment:
         # own tail defect is passed on, even past 1e-12.
         assert main([*args, "--format", "json", "--no-timestamp"]) == 0
         assert json.loads(capsys.readouterr().out)["defect"] > 1e-12
-
-    def test_command_without_budget_ignores_the_environment(self, tmp_path):
-        path = build_law_file(tmp_path, "a.json", "--family", "binary", "--p", "0.75")
-        out = run(["metric", "--kind", "tv", str(path), str(path)],
-                  env_extra={"GW_BUDGET": "-1"})
-        assert out.returncode == 0, out.stderr
 
 
 class TestFlagsPerCommand:
@@ -381,16 +359,6 @@ class TestErrorChannels:
         assert err["error"] == "InvalidParameter"
         assert "jobs" in err["message"]
 
-    def test_unreadable_budget_environment_is_one_error_line(self):
-        out = run(["extinction", "--family", "binary", "--p", "0.75"],
-                  env_extra={"GW_BUDGET": "abc"})
-        assert out.returncode == 1
-        assert out.stdout == ""
-        assert len(out.stderr.splitlines()) == 1
-        err = json.loads(out.stderr)
-        assert err["error"] == "InvalidParameter"
-        assert "GW_BUDGET" in err["message"]
-
     @pytest.mark.parametrize(
         "command, doc, field",
         [
@@ -504,21 +472,33 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+def peak_mb(args):
+    """Peak RSS in MB of ``gw`` run on ``args`` in a child process."""
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS, *GW, *args],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout) / 1024
+
+
 class TestMemoryCeilings:
     def test_contamination_sweep_tallies_bins_within_its_ceiling(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(contamination_sweep_spec(k_values=(50,)).to_json_dict()))
-        argv = GW + ["modulus", "--config", str(path), "--jobs", "1", "--no-timestamp"]
-        out = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS, *argv], capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        peak_mb = int(out.stdout) / 1024
+        peak = peak_mb(["modulus", "--config", str(path), "--jobs", "1", "--no-timestamp"])
         # Five runs peaked at 47.5 MB on a 2-core Xeon (47.50, 47.48, 47.51,
         # 47.50, 47.54 MB).  Certifying the n = 2 pair (3 and 64,111 atoms)
         # before the cheaper horizons, the same run peaked at 54.6 MB, and
         # grouping pair tables at 133.5 MB.
-        assert peak_mb < 51.0
+        assert peak < 51.0
+
+    @pytest.mark.parametrize("n, fmt, ceiling", [(12, "json", 120.0), (13, "csv", 81.0)])
+    def test_joint_is_written_as_it_is_encoded(self, n, fmt, ceiling):
+        # Five runs each on a 2-core Xeon: JSON at n = 12 peaked at 79.2-79.4 MB
+        # and CSV at n = 13 at 72.6-72.8 MB.  Joining the whole text before
+        # writing it, they peaked at 186.9-187.0 MB and 90.1-90.3 MB.
+        args = ["joint", "--family", "binary", "--p", "0.75", "--n", str(n), "--format", fmt,
+                "--no-timestamp"]
+        assert peak_mb(args) < ceiling
 
     def test_joint_past_the_row_cap_is_refused_under_an_address_space_limit(self):
         # Generation 17 of binary(0.75) plans 8.8 million joint rows and
@@ -526,11 +506,9 @@ class TestMemoryCeilings:
         # address space in a bare MemoryError with a traceback; now the plan
         # is refused before any row is built.
         argv = ["joint", "--family", "binary", "--p", "0.75", "--n", "17", "--format", "json"]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env.pop("GW_BUDGET", None)
         out = subprocess.run(
             [sys.executable, "-c", LIMITED_CLI, str(2**30), *argv],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         )
         assert out.returncode == 1
         assert out.stdout == "" and len(out.stderr.splitlines()) == 1
@@ -612,11 +590,9 @@ class TestColdStart:
                 "--replications", "20000", "--seed", "5", *flags],
             "verify_suite_all.json": ["verify", "--suite", "all", *flags],
         }
-        env = os.environ.copy()
-        env.pop("GW_BUDGET", None)
         out = subprocess.run(
             [sys.executable, "-c", COLD_START, *map(json.dumps, commands.values())],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
         before, *outputs, after = map(json.loads, out.stdout.splitlines())
@@ -668,6 +644,21 @@ class TestReferenceOutputBytes:
         assert out.returncode == 0, out.stderr
         expected = (DATA / name).read_text()
         assert out.stdout == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_joint_matches_reference_on_stdout_and_in_a_file(self, tmp_path, fmt):
+        # Both handles take the rows as they are encoded; the bytes must not move.
+        args = ["joint", "--family", "binary", "--p", "0.75", "--n", "6", "--format", fmt,
+                "--no-timestamp"]
+        expected = (DATA / f"joint_binary_p075_n6.{fmt}").read_text()
+        out = run(args)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == expected
+        path = tmp_path / f"joint.{fmt}"
+        out = run([*args, "--output", str(path)])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == ""
+        assert path.read_text() == expected
 
     def test_prohorov_metric_matches_reference(self, tmp_path):
         # The coupling certificate is printed in full, so this pins every

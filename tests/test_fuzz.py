@@ -88,6 +88,8 @@ class TestJsonFuzz:
     @FUZZ
     @given(doc=sweep_docs())
     @example(doc=dict(SWEEP_DOC, grid=[{"family": "polynomial", "p": 3.5, "truncation": 10**30}]))
+    # A huge lambda under a huge budget started the Poisson cutoff past the cap.
+    @example(doc=dict(SWEEP_DOC, grid=[{"family": "poisson", "lambda": 10**30}], budget=10**30))
     def test_sweep_documents_run_or_raise_a_domain_error(self, doc):
         spec = _construct(ExperimentSpec.from_json_dict, doc)
         if spec is None:

@@ -556,6 +556,13 @@ class TestContaminationGrid:
         with pytest.raises(InvalidParameter):
             contamination_grid(FamilySpec.binary(0.75), (1,))
 
+    @pytest.mark.parametrize("k", [2.5, float("nan"), "abc"])
+    def test_index_that_is_not_an_integer_is_refused(self, k):
+        # ``int(k)`` built the k = 2 member from 2.5 and ended in a bare
+        # ``ValueError`` on NaN and "abc".
+        with pytest.raises(InvalidParameter, match="'k'"):
+            contamination_grid(FamilySpec.binary(0.75), (k,))
+
 
 class TestExperimentSpec:
     def test_json_round_trip(self):
