@@ -47,7 +47,7 @@ class BudgetExceeded(GwError):
 
 
 class SolverDidNotConverge(GwError):
-    """A root finder or LP solver failed to reach its target."""
+    """A root finder, max-flow or bounded-Lipschitz search failed to reach its target."""
 
 
 class DegenerateConditioning(GwError):

@@ -57,6 +57,7 @@ from .montecarlo import (
 )
 from .offspring import (
     DEFAULT_TAIL_BUDGET,
+    MAX_DERIVED_TRUNCATION,
     FamilySpec,
     OffspringLaw,
     build,
@@ -400,8 +401,9 @@ def contamination_grid(
     out = []
     for k in k_values:
         k = json_field({"k": k}, "k", json_int)
-        if k < 2:
-            raise InvalidParameter("mixing index k must be at least 2")
+        if not 2 <= k <= MAX_DERIVED_TRUNCATION // 10:
+            raise InvalidParameter(f"mixing index k = {k} must be at least 2, and 10k at most "
+                                   f"MAX_DERIVED_TRUNCATION = {MAX_DERIVED_TRUNCATION}")
         far = 10 * k
         weights = np.zeros(far + 1)
         for count, prob in zip(base.counts.tolist(), base.probs.tolist()):

@@ -18,10 +18,10 @@ slack show that the value is attained.  Its band mass at ``d_k`` reaches
 the cut ``a(A^c) + b(A^{d_k})`` of the flow's Strassen set ``A``, an upper
 bound on every band flow there, so ``M(d_k)`` is exact.
 
-The bounded-Lipschitz distance is the optimum of a sparse LP on HiGHS over
-the function values at the union support, with a primal function and a dual
-bound, and joint/trajectory total variation compare generation processes as
-whole random objects.
+The bounded-Lipschitz distance is the top of a concave envelope whose lines
+are dual paths, each found by one slope-trick pass, with a primal function
+and a mix of paths as its two sides.  Joint and trajectory total variation
+compare generation processes as whole random objects.
 
 Metric values are always computed on retained mass only; truncation
 defects surface in ``defect_slack`` and are never folded into the value.
@@ -29,6 +29,8 @@ defects surface in ``defect_slack`` and are never folded into the value.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any
 
@@ -59,9 +61,8 @@ __all__ = [
 # Rounding guard on value-only probes; widened by the flow's termination.
 _GUARD = 1e-9
 
-# HiGHS primal and dual feasibility tolerances for the bounded-Lipschitz LP.
-# At the defaults the duality gap reached 1.6e-7 on 161-atom estimator laws.
-LP_FEASIBILITY_TOL = 1e-10
+# Most steps of the bounded-Lipschitz search; pairs of 1,500 atoms took 11.
+_BL_STEPS = 64
 
 
 @dataclass
@@ -327,80 +328,97 @@ def strassen_coupling(
 # -- bounded-Lipschitz --------------------------------------------------------
 
 
-def bounded_lipschitz(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
-    """Exact bounded-Lipschitz distance via a sparse LP on HiGHS.
+def _dual_path(d: list[float], g: list[float], lam: float, path: list | None = None) -> list:
+    """One slope-trick pass of ``min (1 - lam) TV(R) + lam W(R)`` over paths.
 
-    Maximizes ``sum (a_i - b_i) h_i`` over functions ``h`` on the union
-    support with ``max|h| <= c``, Lipschitz constant ``<= L`` and
-    ``L + c <= 1``.  Adjacent-point slope constraints suffice because any
-    such values extend piecewise linearly to the whole line.
-
-    The certificate is two-sided.  ``values`` is a primal function, rescaled
-    into the feasible set so that ``sum (a_i - b_i) h_i`` is the value;
-    ``upper`` is a dual bound that no feasible function exceeds, built from
-    the solver's row duals with their residuals charged against it.  The
-    difference ``gap`` is added to ``defect_slack``.
+    ``F_i``, the cost of reaching ``R_i``, is sorted breakpoints whose weights
+    step its slope from ``-c`` to ``c = 1 - lam``.  Each ``D_i`` enters with
+    weight ``2 lam g_i``, and ``lam g_i`` is trimmed off each end; the last
+    points trimmed (or +-inf) bound ``R_i = clip(R_{i+1}, lo_i, hi_i)``.
+    Given the path, the pass returns ``h_i = h_{i+1} - lam g_i sign(R_i -
+    D_i)`` clipped into the slopes of ``F_i`` at ``R_i``.  A last gap of 0
+    ends the path at ``D_{n-1}``.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
+    c = 1.0 - lam
+    pos, wt, out = [0.0], [2.0 * c], []
+    for i, (x, t) in enumerate(zip(d, [lam * gap for gap in g])):
+        if path is not None:
+            r = path[i]
+            out.append((sum(wt[: bisect_left(pos, r)]) - c, sum(wt[: bisect_right(pos, r)]) - c))
+        k = bisect_right(pos, x)
+        pos.insert(k, x)
+        wt.insert(k, 2.0 * t)
+        ends = [-math.inf, math.inf]
+        for end in (0, -1):
+            left = t
+            while left > 0.0 and wt and wt[end] <= left:
+                left -= wt.pop(end)
+                ends[end] = pos.pop(end)
+            if left > 0.0 and wt:
+                wt[end] -= left
+                ends[end] = pos[end]
+        if path is None:
+            out.append(ends)
+    # Backtracking is the same walk, unshifted: ``d`` stands in for the path.
+    walk = [d[-1] if path is None else 0.0]
+    shifts = [lam * t * ((r > x) - (r < x)) for t, r, x in zip(g, d if path is None else path, d)]
+    for (lo, hi), shift in zip(out[::-1], shifts[::-1]):
+        walk.append(min(max(walk[-1] - shift, lo), hi))
+    return walk[:0:-1]
 
+
+def bounded_lipschitz(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
+    """Exact bounded-Lipschitz distance by a search over dual paths.
+
+    Maximizes ``sum diff_i h_i`` over ``h`` on the union support with
+    ``|h| <= c``, adjacent slopes ``<= L`` and ``c + L <= 1``.  With ``D`` the
+    running sums of ``diff`` and ``g`` the gaps, summation by parts bounds that
+    by ``c TV(R) + L W(R)``, ``W(R) = sum g_i |R_i - D_i|``, on every path from
+    0 to ``D_{n-1}``, with equality at the best.  So the value tops the concave
+    ``phi(L) = min_R (1 - L) TV(R) + L W(R)``: the path at the crossing of two
+    bracketing lines replaces the end its slope ``W - TV`` faces away from,
+    until it meets the crossing (to rounding).
+
+    ``values`` is the function a second pass reads off the final path, scaled
+    into the feasible set.  ``upper = max(TV(R*), W(R*))`` bounds every feasible
+    function, with ``R*`` the mix of the bracketing paths where the two agree.
+    The difference ``gap`` is added to ``defect_slack``.
+    """
     nums, dens, diff = difference(a, b)
-    n, p, q = len(diff), nums.tolist(), dens.tolist()
+    p, q = nums.tolist(), dens.tolist()
     # Exact gaps on Python ints, rounded once as float(Fraction) rounds.
     gaps = np.array([(p1 * q0 - p0 * q1) / (q0 * q1) for p0, q0, p1, q1 in zip(p, q, p[1:], q[1:])])
+    d = np.cumsum(diff)
+    dl, gl = d.tolist(), gaps.tolist() + [0.0]
 
-    # Columns: h (n, free), L, c.  Rows: +-h_i <= c, then
-    # +-(h_{i+1} - h_i) <= gap_i L, then L + c <= 1.
-    col_l, col_c = n, n + 1
-    i, g = np.arange(n), np.arange(n - 1)
-    k = 2 * n - 1  # rows of the difference operator D = [I; forward diff]
-    d_row = np.concatenate([i, n + g, n + g])
-    d_col = np.concatenate([i, g + 1, g])
-    d_val = np.concatenate([np.ones(n), np.ones(n - 1), -np.ones(n - 1)])
-    b_row = np.arange(k)
-    b_col = np.where(b_row < n, col_c, col_l)
-    b_val = -np.concatenate([np.ones(n), gaps])
-    amat = sparse.csr_array(
-        (
-            np.concatenate([d_val, -d_val, b_val, b_val, [1.0, 1.0]]),
-            (
-                np.concatenate([d_row, d_row + k, b_row, b_row + k, [2 * k, 2 * k]]),
-                np.concatenate([d_col, d_col, b_col, b_col, [col_l, col_c]]),
-            ),
-        ),
-        shape=(2 * k + 1, n + 2),
-    )
-    bvec = np.zeros(2 * k + 1)
-    bvec[-1] = 1.0
-    res = linprog(
-        np.concatenate([-diff, [0.0, 0.0]]),
-        A_ub=amat,
-        b_ub=bvec,
-        bounds=[(None, None)] * n + [(0.0, None)] * 2,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
-            "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
-        },
-    )
-    if res.status != 0:
-        raise SolverDidNotConverge(f"bounded-Lipschitz LP: {res.message}")
+    def line(lam: float, r: np.ndarray | None = None) -> tuple[float, np.ndarray, float, float]:
+        """``(lam, R, TV(R), W(R))`` for the path ``R`` at ``lam``, or for ``r``."""
+        r = np.array(_dual_path(dl, gl, lam)) if r is None else r
+        return lam, r, float(np.abs(np.diff(r, prepend=0.0)).sum()), float(gaps @ abs(r - d)[:-1])
+
+    lo, hi = line(0.0), line(1.0)
+    best, mix = lo, 1.0
+    for _ in range(_BL_STEPS):
+        rise, fall = lo[3] - lo[2], hi[3] - hi[2]
+        if rise <= 0.0:  # phi is largest at 0
+            break
+        lam, mix = (hi[2] - lo[2]) / (rise - fall), -fall / (rise - fall)
+        best = line(lam)
+        tv, w = best[2], lam * best[3]
+        if (1.0 - lam) * tv + w >= lo[2] + lam * rise - 1e-15 * max(1.0, tv, w):
+            break
+        lo, hi = (best, hi) if best[3] > best[2] else (lo, best)
+    else:
+        raise SolverDidNotConverge(f"bounded-Lipschitz search took {_BL_STEPS} steps")
+    upper = max(line(0.0, mix * lo[1] + (1.0 - mix) * hi[1])[2:])
 
     # Primal side: the tightest sup and slope of h, scaled into L + c <= 1.
-    h = res.x[:n]
+    h = np.array(_dual_path(dl, gl, best[0], best[1].tolist()))
     sup = float(np.abs(h).max())
     lipschitz = float(np.max(np.abs(np.diff(h)) / gaps, initial=0.0))
     scale = max(1.0, sup + lipschitz)
     h, sup, lipschitz = h / scale, sup / scale, lipschitz / scale
     value = max(float(diff @ h), 0.0)
-
-    # Dual side: for y >= 0 and any feasible x, diff.h <= y.b plus the
-    # residuals of A^T y = (diff, >= 0, >= 0), since |h_i| <= 1 and L, c <= 1.
-    y = np.maximum(-res.ineqlin.marginals, 0.0)
-    aty = amat.T @ y
-    upper = float(
-        y[-1] + np.abs(aty[:n] - diff).sum() + np.maximum(-aty[n:], 0.0).sum()
-    )
     gap = max(upper - value, 0.0)
     cert = {
         "points": [p0 / q0 for p0, q0 in zip(p, q)],

@@ -3,9 +3,9 @@
 Everything here favors obviousness over speed: per-individual outcome
 enumeration with itertools.product, dict-based convolution, subset
 enumeration for the Prohorov metric and a Prohorov search over the full
-list of pair distances, and a grid search for the bounded-Lipschitz
-metric.  Tests compute expected values from these and compare the fast
-implementations against them on small instances.
+list of pair distances, and a grid search and a sparse LP on HiGHS for the
+bounded-Lipschitz metric.  Tests compute expected values from these and
+compare the fast implementations against them on small instances.
 """
 
 from __future__ import annotations
@@ -351,6 +351,57 @@ def _signed_union(
     points = np.array(sorted(acc))
     coeffs = np.array([acc[p] for p in points])
     return points, coeffs
+
+
+def bounded_lipschitz_lp(a, b) -> float:
+    """Bounded-Lipschitz distance of two ``DiscreteMeasure``s as a sparse LP on HiGHS.
+
+    Maximizes ``sum (a_i - b_i) h_i`` over ``h`` on the union support, ``L``
+    and ``c`` with ``|h_i| <= c``, ``|h_{i+1} - h_i| <= gap_i L`` and
+    ``L + c <= 1``, at primal and dual feasibility tolerances of 1e-10 (at
+    HiGHS's defaults the duality gap reached 1.6e-7 on 161-atom laws).
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    from gwlab.measures import difference
+
+    nums, dens, diff = difference(a, b)
+    n, p, q = len(diff), nums.tolist(), dens.tolist()
+    gaps = np.array([(p1 * q0 - p0 * q1) / (q0 * q1) for p0, q0, p1, q1 in zip(p, q, p[1:], q[1:])])
+    # Columns: h (n, free), L, c.  Rows: +-h_i <= c, then
+    # +-(h_{i+1} - h_i) <= gap_i L, then L + c <= 1.
+    col_l, col_c = n, n + 1
+    i, g = np.arange(n), np.arange(n - 1)
+    k = 2 * n - 1  # rows of the difference operator D = [I; forward diff]
+    d_row = np.concatenate([i, n + g, n + g])
+    d_col = np.concatenate([i, g + 1, g])
+    d_val = np.concatenate([np.ones(n), np.ones(n - 1), -np.ones(n - 1)])
+    b_row = np.arange(k)
+    b_col = np.where(b_row < n, col_c, col_l)
+    b_val = -np.concatenate([np.ones(n), gaps])
+    amat = sparse.csr_array(
+        (
+            np.concatenate([d_val, -d_val, b_val, b_val, [1.0, 1.0]]),
+            (
+                np.concatenate([d_row, d_row + k, b_row, b_row + k, [2 * k, 2 * k]]),
+                np.concatenate([d_col, d_col, b_col, b_col, [col_l, col_c]]),
+            ),
+        ),
+        shape=(2 * k + 1, n + 2),
+    )
+    bvec = np.zeros(2 * k + 1)
+    bvec[-1] = 1.0
+    res = linprog(
+        np.concatenate([-diff, [0.0, 0.0]]),
+        A_ub=amat,
+        b_ub=bvec,
+        bounds=[(None, None)] * n + [(0.0, None)] * 2,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(-res.fun)
 
 
 # -- coupling certificates -----------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gwlab import lab, montecarlo
+from gwlab.offspring import MAX_DERIVED_TRUNCATION
 from gwlab import (
     BudgetExceeded,
     CLAIM_IDS,
@@ -555,6 +556,12 @@ class TestContaminationGrid:
     def test_requires_sensible_index(self):
         with pytest.raises(InvalidParameter):
             contamination_grid(FamilySpec.binary(0.75), (1,))
+
+    @pytest.mark.parametrize("k", [10**12, MAX_DERIVED_TRUNCATION // 10 + 1])
+    def test_index_whose_far_atom_is_past_the_cap_is_refused(self, k):
+        # 10**12 ended in numpy's bare MemoryError from ``np.zeros(10 * k + 1)``.
+        with pytest.raises(InvalidParameter, match="MAX_DERIVED_TRUNCATION"):
+            contamination_grid(FamilySpec.binary(0.75), (k,))
 
     @pytest.mark.parametrize("k", [2.5, float("nan"), "abc"])
     def test_index_that_is_not_an_integer_is_refused(self, k):
