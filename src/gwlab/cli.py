@@ -128,9 +128,21 @@ def _propagator_from_args(args: argparse.Namespace) -> Propagator:
     return Propagator(law, z0=args.z0, n_max=args.n, budget=args.budget)
 
 
+def _read_json(path: str) -> object:
+    """The JSON document in the file at ``path``.  Text that is not UTF-8, an
+    integer past Python's digit limit or nesting past the recursion limit is
+    an ``InvalidParameter``; malformed JSON stays a ``JSONDecodeError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParameter(f"cannot read {path}: {exc}") from None
+
+
 def _load_measure(path: str) -> DiscreteMeasure:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     # Accept both a bare measure and a document that wraps one.
     if isinstance(data, dict) and "support" not in data:
         for key in ("measure", "law"):
@@ -274,8 +286,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_modulus(args: argparse.Namespace) -> int:
-    with open(args.config) as fh:
-        spec = ExperimentSpec.from_json_dict(json.load(fh))
+    spec = ExperimentSpec.from_json_dict(_read_json(args.config))
     if args.output is None and spec.output:
         args.output = spec.output
     rows = robustness_modulus(spec, jobs=args.jobs)

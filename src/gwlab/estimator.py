@@ -60,8 +60,7 @@ def ratio_law(
     nums = curr // g
     dens = np.floor_divide(prev, g, out=g)
     nums[dead], dens[dead] = 0, 1
-    unums, udens, weights, _ = merge_atoms(nums, dens, probs)
-    return DiscreteMeasure.from_sorted_arrays(unums, udens, weights, defect)
+    return DiscreteMeasure(*merge_atoms(nums, dens, probs)[:3], defect)
 
 
 def estimator_law(joint: JointLaw, conditioned: bool = False) -> EstimatorLaw:

@@ -4,10 +4,13 @@ A measure stores its atoms as two parallel arrays, reduced numerators
 ``nums`` and positive denominators ``dens``, sorted by value, next to the
 float array ``weights_array``.  The integer arrays are ``int64``, or object
 arrays of Python ints when a value does not fit.  ``2/6`` and ``1/3`` are
-the same atom, so equality of two canonical measures is meaningful.  The
-``Fraction`` tuple ``support``, the tuple ``weights``, ``items()`` and the
-JSON form are views for callers, built on first use; ``merge_atoms`` merges
-atoms on the arrays alone.  Mass that is deliberately dropped from the
+the same atom, so equality of two canonical measures is meaningful.
+``__init__`` takes these arrays and is the one constructor that checks
+them; ``from_items``, ``from_dense`` and ``from_json_dict`` end in it.
+The ``Fraction`` tuple ``support``, the tuple ``weights``, ``items()`` and
+the JSON form are views for callers, built on first use.  Every merge of
+atoms, ``from_items``'s equal points among them, runs on the arrays alone
+through ``merge_atoms``.  Mass that is deliberately dropped from the
 upper tail during a computation is never renormalized away; it accumulates
 in ``defect`` so that every downstream quantity can report a rigorous slack.
 
@@ -29,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidParameter, NonIntegerSupport, json_field
+from .errors import InvalidParameter, NonIntegerSupport, json_field, json_int
 
 __all__ = [
     "DiscreteMeasure", "merge_atoms", "group_pairs", "difference", "tv_distance", "mean",
@@ -52,7 +55,7 @@ def _as_fraction(x: object) -> Fraction:
 def _parse_point(entry: object) -> Fraction:
     try:
         num, den = entry
-        return Fraction(int(num), int(den))
+        return Fraction(json_int(num), json_int(den))
     except (TypeError, ValueError, ZeroDivisionError):
         raise InvalidParameter(
             f"support entry {entry!r} is not a [numerator, denominator] pair of ints"
@@ -77,23 +80,6 @@ def _check_order(nums: np.ndarray, dens: np.ndarray) -> None:
             raise InvalidParameter("support must be strictly increasing")
 
 
-def _check_mass(nums: np.ndarray, w: np.ndarray, defect: float) -> None:
-    """The rest of the class invariant on increasing atoms, in one vectorized pass."""
-    if not (np.isfinite(w).all() and math.isfinite(defect)):
-        raise InvalidParameter("weights and defect must be finite")
-    if np.any(w <= 0.0) or defect < 0.0:
-        raise InvalidParameter("weights must be positive and the defect nonnegative")
-    if len(nums) != len(w):
-        raise InvalidParameter("support and weights must have equal length")
-    if not len(nums):
-        raise InvalidParameter("a measure needs at least one atom")
-    if nums[0] < 0:
-        raise InvalidParameter("support points must be nonnegative")
-    total = float(w.sum())
-    if not total - MASS_TOL <= 1.0 <= total + defect + MASS_TOL:
-        raise InvalidParameter(f"need weight sum {total} <= 1 <= sum + defect {defect}")
-
-
 class DiscreteMeasure:
     """A canonical finite measure: sorted rational atoms, positive weights.
 
@@ -102,23 +88,42 @@ class DiscreteMeasure:
     increase.  Up to ``MASS_TOL``, ``sum(weights) <= 1 <= sum(weights) +
     defect``: the defect bounds the mass the atoms do not carry, and may
     overstate it (the engine adds the defects of convolved powers).  Every
-    constructor checks this, and all but ``__init__`` drop zero weights,
-    so equality of two instances is equality of measures (up to the float
-    weights).  ``support`` and ``weights`` are tuple views cached on first
-    access.
+    constructor ends in ``__init__``, which checks this after dropping zero
+    weights, so equality of two instances is equality of measures (up to
+    the float weights).  ``support`` and ``weights`` are tuple views cached
+    on first access.
     """
 
     def __init__(
-        self, support: Iterable[object], weights: Iterable[float], defect: float = 0.0
+        self, nums: np.ndarray, dens: np.ndarray, weights: np.ndarray, defect: float = 0.0
     ) -> None:
-        pts = [_as_fraction(x) for x in support]
-        ints = [x.numerator for x in pts] + [x.denominator for x in pts]
-        small = max(map(abs, ints), default=0) < 2**63
-        ints = np.array(ints, dtype=np.int64 if small else object)
-        nums, dens = ints[: len(pts)], ints[len(pts):]
-        w, defect = np.array([float(v) for v in weights], dtype=float), float(defect)
+        """Build from parallel arrays of reduced fractions sorted by value.
+
+        The atoms must strictly increase; zero weights are then dropped, and
+        the rest of the class invariant is checked.  Lowest terms are the
+        caller's promise.  Integers past int64 are kept in object arrays.
+        """
+        try:
+            nums, dens = (np.asarray(a, dtype=np.int64) for a in (nums, dens))
+        except OverflowError:
+            nums, dens = (np.asarray(a, dtype=object) for a in (nums, dens))
+        w, defect = np.asarray(weights, dtype=float), float(defect)
+        if not len(nums) == len(dens) == len(w) or np.any(dens <= 0):
+            raise InvalidParameter("need equal-length arrays and positive denominators")
         _check_order(nums, dens)
-        _check_mass(nums, w, defect)
+        keep = w != 0.0
+        nums, dens, w = nums[keep], dens[keep], w[keep]
+        if not (np.isfinite(w).all() and math.isfinite(defect)):
+            raise InvalidParameter("weights and defect must be finite")
+        if np.any(w < 0.0) or defect < 0.0:
+            raise InvalidParameter("weights must be positive and the defect nonnegative")
+        if not len(nums):
+            raise InvalidParameter("a measure needs at least one atom")
+        if nums[0] < 0:
+            raise InvalidParameter("support points must be nonnegative")
+        total = float(w.sum())
+        if not total - MASS_TOL <= 1.0 <= total + defect + MASS_TOL:
+            raise InvalidParameter(f"need weight sum {total} <= 1 <= sum + defect {defect}")
         self.nums, self.dens, self.weights_array, self.defect = nums, dens, w, defect
 
     # -- constructors ------------------------------------------------------
@@ -128,59 +133,18 @@ class DiscreteMeasure:
         cls, items: Iterable[tuple[object, float]], defect: float = 0.0
     ) -> "DiscreteMeasure":
         """Build from (point, weight) pairs; equal points merge, zeros drop."""
-        acc: dict[Fraction, float] = {}
-        for x, w in items:
-            key = _as_fraction(x)
-            acc[key] = acc.get(key, 0.0) + float(w)
-        pts = sorted(k for k, w in acc.items() if w != 0.0)
-        return cls(pts, [acc[k] for k in pts], defect)
+        pairs = [(_as_fraction(x), float(w)) for x, w in items]
+        nums = np.array([x.numerator for x, _ in pairs], dtype=object)
+        dens = np.array([x.denominator for x, _ in pairs], dtype=object)
+        weights = np.array([w for _, w in pairs], dtype=float)
+        return cls(*merge_atoms(nums, dens, weights)[:3], defect)
 
     @classmethod
-    def from_dense(
-        cls, weights: np.ndarray, start: int = 0, defect: float = 0.0
-    ) -> "DiscreteMeasure":
-        """Integer-supported measure from a dense weight array at start, start+1, ..."""
+    def from_dense(cls, weights: np.ndarray, defect: float = 0.0) -> "DiscreteMeasure":
+        """Integer-supported measure from a dense weight array at 0, 1, 2, ..."""
         w = np.asarray(weights, dtype=float)
         idx = np.flatnonzero(w)
-        return cls.from_sorted_arrays(idx + start, np.ones_like(idx), w[idx], defect)
-
-    @classmethod
-    def _trusted(
-        cls, nums: np.ndarray, dens: np.ndarray, weights: np.ndarray, defect: float
-    ) -> "DiscreteMeasure":
-        # Fast path for internally produced, already-canonical arrays.
-        self = object.__new__(cls)
-        self.nums, self.dens = nums, dens
-        self.weights_array, self.defect = weights, float(defect)
-        return self
-
-    @classmethod
-    def from_sorted_arrays(
-        cls,
-        numerators: np.ndarray,
-        denominators: np.ndarray,
-        weights: np.ndarray,
-        defect: float = 0.0,
-    ) -> "DiscreteMeasure":
-        """Build from parallel arrays of reduced fractions sorted by value.
-
-        The arrays must strictly increase; zero weights are then dropped, and
-        the rest of the class invariant is checked.  Lowest terms are the
-        caller's promise.  As in ``__init__``, integers past int64 are kept
-        in object arrays.
-        """
-        try:
-            nums, dens = (np.asarray(a, dtype=np.int64) for a in (numerators, denominators))
-        except OverflowError:
-            nums, dens = (np.asarray(a, dtype=object) for a in (numerators, denominators))
-        w = np.asarray(weights, dtype=float)
-        if not len(nums) == len(dens) == len(w) or np.any(dens <= 0):
-            raise InvalidParameter("need equal-length arrays and positive denominators")
-        _check_order(nums, dens)
-        keep = w != 0.0
-        nums, dens, w = nums[keep], dens[keep], w[keep]
-        _check_mass(nums, w, float(defect))
-        return cls._trusted(nums, dens, w, defect)
+        return cls(idx, np.ones_like(idx), w[idx], defect)
 
     # -- views -------------------------------------------------------------
 
@@ -240,10 +204,11 @@ class DiscreteMeasure:
 
     def __reduce__(self):
         # Pickle the arrays only, not the cached views.
-        return type(self)._trusted, (*self._arrays(), self.defect)
+        return type(self), (*self._arrays(), self.defect)
 
     def __repr__(self) -> str:
-        return f"DiscreteMeasure({self.support!r}, {self.weights!r}, {self.defect!r})"
+        nums, dens = self.nums.tolist(), self.dens.tolist()
+        return f"DiscreteMeasure({nums!r}, {dens!r}, {self.weights!r}, {self.defect!r})"
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.nums, self.dens, self.weights_array
@@ -262,7 +227,10 @@ class DiscreteMeasure:
         weights = json_field(data, "weights", lambda ws: [float(w) for w in ws])
         defect = json_field(data, "defect", float, 0.0)
         support = json_field(data, "support", lambda xs: [_parse_point(x) for x in xs])
-        return cls(support, weights, defect)
+        if 0.0 in weights:
+            raise InvalidParameter("weights must be positive and the defect nonnegative")
+        nums, dens = [x.numerator for x in support], [x.denominator for x in support]
+        return cls(nums, dens, weights, defect)
 
 
 # -- dense helpers of the generation engine ---------------------------------

@@ -359,9 +359,7 @@ def binned_estimator_law(
     weights = np.bincount(inverse, weights=counts.astype(float)) / size
     nums = uniq * resolution.numerator
     g = np.gcd(nums, resolution.denominator)
-    out = DiscreteMeasure.from_sorted_arrays(
-        nums // g, resolution.denominator // g, weights, excluded / size
-    )
+    out = DiscreteMeasure(nums // g, resolution.denominator // g, weights, excluded / size)
     return out, float(resolution) / 2.0
 
 

@@ -129,6 +129,15 @@ def trajectory_tv(
     return 0.5 * sum(abs(p1.get(key, 0.0) - p2.get(key, 0.0)) for key in keys)
 
 
+def merge_by_dict(points: list[Fraction], weights: list[float]) -> dict[Fraction, float]:
+    """Equal points' weights summed in input order in a ``Fraction`` dict,
+    returned in increasing point order, zero sums kept."""
+    acc: dict[Fraction, float] = {}
+    for x, w in zip(points, weights):
+        acc[x] = acc.get(x, 0.0) + w
+    return dict(sorted(acc.items()))
+
+
 def tv(a: dict, b: dict) -> float:
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(key, 0.0) - b.get(key, 0.0)) for key in keys)

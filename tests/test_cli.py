@@ -411,6 +411,34 @@ class TestErrorChannels:
         assert repr(field) in err["message"]
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"support": [[0, 1]], "weights": [1.0], "note": "\xff"}',
+            b'{"support": [[' + b"1" * 5000 + b', 1]], "weights": [1.0]}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not-utf8", "int-past-digit-limit", "nesting-past-recursion-limit"],
+    )
+    @pytest.mark.parametrize("command", ["metric", "modulus"])
+    def test_unreadable_input_file_is_one_error_line(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.json"
+        path.write_bytes(text)
+        if command == "metric":
+            argv = ["metric", "--kind", "tv", str(path), str(path)]
+        else:
+            argv = ["modulus", "--config", str(path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InvalidParameter"
+
+    def test_malformed_json_keeps_its_decode_error(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text('{"support": ')
+        assert main(["modulus", "--config", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "JSONDecodeError"
+
+    @pytest.mark.parametrize(
         "doc, limit",
         [
             (_spec_doc(n_range=[10**30]), "HORIZON_LIMIT"),

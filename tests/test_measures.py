@@ -64,15 +64,14 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "make, words",
         [
-            (lambda: DiscreteMeasure.from_dense([0.5, 0.5], start=-1), "nonnegative"),
-            (lambda: DiscreteMeasure.from_sorted_arrays([0, 1], [1, 1], [0.0, 0.0], 1.0),
-             "at least one atom"),
-            (lambda: DiscreteMeasure.from_sorted_arrays([1], [1], [0.3]), "sum"),
-            (lambda: DiscreteMeasure.from_sorted_arrays([0, 1], [1, 1], [0.7, 0.7]), "sum"),
+            (lambda: DiscreteMeasure.from_items([(-1, 0.5), (0, 0.5)]), "nonnegative"),
+            (lambda: DiscreteMeasure([0, 1], [1, 1], [0.0, 0.0], 1.0), "at least one atom"),
+            (lambda: DiscreteMeasure([1], [1], [0.3]), "sum"),
+            (lambda: DiscreteMeasure([0, 1], [1, 1], [0.7, 0.7]), "sum"),
             (lambda: DiscreteMeasure.from_items([(0, 0.7), (1, 0.7)]), "sum"),
-            (lambda: DiscreteMeasure.from_sorted_arrays([0, 1], [1, 1], [1.0]), "equal-length"),
+            (lambda: DiscreteMeasure([0, 1], [1, 1], [1.0]), "equal-length"),
         ],
-        ids=["negative-start", "no-nonzero-weight", "missing-mass", "excess-mass",
+        ids=["negative-point", "no-nonzero-weight", "missing-mass", "excess-mass",
              "items-excess-mass", "length-mismatch"],
     )
     def test_every_constructor_checks_the_invariant(self, make, words):
@@ -94,9 +93,7 @@ class TestConstruction:
             lambda: DiscreteMeasure.from_items([(0, 1.0)], defect=bad),
             lambda: DiscreteMeasure.from_dense(np.array([0.5, bad])),
             lambda: DiscreteMeasure.from_dense(np.array([1.0]), defect=bad),
-            lambda: DiscreteMeasure.from_sorted_arrays(
-                np.array([0, 1]), np.array([1, 1]), np.array([bad, 1.0])
-            ),
+            lambda: DiscreteMeasure(np.array([0, 1]), np.array([1, 1]), np.array([bad, 1.0])),
             lambda: DiscreteMeasure.from_json_dict(
                 {"support": [[0, 1], [1, 1]], "weights": [bad, 1.0], "defect": 0.0}
             ),
@@ -106,11 +103,26 @@ class TestConstruction:
                 make()
 
     @pytest.mark.parametrize(
-        "support", [["0", "1"], [[0, 1], [1]], [[0, 1], [1, 0]], [[0, 1], None]]
+        "support",
+        [["0", "1"], [[0, 1], [1]], [[0, 1], [1, 0]], [[0, 1], None],
+         # Entries are read as JSON integers: no truncation to 1/2 or to 1.
+         [[1.5, 2], [3, 1]], [[True, 1], [3, 1]], [[0, 1], [3, "1"]]],
     )
     def test_malformed_json_support_is_a_typed_error(self, support):
         data = {"support": support, "weights": [0.5, 0.5], "defect": 0.0}
         with pytest.raises(InvalidParameter, match="support entry"):
+            DiscreteMeasure.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "support, weights, words",
+        [([[0, 1], [1, 1]], [0.0, 1.0], "positive"),
+         ([[1, 1], [0, 1]], [0.5, 0.5], "increasing"),
+         ([[1, 2], [2, 4]], [0.5, 0.5], "increasing")],
+        ids=["zero-weight", "unsorted", "repeated"],
+    )
+    def test_json_measure_must_already_be_canonical(self, support, weights, words):
+        data = {"support": support, "weights": weights, "defect": 0.0}
+        with pytest.raises(InvalidParameter, match=words):
             DiscreteMeasure.from_json_dict(data)
 
 
@@ -134,9 +146,21 @@ class TestArrayStorage:
         assert back == m and hash(back) == hash(m)
         assert "support" not in back.__dict__
         assert back.support == m.support and back.weights == m.weights
-        assert DiscreteMeasure.from_sorted_arrays(m.nums, m.dens, m.weights_array) == m
+        assert DiscreteMeasure(m.nums, m.dens, m.weights_array) == m
         heavier = DiscreteMeasure.from_items(m.items(), defect=1e-10)
         assert heavier != m
+
+    def test_unpickling_runs_the_checked_constructor(self):
+        import pickle
+
+        m = DiscreteMeasure.from_items([(0, 0.25), (Fraction(2**70, 3), 0.75)])
+        make, args = m.__reduce__()
+        assert make is DiscreteMeasure and make(*args) == m
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back.nums.dtype == object
+        assert eval(repr(m), {"DiscreteMeasure": DiscreteMeasure}) == m
+        with pytest.raises(InvalidParameter, match="increasing"):
+            make(*(a[::-1] for a in args[:3]), args[3])
 
     def test_order_check_does_not_wrap_in_int64(self):
         # 845087558022/764513224103 > 293970699566/883567286527, but the int64
@@ -144,24 +168,24 @@ class TestArrayStorage:
         nums = np.array([845087558022, 293970699566])
         dens = np.array([764513224103, 883567286527])
         with pytest.raises(InvalidParameter, match="increasing"):
-            DiscreteMeasure.from_sorted_arrays(nums, dens, np.array([0.5, 0.5]))
-        m = DiscreteMeasure.from_sorted_arrays(nums[::-1], dens[::-1], np.array([0.5, 0.5]))
+            DiscreteMeasure(nums, dens, np.array([0.5, 0.5]))
+        m = DiscreteMeasure(nums[::-1], dens[::-1], np.array([0.5, 0.5]))
         assert m.support == tuple(sorted(map(Fraction, nums.tolist(), dens.tolist())))
 
     def test_sorted_arrays_past_int64_are_kept_as_object_arrays(self):
-        m = DiscreteMeasure.from_sorted_arrays(
+        m = DiscreteMeasure(
             np.array([2**70], dtype=object), np.array([1], dtype=object), np.array([1.0])
         )
-        assert m == DiscreteMeasure([2**70], [1.0])
+        assert m == DiscreteMeasure.from_items([(2**70, 1.0)])
         assert m.nums.dtype == object and m.support == (Fraction(2**70),)
-        mixed = DiscreteMeasure.from_sorted_arrays([3, 2**70], [1, 3], np.array([0.5, 0.5]))
+        mixed = DiscreteMeasure([3, 2**70], [1, 3], np.array([0.5, 0.5]))
         assert mixed.support == (Fraction(3), Fraction(2**70, 3))
 
     def test_array_and_fraction_routes_build_equal_measures(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = random_measure(rng)
-            arrays = DiscreteMeasure.from_sorted_arrays(m.nums, m.dens, m.weights_array)
+            arrays = DiscreteMeasure(m.nums, m.dens, m.weights_array)
             assert arrays == m and hash(arrays) == hash(m)
             assert "support" not in arrays.__dict__
         dense = DiscreteMeasure.from_dense(np.array([0.25, 0.0, 0.75]))
@@ -169,13 +193,14 @@ class TestArrayStorage:
         assert dense.nums.dtype == np.int64 and dense.is_integer_supported
         assert {dense: 1}[DiscreteMeasure.from_items([(2, 0.75), (0, 0.25)])] == 1
 
-# Reduced fractions to draw repeats from: big, small, and 1 + 1/j for three
-# neighbouring j past 2**26, where neighbours often share a double.
+# Reduced fractions to draw repeats from: big, small, past int64, and 1 + 1/j
+# for three neighbouring j past 2**26, where neighbours often share a double.
 atom_pool = st.tuples(
     st.lists(
         st.one_of(
             st.builds(Fraction, st.integers(0, 2**62), st.integers(1, 2**62)),
             st.builds(Fraction, st.integers(0, 40), st.integers(1, 6)),
+            st.builds(Fraction, st.integers(2**63, 2**70), st.integers(1, 2**70)),
         ),
         max_size=4,
     ),
@@ -188,19 +213,35 @@ class TestMergeAtoms:
     @given(pool=atom_pool, data=st.data())
     def test_matches_a_fraction_dict_bit_for_bit(self, pool, data):
         picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
-        weights = np.array(data.draw(st.lists(
+        weights = data.draw(st.lists(
             st.floats(-1.0, 1.0, allow_nan=False), min_size=len(picks), max_size=len(picks)
-        )))
-        nums = np.array([x.numerator for x in picks], dtype=np.int64)
-        dens = np.array([x.denominator for x in picks], dtype=np.int64)
-        unums, udens, summed, index = merge_atoms(nums, dens, weights)
-        acc: dict[Fraction, float] = {}
-        for x, w in zip(picks, weights.tolist()):
-            acc[x] = acc.get(x, 0.0) + w
-        atoms = sorted(acc)
+        ))
+        # One more weight that brings the first atom's sum to exactly zero.
+        picks.append(picks[0])
+        weights.append(-oracles.merge_by_dict(picks, weights)[picks[0]])
+        ints = [x.numerator for x in picks] + [x.denominator for x in picks]
+        ints = np.array(ints, dtype=np.int64 if max(ints) < 2**63 else object)
+        nums, dens = ints[: len(picks)], ints[len(picks):]
+        unums, udens, summed, index = merge_atoms(nums, dens, np.array(weights))
+        acc = oracles.merge_by_dict(picks, weights)
+        atoms = list(acc)
         assert list(map(Fraction, unums.tolist(), udens.tolist())) == atoms
-        assert summed.tolist() == [acc[x] for x in atoms]
+        assert summed.tolist() == list(acc.values())
         assert [atoms[i] for i in index.tolist()] == picks
+
+        # from_items merges the same points.  Masses under 1/32 keep every
+        # sum below 1, so a defect of 1 passes the mass check.
+        masses = [abs(w) / 32 for w in weights[:-1]]
+        masses.append(-oracles.merge_by_dict(picks[:-1], masses)[picks[0]])
+        kept = [(x, w) for x, w in oracles.merge_by_dict(picks, masses).items() if w != 0.0]
+        if not kept:
+            with pytest.raises(InvalidParameter, match="at least one atom"):
+                DiscreteMeasure.from_items(zip(picks, masses), defect=1.0)
+            return
+        m = DiscreteMeasure.from_items(zip(picks, masses), defect=1.0)
+        assert list(m.items()) == kept
+        # Typed before zero sums drop, as the merged arrays come in.
+        assert m.nums.dtype == (np.int64 if max(ints) < 2**63 else object)
 
     def test_distinct_atoms_sharing_a_double_fall_back_to_exact_order(self):
         j = 2**27

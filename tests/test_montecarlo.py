@@ -303,7 +303,7 @@ def _sampler(pvals, wide=False, first=1, route=None):
     support = np.arange(len(pvals), dtype=np.int64) * 3 + first
     if wide:
         support[-1] = WIDE_ATOM
-    measure = DiscreteMeasure.from_sorted_arrays(support, np.ones_like(support), pvals)
+    measure = DiscreteMeasure(support, np.ones_like(support), pvals)
     if route is None:
         return support, _Sampler(measure)
     with mock.patch.object(montecarlo, "STEP_LIMIT", ROUTES[route]):
