@@ -49,10 +49,11 @@ from .offspring import (
 __all__ = ["main"]
 
 
-# Numeric flags reach ``main`` as text, so that one that does not parse is a
-# one-line ``InvalidParameter`` naming it, as one out of range is.
+# Numeric flags and the ``--weights`` list reach ``main`` as text, so that one
+# that does not parse is a one-line ``InvalidParameter`` naming it.
 NUMERIC_FLAGS = dict.fromkeys(("p", "p0", "p2", "p3", "lam", "budget"), float) | dict.fromkeys(
-    ("truncation", "n", "z0", "jobs", "seed", "replications", "n_max", "cap"), int)
+    ("truncation", "n", "z0", "jobs", "seed", "replications", "n_max", "cap"), int) | {
+    "weights": lambda text: [float(w) for w in text.split(",")]}
 
 
 def _timestamp() -> str:
@@ -340,8 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     family.add_argument(
         "--truncation", default=None, help="explicit support cut for built laws"
     )
-    family.add_argument("--weights", type=lambda text: text.split(","), default=None,
-                        help="raw family: comma-separated masses at 0,1,2,...")
+    family.add_argument("--weights", help="raw family: comma-separated masses at 0,1,2,...")
 
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--n", required=True)

@@ -18,6 +18,7 @@ __all__ = [
     "MismatchedLaws",
     "json_field",
     "json_int",
+    "json_float",
 ]
 
 
@@ -103,3 +104,10 @@ def json_int(value: object) -> int:
             raise ValueError("not an integral value")
         return int(value)
     return operator.index(value)
+
+
+def json_float(value: object) -> float:
+    """``float(value)``, but a ``bool`` or a ``str`` raises ``TypeError``."""
+    if isinstance(value, (bool, str)):
+        raise TypeError("a boolean or a string is not a number")
+    return float(value)

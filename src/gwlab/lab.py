@@ -46,6 +46,7 @@ from .errors import (
     InvalidParameter,
     SupercriticalRequired,
     json_field,
+    json_float,
     json_int,
 )
 from .estimator import EstimatorLaw, consistency_probability, estimator_law, exact_fraction
@@ -148,7 +149,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, json_field(vars(self), name, json_int))
         n_range = json_field(vars(self), "n_range", lambda ns: tuple(map(json_int, ns)))
         object.__setattr__(self, "n_range", n_range)
-        object.__setattr__(self, "budget", json_field(vars(self), "budget", float))
+        object.__setattr__(self, "budget", json_field(vars(self), "budget", json_float))
         if not self.grid:
             raise InvalidParameter("a sweep needs at least one grid member")
         if not self.n_range or any(n < 1 for n in self.n_range):

@@ -9,23 +9,32 @@ both ends never decrease: the bipartite graph is a staircase.  On a
 staircase the northwest-corner greedy, which fills each left atom from the
 first right atom with room, is already a maximum flow (Hoffman 1963, "On
 simple linear programming problems"; Glover 1967, "Maximum matching in a
-convex bipartite graph").  Its right index never decreases, so its edges
-come out sorted by both ends and are kept as flat arrays.
+convex bipartite graph").  The greedy has two forms.  ``staircase`` records
+its edges, which come out sorted by both ends as its right index never
+decreases.  ``_greedy_mass`` tracks only its position in cumulative right
+mass, which gives the shipped mass that the Prohorov search's probes need.
 
-One residual search then certifies it.  Starting from every left atom with
-supply left over, it follows band edges to right atoms and flow edges back
-to left atoms.  The left atoms it reaches form the Strassen set ``A``: every
-right atom within ``eps`` of ``A`` is saturated by flow from ``A``, so the
-matched mass equals the cut ``a(A^c) + b(A^eps)``, an upper bound on every
-band flow.  On the greedy's flow the search only moves down, through an
-interval of edges.  A right atom with room reached by the search would be an
-augmenting path, which the staircase argument rules out; it is reported as
-``SolverDidNotConverge`` rather than repaired.
+One residual search then certifies the recorded flow.  Starting from every
+left atom with supply left over, it follows band edges to right atoms and
+flow edges back to left atoms.  The left atoms it reaches form the Strassen
+set ``A``: every right atom within ``eps`` of ``A`` is saturated by flow
+from ``A``, so the matched mass equals the cut ``a(A^c) + b(A^eps)``, an
+upper bound on every band flow.  On the greedy's flow the search only moves
+down, through an interval of edges.  A right atom with room reached by the
+search would be an augmenting path, which the staircase argument rules out;
+it is reported as ``SolverDidNotConverge`` rather than repaired.
 
 Capacities are real-valued probabilities.  Residuals at or below
 ``FLOW_TERMINATION`` are treated as exhausted, which guarantees termination
 at the cost of up to ``(n + m) * FLOW_TERMINATION`` of unreported flow,
 far below every tolerance used by the callers.
+
+The flow's windows reach ``BAND_TOL`` past ``eps``, while the Prohorov
+search lists its candidate distances on exact windows.  The flow keeps the
+tolerance: pair distances that are equal as rationals round to different
+doubles, and only ``BAND_TOL`` merges them.  On exact windows, row 3 of the
+binary sweep moved from 0.01851851851851838 to 0.01913252069195337 and the
+pinned Prohorov certificate changed.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidParameter, SolverDidNotConverge
 
-__all__ = ["FLOW_TERMINATION", "BAND_TOL", "band_windows", "BandFlow"]
+__all__ = ["FLOW_TERMINATION", "BAND_TOL", "band_windows", "staircase", "BandFlow"]
 
 FLOW_TERMINATION = 1e-14
 
@@ -56,6 +65,58 @@ def band_windows(
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
+def staircase(
+    supply: list[float], room: list[float], lo: list[int], hi: list[int], floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The northwest-corner greedy on windows ``[lo_i, hi_i)`` of right atoms.
+
+    Each left atom in turn fills from the first right atom of its window with
+    room; amounts at or below ``floor`` count as exhausted.  Leaves what is
+    unshipped in ``supply`` and ``room``, and returns the edges ``rows``,
+    ``cols``, ``mass``, each written once, and the mass summed row by row.
+    """
+    rows, cols, mass = [], [], []
+    matched = 0.0
+    j = 0
+    for i, (need, start, end) in enumerate(zip(supply, lo, hi)):
+        if need <= floor:
+            continue
+        j = start if start > j else j
+        shipped = 0.0
+        while need > floor and j < end:
+            free = room[j]
+            if free <= floor:
+                j += 1
+                continue
+            take = need if need <= free else free  # as min(need, free) picks
+            rows.append(i)
+            cols.append(j)
+            mass.append(take)
+            shipped += take
+            room[j] = free - take
+            need -= take
+        supply[i] = need
+        matched += shipped
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(mass), matched
+
+
+def _greedy_mass(supply: list[float], cum: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Mass the northwest-corner greedy ships, tracked by its position alone.
+
+    In cumulative right mass ``cum`` (from 0), with ``low_i``/``high_i`` at
+    the ends of its window ``[lo_i, hi_i)``, atom ``i`` moves the position
+    ``P`` to ``min(max(P, low_i) + supply_i, high_i)`` and ships what it
+    passed over after ``max(P, low_i)``.
+    """
+    pos = total = 0.0
+    for mass, start, stop in zip(supply, cum[lo].tolist(), cum[hi].tolist()):
+        start = pos if pos > start else start
+        pos = start + mass
+        pos = stop if pos > stop else pos
+        total += pos - start
+    return total
+
+
 class BandFlow:
     """One max-flow problem at a fixed band width ``eps``.
 
@@ -64,14 +125,7 @@ class BandFlow:
     ``strassen`` is the boolean mask of the Strassen set over the left atoms.
     """
 
-    def __init__(
-        self,
-        xs: np.ndarray,
-        a: np.ndarray,
-        ys: np.ndarray,
-        b: np.ndarray,
-        eps: float,
-    ):
+    def __init__(self, xs: np.ndarray, a: np.ndarray, ys: np.ndarray, b: np.ndarray, eps: float):
         if not eps >= 0.0:  # NaN too; inf is the widest band
             raise InvalidParameter(f"eps must be nonnegative, got {eps!r}")
         self.eps = eps
@@ -79,51 +133,19 @@ class BandFlow:
         self.excess = np.asarray(a, dtype=float).copy()
         self.resid = np.asarray(b, dtype=float).copy()
 
-    # -- greedy staircase ------------------------------------------------------
-
-    def _greedy(self) -> None:
-        # Every edge is written once, with more than FLOW_TERMINATION on it.
-        lo, hi = self.lo.tolist(), self.hi.tolist()
+    def solve(self) -> float:
+        """Run the greedy and certify it; returns the matched mass."""
         excess, resid = self.excess.tolist(), self.resid.tolist()
-        rows, cols, mass = [], [], []
-        matched = 0.0
-        j = 0
-        for i, need in enumerate(excess):
-            if need <= FLOW_TERMINATION:
-                continue
-            j = max(j, lo[i])
-            end = hi[i]
-            shipped = 0.0
-            while need > FLOW_TERMINATION and j < end:
-                room = resid[j]
-                if room <= FLOW_TERMINATION:
-                    j += 1
-                    continue
-                take = min(need, room)
-                rows.append(i)
-                cols.append(j)
-                mass.append(take)
-                shipped += take
-                resid[j] = room - take
-                need -= take
-            excess[i] = need
-            matched += shipped
-        self.rows = np.array(rows, dtype=np.int64)
-        self.cols = np.array(cols, dtype=np.int64)
-        self.mass = np.array(mass, dtype=float)
-        self.matched = matched
-        self.excess[:] = excess
-        self.resid[:] = resid
-
-    # -- Strassen certificate --------------------------------------------------
-
-    def _strassen_search(self) -> None:
-        # Edges into left atom u's window are the run [first[u], stop[u]).
-        # A seed u filled its window, so later rows' edges start at hi[u]
-        # and a search from u only goes down: it reaches the rows with an
-        # edge in [first[low], stop[u]), ``low`` stepping down to the lowest
-        # such row, and crosses [lo[low], hi[u]).  A search that reaches the
-        # span below joins it.
+        self.rows, self.cols, self.mass, self.matched = staircase(
+            excess, resid, self.lo.tolist(), self.hi.tolist(), FLOW_TERMINATION
+        )
+        self.excess[:], self.resid[:] = excess, resid
+        # The Strassen search.  Edges into left atom u's window are the run
+        # [first[u], stop[u]).  A seed u filled its window, so later rows'
+        # edges start at hi[u] and a search from u only goes down: it reaches
+        # the rows with an edge in [first[low], stop[u]), ``low`` stepping down
+        # to the lowest such row, and crosses [lo[low], hi[u]).  A search that
+        # reaches the span below joins it.
         rows = self.rows.tolist()
         first = np.searchsorted(self.cols, self.lo).tolist()
         stop = np.searchsorted(self.cols, self.hi).tolist()
@@ -150,9 +172,4 @@ class BandFlow:
         np.add.at(cover, np.searchsorted(self.cols, right), -1)
         seen[self.rows[np.cumsum(cover[:-1]) > 0]] = True
         self.strassen = seen
-
-    def solve(self) -> float:
-        """Run the greedy and certify it; returns the matched mass."""
-        self._greedy()
-        self._strassen_search()
         return self.matched

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidParameter, NonIntegerSupport, json_field, json_int
+from .errors import InvalidParameter, NonIntegerSupport, json_field, json_float, json_int
 
 __all__ = [
     "DiscreteMeasure", "merge_atoms", "group_pairs", "difference", "tv_distance", "mean",
@@ -224,8 +224,8 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        weights = json_field(data, "weights", lambda ws: [float(w) for w in ws])
-        defect = json_field(data, "defect", float, 0.0)
+        weights = json_field(data, "weights", lambda ws: list(map(json_float, ws)))
+        defect = json_field(data, "defect", json_float, 0.0)
         support = json_field(data, "support", lambda xs: [_parse_point(x) for x in xs])
         if 0.0 in weights:
             raise InvalidParameter("weights must be positive and the defect nonnegative")

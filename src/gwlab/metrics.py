@@ -43,7 +43,7 @@ from .errors import (
     MismatchedLaws,
     SolverDidNotConverge,
 )
-from .maxflow import FLOW_TERMINATION, BandFlow, band_windows
+from .maxflow import FLOW_TERMINATION, BandFlow, _greedy_mass, band_windows, staircase
 from .measures import DiscreteMeasure, difference, group_pairs
 from .offspring import OffspringLaw
 
@@ -124,54 +124,22 @@ def _complete_coupling(
 ) -> Coupling:
     """Turn a solved band flow into a full coupling.
 
-    Leftover supply is paired with leftover capacity in support order.  A
-    flow edge left one of its atoms at exactly zero, so each pair is a new
-    entry.  Flow edges lie on the band at ``eps >= flow.eps``, so the slack
-    is the paired mass off it, summed in pairing order.
+    ``staircase`` on full windows pairs leftover supply with leftover
+    capacity in support order.  A flow edge left one of its atoms at exactly
+    zero, so each pair is a new entry.  Flow edges lie on the band at
+    ``eps >= flow.eps``, so the slack is the paired mass off it, in pairing order.
     """
     left, right = np.flatnonzero(flow.excess > 0.0), np.flatnonzero(flow.resid > 0.0)
-    # Pairs by positions ``p``, ``q``; a trailing 0 ends the walk on a side.
-    needs, rooms = flow.excess[left].tolist() + [0.0], flow.resid[right].tolist() + [0.0]
-    need, room, p, q, pp, pq, pv = needs[0], rooms[0], 0, 0, [], [], []
-    while need > 0.0 and room > 0.0:
-        take = need if need <= room else room  # as min(need, room) picks
-        pp.append(p)
-        pq.append(q)
-        pv.append(take)
-        need -= take
-        room -= take
-        if need <= 0.0:
-            p += 1
-            need = needs[p]
-        if room <= 0.0:
-            q += 1
-            room = rooms[q]
+    full = [0] * len(left), [len(right)] * len(left)
+    p, q, pv, _ = staircase(flow.excess[left].tolist(), flow.resid[right].tolist(), *full, 0.0)
+    pi, pj = left[p], right[q]
     lo, hi = band_windows(a.float_support, b.float_support, eps)
-    pi, pj = left[np.array(pp, dtype=np.int64)], right[np.array(pq, dtype=np.int64)]
-    slack = sum(np.array(pv)[(pj < lo[pi]) | (pj >= hi[pi])].tolist())
-    rows = np.concatenate([flow.rows, pi])
-    cols = np.concatenate([flow.cols, pj])
-    mass = np.concatenate([flow.mass, pv])
+    slack = sum(pv[(pj < lo[pi]) | (pj >= hi[pi])].tolist())
+    rows, cols, mass = map(np.concatenate, ((flow.rows, pi), (flow.cols, pj), (flow.mass, pv)))
     order = np.lexsort((cols, rows))
     return Coupling(
         a, b, eps, rows[order], cols[order], mass[order], slack, flow.strassen, flow.eps
     )
-
-
-def _greedy_mass(a: list[float], low: list[float], high: list[float]) -> float:
-    """Mass the northwest-corner greedy ships, tracked by its position alone.
-
-    In cumulative right mass, with ``low_i``/``high_i`` at the ends of its
-    window, atom ``i`` moves the position ``P`` to ``min(max(P, low_i) + a_i,
-    high_i)`` and ships what it passed over after ``max(P, low_i)``.
-    """
-    pos = total = 0.0
-    for mass, start, stop in zip(a, low, high):
-        start = pos if pos > start else start
-        pos = start + mass
-        pos = stop if pos > stop else pos
-        total += pos - start
-    return total
 
 
 def _pair_edges(xs: np.ndarray, ys: np.ndarray, split: np.ndarray, t: float) -> np.ndarray:
@@ -225,8 +193,7 @@ def _least_feasible_distance(
     is_lo = np.arange(2 * n) < n
 
     def greedy(d: float) -> float:
-        lo, hi = band_windows(xs, ys, d)
-        return _greedy_mass(a_list, cum_b[lo].tolist(), cum_b[hi].tolist())
+        return _greedy_mass(a_list, cum_b, *band_windows(xs, ys, d))
 
     def feasible(d: float, nxt: float) -> bool:
         matched = greedy(d) if d > 0.0 else at_zero
@@ -296,9 +263,7 @@ def prohorov_at_most(a: DiscreteMeasure, b: DiscreteMeasure, bound: float) -> bo
     guard = _GUARD + (n + len(ys)) * FLOW_TERMINATION
     edges = _pair_edges(xs, ys, np.searchsorted(ys, xs, "left"), bound)
     cum_b = np.concatenate([[0.0], np.cumsum(b.weights_array)])
-    matched = _greedy_mass(
-        a.weights_array.tolist(), cum_b[edges[:n]].tolist(), cum_b[edges[n:]].tolist()
-    )
+    matched = _greedy_mass(a.weights_array.tolist(), cum_b, edges[:n], edges[n:])
     return t_goal - matched <= bound - guard
 
 

@@ -26,6 +26,7 @@ from .errors import (
     SolverDidNotConverge,
     SupercriticalRequired,
     json_field,
+    json_float,
     json_int,
 )
 from .measures import DiscreteMeasure
@@ -93,9 +94,10 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise InvalidParameter(f"unknown family {self.family!r}")
         # Each given field is converted as from JSON, as ``ExperimentSpec``'s are.
-        convert = {"weights": lambda ws: tuple(map(float, ws)), "truncation": json_int}
+        convert = {"weights": lambda ws: tuple(map(json_float, ws)), "truncation": json_int}
         for name in (f.name for f in fields(self)[1:] if getattr(self, f.name) is not None):
-            object.__setattr__(self, name, json_field(vars(self), name, convert.get(name, float)))
+            value = json_field(vars(self), name, convert.get(name, json_float))
+            object.__setattr__(self, name, value)
         params = (self.p, self.p0, self.p2, self.p3, self.lam, *(self.weights or ()))
         if not all(math.isfinite(v) for v in params if v is not None):
             raise InvalidParameter(f"{self.family} family parameters must be finite")
@@ -395,6 +397,8 @@ def extinction_probability(law: OffspringLaw) -> ExtinctionResult:
         while hi - lo > width:
             mid = 0.5 * (lo + hi)
             iterations += 1
+            if mid in (lo, hi):  # adjacent doubles: nothing lies between
+                break
             lo, hi = (mid, hi) if g(mid) >= 0.0 else (lo, mid)
         return lo, hi
 

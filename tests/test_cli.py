@@ -298,6 +298,13 @@ class TestErrorChannels:
         err = json.loads(out.stderr)
         assert "needs --p" in err["message"]
 
+    def test_bad_weights_entry_is_one_error_line(self, capsys):
+        # The CLI converts the list itself, so ``FamilySpec`` never sees text.
+        assert main(["build-law", "--family", "raw", "--weights", "0.5,x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InvalidParameter" and "'weights'" in err
+
     def test_negative_seed_is_a_typed_error(self):
         out = run(["simulate", "--family", "binary", "--p", "0.75", "--n-max", "2",
                    "--seed", "-1"])
@@ -387,6 +394,15 @@ class TestErrorChannels:
              "n_range"),
             # Misspelt keys are refused, not left at their defaults.
             ("modulus", _spec_doc(replication=5, metirc="bounded_lipschitz"), "replication"),
+            # Float fields take numbers only: a boolean ran as 1.0 or 0.0, and
+            # a string was parsed, or iterated as a list of one-digit weights.
+            ("modulus", _spec_doc(budget=True), "budget"),
+            ("modulus", _spec_doc(budget="1e-12"), "budget"),
+            ("modulus", _spec_doc(center={"family": "binary", "p": "0.75"}), "p"),
+            ("modulus", _spec_doc(grid=[{"family": "raw", "weights": "1"}]), "weights"),
+            ("metric", {"support": [[0, 1]], "weights": "1"}, "weights"),
+            ("metric", {"support": [[0, 1]], "weights": [True]}, "weights"),
+            ("metric", {"support": [[0, 1]], "weights": [1.0], "defect": False}, "defect"),
         ],
         ids=["metric-number", "metric-support-number", "modulus-number",
              "modulus-z0-string", "modulus-center-p-string", "modulus-grid-number",
@@ -394,7 +410,10 @@ class TestErrorChannels:
              "modulus-z0-inf", "modulus-seed-bool", "modulus-replications-nan",
              "modulus-n_range-fraction", "modulus-truncation-inf",
              "modulus-center-without-p", "modulus-grid-member-without-family",
-             "modulus-without-n_range", "modulus-unknown-keys"],
+             "modulus-without-n_range", "modulus-unknown-keys", "modulus-budget-bool",
+             "modulus-budget-string", "modulus-center-p-numeric-string",
+             "modulus-raw-weights-string", "metric-weights-string", "metric-weights-bool",
+             "metric-defect-bool"],
     )
     def test_malformed_json_input_names_the_field(self, tmp_path, command, doc, field):
         path = tmp_path / "input.json"
@@ -688,9 +707,10 @@ class TestReferenceOutputBytes:
         assert out.stdout == ""
         assert path.read_text() == expected
 
-    def test_prohorov_metric_matches_reference(self, tmp_path):
-        # The coupling certificate is printed in full, so this pins every
-        # entry and the slack as well as the value.
+    @staticmethod
+    def metric_of_binary_laws(tmp_path, kind: str) -> str:
+        """JSON output of ``gw metric --kind kind`` on the binary(0.75) and
+        binary(0.74) estimator laws at n = 6."""
         laws = []
         for p in ("0.75", "0.74"):
             path = tmp_path / f"binary_p{p}_n6.json"
@@ -698,8 +718,18 @@ class TestReferenceOutputBytes:
                        "--format", "json", "--no-timestamp", "--output", str(path)])
             assert out.returncode == 0, out.stderr
             laws.append(str(path))
-        out = run(["metric", "--kind", "prohorov", *laws, "--format", "json",
-                   "--no-timestamp"])
+        out = run(["metric", "--kind", kind, *laws, "--format", "json", "--no-timestamp"])
         assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    def test_prohorov_metric_matches_reference(self, tmp_path):
+        # The coupling certificate is printed in full, so this pins every
+        # entry and the slack as well as the value.
         expected = (DATA / "metric_prohorov_binary_p075_p074_n6.json").read_text()
-        assert out.stdout == expected
+        assert self.metric_of_binary_laws(tmp_path, "prohorov") == expected
+
+    def test_bounded_lipschitz_metric_matches_reference(self, tmp_path):
+        # The certificate's function, its sup and slope, and the upper bound
+        # and gap are printed in full, so both sides of the value are pinned.
+        expected = (DATA / "metric_bounded_lipschitz_binary_p075_p074_n6.json").read_text()
+        assert self.metric_of_binary_laws(tmp_path, "bounded_lipschitz") == expected

@@ -482,11 +482,10 @@ class TestBandFlow:
 
 
     def test_an_augmenting_path_is_a_typed_error(self, monkeypatch):
-        def idle(flow):  # ships nothing: supply and room face each other
-            flow.rows = flow.cols = np.zeros(0, dtype=np.int64)
-            flow.mass, flow.matched = np.zeros(0), 0.0
+        def idle(supply, room, lo, hi, floor):  # ships nothing: supply and room face each other
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 0.0
 
-        monkeypatch.setattr(maxflow.BandFlow, "_greedy", idle)
+        monkeypatch.setattr(maxflow, "staircase", idle)
         flow = maxflow.BandFlow(
             np.array([0.0, 2.0]), np.array([0.5, 0.5]), np.array([2.0]), np.array([1.0]), 0.0
         )

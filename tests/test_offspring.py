@@ -1,6 +1,7 @@
 """Offspring families, pgf machinery, extinction, decomposition transforms."""
 
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from gwlab import (
     psi1_tail,
     survival_transform,
 )
+from gwlab import offspring
 from gwlab.lab import contamination_grid
 from gwlab.offspring import MAX_DERIVED_TRUNCATION, _log_factorial
 
@@ -76,10 +78,14 @@ class TestBuild:
         FamilySpec.poisson(2.0, truncation=MAX_DERIVED_TRUNCATION)
 
     # Built from Python, fields were kept as given: a fractional truncation
-    # cut the law at 3, and strings ended in bare TypeErrors.
+    # cut the law at 3, and strings ended in bare TypeErrors.  Each field is
+    # now converted, or refused, as its JSON value is.
     def test_python_parameter_converts_as_from_json(self):
-        assert FamilySpec.binary("0.5") == FamilySpec.binary(0.5)
-        assert FamilySpec.binary("0.5").to_json_dict() == {"family": "binary", "p": 0.5}
+        assert FamilySpec.binary(Fraction(1, 2)) == FamilySpec.binary(0.5)
+        assert FamilySpec.binary(1).to_json_dict() == {"family": "binary", "p": 1.0}
+        for p in ("0.5", True):
+            with pytest.raises(InvalidParameter, match="'p'"):
+                FamilySpec.binary(p)
 
     @pytest.mark.parametrize("truncation", [2.5, "5"])
     def test_python_truncation_must_be_integral(self, truncation):
@@ -210,6 +216,26 @@ class TestExtinction:
             assert previous <= it <= q + 1e-13
             previous = it
         assert iterate_pgf_at_zero(b75, 200) == pytest.approx(q, abs=1e-10)
+
+    def test_fallback_bisection_stops_at_adjacent_doubles(self, monkeypatch):
+        # A zero derivative misleads Newton, so the full-precision bisection
+        # runs.  Near q = 0.82 adjacent doubles are 1.1e-16 apart, wider than
+        # its 5e-17 width, so it looped forever once they bracketed the root.
+        monkeypatch.setattr(offspring, "pgf_derivative", lambda law, s: 0.0)
+        law = build(FamilySpec.binary(0.55))
+
+        def stuck(signum, frame):
+            raise TimeoutError("the fallback bisection did not stop")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            q = extinction_probability(law).value
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert q == pytest.approx(0.45 / 0.55, abs=1e-15)
+        assert abs(pgf(law, q) - q) <= 1e-13
 
 
 class TestCriticality:
