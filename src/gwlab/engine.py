@@ -154,16 +154,22 @@ class PowerCache:
         return entry
 
     def _step(self, anchor: int, j: int) -> tuple[np.ndarray, float]:
-        """``P^j`` from the cached ``P^anchor`` by ``j - anchor`` steps
-        ``P^{i+1}[s] = sum_k p_k P^i[s - x_k]`` over the base's lattice atoms."""
+        """``P^j`` from ``P^anchor`` by steps ``P^{i+1}[s] = sum_k p_k P^i[s - x_k]`` over the
+        lattice atoms, in reused buffers; trailing zeros start past ``P^i``'s top, bar underflow."""
         g = self._spans[1] or 1
         wa, da = self._cache[anchor]
         cur = wa[::g]
-        for _ in range(j - anchor):
-            nxt = np.zeros(cur.size + self.ell)
-            for x in self._atoms:
-                nxt[x : x + cur.size] += self._lattice[x] * cur
-            cur = _trim_back(nxt)
+        bufs = np.empty((3, cur.size + (j - anchor) * self.ell))  # two steps and a scratch row
+        (x0, *rest), lattice = self._atoms, self._lattice
+        for i in range(j - anchor):
+            size = cur.size
+            nxt = bufs[i % 2, : size + self.ell]
+            nxt[:x0] = nxt[x0 + size :] = 0.0
+            np.multiply(cur, lattice[x0], out=nxt[x0 : x0 + size])
+            for x in rest:
+                nxt[x : x + size] += np.multiply(cur, lattice[x], out=bufs[2, :size])
+            tail = _trim_back(nxt[size - 1 :])
+            cur = nxt[: size - 1 + tail.size] if tail.size else _trim_back(nxt)
         w = np.zeros((cur.size - 1) * g + 1)
         w[::g] = cur
         return w, da + (j - anchor) * self._cache[1][1]
@@ -244,20 +250,18 @@ class Propagator:
         if joint_rows > _JOINT_ROW_CAP:
             msg = f"planned joint rows {joint_rows} exceed _JOINT_ROW_CAP = {_JOINT_ROW_CAP}"
             raise BudgetExceeded(f"{msg} at generation {n}", step=n)
-        prev_col: list[np.ndarray] = []
-        curr_col: list[np.ndarray] = []
-        prob_col: list[np.ndarray] = []
+        powers = [self.powers.get(j) for j in sizes]
+        # Size j's rows: the nonzero entries of P^j, with the powers laid end to end.
+        flat = np.concatenate([w for w, _ in powers])
+        starts = np.cumsum([0] + [len(w) for w, _ in powers[:-1]])
+        rows = np.flatnonzero(flat)
+        counts = np.diff(np.searchsorted(rows, starts), append=rows.size)
         defect = prev_defect
-        for j in sizes:
-            w, d = self.powers.get(j)
-            ks = np.nonzero(w)[0]
-            prev_col.append(np.full(len(ks), j, dtype=np.int64))
-            curr_col.append(ks.astype(np.int64))
-            prob_col.append(prev[j] * w[ks])
+        for j, (_, d) in zip(sizes, powers):
             defect += prev[j] * d
         return JointLaw(
-            n=n, z0=self.z0, prev=np.concatenate(prev_col), curr=np.concatenate(curr_col),
-            probs=np.concatenate(prob_col), defect=float(defect),
+            n=n, z0=self.z0, prev=np.repeat(sizes, counts), curr=rows - np.repeat(starts, counts),
+            probs=np.repeat(prev[sizes], counts) * flat[rows], defect=float(defect),
         )
 
 
@@ -292,6 +296,15 @@ def joint_law(
     return Propagator(law, z0=z0, n_max=max(n - 1, 1), budget=budget).joint(n)
 
 
+def survival_mass(joint: JointLaw) -> tuple[np.ndarray, float]:
+    """The rows whose earlier generation is alive, and their summed mass."""
+    alive = joint.prev > 0
+    survival = float(joint.probs[alive].sum())
+    if survival < MIN_SURVIVAL:
+        raise DegenerateConditioning(f"survival probability {survival:.3e} below {MIN_SURVIVAL}")
+    return alive, survival
+
+
 def condition_on_survival(joint: JointLaw) -> JointLaw:
     """Condition a joint law on the earlier generation being positive.
 
@@ -299,12 +312,7 @@ def condition_on_survival(joint: JointLaw) -> JointLaw:
     mass and defect are divided by the survival probability of generation
     ``n - 1``.
     """
-    alive = joint.prev > 0
-    survival = float(joint.probs[alive].sum())
-    if survival < MIN_SURVIVAL:
-        raise DegenerateConditioning(
-            f"survival probability {survival:.3e} below {MIN_SURVIVAL}"
-        )
+    alive, survival = survival_mass(joint)
     return JointLaw(
         n=joint.n,
         z0=joint.z0,

@@ -5,7 +5,7 @@ its law is the pushforward of the consecutive-pair law under
 ``(j, k) -> k/j`` for ``j > 0`` together with the extinction atom at 0.
 Ratios are reduced exactly with integer arithmetic before merging, so
 ``2/6`` and ``1/3`` land on the same atom.  ``deviation_mask`` decides
-``|ratio - m| >= eta`` on those atoms exactly, reading a float 0.4 as 2/5.
+``|ratio - m| >= eta`` exactly, reduced or not, reading a float 0.4 as 2/5.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import JointLaw, condition_on_survival
+from .engine import JointLaw, condition_on_survival, survival_mass
 from .errors import InvalidParameter
 from .measures import DiscreteMeasure, merge_atoms
 
@@ -102,14 +102,18 @@ def deviation_mask(
 
 
 def consistency_probability(
-    e: EstimatorLaw, m: object, eta: object
+    joint: JointLaw, m: object, eta: object
 ) -> tuple[float, float]:
-    """Mass the estimator law puts at distance >= eta from m, with slack.
+    """Mass ``estimator_law(joint, True)`` puts at distance >= eta from m, with slack.
 
-    Atoms are classified exactly by ``deviation_mask`` on the law's integer
-    arrays, so boundary atoms (deviation exactly eta) count as deviating;
-    the selected weights are added one by one in support order.
+    Live rows are classified exactly by ``deviation_mask``, so boundary atoms
+    (deviation exactly eta) count.  Only deviating rows are divided by the
+    survival mass and merged: a deviating atom's rows all deviate, in order,
+    so its weight is bit for bit that law's.  Weights add in support order.
     """
-    law = e.law
-    far = law.weights_array[deviation_mask(law.nums, law.dens, m, eta)]
-    return (float(np.cumsum(far)[-1]) if far.size else 0.0), law.defect
+    alive, survival = survival_mass(joint)
+    far = alive & deviation_mask(joint.curr, joint.prev, m, eta)
+    prev, curr = joint.prev[far], joint.curr[far]
+    g = np.gcd(curr, prev)
+    weights = merge_atoms(curr // g, prev // g, joint.probs[far] / survival)[2]
+    return (float(np.cumsum(weights)[-1]) if weights.size else 0.0), joint.defect / survival

@@ -35,6 +35,7 @@ import numpy as np
 
 from .engine import (
     MIN_SURVIVAL,
+    JointLaw,
     Propagator,
     extinction_by_n,
     wlln_probability,
@@ -49,7 +50,7 @@ from .errors import (
     json_float,
     json_int,
 )
-from .estimator import EstimatorLaw, consistency_probability, estimator_law, exact_fraction
+from .estimator import consistency_probability, estimator_law, exact_fraction
 from .measures import DiscreteMeasure, merge_atoms, tv_distance
 from .metrics import bounded_lipschitz, joint_tv, prohorov, prohorov_at_most, trajectory_tv
 from .montecarlo import (
@@ -260,8 +261,8 @@ def _member_seed(base: int, index: int) -> int:
 
 
 def _horizon_laws(
-    law: OffspringLaw, levels: Iterable[int], conditioned: bool,
-    from_exact: Callable[[EstimatorLaw], T], from_table: Callable[[SimTable, int], T],
+    law: OffspringLaw, levels: Iterable[int],
+    from_exact: Callable[[JointLaw], T], from_table: Callable[[SimTable, int], T],
     *, z0: int, budget: float, exact_cutoff: int, seed: int, replications: int,
     cap: int, jobs: int, resolution: Fraction | None = None,
 ) -> tuple[dict[int, T], int | None]:
@@ -271,9 +272,9 @@ def _horizon_laws(
     step or a wanted joint law (``BudgetExceeded``: a cost or row cap, or
     truncation emptying the law) or the support passes ``exact_cutoff``;
     that horizon is ``mc_from``.  A wanted exact horizon gives
-    ``from_exact(ratio law)``.  The switch is sticky: every wanted horizon
-    from ``mc_from`` on gives ``from_table(table, n)`` from one seeded
-    simulation, which tallies bins at ``resolution`` when one is given.
+    ``from_exact(joint law of n - 1 and n)``.  The switch is sticky: every
+    wanted horizon from ``mc_from`` on gives ``from_table(table, n)`` from
+    one seeded simulation, which tallies bins at ``resolution`` if given.
     Returns the results by horizon and ``mc_from``.
     """
     wanted = sorted(set(levels))
@@ -284,7 +285,7 @@ def _horizon_laws(
         try:
             exact = prop.support_size(n) <= exact_cutoff
             if exact and n in wanted:
-                out[n] = from_exact(estimator_law(prop.joint(n), conditioned))
+                out[n] = from_exact(prop.joint(n))
         except BudgetExceeded:
             exact = False
         if not exact:
@@ -305,8 +306,8 @@ def _estimator_curve(
     """
     resolution = Fraction(1, spec.bin_denominator)
     return _horizon_laws(
-        law, spec.n_range, False,
-        lambda e: (e.law, 0.0),
+        law, spec.n_range,
+        lambda joint: (estimator_law(joint).law, 0.0),
         lambda table, n: binned_estimator_law(table, n, resolution),
         z0=spec.z0, budget=spec.budget, exact_cutoff=spec.exact_cutoff, seed=seed,
         replications=spec.replications, cap=spec.cap, jobs=jobs, resolution=resolution,
@@ -589,8 +590,8 @@ def verify_conditional_consistency(
         raise InvalidParameter("n_range must contain horizons >= 1")
     m_frac, eta_frac = Fraction(law.mean_m), exact_fraction(eta)
     results, mc_from = _horizon_laws(
-        law, levels, True,
-        lambda e: (*consistency_probability(e, m_frac, eta_frac), None),
+        law, levels,
+        lambda joint: (*consistency_probability(joint, m_frac, eta_frac), None),
         lambda table, n: empirical_consistency_probability(table, n, m_frac, eta_frac),
         z0=z0, budget=budget, exact_cutoff=exact_cutoff, seed=seed,
         replications=replications, cap=cap, jobs=jobs,

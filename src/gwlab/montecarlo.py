@@ -76,6 +76,9 @@ _INDIV_HARD_LIMIT = 1 << 24
 # (binary(0.75), cap 8, 10^6 replications, 2-core x86-64, numpy 2.4), one more
 # horizon costs 0.9-2.1 ms as pairs and 1.2-1.6 ms as a bin tally: 1-2 s per thousand.
 HORIZON_LIMIT = 1_000
+# The cheapest replication (binary(0), one generation) costs 44 ns and one of binary(0.75)
+# to n = 8 550 ns (2-core x86-64, numpy 2.4): 7 minutes and 1.5 hours at this limit.
+REPLICATION_LIMIT = 10**10
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,10 @@ class SimConfig:
         for name, low in (("seed", 0), ("replications", 1), ("n_max", 1)):
             if getattr(self, name) < low:
                 raise InvalidParameter(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.replications >= 2**63:
-            raise InvalidParameter("replications must be below 2**63, the int64 limit")
-        if self.n_max > HORIZON_LIMIT:
-            raise InvalidParameter(f"horizon n_max = {self.n_max} is past "
-                                   f"HORIZON_LIMIT = {HORIZON_LIMIT}")
+        for name, top, limit in (("replications", REPLICATION_LIMIT, "REPLICATION_LIMIT"),
+                                 ("n_max", HORIZON_LIMIT, "HORIZON_LIMIT")):
+            if getattr(self, name) > top:
+                raise InvalidParameter(f"{name} = {getattr(self, name)} is past {limit} = {top}")
         check_start_size(self.z0)
         if self.cap < self.z0:
             raise InvalidParameter("population cap must be at least z0")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gwlab import DiscreteMeasure, FamilySpec, build
 
@@ -42,6 +43,23 @@ def random_offspring_pair(rng: np.random.Generator):
         build(FamilySpec.three_point(*map(float, w1))),
         build(FamilySpec.three_point(*map(float, w2))),
     )
+
+
+@st.composite
+def exact_route_cases(draw):
+    """``(spec, n, z0)`` for bit-for-bit checks of the exact route: binary
+    and three-point laws to n = 5, Poisson laws cut at the budget or at an
+    explicit truncation (carrying a defect) to n = 3, from one or two ancestors."""
+    family = draw(st.sampled_from(["binary", "three_point", "poisson"]))
+    if family == "binary":
+        spec, n_max = FamilySpec.binary(draw(st.floats(0.3, 0.95))), 5
+    elif family == "three_point":
+        a, b, c = draw(st.tuples(*[st.integers(1, 20)] * 3))
+        spec, n_max = FamilySpec.three_point(a / (a + b + c), b / (a + b + c), c / (a + b + c)), 5
+    else:
+        lam = draw(st.floats(0.8, 2.5))
+        spec, n_max = FamilySpec.poisson(lam, draw(st.sampled_from([None, 4, 6]))), 3
+    return spec, draw(st.integers(1, n_max)), draw(st.sampled_from([1, 2]))
 
 
 def as_arrays(m: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
+from gwlab.engine import JointLaw, Propagator, condition_on_survival
 from gwlab.errors import InvalidParameter
+from gwlab.estimator import deviation_mask
+from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab.maxflow import FLOW_TERMINATION, BandFlow, band_windows
 from gwlab.metrics import MetricResult, _complete_coupling
 from gwlab.measures import group_pairs
@@ -153,6 +156,33 @@ def deviation_mass(pmf: dict[int, float], k: int, eta: float) -> float:
 def deviates(num: int, den: int, m: Fraction, eta: Fraction) -> bool:
     """``|num/den - m| >= eta`` decided in Fraction arithmetic."""
     return abs(Fraction(num, den) - m) >= eta
+
+
+# -- bit-for-bit references for the vectorized exact route ----------------------
+
+
+def joint_by_sizes(prop: Propagator, n: int) -> JointLaw:
+    """``prop.joint(n)`` by one pass per earlier size ``j``: the nonzero
+    entries of ``P^j``, each times ``prev[j]``, in ``(prev, curr)`` order."""
+    prev, defect = prop._dense_generation(n - 1)
+    cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for j in np.flatnonzero(prev).tolist():
+        w, d = prop.powers.get(j)
+        ks = np.nonzero(w)[0]
+        cols.append((np.full(len(ks), j, dtype=np.int64), ks.astype(np.int64), prev[j] * w[ks]))
+        defect += prev[j] * d
+    prev_col, curr_col, prob_col = map(np.concatenate, zip(*cols))
+    return JointLaw(n, prop.z0, prev_col, curr_col, prob_col, float(defect))
+
+
+def consistency_by_law(joint: JointLaw, m, eta) -> tuple[float, float]:
+    """``consistency_probability`` through the whole conditioned ratio law:
+    condition on survival, merge every row, mask the atoms, and add the
+    deviating weights one by one in support order."""
+    cond = condition_on_survival(joint)
+    law = exact_ratio_law(cond.prev, cond.curr, cond.probs, cond.defect)
+    far = law.weights_array[deviation_mask(law.nums, law.dens, m, eta)]
+    return (float(np.cumsum(far)[-1]) if far.size else 0.0), law.defect
 
 
 # -- metrics -------------------------------------------------------------------

@@ -563,24 +563,20 @@ class TestMemoryCeilings:
         assert err["error"] == "BudgetExceeded"
         assert "_JOINT_ROW_CAP" in err["message"]
 
-    def test_huge_replication_count_runs_until_stopped(self):
-        # 2**62 replications are 2**47 batches.  Listing them all ran out of
-        # 1 GB of address space within 3.2-4.0 s in a bare MemoryError; the
-        # batches are now made as the run reaches them.
+    def test_replication_count_past_the_limit_is_one_error_line(self):
+        # 2**62 replications are 2**47 batches, which ran until stopped (an
+        # estimated 6,400 years at 44 ns a replication); now they are refused.
         argv = ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "2",
                 "--jobs", "1", "--replications", str(2**62)]
-        child = subprocess.Popen(
-            [sys.executable, "-c", LIMITED_CLI, str(2**30), *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        out = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, str(2**30), *argv], capture_output=True,
+            text=True, timeout=60, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         )
-        try:
-            with pytest.raises(subprocess.TimeoutExpired):
-                child.wait(timeout=5)
-        finally:
-            child.kill()
-            _, err = child.communicate()
-        assert "MemoryError" not in err
+        assert out.returncode == 1
+        assert out.stdout == "" and len(out.stderr.splitlines()) == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "InvalidParameter"
+        assert "REPLICATION_LIMIT = 10000000000" in err["message"]
 
     def test_explicit_truncation_past_the_limit_is_one_error_line(self):
         # It ended in an ``_ArrayMemoryError`` traceback from building the law.

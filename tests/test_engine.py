@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_dict, joint_entries
+from conftest import as_dict, exact_route_cases, joint_entries
 from gwlab import (
     DEFAULT_TAIL_BUDGET,
     BudgetExceeded,
@@ -243,6 +243,31 @@ class TestJointLaw:
         assert err.value.step == 15
 
 
+def assert_same_joint_bits(got, ref):
+    assert (got.n, got.z0, float(got.defect).hex()) == (ref.n, ref.z0, float(ref.defect).hex())
+    for name in ("prev", "curr", "probs"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestJointBitForBit:
+    """The one-pass joint rows against ``oracles.joint_by_sizes``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=exact_route_cases())
+    def test_matches_the_per_size_loop(self, case):
+        spec, n, z0 = case
+        law = build(spec)
+        got = Propagator(law, z0=z0, n_max=n).joint(n)
+        assert_same_joint_bits(got, oracles.joint_by_sizes(Propagator(law, z0=z0, n_max=n), n))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_contamination_member_matches_the_per_size_loop(self, n):
+        law = build(contamination_grid(FamilySpec.binary(0.75), (50,))[0])
+        got = Propagator(law, n_max=n).joint(n)
+        assert_same_joint_bits(got, oracles.joint_by_sizes(Propagator(law, n_max=n), n))
+
+
 class TestConditionOnSurvival:
     def test_certain_survival_changes_nothing(self):
         law = build(FamilySpec.raw([0.0, 0.3, 0.7]))
@@ -408,6 +433,15 @@ class TestPowerCache:
         # first ends in zeros that both routes must trim.
         law = sparse_law([0, 1, 150], [0.5, 0.5, 1e-170])
         assert_powers_match_oracle(law, [2, 3, 30])
+
+    def test_a_step_whose_products_past_the_old_top_underflow_is_trimmed_in_full(self):
+        # Every product from the anchor's top index on underflows, so the
+        # step's trailing zeros reach below that index.
+        law = sparse_law([0, 1, 2], [0.4, 0.3, 0.3])
+        cache = PowerCache(law)
+        cache._cache[5] = (np.array([1.0, 0.0, 0.0, 0.0, 5e-324]), 0.0)
+        w, _ = cache._step(5, 6)
+        assert w.tolist() == law.measure.dense_weights().tolist()
 
 
 def assert_powers_match_oracle(law, js):

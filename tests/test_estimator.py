@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_dict, joint_entries
+from conftest import as_dict, exact_route_cases, joint_entries
 from gwlab import (
     DegenerateConditioning,
     DiscreteMeasure,
-    EstimatorLaw,
     FamilySpec,
     InvalidParameter,
+    JointLaw,
     SimConfig,
     bounded_lipschitz,
     build,
     consistency_probability,
+    contamination_grid,
     estimator_law,
     extinction_by_n,
     joint_law,
@@ -163,29 +164,26 @@ class TestEstimatorLaw:
 
 class TestConsistencyProbability:
     def test_wide_threshold_gives_zero(self, b75):
-        e = estimator_law(joint_law(b75, 2), conditioned=True)
-        value, slack = consistency_probability(e, 1.5, 10.0)
+        value, slack = consistency_probability(joint_law(b75, 2), 1.5, 10.0)
         assert value == 0.0
         assert slack <= 1e-12
 
     def test_binary_second_step_every_atom_deviates(self, b75):
         # The conditioned atoms sit at 0, 1 and 2; each is at least 0.4 away
         # from the mean 1.5, so the deviation event is certain.
-        e = estimator_law(joint_law(b75, 2), conditioned=True)
-        value, _ = consistency_probability(e, 1.5, 0.4)
+        value, _ = consistency_probability(joint_law(b75, 2), 1.5, 0.4)
         assert value == 1.0
 
     def test_probability_shrinks_with_generation(self, b75):
         values = []
         for n in (2, 4, 6, 8):
-            e = estimator_law(joint_law(b75, n), conditioned=True)
-            values.append(consistency_probability(e, 1.5, 0.4)[0])
+            values.append(consistency_probability(joint_law(b75, n), 1.5, 0.4)[0])
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_nonincreasing_in_eta(self, b75):
-        e = estimator_law(joint_law(b75, 3), conditioned=True)
+        joint = joint_law(b75, 3)
         values = [
-            consistency_probability(e, 1.5, eta)[0]
+            consistency_probability(joint, 1.5, eta)[0]
             for eta in np.linspace(0.05, 2.0, 25)
         ]
         assert all(x >= y - 1e-15 for x, y in zip(values, values[1:]))
@@ -193,46 +191,79 @@ class TestConsistencyProbability:
     def test_exact_rational_threshold_includes_boundary_atoms(self, b75):
         # With m = 3/2 and eta = 1/2 the atoms at 1 and 2 deviate by exactly
         # eta and must count; rational arithmetic makes that decision exact.
-        e = estimator_law(joint_law(b75, 2), conditioned=True)
-        exact, _ = consistency_probability(e, Fraction(3, 2), Fraction(1, 2))
+        joint = joint_law(b75, 2)
+        exact, _ = consistency_probability(joint, Fraction(3, 2), Fraction(1, 2))
         assert exact == pytest.approx(1.0, abs=1e-15)
-        floating, _ = consistency_probability(e, 1.5, 0.5)
+        floating, _ = consistency_probability(joint, 1.5, 0.5)
         assert floating == exact
 
     def test_float_thresholds_are_read_as_the_decimals_they_print_as(self, b75):
         # The atom 11/10 lies exactly 2/5 from 3/2, so it deviates at
         # eta = 0.4; a float comparison of the atoms dropped it.
-        e = estimator_law(joint_law(b75, 6), conditioned=True)
-        exact = consistency_probability(e, Fraction(3, 2), Fraction(2, 5))
+        joint = joint_law(b75, 6)
+        exact = consistency_probability(joint, Fraction(3, 2), Fraction(2, 5))
         assert exact == (0.21145720288033495, 0.0)
-        assert consistency_probability(e, 1.5, 0.4) == exact
+        assert consistency_probability(joint, 1.5, 0.4) == exact
 
     @pytest.mark.parametrize("m, eta", [
         (float("nan"), 0.4), (float("inf"), 0.4), (1.5, float("nan")), (1.5, float("inf")),
     ], ids=["m-nan", "m-inf", "eta-nan", "eta-inf"])
     def test_non_finite_thresholds_are_refused(self, b75, m, eta):
-        e = estimator_law(joint_law(b75, 2), conditioned=True)
         with pytest.raises(InvalidParameter, match="finite"):
-            consistency_probability(e, m, eta)
+            consistency_probability(joint_law(b75, 2), m, eta)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rational_threshold_matches_the_fraction_loop_bit_for_bit(self, t1, n):
-        e = estimator_law(joint_law(t1, n), conditioned=True)
+        joint = joint_law(t1, n)
+        e = estimator_law(joint, conditioned=True)
         m, eta = Fraction(19, 10), Fraction(3, 10)
         total = 0.0
         for x, w in e.law.items():
             if abs(x - m) >= eta:
                 total += w
-        assert consistency_probability(e, m, eta) == (total, e.law.defect)
+        assert consistency_probability(joint, m, eta) == (total, e.law.defect)
 
     def test_matches_direct_mass_computation(self, t1):
-        e = estimator_law(joint_law(t1, 2), conditioned=True)
+        joint = joint_law(t1, 2)
+        e = estimator_law(joint, conditioned=True)
         m, eta = t1.mean_m, 0.3
         expected = sum(
             w for x, w in e.law.items() if abs(float(x) - m) >= eta
         )
-        value, _ = consistency_probability(e, m, eta)
+        value, _ = consistency_probability(joint, m, eta)
         assert value == pytest.approx(expected, abs=1e-15)
+
+
+def same_bits(got, ref) -> bool:
+    return np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+class TestConsistencyBitForBit:
+    """The deviating rows' merge against ``oracles.consistency_by_law``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=exact_route_cases(), data=st.data())
+    def test_matches_the_whole_law_route(self, case, data):
+        spec, n, z0 = case
+        law = build(spec)
+        joint = joint_law(law, n, z0=z0)
+        # m +- eta lands on a live row's ratio, so that atom sits on the boundary.
+        eta = data.draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)))
+        live = np.flatnonzero(joint.prev > 0)
+        i = data.draw(st.sampled_from(live.tolist()))
+        offset = data.draw(st.sampled_from([eta, -eta]))
+        m = Fraction(int(joint.curr[i]), int(joint.prev[i])) + offset
+        for thresholds in ((m, eta), (law.mean_m, float(eta))):
+            got = consistency_probability(joint, *thresholds)
+            assert same_bits(got, oracles.consistency_by_law(joint, *thresholds))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_contamination_member_matches_the_whole_law_route(self, n):
+        law = build(contamination_grid(FamilySpec.binary(0.75), (50,))[0])
+        joint = joint_law(law, n)
+        for m, eta in ((Fraction(law.mean_m), Fraction(2, 5)), (Fraction(3, 2), Fraction(1, 2))):
+            got = consistency_probability(joint, m, eta)
+            assert same_bits(got, oracles.consistency_by_law(joint, m, eta))
 
 
 def small_fractions(top=400):
@@ -312,6 +343,6 @@ class TestDeviationMask:
         empirical, excluded, _ = empirical_consistency_probability(table, 1, m, eta)
         far = sum(c for (j, k), c in rows.items() if oracles.deviates(k, j, m, eta))
         assert empirical == far / size and excluded == 0.0
-        law = ratio_law(prev, curr, counts / size, 0.0)
-        exact, _ = consistency_probability(EstimatorLaw(1, 1, True, law), m, eta)
+        joint = JointLaw(n=1, z0=1, prev=prev, curr=curr, probs=counts / size, defect=0.0)
+        exact, _ = consistency_probability(joint, m, eta)
         assert exact == pytest.approx(empirical, abs=1e-12)

@@ -12,9 +12,11 @@ from gwlab.offspring import MAX_DERIVED_TRUNCATION
 from gwlab import (
     BudgetExceeded,
     CLAIM_IDS,
+    DiscreteMeasure,
     ExperimentSpec,
     FamilySpec,
     InvalidParameter,
+    JointLaw,
     Propagator,
     SimConfig,
     SupercriticalRequired,
@@ -323,17 +325,24 @@ class TestDefaultSuite:
         with pytest.raises(InvalidParameter):
             run_default_suite(claims=["lemma-unheard-of"])
 
-    def test_consistency_laws_keep_their_fraction_views_unbuilt(self, monkeypatch):
-        laws = []
+    def test_consistency_reads_joint_laws_and_builds_no_measure(self, monkeypatch):
+        init, built, calls = DiscreteMeasure.__init__, [], []
 
-        def recording(e, m, eta):
-            laws.append(e.law)
-            return consistency_probability(e, m, eta)
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
 
+        def recording(joint, m, eta):
+            before = len(built)
+            result = consistency_probability(joint, m, eta)
+            calls.append((joint, len(built) - before))
+            return result
+
+        monkeypatch.setattr(DiscreteMeasure, "__init__", counted_init)
         monkeypatch.setattr(lab, "consistency_probability", recording)
         run_default_suite()
-        assert len(laws) == 11
-        assert all("support" not in law.__dict__ for law in laws)
+        assert len(calls) == 11
+        assert all(isinstance(joint, JointLaw) and not new for joint, new in calls)
 
 
 class TestRobustnessModulus:
@@ -638,6 +647,13 @@ class TestExperimentSpec:
         with pytest.raises(InvalidParameter, match="HORIZON_LIMIT = 1000"):
             ExperimentSpec.from_json_dict(data)
         SimConfig(0, 1, montecarlo.HORIZON_LIMIT)  # the limit itself is a horizon
+
+    def test_replication_count_past_the_limit_is_refused(self):
+        data = binary_sweep_spec(n_max=2).to_json_dict()
+        data["replications"] = montecarlo.REPLICATION_LIMIT + 1
+        with pytest.raises(InvalidParameter, match="REPLICATION_LIMIT = 10000000000"):
+            ExperimentSpec.from_json_dict(data)
+        SimConfig(0, montecarlo.REPLICATION_LIMIT, 1)  # the limit itself is accepted
 
     def test_from_json_dict_leaves_absent_fields_at_their_defaults(self):
         spec = binary_sweep_spec(n_max=2)
