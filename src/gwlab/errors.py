@@ -39,8 +39,8 @@ class SupercriticalRequired(GwError):
 
 
 class BudgetExceeded(GwError):
-    """A step would pass one of the engine's cost caps, or its truncation would
-    remove all mass; ``step`` is its generation (1 for a ``PowerCache`` power)."""
+    """A step would pass a cost cap, or its truncation would remove all mass;
+    ``step`` is its generation (1 for a ``PowerCache`` power, 0 for a transform)."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)

@@ -5,11 +5,12 @@ distance is the least ``eps`` such that mass ``>= T - eps`` fits on pairs
 within ``eps`` of each other, where ``T`` is the larger retained total.
 The matchable mass ``M(eps)`` steps only at pair distances, so the value is
 ``max(d_k, T - M(d_k))`` at the least pair distance (or 0) ``d_k`` with
-``T - M(d_k) < d_{k+1}``.  The search starts from the bracket the
-total-variation bound ``T - M(0)`` gives: ``M`` only grows, so the largest
-candidate at or below it passes.  The ``n * m`` distances are never listed:
-pairs are counted from per-atom windows, stepped past a passing probe's
-distance for the pairs below it, and only ``d_k`` gets a full band flow.
+``T - M(d_k) < d_{k+1}``.  ``M`` only grows, so a probe's deficit ``T - M``
+bounds every smaller candidate's: the search starts at the largest candidate
+at or below ``T - M(0)``, and goes on to the largest one whose successor is
+above a passing probe's deficit less a guard.  The ``n * m`` distances are
+never listed: pairs are counted from per-atom windows, stepped past a passing
+probe's distance for the pairs below it, and only ``d_k`` gets a full band flow.
 ``prohorov_at_most`` runs one greedy at a given bound instead of the
 search, to prove the value is at most that bound.
 
@@ -178,11 +179,14 @@ def _least_feasible_distance(
 
     ``d'`` is the next pair distance (infinite past the last); the test is
     monotone in ``d``.  The first probe is the largest candidate ``d <= r =
-    T - M(0)``; it passes, as ``T - M(d) <= r < d'``.  Then weighted medians
-    of the pairs in the bracket ``(low, high]`` cut it until none is left; a
-    passing probe's windows, stepped past ``d``, are its new outer edges.
-    Each probe takes ``M`` from the greedy's value alone; one within the
-    guard band of ``d'`` is redone with a BandFlow.
+    T - M(0)``; it passes, as ``T - M(d) <= r < d'``.  A later pass at ``d``
+    fails each smaller candidate whose successor is at most ``r - guard``,
+    ``r = T - M(d)``: its own ``T - M`` is at least ``r`` less the greedy's
+    rounding, far below the guard, so its test would fail.  The next probe is
+    the largest candidate left (``d`` ends the search), else the weighted
+    median of the pairs in the bracket ``(low, high]``; a passing probe's
+    windows, stepped past ``d``, are its new outer edges.  Each probe takes
+    ``M`` from the greedy alone; one within ``guard`` of ``d'`` uses a BandFlow.
     """
     n, m = len(xs), len(ys)
     split = np.searchsorted(ys, xs, "left")
@@ -195,31 +199,40 @@ def _least_feasible_distance(
     def greedy(d: float) -> float:
         return _greedy_mass(a_list, cum_b, *band_windows(xs, ys, d))
 
-    def feasible(d: float, nxt: float) -> bool:
-        matched = greedy(d) if d > 0.0 else at_zero
-        if abs(t_goal - matched - nxt) <= guard:
-            matched = BandFlow(xs, aw, ys, bw, d).solve()
-        return t_goal - matched < nxt
+    def feasible(d: float, nxt: float) -> tuple[bool, float]:
+        deficit = t_goal - (greedy(d) if d > 0.0 else at_zero)
+        if abs(deficit - nxt) <= guard:
+            return t_goal - BandFlow(xs, aw, ys, bw, d).solve() < nxt, np.nan  # no deficit
+        return deficit < nxt, deficit
+
+    def farthest(t: float) -> tuple[float, np.ndarray]:  # the pair (or 0), its windows
+        edges = _pair_edges(xs, ys, split, t)
+        far = np.abs(run_x - ys[np.clip(edges + is_lo - 1, 0, m - 1)])
+        return float(far[edges != run_split].max(initial=0.0)), edges
 
     # The bracket's pairs lie between the window edges at ``low`` (inner)
     # and those just below ``high`` (outer): per row, one run on each side.
     low, inner, high, outer = -np.inf, run_split, np.inf, np.repeat([0, m], n)
     # The seed is the farthest pair in the windows at ``r = T - M(0)``, or 0.
     at_zero = greedy(0.0)
-    edges = _pair_edges(xs, ys, split, max(t_goal - at_zero, 0.0))
-    far = np.abs(run_x - ys[np.clip(edges + is_lo - 1, 0, m - 1)])
-    d = float(far[edges != run_split].max(initial=0.0))
+    d, edges = guess = farthest(max(t_goal - at_zero, 0.0))
     while True:
         beyond = edges - is_lo  # the nearest pair outside each window
         fits = (beyond >= 0) & (beyond < m)
         nxt = np.abs(run_x - ys[np.clip(beyond, 0, m - 1)])[fits].min(initial=np.inf)
-        if feasible(d, float(nxt)):
+        passed, deficit = feasible(d, float(nxt))
+        if passed:
+            if deficit - guard >= max(low, 0.0) and (guess := farthest(deficit - guard))[0] == d:
+                return d
             below = np.nextafter(d, -np.inf)  # these windows, past the pairs at ``d``
             high, outer = d, _settle_edges(xs, ys, split, below, edges[:n], edges[n:])
         else:
             low, inner = d, edges
         if not (live := outer != inner).any():
             break
+        if low < guess[0] < high:  # once probed or outside, a guess stays out
+            d, edges = guess
+            continue
         # Half of every run sits at or below (above) its middle element, so
         # the weighted median of those has a quarter of the pairs either side.
         mids = np.abs(run_x[live] - ys[(outer + inner)[live] // 2])
@@ -228,7 +241,7 @@ def _least_feasible_distance(
         d = float(mids[order[np.searchsorted(cum, (cum[-1] + 1) // 2)]])
         edges = _pair_edges(xs, ys, split, d)
     # No pair distance is left between low and high, but 0 is a candidate.
-    if low < 0.0 < high and feasible(0.0, high):
+    if low < 0.0 < high and feasible(0.0, high)[0]:
         return 0.0
     return high
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import measures
 from .errors import (
+    BudgetExceeded,
     InvalidParameter,
     SolverDidNotConverge,
     SupercriticalRequired,
@@ -55,6 +56,10 @@ CRITICAL_DEAD_ZONE = 1e-9
 # Refuse to materialize truncated families beyond this many atoms, whether
 # the truncation is derived or given.
 MAX_DERIVED_TRUNCATION = 2_000_000
+
+# Most binomial terms (the sum of the atoms) one survival transform may sum:
+# polynomial(2.4) cut at 8,944 sums 40,002,040 in 0.75-0.91 s (2-core Xeon).
+_SURVIVAL_WORK_CAP = 4 * 10**7
 
 # Each family's parameters, as ``FamilySpec`` fields, and its label format.
 # A parameter's CLI flag and JSON key carry its field name, except that
@@ -471,8 +476,9 @@ def survival_transform(law: OffspringLaw) -> OffspringLaw:
     q = extinction_probability(law).value
     if q == 0.0:
         return OffspringLaw(law.measure, law.mean_m, tail_bound=law.tail_bound)
-    ks = law.counts
-    ws = law.probs
+    ks, ws = law.counts, law.probs
+    if (work := int(ks.sum())) > _SURVIVAL_WORK_CAP:
+        raise BudgetExceeded(f"{work} survival transform terms exceed _SURVIVAL_WORK_CAP", step=0)
     out = np.zeros(int(ks[-1]) + 1, dtype=float)
     log_fact = _log_factorial(np.arange(len(out)))
     for k, w in zip(ks.tolist(), ws.tolist()):

@@ -2,8 +2,8 @@
 
 Everything here favors obviousness over speed: per-individual outcome
 enumeration with itertools.product, dict-based convolution, subset
-enumeration for the Prohorov metric and a Prohorov search over the full
-list of pair distances, and a grid search and a sparse LP on HiGHS for the
+enumeration for the Prohorov metric, a Prohorov search over the full
+list of pair distances and one by weighted medians only, and a grid search and a sparse LP on HiGHS for the
 bounded-Lipschitz metric.  Tests compute expected values from these and
 compare the fast implementations against them on small instances.
 """
@@ -20,8 +20,9 @@ from gwlab.engine import JointLaw, Propagator, condition_on_survival
 from gwlab.errors import InvalidParameter
 from gwlab.estimator import deviation_mask
 from gwlab.estimator import ratio_law as exact_ratio_law
-from gwlab.maxflow import FLOW_TERMINATION, BandFlow, band_windows
-from gwlab.metrics import MetricResult, _complete_coupling
+from gwlab import metrics
+from gwlab.maxflow import FLOW_TERMINATION, BandFlow, _greedy_mass, band_windows
+from gwlab.metrics import MetricResult, _complete_coupling, _pair_edges, _settle_edges
 from gwlab.measures import group_pairs
 from gwlab.montecarlo import SimTable, _draw_next
 
@@ -269,6 +270,59 @@ def prohorov_by_breakpoints(a, b, scan: bool = False):
         certificate=_complete_coupling(a, b, value, flow),
         defect_slack=a.defect + b.defect,
     )
+
+
+def least_feasible_by_median(
+    xs: np.ndarray, aw: np.ndarray, ys: np.ndarray, bw: np.ndarray, t_goal: float
+) -> float:
+    """``gwlab.metrics._least_feasible_distance`` by weighted medians alone.
+
+    The same test of ``T - M(d) < d'`` on the same candidates, with the same
+    guard redo, and the same first probe, the largest candidate at or below
+    ``T - M(0)``.  Every later probe is the weighted median of the pairs
+    left in the bracket: no probe's deficit is used to place the next.
+    """
+    n, m = len(xs), len(ys)
+    split = np.searchsorted(ys, xs, "left")
+    cum_b = np.concatenate([[0.0], np.cumsum(bw)])
+    a_list = aw.tolist()
+    guard = metrics._GUARD + (n + m) * FLOW_TERMINATION
+    run_x, run_split = np.tile(xs, 2), np.tile(split, 2)
+    is_lo = np.arange(2 * n) < n
+
+    def greedy(d: float) -> float:
+        return _greedy_mass(a_list, cum_b, *band_windows(xs, ys, d))
+
+    def feasible(d: float, nxt: float) -> bool:
+        matched = greedy(d) if d > 0.0 else at_zero
+        if abs(t_goal - matched - nxt) <= guard:
+            matched = BandFlow(xs, aw, ys, bw, d).solve()
+        return t_goal - matched < nxt
+
+    low, inner, high, outer = -np.inf, run_split, np.inf, np.repeat([0, m], n)
+    at_zero = greedy(0.0)
+    edges = _pair_edges(xs, ys, split, max(t_goal - at_zero, 0.0))
+    far = np.abs(run_x - ys[np.clip(edges + is_lo - 1, 0, m - 1)])
+    d = float(far[edges != run_split].max(initial=0.0))
+    while True:
+        beyond = edges - is_lo
+        fits = (beyond >= 0) & (beyond < m)
+        nxt = np.abs(run_x - ys[np.clip(beyond, 0, m - 1)])[fits].min(initial=np.inf)
+        if feasible(d, float(nxt)):
+            below = np.nextafter(d, -np.inf)
+            high, outer = d, _settle_edges(xs, ys, split, below, edges[:n], edges[n:])
+        else:
+            low, inner = d, edges
+        if not (live := outer != inner).any():
+            break
+        mids = np.abs(run_x[live] - ys[(outer + inner)[live] // 2])
+        order = np.argsort(mids, kind="stable")
+        cum = np.cumsum(np.abs(outer - inner)[live][order])
+        d = float(mids[order[np.searchsorted(cum, (cum[-1] + 1) // 2)]])
+        edges = _pair_edges(xs, ys, split, d)
+    if low < 0.0 < high and feasible(0.0, high):
+        return 0.0
+    return high
 
 
 def complete_coupling(a, b, eps: float, flow: BandFlow):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -723,6 +724,23 @@ class TestReferenceOutputBytes:
         # entry and the slack as well as the value.
         expected = (DATA / "metric_prohorov_binary_p075_p074_n6.json").read_text()
         assert self.metric_of_binary_laws(tmp_path, "prohorov") == expected
+
+    def test_prohorov_certificate_at_n8_matches_its_digest(self, tmp_path):
+        # binary(0.75) against binary(0.755) at n = 8, 2,325 atoms a side: the
+        # search's deficit steps at the crossing, so it ends on weighted
+        # medians.  The 345,023 bytes are pinned by their sha256.
+        law = tmp_path / "binary_p0.755_n8.json"
+        out = run(["estimator-law", "--family", "binary", "--p", "0.755", "--n", "8",
+                   "--format", "json", "--no-timestamp", "--output", str(law)])
+        assert out.returncode == 0, out.stderr
+        out = run(["metric", "--kind", "prohorov", str(DATA / "estimator_law_binary_p075_n8.json"),
+                   str(law), "--format", "json", "--no-timestamp"])
+        assert out.returncode == 0, out.stderr
+        printed = out.stdout.encode()
+        assert len(printed) == 345_023
+        assert hashlib.sha256(printed).hexdigest() == (
+            "e644410edc748f8f1087d1c33850e54e813e7d9a241219ac64934a67df5c9ae6"
+        )
 
     def test_bounded_lipschitz_metric_matches_reference(self, tmp_path):
         # The certificate's function, its sup and slope, and the upper bound

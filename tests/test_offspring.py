@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gwlab import (
+    BudgetExceeded,
     DiscreteMeasure,
     FamilySpec,
     InvalidParameter,
@@ -285,6 +286,25 @@ class TestSurvivalTransform:
     def test_subcritical_rejected(self):
         with pytest.raises(SupercriticalRequired):
             survival_transform(build(POLY3))
+
+    def test_a_law_past_the_work_cap_is_refused_promptly(self):
+        # Supercritical (q = 0.9932) and 2.0e10 binomial terms: the full sum
+        # ran past 3.5 CPU-minutes.
+        law = build(FamilySpec.polynomial(2.4, truncation=200_000))
+        assert int(law.counts.sum()) > offspring._SURVIVAL_WORK_CAP
+
+        def stuck(signum, frame):
+            raise TimeoutError("the survival transform was not refused")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(BudgetExceeded, match="_SURVIVAL_WORK_CAP") as err:
+                survival_transform(law)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert err.value.step == 0
 
 
 class TestExtinctionTransform:
