@@ -112,7 +112,9 @@ class PowerCache:
     entries and the base ``K`` atoms: halving, ``L_{j//2} * L_{j-j//2}``, or
     stepping from the anchor, ``K * sum(L_i, i = anchor+1..j)``.  Dense laws
     (``2K`` near ``ell``) always halve.  Each power's lattice span is found
-    once, when it is stored, and handed to every convolution using it.
+    once, when it is stored, and handed to every convolution using it: each
+    index of ``P^j`` is ``j*x0`` (``x0`` the least base atom) plus a sum of
+    gaps ``x_k - x0``, so the entries at ``(j-1)*x0 + x_k`` are its witnesses.
     """
 
     def __init__(self, law: OffspringLaw):
@@ -121,6 +123,7 @@ class PowerCache:
             0: (np.ones(1), 0.0),
             1: (base, law.measure.defect),
         }
+        self._sites = law.measure.integer_values.tolist()
         self._spans: dict[int, int] = {0: 0, 1: _span(base)}
         self._keys = [0, 1]  # sorted keys of _cache
         self._lattice = base[:: self._spans[1] or 1]
@@ -150,7 +153,7 @@ class PowerCache:
             entry = (w, da + db)
         self._cache[j] = entry
         insort(self._keys, j)
-        spans[j] = _span(entry[0])
+        spans[j] = _span(entry[0], [(j - 1) * self._sites[0] + x for x in self._sites])
         return entry
 
     def _step(self, anchor: int, j: int) -> tuple[np.ndarray, float]:

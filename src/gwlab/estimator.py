@@ -3,9 +3,9 @@
 The estimator takes the value 0 when the previous generation is empty, so
 its law is the pushforward of the consecutive-pair law under
 ``(j, k) -> k/j`` for ``j > 0`` together with the extinction atom at 0.
-Ratios are reduced exactly with integer arithmetic before merging, so
-``2/6`` and ``1/3`` land on the same atom.  ``deviation_mask`` decides
-``|ratio - m| >= eta`` exactly, reduced or not, reading a float 0.4 as 2/5.
+Rows merge unreduced, by exact value, so ``2/6`` and ``1/3`` land on one
+atom, which is then reduced.  ``deviation_mask`` decides ``|ratio - m| >=
+eta`` exactly, reduced or not, reading a float 0.4 as 2/5.
 """
 
 from __future__ import annotations
@@ -49,18 +49,15 @@ def ratio_law(
 ) -> DiscreteMeasure:
     """Law of ``curr / prev`` (0 where ``prev`` is 0) with exactly reduced atoms.
 
-    ``probs[i]`` is the mass of ``(prev[i], curr[i])``; equal reduced ratios
-    merge.  All rows are reduced at once, then ``prev == 0`` rows set to 0/1.
+    ``probs[i]`` is the mass of ``(prev[i], curr[i])``; equal ratios merge.
+    The rows merge as they are, ``prev == 0`` rows as 0/1, and only the
+    distinct atoms are reduced.
     """
     if prev.size == 0:
         raise InvalidParameter("no rows to build an estimator law from")
-    dead = prev <= 0
-    g = np.gcd(curr, prev)
-    g[dead] = 1
-    nums = curr // g
-    dens = np.floor_divide(prev, g, out=g)
-    nums[dead], dens[dead] = 0, 1
-    return DiscreteMeasure(*merge_atoms(nums, dens, probs)[:3], defect)
+    nums, dens, weights = merge_atoms(np.where(prev > 0, curr, 0), np.maximum(prev, 1), probs)[:3]
+    g = np.gcd(nums, dens)
+    return DiscreteMeasure(nums // g, np.floor_divide(dens, g, out=g), weights, defect)
 
 
 def estimator_law(joint: JointLaw, conditioned: bool = False) -> EstimatorLaw:
@@ -108,12 +105,11 @@ def consistency_probability(
 
     Live rows are classified exactly by ``deviation_mask``, so boundary atoms
     (deviation exactly eta) count.  Only deviating rows are divided by the
-    survival mass and merged: a deviating atom's rows all deviate, in order,
-    so its weight is bit for bit that law's.  Weights add in support order.
+    survival mass and merged, unreduced, as no atom is read: a deviating atom's
+    rows all deviate, in order, so its weight is bit for bit that law's.
+    Weights add in support order.
     """
     alive, survival = survival_mass(joint)
     far = alive & deviation_mask(joint.curr, joint.prev, m, eta)
-    prev, curr = joint.prev[far], joint.curr[far]
-    g = np.gcd(curr, prev)
-    weights = merge_atoms(curr // g, prev // g, joint.probs[far] / survival)[2]
+    weights = merge_atoms(joint.curr[far], joint.prev[far], joint.probs[far] / survival)[2]
     return (float(np.cumsum(weights)[-1]) if weights.size else 0.0), joint.defect / survival

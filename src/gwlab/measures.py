@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,14 +70,12 @@ def _float_values(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return np.array([n / d for n, d in zip(nums.tolist(), dens.tolist())], dtype=float)
 
 
-def _check_order(nums: np.ndarray, dens: np.ndarray) -> None:
-    """Strict increase of ``nums / dens`` (``dens`` positive) by exact cross-
-    multiplication, on Python ints where an int64 product could wrap."""
-    if len(nums) > 1:
-        big = int(np.abs(nums).max()) * int(dens.max()) >= 2**63
-        a, b = (nums.astype(object), dens.astype(object)) if big else (nums, dens)
-        if not np.all(a[:-1] * b[1:] < a[1:] * b[:-1]):
-            raise InvalidParameter("support must be strictly increasing")
+def _cross(nums: np.ndarray, dens: np.ndarray, lo: object, hi: object) -> tuple[np.ndarray, ...]:
+    """``nums[lo] * dens[hi]`` and ``nums[hi] * dens[lo]``, to compare atoms
+    exactly: on Python ints where an int64 product could wrap."""
+    if int(np.abs(nums).max(initial=0)) * int(dens.max(initial=0)) >= 2**63:
+        nums, dens = nums.astype(object), dens.astype(object)
+    return nums[lo] * dens[hi], nums[hi] * dens[lo]
 
 
 class DiscreteMeasure:
@@ -110,7 +108,8 @@ class DiscreteMeasure:
         w, defect = np.asarray(weights, dtype=float), float(defect)
         if not len(nums) == len(dens) == len(w) or np.any(dens <= 0):
             raise InvalidParameter("need equal-length arrays and positive denominators")
-        _check_order(nums, dens)
+        if not np.less(*_cross(nums, dens, np.s_[:-1], np.s_[1:])).all():
+            raise InvalidParameter("support must be strictly increasing")
         keep = w != 0.0
         nums, dens, w = nums[keep], dens[keep], w[keep]
         if not (np.isfinite(w).all() and math.isfinite(defect)):
@@ -251,17 +250,27 @@ def _truncate_dense(w: np.ndarray, budget: float) -> tuple[np.ndarray, float]:
 def _trim_back(w: np.ndarray) -> np.ndarray:
     """``w`` without its trailing zeros; empty when ``w`` is all zeros.
 
-    Same view as ``np.trim_zeros(w, "b")``, found by one ``argmax`` from
-    the end rather than by listing every nonzero index.
+    Same values as ``np.trim_zeros(w, "b")``, found at once when the last
+    entry is nonzero, else by one ``argmax`` from the end.
     """
+    if w.size and w[-1] != 0:
+        return w
     nonzero = w[::-1] != 0
     if not nonzero.any():
         return w[:0]
     return w[: w.size - int(nonzero.argmax())]
 
 
-def _span(w: np.ndarray) -> int:
-    """gcd of the nonzero indices of ``w``; 0 when only index 0 carries mass."""
+def _span(w: np.ndarray, witnesses: Sequence[int] = ()) -> int:
+    """gcd of the nonzero indices of ``w``; 0 when only index 0 carries mass.
+
+    ``witnesses`` are indices whose gcd divides every nonzero index of ``w``;
+    if the witnesses ``w`` is nonzero at, read as scalars, have that gcd, it
+    is the span.  Otherwise (say, their mass underflowed) ``w`` is scanned.
+    """
+    hit = [i for i in witnesses if i < w.size and w[i] != 0]
+    if hit and math.gcd(*hit) == math.gcd(*witnesses):
+        return math.gcd(*hit)
     return int(np.gcd.reduce(np.flatnonzero(w)))
 
 
@@ -289,22 +298,24 @@ def _convolve_dense(a: np.ndarray, b: np.ndarray, ga: int, gb: int) -> np.ndarra
 def merge_atoms(
     nums: np.ndarray, dens: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Merge repeated atoms ``nums / dens`` (reduced, ``dens`` positive).
+    """Merge equal atoms ``nums / dens`` (``dens`` positive, reduced or not).
 
-    Returns the distinct atoms' ``nums`` and ``dens`` in increasing order,
-    each atom's weight summed in input order (as ``np.bincount`` adds), and
-    every input's atom index.  Atoms are ordered by float value; only when
-    two distinct atoms share a float are they ordered as ``Fraction``s.
+    Returns one input pair per distinct atom in increasing order, each atom's
+    weight summed in input order (as ``np.bincount`` adds), and every input's
+    atom index.  Atoms group by correctly rounded float value, which equal
+    rationals share, confirmed by exact cross-multiplication; only when two
+    distinct atoms share a float are they ordered as ``Fraction``s.
     """
     values = _float_values(nums, dens)
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     values, sn, sd = values[order], nums[order], dens[order]
-    same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
-    if (~same & (values[1:] == values[:-1])).any():
+    same = values[1:] == values[:-1]
+    tie = np.flatnonzero(same)
+    if not np.equal(*_cross(sn, sd, tie, tie + 1)).all():
         exact = list(map(Fraction, nums.tolist(), dens.tolist()))
         order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
         sn, sd = nums[order], dens[order]
-        same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
+        same = np.equal(*_cross(sn, sd, np.s_[:-1], np.s_[1:]))
     first = np.concatenate([[True], ~same])[: len(sn)]
     index = np.empty(len(sn), dtype=np.intp)
     index[order] = np.cumsum(first) - 1

@@ -16,14 +16,14 @@ from fractions import Fraction
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from gwlab.engine import JointLaw, Propagator, condition_on_survival
+from gwlab.engine import JointLaw, Propagator, condition_on_survival, survival_mass
 from gwlab.errors import InvalidParameter
 from gwlab.estimator import deviation_mask
 from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab import metrics
 from gwlab.maxflow import FLOW_TERMINATION, BandFlow, _greedy_mass, band_windows
 from gwlab.metrics import MetricResult, _complete_coupling, _pair_edges, _settle_edges
-from gwlab.measures import group_pairs
+from gwlab.measures import DiscreteMeasure, group_pairs
 from gwlab.montecarlo import SimTable, _draw_next
 
 # -- laws as plain dicts -------------------------------------------------------
@@ -184,6 +184,49 @@ def consistency_by_law(joint: JointLaw, m, eta) -> tuple[float, float]:
     law = exact_ratio_law(cond.prev, cond.curr, cond.probs, cond.defect)
     far = law.weights_array[deviation_mask(law.nums, law.dens, m, eta)]
     return (float(np.cumsum(far)[-1]) if far.size else 0.0), law.defect
+
+
+def merge_reduced(nums: np.ndarray, dens: np.ndarray, weights: np.ndarray):
+    """``merge_atoms``' atoms and weights for reduced atoms by equal pairs:
+    stable float order, equal ``(num, den)`` neighbours merge, and ``Fraction``
+    order where distinct atoms share a float."""
+    values = np.array([n / d for n, d in zip(nums.tolist(), dens.tolist())], dtype=float)
+    order = np.argsort(values, kind="stable")
+    sn, sd = nums[order], dens[order]
+    same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
+    if (~same & (values[order][1:] == values[order][:-1])).any():
+        exact = list(map(Fraction, nums.tolist(), dens.tolist()))
+        order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
+        sn, sd = nums[order], dens[order]
+        same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
+    first = np.concatenate([[True], ~same])[: len(sn)]
+    index = np.empty(len(sn), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return sn[first], sd[first], np.bincount(index, weights=weights)
+
+
+def reduced_rows(prev: np.ndarray, curr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``curr / prev`` in lowest terms by its own gcd, 0/1 where ``prev`` is 0."""
+    dead = prev <= 0
+    g = np.gcd(curr, prev)
+    g[dead] = 1
+    nums, dens = curr // g, prev // g
+    nums[dead], dens[dead] = 0, 1
+    return nums, dens
+
+
+def ratio_law_by_rows(prev, curr, probs, defect) -> DiscreteMeasure:
+    """``ratio_law`` by reducing every row, then merging the reduced pairs."""
+    return DiscreteMeasure(*merge_reduced(*reduced_rows(prev, curr), probs), defect)
+
+
+def consistency_by_rows(joint: JointLaw, m, eta) -> tuple[float, float]:
+    """``consistency_probability`` by reducing every deviating row, then merging."""
+    alive, survival = survival_mass(joint)
+    far = alive & deviation_mask(joint.curr, joint.prev, m, eta)
+    nums, dens = reduced_rows(joint.prev[far], joint.curr[far])
+    weights = merge_reduced(nums, dens, joint.probs[far] / survival)[2]
+    return (float(np.cumsum(weights)[-1]) if weights.size else 0.0), joint.defect / survival
 
 
 # -- metrics -------------------------------------------------------------------

@@ -243,9 +243,9 @@ def test_criterion_07_conditional_deviation_drops_below_gate(b75):
     assert inst["decreasing_last_exact"]
     assert len(inst["exact_tail"]) >= 4
     elapsed = time.perf_counter() - start
-    # Twice the slowest of five runs of this gate alone: 0.09-0.11 s on a
-    # 2-core Xeon (0.087, 0.113, 0.086, 0.112, 0.101 s).
-    assert elapsed < 0.225
+    # Twice the slowest of five runs of this gate alone: 0.04-0.07 s on a
+    # 2-core Xeon (0.074, 0.049, 0.054, 0.044, 0.060 s).
+    assert elapsed < 0.148
     record_criterion(
         7,
         "PASS",

@@ -33,6 +33,7 @@ from gwlab import (
     trajectory_tv,
     wlln_probability,
 )
+from gwlab.measures import _trim_back
 
 B75_PMF = {0: 0.25, 2: 0.75}
 T1_PMF = {0: 0.20, 2: 0.50, 3: 0.30}
@@ -442,6 +443,33 @@ class TestPowerCache:
         cache._cache[5] = (np.array([1.0, 0.0, 0.0, 0.0, 5e-324]), 0.0)
         w, _ = cache._step(5, 6)
         assert w.tolist() == law.measure.dense_weights().tolist()
+
+    @pytest.mark.parametrize("law,top", [
+        # P^j[0] = 0.25**j underflows from j = 538 and P^j[2] from j = 543,
+        # so the last powers lose both witnesses and take the full scan.
+        (FamilySpec.binary(0.75), 600),
+        ([(1, 0.5), (3, 0.5)], 200),
+        ([(2, 0.2), (5, 0.5), (11, 0.3)], 150),
+        (FamilySpec.raw([0.3, 0, 0, 0, 0, 0, 0.3, 0, 0, 0, 0.4]), 150),
+        (FamilySpec.poisson(2.0, 30), 60),
+        ([(0, 1.0)], 20),
+        ([(3, 1.0)], 20),
+    ])
+    def test_span_and_trim_shortcuts_match_full_scans(self, law, top):
+        if isinstance(law, FamilySpec):
+            law = build(law)
+        else:
+            law = sparse_law(*map(list, zip(*law)))
+        sweep, cold = PowerCache(law), PowerCache(law)
+        for j in range(1, top + 1):
+            sweep.get(j)
+        for j in (top, top // 2 + 1, 37, 3):
+            cold.get(j)
+        for cache in (sweep, cold):
+            for j, (w, _) in cache._cache.items():
+                assert cache._spans[j] == np.gcd.reduce(np.flatnonzero(w))
+                for v in (w, np.concatenate([w, np.zeros(2)])):
+                    assert np.array_equal(_trim_back(v), np.trim_zeros(v, "b"))
 
 
 def assert_powers_match_oracle(law, js):

@@ -32,30 +32,6 @@ B75_PMF = {0: 0.25, 2: 0.75}
 T1_PMF = {0: 0.20, 2: 0.50, 3: 0.30}
 
 
-def masked_ratio_arrays(prev, curr, probs):
-    """``ratio_law``'s ``nums``, ``dens`` and weights by its earlier formula:
-    masked copies of the live rows, and float ties found with ``np.diff``."""
-    alive = prev > 0
-    g = np.gcd(curr[alive], prev[alive])
-    nums = np.zeros(prev.size, dtype=np.int64)
-    dens = np.ones(prev.size, dtype=np.int64)
-    nums[alive] = curr[alive] // g
-    dens[alive] = prev[alive] // g
-    values = np.array([Fraction(int(a), int(b)).__float__() for a, b in zip(nums, dens)])
-    order = np.argsort(values, kind="stable")
-    sn, sd = nums[order], dens[order]
-    same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
-    if (~same & (np.diff(values[order]) == 0.0)).any():
-        exact = list(map(Fraction, nums.tolist(), dens.tolist()))
-        order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
-        sn, sd = nums[order], dens[order]
-        same = (sn[1:] == sn[:-1]) & (sd[1:] == sd[:-1])
-    first = np.concatenate([[True], ~same])[: len(sn)]
-    index = np.empty(len(sn), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    return sn[first], sd[first], np.bincount(index, weights=probs)
-
-
 class TestEstimatorLaw:
     def test_first_step_reproduces_offspring_law(self, b75):
         e = estimator_law(joint_law(b75, 1))
@@ -133,22 +109,36 @@ class TestEstimatorLaw:
         rows=st.lists(
             st.tuples(
                 st.tuples(st.integers(0, 40), st.integers(0, 120))
-                | st.integers(2**27, 2**27 + 3).map(lambda j: (j, j + 1)),
+                | st.integers(2**27, 2**27 + 3).map(lambda j: (j, j + 1))
+                | st.tuples(st.integers(2**63, 2**64), st.integers(0, 2**66)),
+                st.sampled_from([1, 3, 2**62]),
                 st.floats(1e-6, 1.0),
             ),
             min_size=1, max_size=60,
-        )
+        ),
+        eta=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2**70)]),
+        data=st.data(),
     )
-    def test_matches_the_masked_formula_array_for_array(self, rows):
-        # Distinct ratios (j + 1)/j for j near 2**27 share floats, so the
-        # exact reordering is reached too; (0, k) rows take the atom at 0.
-        prev, curr = (np.array(col, dtype=np.int64) for col in zip(*[pair for pair, _ in rows]))
-        probs = np.array([p for _, p in rows])
+    def test_matches_the_reduce_then_merge_route_bit_for_bit(self, rows, eta, data):
+        # Rows merge unreduced: each pair comes scaled by 1, 3 or 2**62, so
+        # equal ratios arrive in several forms, in int64 or past it.  Distinct
+        # ratios (j + 1)/j for j near 2**27 share floats, so the exact
+        # reordering is reached too; (0, k) rows take the atom at 0.  An eta
+        # of 2**70 leaves no deviating row.
+        pairs = [(j * scale, k * scale) for (j, k), scale, _ in rows] + [(2, 3)]
+        prev, curr = (as_ints(list(col)) for col in zip(*pairs))
+        probs = np.array([p for *_, p in rows] + [0.5])
         probs /= probs.sum()
         law = ratio_law(prev, curr, probs, 0.0)
-        for got, want in zip((law.nums, law.dens, law.weights_array),
-                             masked_ratio_arrays(prev, curr, probs)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = oracles.ratio_law_by_rows(prev, curr, probs, 0.0)
+        for got, ref in zip(law._arrays(), want._arrays()):
+            assert (got.dtype, array_bits(got)) == (ref.dtype, array_bits(ref))
+        # m +- eta lands on a live row's ratio, so that atom sits on the boundary.
+        i = data.draw(st.sampled_from(np.flatnonzero(prev > 0).tolist()))
+        m = Fraction(int(curr[i]), int(prev[i])) + data.draw(st.sampled_from([eta, -eta]))
+        joint = JointLaw(n=1, z0=1, prev=prev, curr=curr, probs=probs, defect=0.0)
+        got = consistency_probability(joint, m, eta)
+        assert same_bits(got, oracles.consistency_by_rows(joint, m, eta))
 
     def test_conditioning_needs_survivors(self):
         law = build(FamilySpec.raw([1.0]))
@@ -236,6 +226,11 @@ class TestConsistencyProbability:
 
 def same_bits(got, ref) -> bool:
     return np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def array_bits(a: np.ndarray) -> bytes | list:
+    """An array's bytes, or its Python ints for an object array."""
+    return a.tolist() if a.dtype == object else a.tobytes()
 
 
 class TestConsistencyBitForBit:

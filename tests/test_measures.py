@@ -219,7 +219,13 @@ class TestMergeAtoms:
         # One more weight that brings the first atom's sum to exactly zero.
         picks.append(picks[0])
         weights.append(-oracles.merge_by_dict(picks, weights)[picks[0]])
-        ints = [x.numerator for x in picks] + [x.denominator for x in picks]
+        # Each atom comes in lowest terms or scaled by 3 or 2**40, so equal
+        # atoms arrive as different pairs, in int64 or past it.
+        scales = data.draw(st.lists(
+            st.sampled_from([1, 3, 2**40]), min_size=len(picks), max_size=len(picks)
+        ))
+        ints = [x.numerator * s for x, s in zip(picks, scales)]
+        ints += [x.denominator * s for x, s in zip(picks, scales)]
         ints = np.array(ints, dtype=np.int64 if max(ints) < 2**63 else object)
         nums, dens = ints[: len(picks)], ints[len(picks):]
         unums, udens, summed, index = merge_atoms(nums, dens, np.array(weights))
@@ -241,15 +247,20 @@ class TestMergeAtoms:
         m = DiscreteMeasure.from_items(zip(picks, masses), defect=1.0)
         assert list(m.items()) == kept
         # Typed before zero sums drop, as the merged arrays come in.
-        assert m.nums.dtype == (np.int64 if max(ints) < 2**63 else object)
+        top = max(max(x.numerator, x.denominator) for x in picks)
+        assert m.nums.dtype == (np.int64 if top < 2**63 else object)
 
-    def test_distinct_atoms_sharing_a_double_fall_back_to_exact_order(self):
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_distinct_atoms_sharing_a_double_fall_back_to_exact_order(self, scale):
+        # Scaled by 3 the atoms are not in lowest terms; they merge alike.
         j = 2**27
-        nums = np.array([j + 1, j + 2, j + 1, j + 3])
-        dens = np.array([j, j + 1, j, j + 2])
+        nums = scale * np.array([j + 1, j + 2, j + 1, j + 3])
+        dens = scale * np.array([j, j + 1, j, j + 2])
         unums, udens, summed, index = merge_atoms(nums, dens, np.array([0.25, 0.5, 0.125, 0.125]))
         assert len(set((unums / udens).tolist())) == 1
-        assert (unums.tolist(), udens.tolist()) == ([j + 3, j + 2, j + 1], [j + 2, j + 1, j])
+        assert (unums.tolist(), udens.tolist()) == (
+            [scale * (j + 3), scale * (j + 2), scale * (j + 1)], [scale * (j + 2), scale * (j + 1), scale * j]
+        )
         assert summed.tolist() == [0.125, 0.5, 0.375]
         assert index.tolist() == [2, 1, 2, 0]
 
