@@ -115,6 +115,8 @@ class PowerCache:
     once, when it is stored, and handed to every convolution using it: each
     index of ``P^j`` is ``j*x0`` (``x0`` the least base atom) plus a sum of
     gaps ``x_k - x0``, so the entries at ``(j-1)*x0 + x_k`` are its witnesses.
+    A power's last bits depend on the anchor, so on the powers cached before it:
+    only callers making the same sequence of ``get`` calls may share a cache.
     """
 
     def __init__(self, law: OffspringLaw):

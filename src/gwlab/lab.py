@@ -260,11 +260,22 @@ def _member_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
+def _propagator(prop: Propagator | None, law: OffspringLaw, **settings: float) -> Propagator:
+    """``prop``, refused unless built on this law object with these settings; a new one if None."""
+    if prop is None:
+        return Propagator(law, **settings)
+    wrong = [] if prop.law is law else ["law"]
+    wrong += [k for k, v in settings.items() if getattr(prop, k) != v]
+    if wrong:
+        raise InvalidParameter(f"the shared Propagator differs in {', '.join(wrong)}")
+    return prop
+
+
 def _horizon_laws(
     law: OffspringLaw, levels: Iterable[int],
     from_exact: Callable[[JointLaw], T], from_table: Callable[[SimTable, int], T],
     *, z0: int, budget: float, exact_cutoff: int, seed: int, replications: int,
-    cap: int, jobs: int, resolution: Fraction | None = None,
+    cap: int, jobs: int, resolution: Fraction | None = None, prop: Propagator | None = None,
 ) -> tuple[dict[int, T], int | None]:
     """The one exact-to-Monte-Carlo route: a result per horizon in ``levels``.
 
@@ -278,10 +289,9 @@ def _horizon_laws(
     Returns the results by horizon and ``mc_from``.
     """
     wanted = sorted(set(levels))
-    n_max = wanted[-1]
-    prop = Propagator(law, z0=z0, n_max=n_max, budget=budget)
+    prop = _propagator(prop, law, z0=z0, n_max=wanted[-1], budget=budget)
     out: dict[int, T] = {}
-    for n in range(1, n_max + 1):
+    for n in range(1, prop.n_max + 1):
         try:
             exact = prop.support_size(n) <= exact_cutoff
             if exact and n in wanted:
@@ -289,7 +299,7 @@ def _horizon_laws(
         except BudgetExceeded:
             exact = False
         if not exact:
-            cfg = SimConfig(seed, replications, n_max, z0, cap)
+            cfg = SimConfig(seed, replications, prop.n_max, z0, cap)
             table = simulate_paths(law, cfg, jobs=jobs, resolution=resolution)
             out.update((k, from_table(table, k)) for k in wanted if k >= n)
             return out, n
@@ -582,6 +592,16 @@ def verify_conditional_consistency(
     horizons where the population cap excluded every replication are left
     out of that choice; when no horizon is left the report is inconclusive.
     """
+    return _conditional_consistency(None, law, eta, eps, n_range, z0, budget, exact_cutoff,
+                                    replications, seed, cap, jobs)
+
+
+def _conditional_consistency(
+    prop: Propagator | None, law: OffspringLaw, eta: object, eps: float, n_range: Iterable[int],
+    z0: int = 1, budget: float = DEFAULT_TAIL_BUDGET, exact_cutoff: int = EXACT_CUTOFF,
+    replications: int = DEFAULT_REPLICATIONS, seed: int = 0, cap: int = DEFAULT_SIM_CAP,
+    jobs: int = 1,
+) -> VerificationReport:
     check_jobs(jobs)
     if criticality(law) != "supercritical":
         raise SupercriticalRequired("conditional consistency needs a supercritical law")
@@ -594,7 +614,7 @@ def verify_conditional_consistency(
         lambda joint: (*consistency_probability(joint, m_frac, eta_frac), None),
         lambda table, n: empirical_consistency_probability(table, n, m_frac, eta_frac),
         z0=z0, budget=budget, exact_cutoff=exact_cutoff, seed=seed,
-        replications=replications, cap=cap, jobs=jobs,
+        replications=replications, cap=cap, jobs=jobs, prop=prop,
     )
     # Exact horizons carry no standard error; simulated ones do.
     values = {n: r[0] for n, r in results.items()}
@@ -652,6 +672,13 @@ def verify_conditional_occupancy(
     surviving line grows like a Bernoulli(p) staircase, and conditioning
     leaks at most geometrically much mass from doomed lines.
     """
+    return _conditional_occupancy(None, law, k, n_range, budget)
+
+
+def _conditional_occupancy(
+    prop: Propagator | None, law: OffspringLaw, k: int, n_range: Iterable[int],
+    budget: float = DEFAULT_TAIL_BUDGET,
+) -> VerificationReport:
     ext = extinction_probability(law)
     if not ext.supercritical:
         raise SupercriticalRequired("occupancy bound needs a supercritical law")
@@ -664,8 +691,7 @@ def verify_conditional_occupancy(
     levels = sorted(set(int(x) for x in n_range))
     if not levels or levels[0] < 1:
         raise InvalidParameter("n_range must contain horizons >= 1")
-    n_max = levels[-1]
-    prop = Propagator(law, n_max=n_max, budget=budget)
+    prop = _propagator(prop, law, z0=1, n_max=levels[-1], budget=budget)
     occupancy: dict[int, float] = {}
     bounds: dict[int, float] = {}
     worst, worst_slack = -math.inf, 0.0
@@ -874,6 +900,8 @@ def run_default_suite(
     """Every inequality check on its desk-scale reference instances.
 
     ``claims`` restricts the run to the given claim ids; unknown ids raise.
+    The binary(0.75) consistency and occupancy checks share one propagation:
+    they get the same powers in the same order, the one case ``PowerCache`` allows.
     """
     b75 = build(FamilySpec.binary(0.75), budget)
     b74 = build(FamilySpec.binary(0.74), budget)
@@ -884,6 +912,7 @@ def run_default_suite(
     t2 = build(FamilySpec.three_point(0.25, 0.45, 0.30), budget)
     poi1 = build(FamilySpec.poisson(2.0), budget)
     poi2 = build(FamilySpec.poisson(2.02), budget)
+    b75_to_12 = Propagator(b75, n_max=12)  # at the checks' default budget, as each runs alone
     cases = [
         ("lemma-joint-tv", lambda: verify_joint_tv_bound(b75, b75, 2, 1)),
         ("lemma-joint-tv", lambda: verify_joint_tv_bound(b80, b78, 1, 1)),
@@ -893,11 +922,11 @@ def run_default_suite(
         ("lemma-extinction-lipschitz", lambda: verify_extinction_bound(b75, b74, 20)),
         (
             "theorem-conditional-consistency",
-            lambda: verify_conditional_consistency(b75, 0.4, 0.1, range(2, 13)),
+            lambda: _conditional_consistency(b75_to_12, b75, 0.4, 0.1, range(2, 13)),
         ),
         (
             "lemma-conditional-occupancy",
-            lambda: verify_conditional_occupancy(b75, 2, range(1, 13)),
+            lambda: _conditional_occupancy(b75_to_12, b75, 2, range(1, 13)),
         ),
         ("lemma-wlln", lambda: verify_wlln(b75, 0.25, 0.05)),
         ("lemma-decomposition", lambda: verify_decomposition_identity(b75, 2, 1)),
