@@ -24,17 +24,18 @@ down, through an interval of edges.  A right atom with room reached by the
 search would be an augmenting path, which the staircase argument rules out;
 it is reported as ``SolverDidNotConverge`` rather than repaired.
 
-Capacities are real-valued probabilities.  Residuals at or below
-``FLOW_TERMINATION`` are treated as exhausted, which guarantees termination
-at the cost of up to ``(n + m) * FLOW_TERMINATION`` of unreported flow,
-far below every tolerance used by the callers.
+Pair distances come from the atoms' integers.  For atoms ``n_i / d_i`` and
+``m_j / e_j`` the distance is ``|n_i e_j - m_j d_i| / (d_i e_j)``, exact
+products and one correctly rounded division: equal rationals get the same
+float and rounding keeps their order.  Row ``i``'s distances then fall
+(``j < split_i``) and rise, so the pairs within ``t`` are a window, and
+``Pairs.windows`` finds it by stepping searchsorted guesses one pair at a
+time.  The float gap ``|x_i - y_j|`` of the rounded atoms is within
+``Pairs.margin / 2`` of the distance, so only gaps that close to ``t`` need
+the integers.  Every band in the package is one of these windows.
 
-The flow's windows reach ``BAND_TOL`` past ``eps``, while the Prohorov
-search lists its candidate distances on exact windows.  The flow keeps the
-tolerance: pair distances that are equal as rationals round to different
-doubles, and only ``BAND_TOL`` merges them.  On exact windows, row 3 of the
-binary sweep moved from 0.01851851851851838 to 0.01913252069195337 and the
-pinned Prohorov certificate changed.
+Capacities are real-valued probabilities and the greedy has no floor: each
+step either ends its row or empties a right atom to exactly 0.
 """
 
 from __future__ import annotations
@@ -42,50 +43,75 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter, SolverDidNotConverge
+from .measures import DiscreteMeasure, _float_values, _wide
 
-__all__ = ["FLOW_TERMINATION", "BAND_TOL", "band_windows", "staircase", "BandFlow"]
-
-FLOW_TERMINATION = 1e-14
-
-BAND_TOL = 1e-12
+__all__ = ["Pairs", "staircase", "BandFlow"]
 
 
-def band_windows(
-    xs: np.ndarray, ys: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index windows [lo_i, hi_i) of right atoms within ``eps`` of each x_i.
+class Pairs:
+    """The atom pairs ``(x_i, y_j)`` of two measures: their distances and the
+    windows of the pairs within a distance."""
 
-    The band test is inclusive with an absolute tolerance so that an ``eps``
-    taken from the list of pairwise distances admits the pair that produced
-    it despite float rounding.
-    """
-    reach = eps + BAND_TOL
-    lo = np.searchsorted(ys, xs - reach, side="left")
-    hi = np.searchsorted(ys, xs + reach, side="right")
-    return lo.astype(np.int64), hi.astype(np.int64)
+    def __init__(self, a: DiscreteMeasure, b: DiscreteMeasure):
+        self.xs, self.ys = a.float_support, b.float_support
+        self.split = np.searchsorted(self.ys, self.xs, "left")
+        self.nums, self.dens = _wide(*map(np.concatenate, ((a.nums, b.nums), (a.dens, b.dens))))
+        # A gap is within 3 * 2^-53 (x + y) of its distance, plus 3 * 2^-1075
+        # below the normal range: at most half of ``margin``.
+        self.margin = 32.0 * np.spacing(max(self.xs[-1], self.ys[-1]))
+
+    def distance(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``|x_i - y_j|`` for each pair of ``rows`` and ``cols``, rounded once."""
+        cols = cols + len(self.xs)
+        left, right = self.dens[rows], self.dens[cols]
+        return _float_values(abs(self.nums[rows] * right - self.nums[cols] * left), left * right)
+
+    def windows(self, t: float) -> np.ndarray:
+        """``lo`` then ``hi``: windows ``[lo_i, hi_i)`` of the pairs within ``t``,
+        stepped one pair at a time from guesses at the rounded ``x_i -+ t``."""
+        xs, ys, split = self.xs, self.ys, self.split
+        n, top = len(xs), len(ys) - 1
+        reach = t + self.margin  # past every pair whose gap is within margin of t
+        lo = np.minimum(np.searchsorted(ys, xs - reach, "left"), split)
+        hi = np.maximum(np.searchsorted(ys, xs + reach, "right"), split)
+        while True:
+            cols = np.concatenate([np.maximum(lo - 1, 0), np.minimum(lo, top),
+                                   np.minimum(hi, top), np.maximum(hi - 1, 0)])
+            over = np.abs(ys[cols].reshape(4, n) - xs).ravel() - t  # gap less t
+            near = over <= 0.0
+            unsure = np.flatnonzero(np.abs(over) <= self.margin)
+            if unsure.size:
+                near[unsure] = self.distance(unsure % n, cols[unsure]) <= t
+            near = near.reshape(4, n)
+            lo_in, lo_out = (lo > 0) & near[0], (lo < split) & ~near[1]
+            hi_in, hi_out = (hi <= top) & near[2], (hi > split) & ~near[3]
+            if not (lo_in | lo_out | hi_in | hi_out).any():
+                return np.concatenate([lo, hi])
+            lo = lo - lo_in + lo_out
+            hi = hi + hi_in - hi_out
 
 
 def staircase(
-    supply: list[float], room: list[float], lo: list[int], hi: list[int], floor: float
+    supply: list[float], room: list[float], lo: list[int], hi: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The northwest-corner greedy on windows ``[lo_i, hi_i)`` of right atoms.
 
     Each left atom in turn fills from the first right atom of its window with
-    room; amounts at or below ``floor`` count as exhausted.  Leaves what is
-    unshipped in ``supply`` and ``room``, and returns the edges ``rows``,
-    ``cols``, ``mass``, each written once, and the mass summed row by row.
+    room.  Leaves what is unshipped in ``supply`` and ``room``, and returns
+    the edges ``rows``, ``cols``, ``mass``, each written once, and the mass
+    summed row by row.
     """
     rows, cols, mass = [], [], []
     matched = 0.0
     j = 0
     for i, (need, start, end) in enumerate(zip(supply, lo, hi)):
-        if need <= floor:
+        if need <= 0.0:
             continue
         j = start if start > j else j
         shipped = 0.0
-        while need > floor and j < end:
+        while need > 0.0 and j < end:
             free = room[j]
-            if free <= floor:
+            if free <= 0.0:
                 j += 1
                 continue
             take = need if need <= free else free  # as min(need, free) picks
@@ -100,16 +126,18 @@ def staircase(
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(mass), matched
 
 
-def _greedy_mass(supply: list[float], cum: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Mass the northwest-corner greedy ships, tracked by its position alone.
+def _greedy_mass(supply: list[float], cum: np.ndarray, edges: np.ndarray) -> float:
+    """Mass the northwest-corner greedy ships on the windows ``edges`` (``lo``
+    then ``hi``), tracked by its position alone.
 
     In cumulative right mass ``cum`` (from 0), with ``low_i``/``high_i`` at
     the ends of its window ``[lo_i, hi_i)``, atom ``i`` moves the position
     ``P`` to ``min(max(P, low_i) + supply_i, high_i)`` and ships what it
     passed over after ``max(P, low_i)``.
     """
+    ends = cum[edges].tolist()
     pos = total = 0.0
-    for mass, start, stop in zip(supply, cum[lo].tolist(), cum[hi].tolist()):
+    for mass, start, stop in zip(supply, ends, ends[len(supply) :]):
         start = pos if pos > start else start
         pos = start + mass
         pos = stop if pos > stop else pos
@@ -118,18 +146,19 @@ def _greedy_mass(supply: list[float], cum: np.ndarray, lo: np.ndarray, hi: np.nd
 
 
 class BandFlow:
-    """One max-flow problem at a fixed band width ``eps``.
+    """One max-flow problem on the windows ``edges`` (``lo`` then ``hi``) of
+    the pairs within ``eps``, from ``Pairs.windows``.
 
     After ``solve()``, edge ``k`` ships ``mass[k]`` from ``rows[k]`` to
     ``cols[k]``, ``matched`` is the shipped mass summed row by row, and
     ``strassen`` is the boolean mask of the Strassen set over the left atoms.
     """
 
-    def __init__(self, xs: np.ndarray, a: np.ndarray, ys: np.ndarray, b: np.ndarray, eps: float):
+    def __init__(self, a: np.ndarray, b: np.ndarray, edges: np.ndarray, eps: float):
         if not eps >= 0.0:  # NaN too; inf is the widest band
             raise InvalidParameter(f"eps must be nonnegative, got {eps!r}")
         self.eps = eps
-        self.lo, self.hi = band_windows(xs, ys, eps)
+        self.lo, self.hi = np.split(edges, 2)
         self.excess = np.asarray(a, dtype=float).copy()
         self.resid = np.asarray(b, dtype=float).copy()
 
@@ -137,7 +166,7 @@ class BandFlow:
         """Run the greedy and certify it; returns the matched mass."""
         excess, resid = self.excess.tolist(), self.resid.tolist()
         self.rows, self.cols, self.mass, self.matched = staircase(
-            excess, resid, self.lo.tolist(), self.hi.tolist(), FLOW_TERMINATION
+            excess, resid, self.lo.tolist(), self.hi.tolist()
         )
         self.excess[:], self.resid[:] = excess, resid
         # The Strassen search.  Edges into left atom u's window are the run
@@ -149,7 +178,7 @@ class BandFlow:
         rows = self.rows.tolist()
         first = np.searchsorted(self.cols, self.lo).tolist()
         stop = np.searchsorted(self.cols, self.hi).tolist()
-        seen = self.excess > FLOW_TERMINATION
+        seen = self.excess > 0.0
         spans: list[tuple[int, int]] = []
         for u in np.flatnonzero(seen).tolist():
             low, end = u, stop[u]
@@ -161,7 +190,7 @@ class BandFlow:
             spans.append((low, u))
         low, high = np.array(spans, dtype=np.int64).reshape(-1, 2).T
         left, right = self.lo[low], self.hi[high]
-        room = np.concatenate([[0], np.cumsum(self.resid > FLOW_TERMINATION)])
+        room = np.concatenate([[0], np.cumsum(self.resid > 0.0)])
         if (room[right] > room[left]).any():
             raise SolverDidNotConverge(
                 f"band flow at eps={self.eps!r} left an augmenting path; "

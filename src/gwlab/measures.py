@@ -70,11 +70,17 @@ def _float_values(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return np.array([n / d for n, d in zip(nums.tolist(), dens.tolist())], dtype=float)
 
 
+def _wide(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``nums`` and ``dens``, on Python ints where a product of two entries
+    could wrap int64."""
+    if max(int(np.abs(nums).max(initial=0)), int(dens.max(initial=0))) ** 2 >= 2**63:
+        return nums.astype(object), dens.astype(object)
+    return nums, dens
+
+
 def _cross(nums: np.ndarray, dens: np.ndarray, lo: object, hi: object) -> tuple[np.ndarray, ...]:
-    """``nums[lo] * dens[hi]`` and ``nums[hi] * dens[lo]``, to compare atoms
-    exactly: on Python ints where an int64 product could wrap."""
-    if int(np.abs(nums).max(initial=0)) * int(dens.max(initial=0)) >= 2**63:
-        nums, dens = nums.astype(object), dens.astype(object)
+    """``nums[lo] * dens[hi]`` and ``nums[hi] * dens[lo]``, to compare atoms exactly."""
+    nums, dens = _wide(nums, dens)
     return nums[lo] * dens[hi], nums[hi] * dens[lo]
 
 

@@ -9,8 +9,9 @@ The matchable mass ``M(eps)`` steps only at pair distances, so the value is
 bounds every smaller candidate's: the search starts at the largest candidate
 at or below ``T - M(0)``, and goes on to the largest one whose successor is
 above a passing probe's deficit less a guard.  The ``n * m`` distances are
-never listed: pairs are counted from per-atom windows, stepped past a passing
-probe's distance for the pairs below it, and only ``d_k`` gets a full band flow.
+never listed: pairs are counted from per-atom windows (``maxflow.Pairs``),
+those just below a passing probe's distance bounding the pairs below it, and
+only ``d_k`` gets a full band flow, on the windows its probe found.
 ``prohorov_at_most`` runs one greedy at a given bound instead of the
 search, to prove the value is at most that bound.
 
@@ -44,7 +45,7 @@ from .errors import (
     MismatchedLaws,
     SolverDidNotConverge,
 )
-from .maxflow import FLOW_TERMINATION, BandFlow, _greedy_mass, band_windows, staircase
+from .maxflow import BandFlow, Pairs, _greedy_mass, staircase
 from .measures import DiscreteMeasure, difference, group_pairs
 from .offspring import OffspringLaw
 
@@ -59,7 +60,7 @@ __all__ = [
     "trajectory_tv",
 ]
 
-# Rounding guard on value-only probes; widened by the flow's termination.
+# Rounding guard on value-only probes.
 _GUARD = 1e-9
 
 # Most steps of the bounded-Lipschitz search; pairs of 1,500 atoms took 11.
@@ -132,10 +133,9 @@ def _complete_coupling(
     """
     left, right = np.flatnonzero(flow.excess > 0.0), np.flatnonzero(flow.resid > 0.0)
     full = [0] * len(left), [len(right)] * len(left)
-    p, q, pv, _ = staircase(flow.excess[left].tolist(), flow.resid[right].tolist(), *full, 0.0)
+    p, q, pv, _ = staircase(flow.excess[left].tolist(), flow.resid[right].tolist(), *full)
     pi, pj = left[p], right[q]
-    lo, hi = band_windows(a.float_support, b.float_support, eps)
-    slack = sum(pv[(pj < lo[pi]) | (pj >= hi[pi])].tolist())
+    slack = sum(pv[Pairs(a, b).distance(pi, pj) > eps].tolist())
     rows, cols, mass = map(np.concatenate, ((flow.rows, pi), (flow.cols, pj), (flow.mass, pv)))
     order = np.lexsort((cols, rows))
     return Coupling(
@@ -143,39 +143,11 @@ def _complete_coupling(
     )
 
 
-def _pair_edges(xs: np.ndarray, ys: np.ndarray, split: np.ndarray, t: float) -> np.ndarray:
-    """``lo`` then ``hi``: windows ``[lo_i, hi_i)`` of pairs ``|x_i - y_j| <= t``.
-
-    Row ``i`` is a falling run ``x_i - y_j`` (``j < split_i``), then a rising
-    run ``y_j - x_i``; rounding keeps both monotone, so each searchsorted
-    guess (made at the rounded ``x_i -+ t``) steps onto the exact edge.
-    """
-    lo = np.minimum(np.searchsorted(ys, xs - t, "left"), split)
-    hi = np.maximum(np.searchsorted(ys, xs + t, "right"), split)
-    return _settle_edges(xs, ys, split, t, lo, hi)
-
-
-def _settle_edges(
-    xs: np.ndarray, ys: np.ndarray, split: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Step guessed window edges ``lo``, ``hi`` one pair at a time onto the
-    exact ones at ``t``, from a searchsorted guess or a probe's own windows."""
-    top = len(ys) - 1
-    while True:
-        lo_in = (lo > 0) & (xs - ys[np.maximum(lo - 1, 0)] <= t)
-        lo_out = (lo < split) & (xs - ys[np.minimum(lo, top)] > t)
-        hi_in = (hi <= top) & (ys[np.minimum(hi, top)] - xs <= t)
-        hi_out = (hi > split) & (ys[np.maximum(hi - 1, 0)] - xs > t)
-        if not (lo_in | lo_out | hi_in | hi_out).any():
-            return np.concatenate([lo, hi])
-        lo = lo - lo_in + lo_out
-        hi = hi + hi_in - hi_out
-
-
 def _least_feasible_distance(
-    xs: np.ndarray, aw: np.ndarray, ys: np.ndarray, bw: np.ndarray, t_goal: float
-) -> float:
-    """The least ``d`` in ``{0} | {|x_i - y_j|}`` with ``T - M(d) < d'``.
+    pairs: Pairs, aw: np.ndarray, bw: np.ndarray, t_goal: float
+) -> tuple[float, np.ndarray, float]:
+    """The least ``d`` in ``{0} | {|x_i - y_j|}`` with ``T - M(d) < d'``, its
+    windows and the greedy's ``T - M(d)``.
 
     ``d'`` is the next pair distance (infinite past the last); the test is
     monotone in ``d``.  The first probe is the largest candidate ``d <= r =
@@ -185,47 +157,42 @@ def _least_feasible_distance(
     rounding, far below the guard, so its test would fail.  The next probe is
     the largest candidate left (``d`` ends the search), else the weighted
     median of the pairs in the bracket ``(low, high]``; a passing probe's
-    windows, stepped past ``d``, are its new outer edges.  Each probe takes
-    ``M`` from the greedy alone; one within ``guard`` of ``d'`` uses a BandFlow.
+    windows just below ``d`` are its new outer edges.  Each probe takes ``M``
+    from the greedy on its windows; one within ``guard`` of ``d'`` uses a BandFlow.
     """
-    n, m = len(xs), len(ys)
-    split = np.searchsorted(ys, xs, "left")
+    n, m = len(pairs.xs), len(pairs.ys)
     cum_b = np.concatenate([[0.0], np.cumsum(bw)])
     a_list = aw.tolist()
-    guard = _GUARD + (n + m) * FLOW_TERMINATION
-    run_x, run_split = np.tile(xs, 2), np.tile(split, 2)
+    run_i, run_split = np.tile(np.arange(n), 2), np.tile(pairs.split, 2)
     is_lo = np.arange(2 * n) < n
 
-    def greedy(d: float) -> float:
-        return _greedy_mass(a_list, cum_b, *band_windows(xs, ys, d))
-
-    def feasible(d: float, nxt: float) -> tuple[bool, float]:
-        deficit = t_goal - (greedy(d) if d > 0.0 else at_zero)
-        if abs(deficit - nxt) <= guard:
-            return t_goal - BandFlow(xs, aw, ys, bw, d).solve() < nxt, np.nan  # no deficit
+    def feasible(d: float, nxt: float, edges: np.ndarray) -> tuple[bool, float]:
+        deficit = t_goal - (_greedy_mass(a_list, cum_b, edges) if d > 0.0 else at_zero)
+        if abs(deficit - nxt) <= _GUARD:
+            return t_goal - BandFlow(aw, bw, edges, d).solve() < nxt, deficit
         return deficit < nxt, deficit
 
     def farthest(t: float) -> tuple[float, np.ndarray]:  # the pair (or 0), its windows
-        edges = _pair_edges(xs, ys, split, t)
-        far = np.abs(run_x - ys[np.clip(edges + is_lo - 1, 0, m - 1)])
-        return float(far[edges != run_split].max(initial=0.0)), edges
+        inside = (edges := pairs.windows(t)) != run_split
+        far = pairs.distance(run_i[inside], (edges + is_lo - 1)[inside])
+        return float(far.max(initial=0.0)), edges
 
     # The bracket's pairs lie between the window edges at ``low`` (inner)
     # and those just below ``high`` (outer): per row, one run on each side.
     low, inner, high, outer = -np.inf, run_split, np.inf, np.repeat([0, m], n)
     # The seed is the farthest pair in the windows at ``r = T - M(0)``, or 0.
-    at_zero = greedy(0.0)
+    at_zero = _greedy_mass(a_list, cum_b, zero := pairs.windows(0.0))
     d, edges = guess = farthest(max(t_goal - at_zero, 0.0))
     while True:
         beyond = edges - is_lo  # the nearest pair outside each window
         fits = (beyond >= 0) & (beyond < m)
-        nxt = np.abs(run_x - ys[np.clip(beyond, 0, m - 1)])[fits].min(initial=np.inf)
-        passed, deficit = feasible(d, float(nxt))
+        nxt = float(pairs.distance(run_i[fits], beyond[fits]).min(initial=np.inf))
+        passed, deficit = feasible(d, nxt, edges)
         if passed:
-            if deficit - guard >= max(low, 0.0) and (guess := farthest(deficit - guard))[0] == d:
-                return d
-            below = np.nextafter(d, -np.inf)  # these windows, past the pairs at ``d``
-            high, outer = d, _settle_edges(xs, ys, split, below, edges[:n], edges[n:])
+            if deficit - _GUARD >= max(low, 0.0) and (guess := farthest(deficit - _GUARD))[0] == d:
+                return d, edges, deficit
+            below = np.nextafter(d, -np.inf)  # windows without the pairs at ``d``
+            high, at_high, outer = d, (edges, deficit), pairs.windows(below)
         else:
             low, inner = d, edges
         if not (live := outer != inner).any():
@@ -235,49 +202,46 @@ def _least_feasible_distance(
             continue
         # Half of every run sits at or below (above) its middle element, so
         # the weighted median of those has a quarter of the pairs either side.
-        mids = np.abs(run_x[live] - ys[(outer + inner)[live] // 2])
+        mids = pairs.distance(run_i[live], (outer + inner)[live] // 2)
         order = np.argsort(mids, kind="stable")
         cum = np.cumsum(np.abs(outer - inner)[live][order])
         d = float(mids[order[np.searchsorted(cum, (cum[-1] + 1) // 2)]])
-        edges = _pair_edges(xs, ys, split, d)
+        edges = pairs.windows(d)
     # No pair distance is left between low and high, but 0 is a candidate.
-    if low < 0.0 < high and feasible(0.0, high)[0]:
-        return 0.0
-    return high
+    if low < 0.0 < high and feasible(0.0, high, zero)[0]:
+        return 0.0, zero, t_goal - at_zero
+    return (high, *at_high)
 
 
 def prohorov(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
-    """Exact Prohorov distance with an optimal-coupling certificate."""
-    xs, aw = a.float_support, a.weights_array
-    ys, bw = b.float_support, b.weights_array
+    """Exact Prohorov distance with an optimal-coupling certificate; ``defect_slack``
+    adds the float error of ``T - M``, at most ``(n + m) 2^-52 T``, to the defects."""
+    aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    d = _least_feasible_distance(xs, aw, ys, bw, t_goal)
-    flow = BandFlow(xs, aw, ys, bw, d)
-    value = max(d, t_goal - flow.solve())
+    d, edges, deficit = _least_feasible_distance(Pairs(a, b), aw, bw, t_goal)
+    flow = BandFlow(aw, bw, edges, d)
+    flow.solve()
+    value = max(d, deficit)
     coupling = _complete_coupling(a, b, value, flow)
-    return MetricResult(value, coupling, a.defect + b.defect)
+    rounding = math.ldexp((len(a) + len(b)) * t_goal, -52)
+    return MetricResult(value, coupling, a.defect + b.defect + rounding)
 
 
 def prohorov_at_most(a: DiscreteMeasure, b: DiscreteMeasure, bound: float) -> bool:
     """Whether one greedy pass proves ``prohorov(a, b).value <= bound``.
 
     True when ``T - M <= bound - guard``, with ``M`` the greedy's mass on
-    the exact windows of pairs within ``bound`` (not ``band_windows``, whose
-    tolerance admits pairs just past it) and the search's own guard.  Then
+    the windows of pairs within ``bound`` and the search's own guard.  Then
     the largest candidate ``c <= bound`` passes the search's test, as
     ``T - M(c) <= T - M < c'``, so the search stops at some ``d <= c``, and
     ``T - M(d)`` is below ``d' <= bound`` if ``d < c`` and at most ``T - M``
     if ``d = c``: the value ``max(d, T - M(d))`` is at most ``bound``.
     False proves nothing.
     """
-    xs, ys = a.float_support, b.float_support
-    n = len(xs)
     t_goal = max(a.total_mass, b.total_mass)
-    guard = _GUARD + (n + len(ys)) * FLOW_TERMINATION
-    edges = _pair_edges(xs, ys, np.searchsorted(ys, xs, "left"), bound)
     cum_b = np.concatenate([[0.0], np.cumsum(b.weights_array)])
-    matched = _greedy_mass(a.weights_array.tolist(), cum_b, edges[:n], edges[n:])
-    return t_goal - matched <= bound - guard
+    matched = _greedy_mass(a.weights_array.tolist(), cum_b, Pairs(a, b).windows(bound))
+    return t_goal - matched <= bound - _GUARD
 
 
 def strassen_coupling(
@@ -289,10 +253,9 @@ def strassen_coupling(
     that the band cannot hold enough mass and the call reports what was
     achievable.
     """
-    xs, aw = a.float_support, a.weights_array
-    ys, bw = b.float_support, b.weights_array
+    aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    flow = BandFlow(xs, aw, ys, bw, eps)
+    flow = BandFlow(aw, bw, Pairs(a, b).windows(eps), eps)
     matched = flow.solve()
     if matched < t_goal - eps - 1e-12:
         raise CouplingInfeasible(

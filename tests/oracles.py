@@ -2,8 +2,9 @@
 
 Everything here favors obviousness over speed: per-individual outcome
 enumeration with itertools.product, dict-based convolution, subset
-enumeration for the Prohorov metric, a Prohorov search over the full
-list of pair distances and one by weighted medians only, and a grid search and a sparse LP on HiGHS for the
+enumeration for the Prohorov metric, a Prohorov search on exact
+``Fraction`` candidates, one over the full list of pair distances and one
+by weighted medians only, and a grid search and a sparse LP on HiGHS for the
 bounded-Lipschitz metric.  Tests compute expected values from these and
 compare the fast implementations against them on small instances.
 """
@@ -11,6 +12,7 @@ compare the fast implementations against them on small instances.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +23,8 @@ from gwlab.errors import InvalidParameter
 from gwlab.estimator import deviation_mask
 from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab import metrics
-from gwlab.maxflow import FLOW_TERMINATION, BandFlow, _greedy_mass, band_windows
-from gwlab.metrics import MetricResult, _complete_coupling, _pair_edges, _settle_edges
+from gwlab.maxflow import BandFlow, Pairs, _greedy_mass
+from gwlab.metrics import MetricResult, _complete_coupling
 from gwlab.measures import DiscreteMeasure, group_pairs
 from gwlab.montecarlo import SimTable, _draw_next
 
@@ -271,27 +273,57 @@ def prohorov(
     return best
 
 
+def prohorov_exact(a, b) -> float:
+    """Prohorov distance on exact candidates, the reference for ``gwlab.prohorov``.
+
+    Every pair distance is listed as a reduced ``Fraction``.  A pair is within
+    ``d`` when ``|x - y| <= d`` as ``Fraction``s, a comparison by integer
+    cross-multiplication, so each row's window comes from two bisections of
+    the exact right support.  ``M(d)`` is the value-only greedy, with no
+    floor, on those windows.  The value is ``max(d_k, T - M(d_k))`` at the
+    least candidate ``d_k`` with ``T - M(d_k) < d_{k+1}``, found by bisection.
+    """
+    xs, ys = a.support, b.support
+    d = sorted({abs(x - y) for x in xs for y in ys} | {Fraction(0)})
+    t_goal = max(a.total_mass, b.total_mass)
+    a_list = a.weights_array.tolist()
+    cum_b = np.concatenate([[0.0], np.cumsum(b.weights_array)])
+
+    def deficit(k):
+        lo = np.array([bisect_left(ys, x - d[k]) for x in xs], dtype=np.int64)
+        hi = np.array([bisect_right(ys, x + d[k]) for x in xs], dtype=np.int64)
+        return t_goal - _greedy_mass(a_list, cum_b, np.concatenate([lo, hi]))
+
+    lo, hi = 0, len(d) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if deficit(mid) < d[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(float(d[lo]), deficit(lo))
+
+
 def prohorov_by_breakpoints(a, b, scan: bool = False):
     """Prohorov distance by searching the full list of pair distances.
 
-    Every ``|x_i - y_j|`` (and 0) is listed and sorted, and each probe of
-    ``T - M(d_k) < d_{k+1}`` solves a certified ``BandFlow``.  The search
-    bisects over the list, or walks it from the start when ``scan`` is set.
-    The result is built from the flow at the chosen ``d_k`` as in
-    ``gwlab.prohorov``, so values and couplings are comparable bit for bit.
+    Every ``|x_i - y_j|`` (and 0) is listed as the float of its exact
+    ``Fraction`` and sorted, and each probe of ``T - M(d_k) < d_{k+1}``
+    solves a certified ``BandFlow``.  The search bisects over the list, or
+    walks it from the start when ``scan`` is set.  The result is built at
+    the chosen ``d_k`` as in ``gwlab.prohorov``, ``M`` from the greedy and
+    the coupling from the flow, so values and couplings are comparable bit
+    for bit.
     """
-    xs, aw = a.float_support, a.weights_array
-    ys, bw = b.float_support, b.weights_array
+    aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    d = np.unique(np.abs(xs[:, None] - ys[None, :]).ravel())
-    if d[0] != 0.0:
-        d = np.concatenate([[0.0], d])
+    pairs = Pairs(a, b)
+    d = np.unique([0.0] + [float(abs(x - y)) for x in a.support for y in b.support])
 
     def probe(k):
-        flow = BandFlow(xs, aw, ys, bw, float(d[k]))
-        matched = flow.solve()
+        flow = BandFlow(aw, bw, pairs.windows(float(d[k])), float(d[k]))
         nxt = float(d[k + 1]) if k + 1 < len(d) else np.inf
-        return (t_goal - matched) < nxt, matched, flow
+        return t_goal - flow.solve() < nxt, flow
 
     if scan:
         k = 0
@@ -306,8 +338,10 @@ def prohorov_by_breakpoints(a, b, scan: bool = False):
             else:
                 lo = mid + 1
         k = lo
-    _, matched, flow = probe(k)
-    value = max(float(d[k]), t_goal - matched)
+    flow = probe(k)[1]
+    cum_b = np.concatenate([[0.0], np.cumsum(bw)])
+    edges = np.concatenate([flow.lo, flow.hi])
+    value = max(float(d[k]), t_goal - _greedy_mass(aw.tolist(), cum_b, edges))
     return MetricResult(
         value=value,
         certificate=_complete_coupling(a, b, value, flow),
@@ -316,56 +350,54 @@ def prohorov_by_breakpoints(a, b, scan: bool = False):
 
 
 def least_feasible_by_median(
-    xs: np.ndarray, aw: np.ndarray, ys: np.ndarray, bw: np.ndarray, t_goal: float
-) -> float:
+    pairs: Pairs, aw: np.ndarray, bw: np.ndarray, t_goal: float
+) -> tuple[float, np.ndarray]:
     """``gwlab.metrics._least_feasible_distance`` by weighted medians alone.
 
-    The same test of ``T - M(d) < d'`` on the same candidates, with the same
-    guard redo, and the same first probe, the largest candidate at or below
-    ``T - M(0)``.  Every later probe is the weighted median of the pairs
-    left in the bracket: no probe's deficit is used to place the next.
+    The same test of ``T - M(d) < d'`` on the same candidates and windows,
+    with the same guard redo, and the same first probe, the largest
+    candidate at or below ``T - M(0)``.  Every later probe is the weighted
+    median of the pairs left in the bracket: no probe's deficit is used to
+    place the next.
     """
-    n, m = len(xs), len(ys)
-    split = np.searchsorted(ys, xs, "left")
+    n, m = len(pairs.xs), len(pairs.ys)
     cum_b = np.concatenate([[0.0], np.cumsum(bw)])
     a_list = aw.tolist()
-    guard = metrics._GUARD + (n + m) * FLOW_TERMINATION
-    run_x, run_split = np.tile(xs, 2), np.tile(split, 2)
+    run_i, run_split = np.tile(np.arange(n), 2), np.tile(pairs.split, 2)
     is_lo = np.arange(2 * n) < n
 
-    def greedy(d: float) -> float:
-        return _greedy_mass(a_list, cum_b, *band_windows(xs, ys, d))
+    def greedy(edges: np.ndarray) -> float:
+        return _greedy_mass(a_list, cum_b, edges)
 
-    def feasible(d: float, nxt: float) -> bool:
-        matched = greedy(d) if d > 0.0 else at_zero
-        if abs(t_goal - matched - nxt) <= guard:
-            matched = BandFlow(xs, aw, ys, bw, d).solve()
+    def feasible(d: float, nxt: float, edges: np.ndarray) -> bool:
+        matched = greedy(edges) if d > 0.0 else at_zero
+        if abs(t_goal - matched - nxt) <= metrics._GUARD:
+            matched = BandFlow(aw, bw, edges, d).solve()
         return t_goal - matched < nxt
 
     low, inner, high, outer = -np.inf, run_split, np.inf, np.repeat([0, m], n)
-    at_zero = greedy(0.0)
-    edges = _pair_edges(xs, ys, split, max(t_goal - at_zero, 0.0))
-    far = np.abs(run_x - ys[np.clip(edges + is_lo - 1, 0, m - 1)])
-    d = float(far[edges != run_split].max(initial=0.0))
+    at_zero = greedy(zero := pairs.windows(0.0))
+    edges = pairs.windows(max(t_goal - at_zero, 0.0))
+    inside = edges != run_split
+    d = float(pairs.distance(run_i[inside], (edges + is_lo - 1)[inside]).max(initial=0.0))
     while True:
         beyond = edges - is_lo
         fits = (beyond >= 0) & (beyond < m)
-        nxt = np.abs(run_x - ys[np.clip(beyond, 0, m - 1)])[fits].min(initial=np.inf)
-        if feasible(d, float(nxt)):
-            below = np.nextafter(d, -np.inf)
-            high, outer = d, _settle_edges(xs, ys, split, below, edges[:n], edges[n:])
+        nxt = float(pairs.distance(run_i[fits], beyond[fits]).min(initial=np.inf))
+        if feasible(d, nxt, edges):
+            high, at_high, outer = d, edges, pairs.windows(np.nextafter(d, -np.inf))
         else:
             low, inner = d, edges
         if not (live := outer != inner).any():
             break
-        mids = np.abs(run_x[live] - ys[(outer + inner)[live] // 2])
+        mids = pairs.distance(run_i[live], (outer + inner)[live] // 2)
         order = np.argsort(mids, kind="stable")
         cum = np.cumsum(np.abs(outer - inner)[live][order])
         d = float(mids[order[np.searchsorted(cum, (cum[-1] + 1) // 2)]])
-        edges = _pair_edges(xs, ys, split, d)
-    if low < 0.0 < high and feasible(0.0, high):
-        return 0.0
-    return high
+        edges = pairs.windows(d)
+    if low < 0.0 < high and feasible(0.0, high, zero):
+        return 0.0, zero
+    return high, at_high
 
 
 def complete_coupling(a, b, eps: float, flow: BandFlow):
@@ -395,8 +427,8 @@ def complete_coupling(a, b, eps: float, flow: BandFlow):
         entries[(i, j)] = entries.get((i, j), 0.0) + take
         excess[i] -= take
         resid[j] -= take
-    lo, hi = band_windows(a.float_support, b.float_support, eps)
-    slack = sum(v for (k, l), v in entries.items() if not lo[k] <= l < hi[k])
+    xs, ys = a.support, b.support
+    slack = sum(v for (k, l), v in entries.items() if float(abs(xs[k] - ys[l])) > eps)
     return entries, slack
 
 
@@ -412,7 +444,7 @@ def strassen_set(flow: BandFlow) -> np.ndarray:
     by_right: dict[int, list[int]] = {}
     for i, j in zip(flow.rows.tolist(), flow.cols.tolist()):
         by_right.setdefault(j, []).append(i)
-    seen = (flow.excess > FLOW_TERMINATION).tolist()
+    seen = (flow.excess > 0.0).tolist()
     stack = [i for i, s in enumerate(seen) if s]
     scanned: set[int] = set()
     while stack:
@@ -421,7 +453,7 @@ def strassen_set(flow: BandFlow) -> np.ndarray:
             if j in scanned:
                 continue
             scanned.add(j)
-            assert flow.resid[j] <= FLOW_TERMINATION, f"augmenting path to {j}"
+            assert flow.resid[j] <= 0.0, f"augmenting path to {j}"
             for w in by_right.get(j, ()):
                 if not seen[w]:
                     seen[w] = True
@@ -546,13 +578,13 @@ def bounded_lipschitz_lp(a, b) -> float:
 def band_mass(coup, eps: float | None = None) -> float:
     """Mass of a ``Coupling`` on pairs within ``eps`` (default: its ``eps``).
 
-    Pairs are tested with ``band_windows``, the band the flow solved on.
+    A pair is within ``eps`` when the float of its exact ``Fraction``
+    distance is, the band the flow solved on.
     """
-    lo, hi = band_windows(
-        coup.left.float_support, coup.right.float_support, coup.eps if eps is None else eps
-    )
-    rows, cols = coup.rows, coup.cols
-    return float(coup.mass[(lo[rows] <= cols) & (cols < hi[rows])].sum())
+    eps = coup.eps if eps is None else eps
+    xs, ys = coup.left.support, coup.right.support
+    near = [float(abs(xs[i] - ys[j])) <= eps for i, j in zip(coup.rows.tolist(), coup.cols.tolist())]
+    return float(coup.mass[np.array(near, dtype=bool)].sum())
 
 
 def marginal_errors(coup) -> tuple[float, float]:
@@ -568,9 +600,8 @@ def strassen_cut(coup) -> float:
     """``a(A^c) + b(A^r)`` at ``r = strassen_eps``: the most any band holds."""
     inside = coup.strassen
     m = len(coup.right)
-    lo, hi = band_windows(
-        coup.left.float_support[inside], coup.right.float_support, coup.strassen_eps
-    )
+    lo, hi = np.split(Pairs(coup.left, coup.right).windows(coup.strassen_eps), 2)
+    lo, hi = lo[inside], hi[inside]
     cover = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
     near = np.cumsum(cover[:m]) > 0
     return float(
@@ -592,12 +623,10 @@ def validate_coupling(coup, tol: float = 1e-10) -> None:
             f"allowed {allowance:.2e}"
         )
     cut, band = strassen_cut(coup), band_mass(coup, coup.strassen_eps)
-    # The flow leaves up to FLOW_TERMINATION unshipped per atom.
-    allowance = tol + (len(coup.left) + len(coup.right)) * FLOW_TERMINATION
-    if band < cut - allowance:
+    if band < cut - tol:
         raise InvalidParameter(
             f"band mass {band:.12f} at eps={coup.strassen_eps} is below the "
-            f"Strassen cut {cut:.12f}, allowed {allowance:.2e}"
+            f"Strassen cut {cut:.12f}, allowed {tol:.2e}"
         )
 
 

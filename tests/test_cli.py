@@ -728,7 +728,7 @@ class TestReferenceOutputBytes:
     def test_prohorov_certificate_at_n8_matches_its_digest(self, tmp_path):
         # binary(0.75) against binary(0.755) at n = 8, 2,325 atoms a side: the
         # search's deficit steps at the crossing, so it ends on weighted
-        # medians.  The 345,023 bytes are pinned by their sha256.
+        # medians.  The 346,107 bytes are pinned by their sha256.
         law = tmp_path / "binary_p0.755_n8.json"
         out = run(["estimator-law", "--family", "binary", "--p", "0.755", "--n", "8",
                    "--format", "json", "--no-timestamp", "--output", str(law)])
@@ -737,9 +737,9 @@ class TestReferenceOutputBytes:
                    str(law), "--format", "json", "--no-timestamp"])
         assert out.returncode == 0, out.stderr
         printed = out.stdout.encode()
-        assert len(printed) == 345_023
+        assert len(printed) == 346_107
         assert hashlib.sha256(printed).hexdigest() == (
-            "e644410edc748f8f1087d1c33850e54e813e7d9a241219ac64934a67df5c9ae6"
+            "bd80ee16d14bb792eb2d941975e82a6022caab8761715276905a7abd8d3d7632"
         )
 
     def test_bounded_lipschitz_metric_matches_reference(self, tmp_path):

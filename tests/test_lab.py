@@ -552,9 +552,9 @@ class TestModulusSkip:
         center, member = (lab._estimator_curve(build(s), spec, 0)[0]
                           for s in (spec.center, spec.grid[0]))
         values = [prohorov(center[n][0], member[n][0]).value for n in (6, 7, 8)]
-        assert values == [0.030303030303030276] * 3
+        assert values == [1 / 33] * 3
         row = robustness_modulus(spec)[0]
-        assert (row["modulus"], row["argmax_n"]) == (0.030303030303030276, 6)
+        assert (row["modulus"], row["argmax_n"]) == (1 / 33, 6)
 
     def test_default_binary_sweep_skips_three_calls(self, monkeypatch):
         calls = []

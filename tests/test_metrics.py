@@ -1,13 +1,14 @@
 """Prohorov and bounded-Lipschitz metrics, couplings, joint and path distances."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -41,17 +42,16 @@ def dirac(x) -> DiscreteMeasure:
     return DiscreteMeasure.from_items([(Fraction(x), 1.0)])
 
 
-def lattice_pair(data, denominators=(4, 10)) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+@st.composite
+def lattice_pairs(draw, denominators=(4, 10)) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """Two measures of up to 8 atoms on one lattice, some with a defect."""
     # Quarter lattices tie many distances; tenths round them.
-    denominator = data.draw(st.sampled_from(denominators))
+    denominator = draw(st.sampled_from(denominators))
 
     def side():
-        points = data.draw(
-            st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True)
-        )
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        total = data.draw(st.sampled_from([1.0, 0.9, 0.5]))
+        points = draw(st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        total = draw(st.sampled_from([1.0, 0.9, 0.5]))
         weights = rng.dirichlet(np.ones(len(points))) * total
         return DiscreteMeasure.from_items(
             zip((Fraction(p, denominator) for p in points), weights),
@@ -59,6 +59,35 @@ def lattice_pair(data, denominators=(4, 10)) -> tuple[DiscreteMeasure, DiscreteM
         )
 
     return side(), side()
+
+
+def lattice_pair(data, denominators=(4, 10)) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    return data.draw(lattice_pairs(denominators))
+
+
+def one_ulp_pair() -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """A tenths-lattice draw on which the breakpoint bisect and scan once
+    differed by one ulp, when pair distances were float differences and the
+    flow had a floor."""
+
+    def side(points, total):
+        weights = np.random.default_rng(1).dirichlet(np.ones(len(points))) * total
+        return DiscreteMeasure.from_items(
+            zip((Fraction(p, 10) for p in points), weights),
+            defect=max(0.0, 1.0 - float(weights.sum())),
+        )
+
+    return side([2, 3, 7, 0], 0.5), side([0, 3, 4, 5, 1, 6, 2, 7], 1.0)
+
+
+def distances(a: DiscreteMeasure, b: DiscreteMeasure) -> list[float]:
+    """Every pair distance, the float of its exact ``Fraction``, sorted once each."""
+    return sorted({float(abs(x - y)) for x in a.support for y in b.support})
+
+
+def float_slack(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
+    """The float error of ``T - M`` that ``prohorov`` adds to its ``defect_slack``."""
+    return math.ldexp((len(a) + len(b)) * max(a.total_mass, b.total_mass), -52)
 
 
 def near_pair(data) -> tuple[DiscreteMeasure, DiscreteMeasure]:
@@ -196,9 +225,10 @@ class TestProhorov:
             assert oracles.band_mass(cert) >= 1.0 - res.value - 1e-10
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_matches_the_full_breakpoint_search(self, data):
-        a, b = lattice_pair(data)
+    @given(pair=lattice_pairs())
+    @example(pair=one_ulp_pair())
+    def test_matches_the_full_breakpoint_search(self, pair):
+        a, b = pair
         res = prohorov(a, b)
         ref = oracles.prohorov_by_breakpoints(a, b)
         assert res.value == ref.value
@@ -217,36 +247,69 @@ class TestProhorov:
             assert res.value == ref.value
             assert same_entries(res.certificate, ref.certificate)
         # M only grows, so the value is at most the total-variation bound.
-        xs, aw = a.float_support, a.weights_array
-        ys, bw = b.float_support, b.weights_array
-        matched = maxflow.BandFlow(xs, aw, ys, bw, 0.0).solve()
-        guard = metrics._GUARD + (len(a) + len(b)) * maxflow.FLOW_TERMINATION
-        assert res.value <= max(a.total_mass, b.total_mass) - matched + guard
+        zero = maxflow.Pairs(a, b).windows(0.0)
+        matched = maxflow.BandFlow(a.weights_array, b.weights_array, zero, 0.0).solve()
+        assert res.value <= max(a.total_mass, b.total_mass) - matched + metrics._GUARD
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=lattice_pairs())
+    @example(pair=one_ulp_pair())
+    def test_within_the_float_slack_of_the_exact_reference(self, pair):
+        a, b = pair
+        assert abs(prohorov(a, b).value - oracles.prohorov_exact(a, b)) <= float_slack(a, b)
+
+    def test_binary_sweep_laws_are_within_the_float_slack_of_the_exact_reference(self):
+        spec = binary_sweep_spec()
+        center, *members = (
+            [estimator_law(joint_law(build(family), n)).law for n in range(1, 7)]
+            for family in (spec.center, *spec.grid)
+        )
+        for member in members:
+            for a, b in zip(center, member):
+                ref = oracles.prohorov_exact(a, b)
+                assert abs(prohorov(a, b).value - ref) <= float_slack(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=lattice_pairs())
+    @example(pair=one_ulp_pair())
+    def test_symmetric_within_the_float_slack(self, pair):
+        a, b = pair
+        assert abs(prohorov(a, b).value - prohorov(b, a).value) <= float_slack(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_stepped_edges_match_a_fresh_search(self, data):
+    def test_windows_hold_the_pairs_within_each_distance(self, data):
         # Quarter lattices tie pair distances across rows.
         a, b = lattice_pair(data, denominators=(4,))
-        xs, ys = a.float_support, b.float_support
-        split = np.searchsorted(ys, xs, "left")
-        n = len(xs)
-        for d in np.unique(np.abs(xs[:, None] - ys[None, :])).tolist():
-            edges = metrics._pair_edges(xs, ys, split, d)
-            below = np.nextafter(d, -np.inf)
-            stepped = metrics._settle_edges(xs, ys, split, below, edges[:n], edges[n:])
-            assert np.array_equal(stepped, metrics._pair_edges(xs, ys, split, below))
+        pairs = maxflow.Pairs(a, b)
+        for d in distances(a, b):
+            for t in (d, np.nextafter(d, -np.inf)):
+                edges = pairs.windows(t)
+                for i, x in enumerate(a.support):
+                    near = [j for j, y in enumerate(b.support) if float(abs(x - y)) <= t]
+                    assert near == list(range(edges[i], edges[len(a) + i]))
 
-    def test_stepped_edges_pass_pairs_that_round_to_one_distance(self):
+    def test_windows_pass_pairs_that_round_to_one_distance(self):
         # Near 1e16 the float spacing is 2: x - y rounds to 1e16 for three
-        # adjacent y below x, and y - x does for the one above.
-        xs, ys = np.array([1e16]), np.array([0.1, 0.2, 0.3, 2e16])
-        split = np.searchsorted(ys, xs, "left")
-        edges = metrics._pair_edges(xs, ys, split, 1e16)
-        assert edges.tolist() == [0, 4]
-        below = np.nextafter(1e16, -np.inf)
-        assert metrics._settle_edges(xs, ys, split, below, edges[:1], edges[1:]).tolist() == [3, 3]
-        assert metrics._pair_edges(xs, ys, split, below).tolist() == [3, 3]
+        # adjacent y below x, and y - x is 1e16 for the one above.
+        a = dirac(10**16)
+        b = DiscreteMeasure.from_items(
+            [(Fraction(1, 10), 0.25), (Fraction(1, 5), 0.25), (Fraction(3, 10), 0.25),
+             (2 * 10**16, 0.25)]
+        )
+        pairs = maxflow.Pairs(a, b)
+        assert pairs.windows(1e16).tolist() == [0, 4]
+        assert pairs.windows(np.nextafter(1e16, -np.inf)).tolist() == [3, 3]
+
+    def test_distances_past_int64_are_rounded_once(self):
+        # Cross products of these atoms pass 2**63: they go through Python ints.
+        a = DiscreteMeasure.from_items([(Fraction(1, 3**40), 0.5), (Fraction(2**70 + 1, 2**70), 0.5)])
+        b = DiscreteMeasure.from_items([(Fraction(1, 5**30), 0.5), (Fraction(1), 0.5)])
+        assert a.dens.dtype == object
+        rows, cols = np.repeat([0, 1], 2), np.tile([0, 1], 2)
+        got = maxflow.Pairs(a, b).distance(rows, cols).tolist()
+        assert got == [float(abs(a.support[i] - b.support[j])) for i, j in zip(rows, cols)]
+        assert prohorov(a, b).value == pytest.approx(oracles.prohorov_exact(a, b), abs=1e-15)
 
     def test_horizon_ten_is_exact_with_a_valid_certificate(self):
         a, b = (
@@ -255,7 +318,7 @@ class TestProhorov:
         )
         assert len(a) * len(b) > 200_000_000
         res = prohorov(a, b)
-        assert res.defect_slack == a.defect + b.defect
+        assert res.defect_slack == a.defect + b.defect + float_slack(a, b)
         oracles.validate_coupling(res.certificate)
         assert oracles.band_mass(res.certificate) >= 1.0 - res.value - 1e-10
 
@@ -290,21 +353,7 @@ class TestProhorov:
 def search(a, b, least_feasible=metrics._least_feasible_distance) -> float:
     """The least feasible distance between two measures, by ``least_feasible``."""
     t_goal = max(a.total_mass, b.total_mass)
-    return least_feasible(a.float_support, a.weights_array, b.float_support, b.weights_array, t_goal)
-
-
-def one_ulp_pair() -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """A tenths-lattice draw on which ``T - M(d)`` from ``BandFlow.solve`` is
-    not monotone in ``d`` by one ulp, so the breakpoint bisect and scan differ."""
-
-    def side(points, total):
-        weights = np.random.default_rng(1).dirichlet(np.ones(len(points))) * total
-        return DiscreteMeasure.from_items(
-            zip((Fraction(p, 10) for p in points), weights),
-            defect=max(0.0, 1.0 - float(weights.sum())),
-        )
-
-    return side([2, 3, 7, 0], 0.5), side([0, 3, 4, 5, 1, 6, 2, 7], 1.0)
+    return least_feasible(maxflow.Pairs(a, b), a.weights_array, b.weights_array, t_goal)[0]
 
 
 class TestSecantSearch:
@@ -350,7 +399,7 @@ class TestSecantSearch:
         # 0.01824 at it, so no deficit rules out a pair between the two.
         a, b = (estimator_law(joint_law(build(FamilySpec.binary(p)), 8)).law for p in (0.75, 0.755))
         d = search(a, b)
-        assert d == search(a, b, oracles.least_feasible_by_median) == 0.01851851851851838
+        assert d == search(a, b, oracles.least_feasible_by_median) == 1 / 54
 
     def test_the_binary_sweep_search_probes_fewer_greedies(self, monkeypatch):
         greedies, bounded = [], []
@@ -368,27 +417,18 @@ class TestSecantSearch:
         monkeypatch.setattr(lab, "prohorov_at_most", counted_at_most)
         robustness_modulus(binary_sweep_spec())
         # One greedy per prohorov_at_most; the rest are the searches' probes,
-        # of which the weighted medians alone made 132.
+        # of which the weighted medians alone made 124.
         assert len(bounded) == 28
-        assert len(greedies) - len(bounded) == 71
+        assert len(greedies) - len(bounded) == 70
 
     def test_the_one_ulp_draw_is_within_an_ulp_of_both_breakpoint_searches(self):
         a, b = one_ulp_pair()
         res = prohorov(a, b)
         oracles.validate_coupling(res.certificate)
-        assert res.value == 0.4999999999999999  # the median search gave 0.5
+        assert res.value == oracles.prohorov_exact(a, b) == 0.5
         for scan in (False, True):
             assert abs(res.value - oracles.prohorov_by_breakpoints(a, b, scan=scan).value) <= 1e-15
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="BandFlow.solve's M(d) is not monotone in d by one ulp on this draw "
-        "(T - M is 0.4999999999999999 at d = 0.4 but 0.5 at d = 0.49999999999999994), "
-        "and pair distances equal as rationals round to different floats, so the "
-        "breakpoint bisect gives 0.5 and the scan 0.4999999999999999.  ROADMAP item 1 "
-        "(no flow floor, one float per rational distance) is the fix.",
-    )
     def test_the_one_ulp_draw_agrees_across_all_three_searches(self):
         a, b = one_ulp_pair()
         bisect, scan = (oracles.prohorov_by_breakpoints(a, b, scan=s).value for s in (False, True))
@@ -399,9 +439,8 @@ class TestProhorovAtMost:
     @staticmethod
     def check(a, b):
         value = prohorov(a, b).value
-        distances = np.unique(np.abs(a.float_support[:, None] - b.float_support[None, :]))
         bounds = [value, value - 1e-6, value + 1e-6]
-        for d in distances.tolist():
+        for d in distances(a, b):
             bounds += [d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)]
         for bound in bounds:
             proved = metrics.prohorov_at_most(a, b, bound)
@@ -470,28 +509,29 @@ class TestStrassenCoupling:
             with pytest.raises(InvalidParameter, match="eps"):
                 strassen_coupling(m, m, eps)
             with pytest.raises(InvalidParameter, match="eps"):
-                maxflow.BandFlow(
-                    np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]), eps
-                )
+                maxflow.BandFlow(np.array([1.0]), np.array([1.0]), np.array([0, 1]), eps)
 
     def test_band_mass_counts_the_pairs_the_flow_used(self):
-        # 2.8 - 2 rounds above eps + BAND_TOL, while 2 + (eps + BAND_TOL)
-        # rounds to 2.8: the flow's band holds the pair, so band_mass must too.
-        coup = strassen_coupling(dirac(2), dirac(Fraction(14, 5)), 0.7999999999989996)
+        # 14/5 - 2 rounds once, to fl(4/5) = 0.8: the pair is on the band
+        # there and off it one float below, though 2.8 - 2.0 rounds below.
+        assert 2.8 - 2.0 < 0.8
+        coup = strassen_coupling(dirac(2), dirac(Fraction(14, 5)), 0.8)
         assert oracles.band_mass(coup) == 1.0
+        assert oracles.band_mass(coup, math.nextafter(0.8, 0.0)) == 0.0
         oracles.validate_coupling(coup)
 
     def test_slack_counts_only_the_pairs_off_the_flow_band(self):
-        # The same rounding case: the pair is on the band, so nothing is slack.
-        coup = strassen_coupling(dirac(2), dirac(Fraction(14, 5)), 0.7999999999989996)
-        assert coup.slack == 0
+        # The same pair: on the band at fl(4/5), so nothing is slack; one
+        # float below, the 0.7 it carries is.
+        a = dirac(2)
+        b = DiscreteMeasure.from_items([(2, 0.3), (Fraction(14, 5), 0.7)])
+        assert strassen_coupling(a, b, 0.8).slack == 0
+        assert strassen_coupling(a, b, math.nextafter(0.8, 0.0)).slack == 0.7
 
     def test_widest_band_couples_everything(self):
         rng = np.random.default_rng(38)
         a, b = random_measure(rng), random_measure(rng)
-        xs, _ = as_arrays(a)
-        ys, _ = as_arrays(b)
-        eps = float(np.abs(xs[:, None] - ys[None, :]).max())
+        eps = distances(a, b)[-1]
         for width in (eps, float("inf")):  # inf is valid: the widest band
             coup = strassen_coupling(a, b, width)
             oracles.validate_coupling(coup)
@@ -504,12 +544,12 @@ class TestCouplingCompletion:
 
     @staticmethod
     def check(a, b):
-        xs, aw = a.float_support, a.weights_array
-        ys, bw = b.float_support, b.weights_array
+        aw, bw = a.weights_array, b.weights_array
         t_goal = max(a.total_mass, b.total_mass)
-        d = metrics._least_feasible_distance(xs, aw, ys, bw, t_goal)
-        flow = maxflow.BandFlow(xs, aw, ys, bw, d)
-        value = max(d, t_goal - flow.solve())
+        d, edges, deficit = metrics._least_feasible_distance(maxflow.Pairs(a, b), aw, bw, t_goal)
+        flow = maxflow.BandFlow(aw, bw, edges, d)
+        flow.solve()
+        value = max(d, deficit)
         got = metrics._complete_coupling(a, b, value, flow)
         entries, slack = oracles.complete_coupling(a, b, value, flow)
         keys = sorted(entries)
@@ -540,27 +580,25 @@ class TestCouplingCompletion:
 class TestBandFlow:
     def test_full_band_flow_value_is_min_total_mass(self):
         rng = np.random.default_rng(39)
-        xs, a = as_arrays(random_measure(rng))
-        ys, b = as_arrays(random_measure(rng))
-        a = a * 0.7  # sub-probability on the left
-        eps = float(np.abs(xs[:, None] - ys[None, :]).max())
-        flow = maxflow.BandFlow(xs, a, ys, b, eps)
+        left, right = random_measure(rng), random_measure(rng)
+        a, b = left.weights_array * 0.7, right.weights_array  # sub-probability on the left
+        eps = distances(left, right)[-1]
+        flow = maxflow.BandFlow(a, b, maxflow.Pairs(left, right).windows(eps), eps)
         value = flow.solve()
         assert value == pytest.approx(min(a.sum(), b.sum()), abs=1e-12)
         assert flow.matched == value
         assert flow.mass.sum() == pytest.approx(value, abs=1e-12)
 
     def test_disconnected_band_moves_nothing(self):
-        flow = maxflow.BandFlow(
-            np.array([0.0]), np.array([1.0]), np.array([9.0]), np.array([1.0]), 1.0
-        )
+        edges = maxflow.Pairs(dirac(0), dirac(9)).windows(1.0)
+        flow = maxflow.BandFlow(np.array([1.0]), np.array([1.0]), edges, 1.0)
         assert flow.solve() == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_flow_matches_hall_deficit_and_strassen_cut(self, data):
         # Quarter lattices give exact, often repeated distances; tenths give
-        # distances that differ from eps by rounding, which BAND_TOL absorbs.
+        # distances whose float differences round away from eps.
         denominator = data.draw(st.sampled_from([4, 10]))
 
         def side():
@@ -572,34 +610,31 @@ class TestBandFlow:
                     st.floats(0.01, 1.0), min_size=len(points), max_size=len(points)
                 )
             )
-            total = data.draw(st.floats(0.3, 1.0))
-            return np.sort(points) / denominator, np.array(raw) / sum(raw) * total
+            weights = np.array(raw) / sum(raw) * data.draw(st.floats(0.3, 1.0))
+            support = (Fraction(p, denominator) for p in sorted(points))
+            return DiscreteMeasure.from_items(zip(support, weights), max(0.0, 1.0 - float(weights.sum())))
 
-        xs, a = side()
-        ys, b = side()
-        eps = abs(
-            xs[data.draw(st.integers(0, len(xs) - 1))]
-            - ys[data.draw(st.integers(0, len(ys) - 1))]
-        )
-        flow = maxflow.BandFlow(xs, a, ys, b, eps)
+        left, right = side(), side()
+        (xs, a), (ys, b) = as_arrays(left), as_arrays(right)
+        x = left.support[data.draw(st.integers(0, len(xs) - 1))]
+        eps = float(abs(x - right.support[data.draw(st.integers(0, len(ys) - 1))]))
+        flow = maxflow.BandFlow(a, b, maxflow.Pairs(left, right).windows(eps), eps)
         value = flow.solve()
         deficit = oracles._one_sided_deficit(xs, a, ys, b, eps)
         assert value == pytest.approx(a.sum() - max(0.0, deficit), abs=1e-12)
-        inside = flow.strassen
-        near = (
-            np.abs(xs[inside][:, None] - ys[None, :]) <= eps + maxflow.BAND_TOL
-        ).any(axis=0)
-        assert value == pytest.approx(a[~inside].sum() + b[near].sum(), abs=1e-12)
+        inside = [x for x, keep in zip(left.support, flow.strassen) if keep]
+        near = [any(float(abs(x - y)) <= eps for x in inside) for y in right.support]
+        assert value == pytest.approx(a[~flow.strassen].sum() + b[near].sum(), abs=1e-12)
 
 
     def test_an_augmenting_path_is_a_typed_error(self, monkeypatch):
-        def idle(supply, room, lo, hi, floor):  # ships nothing: supply and room face each other
+        def idle(supply, room, lo, hi):  # ships nothing: supply and room face each other
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 0.0
 
         monkeypatch.setattr(maxflow, "staircase", idle)
-        flow = maxflow.BandFlow(
-            np.array([0.0, 2.0]), np.array([0.5, 0.5]), np.array([2.0]), np.array([1.0]), 0.0
-        )
+        left = DiscreteMeasure.from_items([(0, 0.5), (2, 0.5)])
+        edges = maxflow.Pairs(left, dirac(2)).windows(0.0)
+        flow = maxflow.BandFlow(np.array([0.5, 0.5]), np.array([1.0]), edges, 0.0)
         with pytest.raises(SolverDidNotConverge, match="augmenting path"):
             flow.solve()
 
