@@ -582,6 +582,7 @@ def verify_conditional_consistency(
     seed: int = 0,
     cap: int = DEFAULT_SIM_CAP,
     jobs: int = 1,
+    _prop: Propagator | None = None,
 ) -> VerificationReport:
     """Survival-conditioned deviation mass of the ratio estimator per horizon.
 
@@ -592,16 +593,6 @@ def verify_conditional_consistency(
     horizons where the population cap excluded every replication are left
     out of that choice; when no horizon is left the report is inconclusive.
     """
-    return _conditional_consistency(None, law, eta, eps, n_range, z0, budget, exact_cutoff,
-                                    replications, seed, cap, jobs)
-
-
-def _conditional_consistency(
-    prop: Propagator | None, law: OffspringLaw, eta: object, eps: float, n_range: Iterable[int],
-    z0: int = 1, budget: float = DEFAULT_TAIL_BUDGET, exact_cutoff: int = EXACT_CUTOFF,
-    replications: int = DEFAULT_REPLICATIONS, seed: int = 0, cap: int = DEFAULT_SIM_CAP,
-    jobs: int = 1,
-) -> VerificationReport:
     check_jobs(jobs)
     if criticality(law) != "supercritical":
         raise SupercriticalRequired("conditional consistency needs a supercritical law")
@@ -614,7 +605,7 @@ def _conditional_consistency(
         lambda joint: (*consistency_probability(joint, m_frac, eta_frac), None),
         lambda table, n: empirical_consistency_probability(table, n, m_frac, eta_frac),
         z0=z0, budget=budget, exact_cutoff=exact_cutoff, seed=seed,
-        replications=replications, cap=cap, jobs=jobs, prop=prop,
+        replications=replications, cap=cap, jobs=jobs, prop=_prop,
     )
     # Exact horizons carry no standard error; simulated ones do.
     values = {n: r[0] for n, r in results.items()}
@@ -663,6 +654,7 @@ def verify_conditional_occupancy(
     k: int,
     n_range: Iterable[int],
     budget: float = DEFAULT_TAIL_BUDGET,
+    _prop: Propagator | None = None,
 ) -> VerificationReport:
     """Occupancy of a fixed size under survival against its analytic bound.
 
@@ -672,13 +664,6 @@ def verify_conditional_occupancy(
     surviving line grows like a Bernoulli(p) staircase, and conditioning
     leaks at most geometrically much mass from doomed lines.
     """
-    return _conditional_occupancy(None, law, k, n_range, budget)
-
-
-def _conditional_occupancy(
-    prop: Propagator | None, law: OffspringLaw, k: int, n_range: Iterable[int],
-    budget: float = DEFAULT_TAIL_BUDGET,
-) -> VerificationReport:
     ext = extinction_probability(law)
     if not ext.supercritical:
         raise SupercriticalRequired("occupancy bound needs a supercritical law")
@@ -691,7 +676,7 @@ def _conditional_occupancy(
     levels = sorted(set(int(x) for x in n_range))
     if not levels or levels[0] < 1:
         raise InvalidParameter("n_range must contain horizons >= 1")
-    prop = _propagator(prop, law, z0=1, n_max=levels[-1], budget=budget)
+    prop = _propagator(_prop, law, z0=1, n_max=levels[-1], budget=budget)
     occupancy: dict[int, float] = {}
     bounds: dict[int, float] = {}
     worst, worst_slack = -math.inf, 0.0
@@ -922,11 +907,11 @@ def run_default_suite(
         ("lemma-extinction-lipschitz", lambda: verify_extinction_bound(b75, b74, 20)),
         (
             "theorem-conditional-consistency",
-            lambda: _conditional_consistency(b75_to_12, b75, 0.4, 0.1, range(2, 13)),
+            lambda: verify_conditional_consistency(b75, 0.4, 0.1, range(2, 13), _prop=b75_to_12),
         ),
         (
             "lemma-conditional-occupancy",
-            lambda: _conditional_occupancy(b75_to_12, b75, 2, range(1, 13)),
+            lambda: verify_conditional_occupancy(b75, 2, range(1, 13), _prop=b75_to_12),
         ),
         ("lemma-wlln", lambda: verify_wlln(b75, 0.25, 0.05)),
         ("lemma-decomposition", lambda: verify_decomposition_identity(b75, 2, 1)),

@@ -27,12 +27,13 @@ it is reported as ``SolverDidNotConverge`` rather than repaired.
 Pair distances come from the atoms' integers.  For atoms ``n_i / d_i`` and
 ``m_j / e_j`` the distance is ``|n_i e_j - m_j d_i| / (d_i e_j)``, exact
 products and one correctly rounded division: equal rationals get the same
-float and rounding keeps their order.  Row ``i``'s distances then fall
-(``j < split_i``) and rise, so the pairs within ``t`` are a window, and
-``Pairs.windows`` finds it by stepping searchsorted guesses one pair at a
-time.  The float gap ``|x_i - y_j|`` of the rounded atoms is within
-``Pairs.margin / 2`` of the distance, so only gaps that close to ``t`` need
-the integers.  Every band in the package is one of these windows.
+float and rounding keeps their order.  Row ``i``'s distances fall over the
+``split_i`` right atoms below ``x_i`` and then rise, so the pairs within
+``t`` are a window.  The float gap ``|x_i - y_j|`` of the rounded atoms is
+within ``Pairs.margin / 2`` of the distance, so searchsorted guesses at
+``x_i -+ (t + margin)`` hold every window, and ``Pairs.windows`` only shrinks
+them; only gaps near ``t``, or near the extreme gap in ``Pairs.extreme``,
+need the integers.  Every band in the package is one of these windows.
 
 Capacities are real-valued probabilities and the greedy has no floor: each
 step either ends its row or empties a right atom to exactly 0.
@@ -54,11 +55,20 @@ class Pairs:
 
     def __init__(self, a: DiscreteMeasure, b: DiscreteMeasure):
         self.xs, self.ys = a.float_support, b.float_support
-        self.split = np.searchsorted(self.ys, self.xs, "left")
         self.nums, self.dens = _wide(*map(np.concatenate, ((a.nums, b.nums), (a.dens, b.dens))))
         # A gap is within 3 * 2^-53 (x + y) of its distance, plus 3 * 2^-1075
         # below the normal range: at most half of ``margin``.
         self.margin = 32.0 * np.spacing(max(self.xs[-1], self.ys[-1]))
+        # ``split_i`` counts the right atoms below ``x_i``.  Distinct atoms differ by at
+        # least 1 / den^2; where ``margin`` reaches that, floats may tie and integers decide.
+        self.split = np.searchsorted(self.ys, self.xs, "left")
+        if 1 / int(self.dens.max()) ** 2 <= self.margin:
+            rows = np.flatnonzero(self.split < (end := np.searchsorted(self.ys, self.xs, "right")))
+            while rows.size:
+                cols = self.split[rows] + len(self.xs)
+                rows = rows[self.nums[cols] * self.dens[rows] < self.nums[rows] * self.dens[cols]]
+                self.split[rows] += 1
+                rows = rows[self.split[rows] < end[rows]]
 
     def distance(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``|x_i - y_j|`` for each pair of ``rows`` and ``cols``, rounded once."""
@@ -66,29 +76,37 @@ class Pairs:
         left, right = self.dens[rows], self.dens[cols]
         return _float_values(abs(self.nums[rows] * right - self.nums[cols] * left), left * right)
 
-    def windows(self, t: float) -> np.ndarray:
-        """``lo`` then ``hi``: windows ``[lo_i, hi_i)`` of the pairs within ``t``,
-        stepped one pair at a time from guesses at the rounded ``x_i -+ t``."""
+    def extreme(self, rows: np.ndarray, cols: np.ndarray, largest: bool) -> float:
+        """The largest (or least) distance of the pairs ``rows``, ``cols``, 0 (or inf)
+        if none: only gaps within ``margin`` of the extreme gap can attain it."""
+        pick, initial = (np.max, 0.0) if largest else (np.min, np.inf)
+        gaps = np.abs(self.xs[rows] - self.ys[cols])
+        near = np.abs(gaps - pick(gaps, initial=initial)) <= self.margin
+        return float(pick(self.distance(rows[near], cols[near]), initial=initial))
+
+    def windows(self, t: float, within: np.ndarray | None = None) -> np.ndarray:
+        """``lo`` then ``hi``: windows ``[lo_i, hi_i)`` of the pairs within ``t``, shrunk one
+        pair at a time from ``within`` (windows at a larger distance) or from guesses at
+        the rounded ``x_i -+ (t + margin)``, which hold every window (see the module notes)."""
         xs, ys, split = self.xs, self.ys, self.split
         n, top = len(xs), len(ys) - 1
-        reach = t + self.margin  # past every pair whose gap is within margin of t
-        lo = np.minimum(np.searchsorted(ys, xs - reach, "left"), split)
-        hi = np.maximum(np.searchsorted(ys, xs + reach, "right"), split)
+        if within is None:
+            reach = t + self.margin
+            lo = np.minimum(np.searchsorted(ys, xs - reach, "left"), split)
+            hi = np.maximum(np.searchsorted(ys, xs + reach, "right"), split)
+        else:
+            lo, hi = np.split(within, 2)
         while True:
-            cols = np.concatenate([np.maximum(lo - 1, 0), np.minimum(lo, top),
-                                   np.minimum(hi, top), np.maximum(hi - 1, 0)])
-            over = np.abs(ys[cols].reshape(4, n) - xs).ravel() - t  # gap less t
-            near = over <= 0.0
+            cols = np.concatenate([np.minimum(lo, top), np.maximum(hi - 1, 0)])
+            over = np.abs(ys[cols].reshape(2, n) - xs).ravel() - t  # gap less t
+            far = over > 0.0
             unsure = np.flatnonzero(np.abs(over) <= self.margin)
             if unsure.size:
-                near[unsure] = self.distance(unsure % n, cols[unsure]) <= t
-            near = near.reshape(4, n)
-            lo_in, lo_out = (lo > 0) & near[0], (lo < split) & ~near[1]
-            hi_in, hi_out = (hi <= top) & near[2], (hi > split) & ~near[3]
-            if not (lo_in | lo_out | hi_in | hi_out).any():
+                far[unsure] = self.distance(unsure % n, cols[unsure]) > t
+            lo_out, hi_out = far.reshape(2, n) & [lo < split, hi > split]
+            if not (lo_out | hi_out).any():
                 return np.concatenate([lo, hi])
-            lo = lo - lo_in + lo_out
-            hi = hi + hi_in - hi_out
+            lo, hi = lo + lo_out, hi - hi_out
 
 
 def staircase(
@@ -97,11 +115,12 @@ def staircase(
     """The northwest-corner greedy on windows ``[lo_i, hi_i)`` of right atoms.
 
     Each left atom in turn fills from the first right atom of its window with
-    room.  Leaves what is unshipped in ``supply`` and ``room``, and returns
-    the edges ``rows``, ``cols``, ``mass``, each written once, and the mass
-    summed row by row.
+    room; every room starts positive.  Leaves what is unshipped in ``supply``
+    and ``room``, and returns the edges ``rows``, ``cols``, ``mass``, each
+    written once, and the mass summed row by row.
     """
     rows, cols, mass = [], [], []
+    add_row, add_col, add_mass = rows.append, cols.append, mass.append
     matched = 0.0
     j = 0
     for i, (need, start, end) in enumerate(zip(supply, lo, hi)):
@@ -111,16 +130,15 @@ def staircase(
         shipped = 0.0
         while need > 0.0 and j < end:
             free = room[j]
-            if free <= 0.0:
-                j += 1
-                continue
             take = need if need <= free else free  # as min(need, free) picks
-            rows.append(i)
-            cols.append(j)
-            mass.append(take)
+            add_row(i)
+            add_col(j)
+            add_mass(take)
             shipped += take
             room[j] = free - take
             need -= take
+            if take == free:  # emptied: no later row finds room here
+                j += 1
         supply[i] = need
         matched += shipped
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(mass), matched
@@ -159,8 +177,7 @@ class BandFlow:
             raise InvalidParameter(f"eps must be nonnegative, got {eps!r}")
         self.eps = eps
         self.lo, self.hi = np.split(edges, 2)
-        self.excess = np.asarray(a, dtype=float).copy()
-        self.resid = np.asarray(b, dtype=float).copy()
+        self.excess, self.resid = (np.array(w, dtype=float) for w in (a, b))
 
     def solve(self) -> float:
         """Run the greedy and certify it; returns the matched mass."""

@@ -122,7 +122,7 @@ class MetricResult:
 
 
 def _complete_coupling(
-    a: DiscreteMeasure, b: DiscreteMeasure, eps: float, flow: BandFlow
+    a: DiscreteMeasure, b: DiscreteMeasure, pairs: Pairs, eps: float, flow: BandFlow
 ) -> Coupling:
     """Turn a solved band flow into a full coupling.
 
@@ -135,7 +135,7 @@ def _complete_coupling(
     full = [0] * len(left), [len(right)] * len(left)
     p, q, pv, _ = staircase(flow.excess[left].tolist(), flow.resid[right].tolist(), *full)
     pi, pj = left[p], right[q]
-    slack = sum(pv[Pairs(a, b).distance(pi, pj) > eps].tolist())
+    slack = sum(pv[pairs.distance(pi, pj) > eps].tolist())
     rows, cols, mass = map(np.concatenate, ((flow.rows, pi), (flow.cols, pj), (flow.mass, pv)))
     order = np.lexsort((cols, rows))
     return Coupling(
@@ -155,10 +155,10 @@ def _least_feasible_distance(
     fails each smaller candidate whose successor is at most ``r - guard``,
     ``r = T - M(d)``: its own ``T - M`` is at least ``r`` less the greedy's
     rounding, far below the guard, so its test would fail.  The next probe is
-    the largest candidate left (``d`` ends the search), else the weighted
-    median of the pairs in the bracket ``(low, high]``; a passing probe's
-    windows just below ``d`` are its new outer edges.  Each probe takes ``M``
-    from the greedy on its windows; one within ``guard`` of ``d'`` uses a BandFlow.
+    the largest candidate left (``d`` itself if ``r - guard >= d``, as ``r <
+    d'``, which ends the search), else the weighted median of the pairs in the
+    bracket ``(low, high]``; a passing probe's windows just below ``d`` are its
+    new outer edges.  Each probe takes ``M`` from the greedy on its windows.
     """
     n, m = len(pairs.xs), len(pairs.ys)
     cum_b = np.concatenate([[0.0], np.cumsum(bw)])
@@ -166,16 +166,9 @@ def _least_feasible_distance(
     run_i, run_split = np.tile(np.arange(n), 2), np.tile(pairs.split, 2)
     is_lo = np.arange(2 * n) < n
 
-    def feasible(d: float, nxt: float, edges: np.ndarray) -> tuple[bool, float]:
-        deficit = t_goal - (_greedy_mass(a_list, cum_b, edges) if d > 0.0 else at_zero)
-        if abs(deficit - nxt) <= _GUARD:
-            return t_goal - BandFlow(aw, bw, edges, d).solve() < nxt, deficit
-        return deficit < nxt, deficit
-
     def farthest(t: float) -> tuple[float, np.ndarray]:  # the pair (or 0), its windows
         inside = (edges := pairs.windows(t)) != run_split
-        far = pairs.distance(run_i[inside], (edges + is_lo - 1)[inside])
-        return float(far.max(initial=0.0)), edges
+        return pairs.extreme(run_i[inside], (edges + is_lo - 1)[inside], True), edges
 
     # The bracket's pairs lie between the window edges at ``low`` (inner)
     # and those just below ``high`` (outer): per row, one run on each side.
@@ -186,13 +179,13 @@ def _least_feasible_distance(
     while True:
         beyond = edges - is_lo  # the nearest pair outside each window
         fits = (beyond >= 0) & (beyond < m)
-        nxt = float(pairs.distance(run_i[fits], beyond[fits]).min(initial=np.inf))
-        passed, deficit = feasible(d, nxt, edges)
-        if passed:
-            if deficit - _GUARD >= max(low, 0.0) and (guess := farthest(deficit - _GUARD))[0] == d:
+        nxt = pairs.extreme(run_i[fits], beyond[fits], False)
+        deficit = t_goal - (_greedy_mass(a_list, cum_b, edges) if d > 0.0 else at_zero)
+        if deficit < nxt:
+            if deficit - _GUARD >= d:  # the largest candidate left is d
                 return d, edges, deficit
-            below = np.nextafter(d, -np.inf)  # windows without the pairs at ``d``
-            high, at_high, outer = d, (edges, deficit), pairs.windows(below)
+            guess = farthest(deficit - _GUARD) if deficit - _GUARD >= max(low, 0.0) else guess
+            high, at_high, outer = d, (edges, deficit), pairs.windows(np.nextafter(d, -np.inf), edges)
         else:
             low, inner = d, edges
         if not (live := outer != inner).any():
@@ -208,7 +201,7 @@ def _least_feasible_distance(
         d = float(mids[order[np.searchsorted(cum, (cum[-1] + 1) // 2)]])
         edges = pairs.windows(d)
     # No pair distance is left between low and high, but 0 is a candidate.
-    if low < 0.0 < high and feasible(0.0, high, zero)[0]:
+    if low < 0.0 < high and t_goal - at_zero < high:
         return 0.0, zero, t_goal - at_zero
     return (high, *at_high)
 
@@ -218,11 +211,11 @@ def prohorov(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
     adds the float error of ``T - M``, at most ``(n + m) 2^-52 T``, to the defects."""
     aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    d, edges, deficit = _least_feasible_distance(Pairs(a, b), aw, bw, t_goal)
+    d, edges, deficit = _least_feasible_distance(pairs := Pairs(a, b), aw, bw, t_goal)
     flow = BandFlow(aw, bw, edges, d)
     flow.solve()
     value = max(d, deficit)
-    coupling = _complete_coupling(a, b, value, flow)
+    coupling = _complete_coupling(a, b, pairs, value, flow)
     rounding = math.ldexp((len(a) + len(b)) * t_goal, -52)
     return MetricResult(value, coupling, a.defect + b.defect + rounding)
 
@@ -236,8 +229,10 @@ def prohorov_at_most(a: DiscreteMeasure, b: DiscreteMeasure, bound: float) -> bo
     ``T - M(c) <= T - M < c'``, so the search stops at some ``d <= c``, and
     ``T - M(d)`` is below ``d' <= bound`` if ``d < c`` and at most ``T - M``
     if ``d = c``: the value ``max(d, T - M(d))`` is at most ``bound``.
-    False proves nothing.
+    False proves nothing; a NaN ``bound`` is refused.
     """
+    if math.isnan(bound):
+        raise InvalidParameter(f"bound must be a number, got {bound!r}")
     t_goal = max(a.total_mass, b.total_mass)
     cum_b = np.concatenate([[0.0], np.cumsum(b.weights_array)])
     matched = _greedy_mass(a.weights_array.tolist(), cum_b, Pairs(a, b).windows(bound))
@@ -253,9 +248,11 @@ def strassen_coupling(
     that the band cannot hold enough mass and the call reports what was
     achievable.
     """
+    if not eps >= 0.0:  # before any window is stepped
+        raise InvalidParameter(f"eps must be nonnegative, got {eps!r}")
     aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    flow = BandFlow(aw, bw, Pairs(a, b).windows(eps), eps)
+    flow = BandFlow(aw, bw, (pairs := Pairs(a, b)).windows(eps), eps)
     matched = flow.solve()
     if matched < t_goal - eps - 1e-12:
         raise CouplingInfeasible(
@@ -263,7 +260,7 @@ def strassen_coupling(
             f"{t_goal - eps:.12f}",
             achievable=matched,
         )
-    return _complete_coupling(a, b, eps, flow)
+    return _complete_coupling(a, b, pairs, eps, flow)
 
 
 # -- bounded-Lipschitz --------------------------------------------------------

@@ -309,42 +309,43 @@ def prohorov_by_breakpoints(a, b, scan: bool = False):
 
     Every ``|x_i - y_j|`` (and 0) is listed as the float of its exact
     ``Fraction`` and sorted, and each probe of ``T - M(d_k) < d_{k+1}``
-    solves a certified ``BandFlow``.  The search bisects over the list, or
-    walks it from the start when ``scan`` is set.  The result is built at
-    the chosen ``d_k`` as in ``gwlab.prohorov``, ``M`` from the greedy and
-    the coupling from the flow, so values and couplings are comparable bit
-    for bit.
+    takes ``M`` from the greedy on its windows.  The search bisects over the
+    list, or walks it from the start when ``scan`` is set.  The result is
+    built at the chosen ``d_k`` as in ``gwlab.prohorov``, ``M`` from the
+    greedy and the coupling from a certified ``BandFlow``, so values and
+    couplings are comparable bit for bit.
     """
     aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
     pairs = Pairs(a, b)
     d = np.unique([0.0] + [float(abs(x - y)) for x in a.support for y in b.support])
+    cum_b = np.concatenate([[0.0], np.cumsum(bw)])
+
+    def deficit(k):
+        return t_goal - _greedy_mass(aw.tolist(), cum_b, pairs.windows(float(d[k])))
 
     def probe(k):
-        flow = BandFlow(aw, bw, pairs.windows(float(d[k])), float(d[k]))
-        nxt = float(d[k + 1]) if k + 1 < len(d) else np.inf
-        return t_goal - flow.solve() < nxt, flow
+        return deficit(k) < (float(d[k + 1]) if k + 1 < len(d) else np.inf)
 
     if scan:
         k = 0
-        while not probe(k)[0]:
+        while not probe(k):
             k += 1
     else:
         lo, hi = 0, len(d) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if probe(mid)[0]:
+            if probe(mid):
                 hi = mid
             else:
                 lo = mid + 1
         k = lo
-    flow = probe(k)[1]
-    cum_b = np.concatenate([[0.0], np.cumsum(bw)])
-    edges = np.concatenate([flow.lo, flow.hi])
-    value = max(float(d[k]), t_goal - _greedy_mass(aw.tolist(), cum_b, edges))
+    flow = BandFlow(aw, bw, pairs.windows(float(d[k])), float(d[k]))
+    flow.solve()
+    value = max(float(d[k]), deficit(k))
     return MetricResult(
         value=value,
-        certificate=_complete_coupling(a, b, value, flow),
+        certificate=_complete_coupling(a, b, pairs, value, flow),
         defect_slack=a.defect + b.defect,
     )
 
@@ -355,7 +356,7 @@ def least_feasible_by_median(
     """``gwlab.metrics._least_feasible_distance`` by weighted medians alone.
 
     The same test of ``T - M(d) < d'`` on the same candidates and windows,
-    with the same guard redo, and the same first probe, the largest
+    ``M`` from the greedy, and the same first probe, the largest
     candidate at or below ``T - M(0)``.  Every later probe is the weighted
     median of the pairs left in the bracket: no probe's deficit is used to
     place the next.
@@ -370,10 +371,7 @@ def least_feasible_by_median(
         return _greedy_mass(a_list, cum_b, edges)
 
     def feasible(d: float, nxt: float, edges: np.ndarray) -> bool:
-        matched = greedy(edges) if d > 0.0 else at_zero
-        if abs(t_goal - matched - nxt) <= metrics._GUARD:
-            matched = BandFlow(aw, bw, edges, d).solve()
-        return t_goal - matched < nxt
+        return t_goal - (greedy(edges) if d > 0.0 else at_zero) < nxt
 
     low, inner, high, outer = -np.inf, run_split, np.inf, np.repeat([0, m], n)
     at_zero = greedy(zero := pairs.windows(0.0))

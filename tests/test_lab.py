@@ -364,8 +364,8 @@ class TestDefaultSuite:
     @pytest.mark.parametrize(
         "body, args",
         [
-            (lab._conditional_consistency, (0.4, 0.1, range(2, 13))),
-            (lab._conditional_occupancy, (2, range(1, 13))),
+            (verify_conditional_consistency, (0.4, 0.1, range(2, 13))),
+            (verify_conditional_occupancy, (2, range(1, 13))),
         ],
     )
     @pytest.mark.parametrize(
@@ -382,8 +382,8 @@ class TestDefaultSuite:
     def test_a_propagator_built_otherwise_is_refused(self, b75, body, args, settings, names):
         prop = Propagator(**{"law": b75, "z0": 1, "n_max": 12, **settings})
         with pytest.raises(InvalidParameter, match=f"^the shared Propagator differs in {names}$"):
-            body(prop, b75, *args)
-        assert body(Propagator(b75, n_max=12), b75, *args).passed
+            body(b75, *args, _prop=prop)
+        assert body(b75, *args, _prop=Propagator(b75, n_max=12)).passed
 
     def test_consistency_reads_joint_laws_and_builds_no_measure(self, monkeypatch):
         init, built, calls = DiscreteMeasure.__init__, [], []
@@ -555,6 +555,13 @@ class TestModulusSkip:
         assert values == [1 / 33] * 3
         row = robustness_modulus(spec)[0]
         assert (row["modulus"], row["argmax_n"]) == (1 / 33, 6)
+
+    def test_horizons_nine_to_twelve_leave_the_binary_rows_unchanged(self):
+        # Rows 1 and 3 peak at the last default horizon, n = 8; every member's
+        # curve falls from n = 9 on, so the rows are those of n_max = 8.
+        assert robustness_modulus(binary_sweep_spec(n_max=12)) == robustness_modulus(
+            binary_sweep_spec()
+        )
 
     def test_default_binary_sweep_skips_three_calls(self, monkeypatch):
         calls = []

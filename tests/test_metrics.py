@@ -80,6 +80,27 @@ def one_ulp_pair() -> tuple[DiscreteMeasure, DiscreteMeasure]:
     return side([2, 3, 7, 0], 0.5), side([0, 3, 4, 5, 1, 6, 2, 7], 1.0)
 
 
+# Origins and units that move a lattice to where float gaps round: near 2^52,
+# where the spacing is 1, and into the subnormal range.
+SCALES = [(0, 1), (2**52, 1), (0, Fraction(1, 2**1070))]
+
+
+def rescaled(m: DiscreteMeasure, origin, unit) -> DiscreteMeasure:
+    """``m`` with each atom ``x`` moved to ``origin + unit * x``."""
+    return DiscreteMeasure.from_items(
+        [(origin + unit * x, w) for x, w in m.items()], defect=m.defect
+    )
+
+
+def tied_floats_pair() -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """Two measures on 2^52 and 2^52 + 1/4, which round to one float: only the
+    integers tell which right atoms lie below each left one."""
+    return tuple(
+        rescaled(DiscreteMeasure.from_items([(0, w), (Fraction(1, 4), 1.0 - w)]), 2**52, 1)
+        for w in (0.4, 0.6)
+    )
+
+
 def distances(a: DiscreteMeasure, b: DiscreteMeasure) -> list[float]:
     """Every pair distance, the float of its exact ``Fraction``, sorted once each."""
     return sorted({float(abs(x - y)) for x in a.support for y in b.support})
@@ -227,11 +248,12 @@ class TestProhorov:
     @settings(max_examples=300, deadline=None)
     @given(pair=lattice_pairs())
     @example(pair=one_ulp_pair())
+    @example(pair=one_ulp_pair()[::-1])  # a near tie: only the greedy's T - M gives the reference
     def test_matches_the_full_breakpoint_search(self, pair):
         a, b = pair
         res = prohorov(a, b)
         ref = oracles.prohorov_by_breakpoints(a, b)
-        assert res.value == ref.value
+        assert res.value == ref.value == oracles.prohorov_exact(a, b)
         assert same_entries(res.certificate, ref.certificate)
         assert res.value == oracles.prohorov_by_breakpoints(a, b, scan=True).value
         enumerated = oracles.prohorov(*as_arrays(a), *as_arrays(b))
@@ -254,6 +276,7 @@ class TestProhorov:
     @settings(max_examples=300, deadline=None)
     @given(pair=lattice_pairs())
     @example(pair=one_ulp_pair())
+    @example(pair=tied_floats_pair())
     def test_within_the_float_slack_of_the_exact_reference(self, pair):
         a, b = pair
         assert abs(prohorov(a, b).value - oracles.prohorov_exact(a, b)) <= float_slack(a, b)
@@ -280,14 +303,32 @@ class TestProhorov:
     @given(data=st.data())
     def test_windows_hold_the_pairs_within_each_distance(self, data):
         # Quarter lattices tie pair distances across rows.
-        a, b = lattice_pair(data, denominators=(4,))
+        origin, unit = data.draw(st.sampled_from(SCALES))
+        a, b = (rescaled(m, origin, unit) for m in lattice_pair(data, denominators=(4,)))
         pairs = maxflow.Pairs(a, b)
-        for d in distances(a, b):
-            for t in (d, np.nextafter(d, -np.inf)):
+        for d in [0.0, *distances(a, b), math.inf]:
+            below = np.nextafter(d, -np.inf)
+            # Windows shrunk from those at d are those at the float below.
+            assert np.array_equal(pairs.windows(below, pairs.windows(d)), pairs.windows(below))
+            for t in (d, below):
                 edges = pairs.windows(t)
                 for i, x in enumerate(a.support):
                     near = [j for j, y in enumerate(b.support) if float(abs(x - y)) <= t]
                     assert near == list(range(edges[i], edges[len(a) + i]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=lattice_pairs(), scale=st.sampled_from(SCALES), seed=st.integers(0, 2**32 - 1))
+    @example(pair=one_ulp_pair(), scale=SCALES[1], seed=0)
+    @example(pair=one_ulp_pair(), scale=SCALES[2], seed=0)
+    def test_extreme_is_the_largest_or_least_exact_distance(self, pair, scale, seed):
+        a, b = (rescaled(m, *scale) for m in pair)
+        pairs = maxflow.Pairs(a, b)
+        rng = np.random.default_rng(seed)
+        for size in (0, 1, 3, len(a) * len(b)):
+            rows, cols = rng.integers(len(a), size=size), rng.integers(len(b), size=size)
+            exact = [float(abs(a.support[i] - b.support[j])) for i, j in zip(rows, cols)]
+            assert pairs.extreme(rows, cols, True) == max(exact, default=0.0)
+            assert pairs.extreme(rows, cols, False) == min(exact, default=math.inf)
 
     def test_windows_pass_pairs_that_round_to_one_distance(self):
         # Near 1e16 the float spacing is 2: x - y rounds to 1e16 for three
@@ -321,26 +362,6 @@ class TestProhorov:
         assert res.defect_slack == a.defect + b.defect + float_slack(a, b)
         oracles.validate_coupling(res.certificate)
         assert oracles.band_mass(res.certificate) >= 1.0 - res.value - 1e-10
-
-    def test_guard_redo_leaves_the_value_unchanged(self, monkeypatch):
-        a, b = (
-            estimator_law(joint_law(build(FamilySpec.binary(p)), 4)).law
-            for p in (0.75, 0.74)
-        )
-        plain = prohorov(a, b)
-        solves = []
-        solve = maxflow.BandFlow.solve
-
-        def counted(flow):
-            solves.append(flow.eps)
-            return solve(flow)
-
-        monkeypatch.setattr(maxflow.BandFlow, "solve", counted)
-        monkeypatch.setattr(metrics, "_GUARD", 10.0)
-        redone = prohorov(a, b)
-        assert len(solves) > 1  # every probe plus the final flow
-        assert redone.value == plain.value
-        assert same_entries(redone.certificate, plain.certificate)
 
     def test_defects_reported_as_slack_not_value(self):
         a = DiscreteMeasure.from_items([(Fraction(0), 0.95)], defect=0.05)
@@ -503,8 +524,14 @@ class TestStrassenCoupling:
         with pytest.raises(InvalidParameter, match="Strassen cut"):
             oracles.validate_coupling(coup)
 
-    def test_nan_and_negative_eps_are_rejected(self):
+    def test_nan_and_negative_eps_are_rejected(self, monkeypatch):
+        def stepped(pairs, t):
+            raise AssertionError(f"a window was stepped at {t!r}")
+
+        monkeypatch.setattr(maxflow.Pairs, "windows", stepped)
         m = dirac(1)
+        with pytest.raises(InvalidParameter, match="bound"):
+            metrics.prohorov_at_most(m, m, float("nan"))
         for eps in (float("nan"), -0.5):
             with pytest.raises(InvalidParameter, match="eps"):
                 strassen_coupling(m, m, eps)
@@ -550,7 +577,7 @@ class TestCouplingCompletion:
         flow = maxflow.BandFlow(aw, bw, edges, d)
         flow.solve()
         value = max(d, deficit)
-        got = metrics._complete_coupling(a, b, value, flow)
+        got = metrics._complete_coupling(a, b, maxflow.Pairs(a, b), value, flow)
         entries, slack = oracles.complete_coupling(a, b, value, flow)
         keys = sorted(entries)
         assert got.rows.tolist() == [i for i, _ in keys]
