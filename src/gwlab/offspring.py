@@ -6,9 +6,9 @@ moment carried by the discarded tail.  On top of it live the generating
 function, the extinction probability solver, and the two conditional
 transforms (conditioning the whole process on survival or on extinction).
 
-Poisson weights and the survival transform take ``log k!`` and ``k log y``
-from ``math`` alone, bit for bit as ``scipy.special``'s ``gammaln`` and
-``xlogy``; only ``_build_polynomial`` loads scipy, for ``zeta``.
+Special functions come from ``math`` alone: ``log k!`` and ``k log y`` bit for
+bit as ``scipy.special``'s ``gammaln`` and ``xlogy``, and the polynomial family's
+normalizer ``1 / zeta(p)`` from an Euler-Maclaurin sum.
 """
 
 from __future__ import annotations
@@ -320,16 +320,30 @@ def _build_poisson(spec: FamilySpec, budget: float) -> OffspringLaw:
     return _truncated_law(spec, w, TailBound("poisson", cutoff, lam=lam))
 
 
-def _build_polynomial(spec: FamilySpec, budget: float) -> OffspringLaw:
-    from scipy import special
+def _zeta(p: float) -> float:
+    """Riemann zeta at ``p > 2``: Euler-Maclaurin at N = 10 with ``B_2 .. B_24``."""
+    n, t = 10, 10.0 ** (1.0 - p) / (p - 1.0)  # the integral term, the first t
+    terms = [k ** -p for k in range(1, n)] + [t, n ** -p / 2.0]
+    for j, (b, d) in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+            (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730)), 1):
+        # t = p (p+1) ... (p+2j-2) N^(-p-2j+1) grows one factor at a time, so at a
+        # huge p it stays 0 rather than 0 * inf, and zeta is 1.
+        t = t * ((p + 2 * j - 3) / n) * ((p + 2 * j - 2) / n)
+        terms.append(b / (d * math.factorial(2 * j)) * t)  # B_2j = b / d
+    return math.fsum(terms)
 
+
+def _build_polynomial(spec: FamilySpec, budget: float) -> OffspringLaw:
     p = float(spec.p)
-    c = 1.0 / float(special.zeta(p))
+    c = 1.0 / _zeta(p)
     if spec.truncation is not None:
         cutoff = spec.truncation
     else:
         # Need c * (K+1)^(2-p) / (p-2) <= budget.
-        k_real = (budget * (p - 2.0) / c) ** (1.0 / (2.0 - p))
+        try:
+            k_real = (budget * (p - 2.0) / c) ** (1.0 / (2.0 - p))
+        except (ZeroDivisionError, OverflowError):  # a zero or tiny budget, or p near 2
+            k_real = math.inf
         if not math.isfinite(k_real) or k_real > MAX_DERIVED_TRUNCATION:
             raise InvalidParameter(
                 "polynomial tail budget needs about "

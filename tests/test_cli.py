@@ -645,6 +645,20 @@ class TestColdStart:
             assert output == (DATA / name).read_text(), name
         assert after == []
 
+    def test_the_polynomial_family_runs_where_scipy_cannot_be_imported(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gwlab import FamilySpec, build\n"
+            "from gwlab.cli import main\n"
+            "build(FamilySpec.polynomial(3, truncation=40))\n"
+            "sys.exit(main(['law', '--family', 'polynomial', '--p', '3.5', '--truncation', '30',"
+            " '--n', '3', '--no-timestamp']))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout and out.stderr == ""
+
 
 class TestReferenceOutputBytes:
     """``--no-timestamp`` output is pinned byte for byte to checked-in files."""

@@ -90,6 +90,8 @@ class TestJsonFuzz:
     @example(doc=dict(SWEEP_DOC, grid=[{"family": "polynomial", "p": 3.5, "truncation": 10**30}]))
     # A huge lambda under a huge budget started the Poisson cutoff past the cap.
     @example(doc=dict(SWEEP_DOC, grid=[{"family": "poisson", "lambda": 10**30}], budget=10**30))
+    # A polynomial cutoff derived at budget 0 ended in a bare ZeroDivisionError.
+    @example(doc=dict(SWEEP_DOC, grid=[{"family": "polynomial", "p": 3.5}], budget=0))
     def test_sweep_documents_run_or_raise_a_domain_error(self, doc):
         spec = _construct(ExperimentSpec.from_json_dict, doc)
         if spec is None:
@@ -117,6 +119,7 @@ CLI_BASES = [
     (["simulate", "--family", "poisson", "--lam", "2", "--truncation", "8", "--n-max", "2",
       "--replications", "200", "--jobs", "1"],
      ["--lam", "--truncation", "--n-max", "--z0", "--replications", "--cap"]),
+    (["build-law", "--family", "polynomial", "--p", "3", "--budget", "0.01"], ["--p", "--budget"]),
 ]
 
 
@@ -139,6 +142,8 @@ class TestCliFuzz:
     @example(argv=[*CLI_BASES[4][0], f"--replications={2**63}"])
     # A law that never grows reached no cost cap, so 2**63 exact steps never ended.
     @example(argv=[*CLI_BASES[2][0], "--p=0", f"--n={2**63}"])
+    # A polynomial cutoff derived at budget 0 ended in a ZeroDivisionError traceback.
+    @example(argv=[*CLI_BASES[6][0], "--budget=0"])
     def test_numeric_flags_exit_zero_or_one_error_line(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -26,7 +26,7 @@ from gwlab import (
 )
 from gwlab import offspring
 from gwlab.lab import contamination_grid
-from gwlab.offspring import MAX_DERIVED_TRUNCATION, _log_factorial
+from gwlab.offspring import DEFAULT_TAIL_BUDGET, MAX_DERIVED_TRUNCATION, _log_factorial, _zeta
 
 POLY3 = FamilySpec.polynomial(3, truncation=200_000)
 
@@ -111,6 +111,15 @@ class TestBuild:
     def test_polynomial_exponent_must_exceed_two(self):
         with pytest.raises(InvalidParameter):
             build(FamilySpec.polynomial(2.0, truncation=100))
+
+    # The derived cutoff ended in a bare ZeroDivisionError at budget 0 and in
+    # an OverflowError at a subnormal budget or an exponent just above 2.
+    @pytest.mark.parametrize("p, budget", [
+        (3.0, 0.0), (3.0, 5e-324), (2.0000001, DEFAULT_TAIL_BUDGET),
+    ], ids=["budget-0", "budget-subnormal", "p-near-2"])
+    def test_polynomial_cutoff_past_any_float_is_refused(self, p, budget):
+        with pytest.raises(InvalidParameter, match="pass an explicit truncation"):
+            build(FamilySpec.polynomial(p), budget)
 
     def test_truncated_families_record_tail_bounds(self):
         for spec in (FamilySpec.poisson(2.0), POLY3):
@@ -389,7 +398,22 @@ def _scipy_survival_weights(law):
 
 
 class TestSpecialFunctionsWithoutScipy:
-    """``log k!`` and ``k log y`` come from ``math``, bit for bit as from scipy."""
+    """``log k!`` and ``k log y`` come from ``math``, bit for bit as from scipy,
+    and ``zeta`` from an Euler-Maclaurin sum."""
+
+    def test_zeta_is_within_two_ulp_of_mpmath(self):
+        import mpmath
+
+        grid = [2.0 + 48.0 * i / 1000 for i in range(1, 1001)] + [2.0 + 1e-12]
+        with mpmath.workdps(40):
+            for p in grid:
+                exact = mpmath.zeta(p)
+                assert abs(_zeta(p) - exact) <= 2 * math.ulp(float(exact)), p
+
+    def test_zeta_at_a_huge_exponent_is_exactly_one(self):
+        # Its corrections grow one factor at a time: a whole product first is 0 * inf.
+        assert _zeta(1e300) == 1.0
+        assert build(FamilySpec.polynomial(1e300, truncation=3)).tail_bound.normalizer == 1.0
 
     def test_log_factorial_is_gammaln_at_every_truncation(self):
         from scipy import special
