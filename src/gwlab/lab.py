@@ -21,7 +21,9 @@ names the least horizon with the largest distance.  A Prohorov sweep skips
 a horizon once one greedy pass on the pairs within a bound leaves ``T - M``
 at most the bound, less the search's guard (``metrics.prohorov_at_most``):
 ``best`` past the running winner, the float below ``best`` before it.  The
-horizon cannot win then, and rows are as with every horizon computed.
+horizon cannot win then, and rows are as with every horizon computed.  Only
+the winner's certificate is read, so only its band flow is solved; a value
+``max(d, T - M(d))`` is the search's own, so no flow could move a row.
 """
 
 from __future__ import annotations
@@ -336,7 +338,8 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
     Horizons go in ``_horizon_order``.  One wins with a value above the
     running maximum ``best``, or equal to it at a smaller ``n``, so a
     Prohorov sweep skips it when ``prohorov_at_most`` proves it can do
-    neither (see the module notes); the rows do not change.
+    neither (see the module notes); the rows do not change.  No value
+    comes from a flow, so only the winner's certificate is read, once.
     """
     check_jobs(jobs)
     center = build(spec.center, spec.budget)
@@ -360,11 +363,11 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
             curve2, mc_from = _estimator_curve(
                 law2, spec, _member_seed(spec.seed, idx + 1), jobs
             )
-        best, best_n, best_slack = -1.0, None, 0.0
+        best, best_n, best_slack, winner = -1.0, None, 0.0, None
         for n in _horizon_order(center_curve, curve2, spec.n_range):
             (a, slack_a), (b, slack_b) = center_curve[n], curve2[n]
             if a is b:
-                value, total_slack = 0.0, slack_a + slack_b
+                value, total_slack, result = 0.0, slack_a + slack_b, None
             elif spec.metric == "prohorov" and best > 0.0 and prohorov_at_most(
                 a, b, best if n > best_n else math.nextafter(best, -math.inf)
             ):
@@ -373,7 +376,8 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
                 result = metric(a, b)
                 value, total_slack = result.value, result.defect_slack + slack_a + slack_b
             if value > best or (value == best and n < best_n):
-                best, best_n, best_slack = value, n, total_slack
+                best, best_n, best_slack, winner = value, n, total_slack, result
+        getattr(winner, "certificate", None)  # certify the row: solves its winner's flow alone
         if center_mc is not None:
             mc_from = min(n for n in (mc_from, center_mc) if n is not None)
         rows.append(

@@ -11,9 +11,9 @@ at or below ``T - M(0)``, and goes on to the largest one whose successor is
 above a passing probe's deficit less a guard.  The ``n * m`` distances are
 never listed: pairs are counted from per-atom windows (``maxflow.Pairs``),
 those just below a passing probe's distance bounding the pairs below it, and
-only ``d_k`` gets a full band flow, on the windows its probe found.
-``prohorov_at_most`` runs one greedy at a given bound instead of the
-search, to prove the value is at most that bound.
+only ``d_k`` gets a full band flow, on its probe's windows, once the
+certificate is read.  ``prohorov_at_most`` runs one greedy at a given bound
+instead of the search, to prove the value is at most that bound.
 
 The coupling certificate is checkable from both sides.  Its marginals and
 slack show that the value is attained.  Its band mass at ``d_k`` reaches
@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any
+from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
@@ -206,18 +207,30 @@ def _least_feasible_distance(
     return (high, *at_high)
 
 
+class _Deferred(MetricResult):
+    """A result whose certificate ``_build()`` makes when it is first read."""
+
+    certificate = cached_property(lambda self: self._build())
+
+    def __init__(self, value: float, build: Callable[[], Any], defect_slack: float):
+        self.value, self._build, self.defect_slack = value, build, defect_slack
+
+
 def prohorov(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
-    """Exact Prohorov distance with an optimal-coupling certificate; ``defect_slack``
-    adds the float error of ``T - M``, at most ``(n + m) 2^-52 T``, to the defects."""
+    """Exact Prohorov distance with an optimal-coupling certificate, built when first
+    read (``SolverDidNotConverge`` surfaces there); ``defect_slack`` adds the float
+    error of ``T - M``, at most ``(n + m) 2^-52 T``, to the defects."""
     aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
     d, edges, deficit = _least_feasible_distance(pairs := Pairs(a, b), aw, bw, t_goal)
-    flow = BandFlow(aw, bw, edges, d)
-    flow.solve()
     value = max(d, deficit)
-    coupling = _complete_coupling(a, b, pairs, value, flow)
     rounding = math.ldexp((len(a) + len(b)) * t_goal, -52)
-    return MetricResult(value, coupling, a.defect + b.defect + rounding)
+
+    def certify() -> Coupling:
+        (flow := BandFlow(aw, bw, edges, d)).solve()
+        return _complete_coupling(a, b, pairs, value, flow)
+
+    return _Deferred(value, certify, a.defect + b.defect + rounding)
 
 
 def prohorov_at_most(a: DiscreteMeasure, b: DiscreteMeasure, bound: float) -> bool:

@@ -62,6 +62,12 @@ def exact_route_cases(draw):
     return spec, draw(st.integers(1, n_max)), draw(st.sampled_from([1, 2]))
 
 
+def idle_staircase(supply, room, lo, hi):
+    """A stand-in for ``maxflow.staircase`` that ships nothing, so supply and room
+    face each other across every nonempty window: an augmenting path."""
+    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 0.0
+
+
 def as_arrays(m: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     return np.array([float(x) for x in m.support]), np.array(m.weights)
 

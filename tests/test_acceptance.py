@@ -278,9 +278,9 @@ def test_criterion_08_modulus_contrast_between_families(tmp_path):
         assert float(row["d_tv"]) == pytest.approx(1 / k, abs=1e-11)
         assert float(row["modulus"]) >= 0.1
     elapsed = time.perf_counter() - start
-    # Twice the slowest of five runs of this gate alone: 7.3-7.9 s on a
-    # 2-core Xeon with the default --jobs (7.89, 7.52, 7.48, 7.46, 7.28 s).
-    assert elapsed < 15.8
+    # Twice the slowest of five runs of this gate alone: 2.9-3.1 s on a
+    # 2-core Xeon with the default --jobs (2.93, 3.12, 2.85, 2.92, 2.92 s).
+    assert elapsed < 6.24
     record_criterion(
         8,
         "PASS",

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gwlab import lab, montecarlo
+from conftest import idle_staircase
+from gwlab import lab, maxflow, montecarlo
 from gwlab.offspring import MAX_DERIVED_TRUNCATION
 from gwlab import (
     BudgetExceeded,
@@ -20,6 +21,7 @@ from gwlab import (
     JointLaw,
     Propagator,
     SimConfig,
+    SolverDidNotConverge,
     SupercriticalRequired,
     VerificationReport,
     binary_sweep_spec,
@@ -574,6 +576,24 @@ class TestModulusSkip:
         monkeypatch.setattr(lab, "prohorov", counted)
         robustness_modulus(binary_sweep_spec())
         assert (len(calls), sum(calls)) == (29, 12_187_465)
+
+    @pytest.mark.parametrize(
+        "spec, flows",
+        [(binary_sweep_spec(), 4), (contamination_sweep_spec(k_values=(50,), replications=4_096), 1)],
+        ids=["binary", "contamination"],
+    )
+    def test_each_row_solves_one_band_flow(self, monkeypatch, spec, flows):
+        # Only the winning horizon's certificate is read; the centre row of
+        # the binary sweep reuses its curve and has none.
+        solved, solve = [], maxflow.BandFlow.solve
+        monkeypatch.setattr(maxflow.BandFlow, "solve", lambda flow: solved.append(1) or solve(flow))
+        rows = robustness_modulus(spec)
+        assert len(solved) == flows == sum(row["modulus"] > 0.0 for row in rows)
+
+    def test_the_winning_certificate_is_checked(self, monkeypatch):
+        monkeypatch.setattr(maxflow, "staircase", idle_staircase)
+        with pytest.raises(SolverDidNotConverge, match="augmenting path"):
+            robustness_modulus(binary_sweep_spec())
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     @pytest.mark.parametrize("name", sorted(ORDER_SPECS))

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import as_arrays, random_measure, random_offspring_pair
+from conftest import as_arrays, idle_staircase, random_measure, random_offspring_pair
 from gwlab import (
     CouplingInfeasible,
     DiscreteMeasure,
@@ -371,6 +372,66 @@ class TestProhorov:
         assert res.value <= 0.05
 
 
+def eager_prohorov(a, b) -> metrics.MetricResult:
+    """``prohorov`` with its band flow solved and its coupling built at once."""
+    aw, bw = a.weights_array, b.weights_array
+    t_goal = max(a.total_mass, b.total_mass)
+    d, edges, deficit = metrics._least_feasible_distance(pairs := maxflow.Pairs(a, b), aw, bw, t_goal)
+    flow = maxflow.BandFlow(aw, bw, edges, d)
+    flow.solve()
+    value = max(d, deficit)
+    rounding = math.ldexp((len(a) + len(b)) * t_goal, -52)
+    coupling = metrics._complete_coupling(a, b, pairs, value, flow)
+    return metrics.MetricResult(value, coupling, a.defect + b.defect + rounding)
+
+
+class TestDeferredCertificate:
+    """The Prohorov band flow is solved, and its coupling built, only when
+    the certificate is read."""
+
+    def test_the_value_builds_no_band_flow(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(metrics, "BandFlow", lambda *args: built.append(args))
+        rng = np.random.default_rng(38)
+        a, b = random_measure(rng), random_measure(rng)
+        assert prohorov(a, b).value == eager_prohorov(a, b).value
+        assert built == []
+
+    def test_the_certificate_is_built_once(self, monkeypatch):
+        solved, solve = [], maxflow.BandFlow.solve
+        monkeypatch.setattr(maxflow.BandFlow, "solve", lambda flow: solved.append(1) or solve(flow))
+        res = prohorov(dirac(0), DiscreteMeasure.from_items([(0, 0.5), (1, 0.5)]))
+        first = res.certificate
+        assert isinstance(first, metrics.Coupling) and res.certificate is first
+        assert len(solved) == 1
+
+    def test_json_matches_the_eager_certificate_on_gate_three_pairs(self):
+        rng = np.random.default_rng(303)
+        for _ in range(200):
+            a, b = random_measure(rng, max_atoms=8), random_measure(rng, max_atoms=8)
+            lazy, eager = prohorov(a, b), eager_prohorov(a, b)
+            assert json.dumps(lazy.to_json_dict()) == json.dumps(eager.to_json_dict())
+            assert np.array_equal(lazy.certificate.strassen, eager.certificate.strassen)
+            assert lazy.certificate.strassen_eps == eager.certificate.strassen_eps
+
+    def test_solver_errors_surface_when_the_certificate_is_read(self, monkeypatch):
+        monkeypatch.setattr(maxflow, "staircase", idle_staircase)
+        res = prohorov(DiscreteMeasure.from_items([(0, 0.5), (2, 0.5)]), dirac(2))
+        assert res.value == 0.5
+        with pytest.raises(SolverDidNotConverge, match="augmenting path"):
+            res.certificate
+
+    def test_other_metric_results_are_plain(self):
+        rng = np.random.default_rng(39)
+        a, b = random_measure(rng), random_measure(rng)
+        assert [f.name for f in fields(metrics.MetricResult)] == ["value", "certificate", "defect_slack"]
+        result = bounded_lipschitz(a, b)
+        assert type(result) is metrics.MetricResult and isinstance(vars(result)["certificate"], dict)
+        assert vars(metrics.MetricResult(0.5, defect_slack=0.1)) == {
+            "value": 0.5, "certificate": None, "defect_slack": 0.1,
+        }
+
+
 def search(a, b, least_feasible=metrics._least_feasible_distance) -> float:
     """The least feasible distance between two measures, by ``least_feasible``."""
     t_goal = max(a.total_mass, b.total_mass)
@@ -655,10 +716,7 @@ class TestBandFlow:
 
 
     def test_an_augmenting_path_is_a_typed_error(self, monkeypatch):
-        def idle(supply, room, lo, hi):  # ships nothing: supply and room face each other
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 0.0
-
-        monkeypatch.setattr(maxflow, "staircase", idle)
+        monkeypatch.setattr(maxflow, "staircase", idle_staircase)
         left = DiscreteMeasure.from_items([(0, 0.5), (2, 0.5)])
         edges = maxflow.Pairs(left, dirac(2)).windows(0.0)
         flow = maxflow.BandFlow(np.array([0.5, 0.5]), np.array([1.0]), edges, 0.0)
