@@ -53,7 +53,7 @@ from .errors import (
     json_int,
 )
 from .estimator import consistency_probability, estimator_law, exact_fraction
-from .measures import DiscreteMeasure, merge_atoms, tv_distance
+from .measures import DiscreteMeasure, left_sum, merge_atoms, tv_distance
 from .metrics import bounded_lipschitz, joint_tv, prohorov, prohorov_at_most, trajectory_tv
 from .montecarlo import (
     DEFAULT_BIN_DEN, SimConfig, SimTable, binned_estimator_law, check_jobs,
@@ -479,7 +479,7 @@ def verify_joint_tv_bound(
     if n < 1:
         raise InvalidParameter("horizon n must be at least 1")
     d_tv, d_slack = tv_distance(law1.measure, law2.measure)
-    c_n = min(sum(law.mean_m ** (i - 1) for i in range(1, n + 1)) for law in (law1, law2))
+    c_n = min(left_sum(law.mean_m ** (i - 1) for i in range(1, n + 1)) for law in (law1, law2))
     if n <= 4:
         side = "trajectory"
         lhs, lhs_slack = trajectory_tv(law1, law2, n, z0=z0)
@@ -550,7 +550,7 @@ def verify_extinction_bound(
     if not gate_ok:
         note = "inconclusive: d_tv exceeds the contraction gate; "
     lhs = abs(iterate_pgf_at_zero(law1, n) - iterate_pgf_at_zero(law2, n))
-    geo = sum(gamma**k for k in range(n + 1))
+    geo = left_sum(gamma**k for k in range(n + 1))
     rhs = geo * d_tv
     d1 = law1.measure.defect
     d2 = law2.measure.defect
@@ -691,9 +691,7 @@ def verify_conditional_occupancy(
             raise DegenerateConditioning(f"survival vanished by horizon {n}")
         occ = gen.mass_at(k) / survival
         # A finite pmf sum keeps dyadic p (binary laws) exact.
-        cdf = sum(
-            math.comb(n, i) * p**i * gamma ** (n - i) for i in range(min(k, n) + 1)
-        )
+        cdf = left_sum(math.comb(n, i) * p**i * gamma ** (n - i) for i in range(min(k, n) + 1))
         bnd = cdf + leak * gamma**n
         occupancy[n] = occ
         bounds[n] = bnd

@@ -12,6 +12,7 @@ compare the fast implementations against them on small instances.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -568,6 +569,48 @@ def bounded_lipschitz_lp(a, b) -> float:
     )
     assert res.status == 0, res.message
     return float(-res.fun)
+
+
+# The slope-trick pass written plainly: one loop over both trimming ends, clips
+# by ``min``/``max``, and a pass at every ``lam``, 0 and 1 included.
+# ``metrics._dual_path`` must match it bit for bit.
+def dual_path_reference(d: list[float], g: list[float], lam: float, path: list | None = None) -> list:
+    """One slope-trick pass of ``min (1 - lam) TV(R) + lam W(R)`` over paths.
+
+    ``F_i``, the cost of reaching ``R_i``, is sorted breakpoints whose weights
+    step its slope from ``-c`` to ``c = 1 - lam``.  Each ``D_i`` enters with
+    weight ``2 lam g_i``, and ``lam g_i`` is trimmed off each end; the last
+    points trimmed (or +-inf) bound ``R_i = clip(R_{i+1}, lo_i, hi_i)``.
+    Given the path, the pass returns ``h_i = h_{i+1} - lam g_i sign(R_i -
+    D_i)`` clipped into the slopes of ``F_i`` at ``R_i``.  A last gap of 0
+    ends the path at ``D_{n-1}``.
+    """
+    c = 1.0 - lam
+    pos, wt, out = [0.0], [2.0 * c], []
+    for i, (x, t) in enumerate(zip(d, [lam * gap for gap in g])):
+        if path is not None:
+            r = path[i]
+            out.append((sum(wt[: bisect_left(pos, r)]) - c, sum(wt[: bisect_right(pos, r)]) - c))
+        k = bisect_right(pos, x)
+        pos.insert(k, x)
+        wt.insert(k, 2.0 * t)
+        ends = [-math.inf, math.inf]
+        for end in (0, -1):
+            left = t
+            while left > 0.0 and wt and wt[end] <= left:
+                left -= wt.pop(end)
+                ends[end] = pos.pop(end)
+            if left > 0.0 and wt:
+                wt[end] -= left
+                ends[end] = pos[end]
+        if path is None:
+            out.append(ends)
+    # Backtracking is the same walk, unshifted: ``d`` stands in for the path.
+    walk = [d[-1] if path is None else 0.0]
+    shifts = [lam * t * ((r > x) - (r < x)) for t, r, x in zip(g, d if path is None else path, d)]
+    for (lo, hi), shift in zip(out[::-1], shifts[::-1]):
+        walk.append(min(max(walk[-1] - shift, lo), hi))
+    return walk[:0:-1]
 
 
 # -- coupling certificates -----------------------------------------------------

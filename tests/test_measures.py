@@ -19,7 +19,7 @@ from gwlab import (
     prohorov,
     tv_distance,
 )
-from gwlab.measures import MASS_TOL, _convolve_dense, _span, merge_atoms
+from gwlab.measures import MASS_TOL, _convolve_dense, _span, left_sum, merge_atoms
 
 
 def integer_measure(rng, max_atoms=6):
@@ -320,6 +320,43 @@ class TestTvDistance:
             a, b = integer_measure(rng), integer_measure(rng)
             value, _ = tv_distance(a, b)
             assert prohorov(a, b).value == pytest.approx(value, abs=1e-9)
+
+
+class TestLeftSum:
+    """Sums that feed pinned bytes add one term at a time, left to right from
+    the int 0, as CPython 3.11's builtin ``sum`` does on floats."""
+
+    @staticmethod
+    def plain(terms):
+        total = 0
+        for x in terms:
+            total += x
+        return total
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 2.0**-60]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_an_explicit_loop_bit_for_bit(self, terms):
+        want = self.plain(terms)
+        for got in (left_sum(terms), left_sum(iter(terms))):
+            assert type(got) is type(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_does_not_compensate(self):
+        # A compensated sum (the builtin on CPython 3.12) gives 1.0 here.
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum([-0.0]) == 0.0 and str(left_sum([-0.0])) == "0.0"
+
+    def test_an_empty_sum_is_the_int_zero(self):
+        assert left_sum([]) == 0 and type(left_sum([])) is int
+        assert type(left_sum(x for x in ())) is int
 
 
 @st.composite

@@ -767,9 +767,9 @@ class TestBoundedLipschitz:
             assert got == pytest.approx(ref, abs=2e-3)
 
     @staticmethod
-    def _draw_pair(data) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-        """Two measures of up to six atoms on a lattice of 1, 1/4 or 1/10."""
-        denominator = data.draw(st.sampled_from([1, 4, 10]))
+    def _draw_pair(data, denominators=(1, 4, 10)) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+        """Two measures of up to six atoms on a lattice of 1, 1/4 or 1/10, by default."""
+        denominator = data.draw(st.sampled_from(denominators))
 
         def side():
             points = data.draw(
@@ -817,6 +817,44 @@ class TestBoundedLipschitz:
         res = bounded_lipschitz(a, b)
         assert res.value == pytest.approx(oracles.bounded_lipschitz_lp(a, b), abs=1e-12)
         assert -1e-12 <= res.certificate["upper"] - res.value <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_dual_path_matches_the_reference_pass(self, data):
+        # Entry by entry and bit for bit, with and without a path, on running
+        # sums with signed zeros and repeated values, positive gaps and lam at
+        # both ends; the reference there also gives the search's closed forms.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 25))
+        pool = np.array([0.0, -0.0, *rng.uniform(-1.0, 1.0, 4)])
+        d = np.where(rng.random(n) < 0.7, rng.choice(pool, n), rng.uniform(-1.0, 1.0, n))
+        d = (np.cumsum(d) if data.draw(st.booleans()) else d).tolist()
+        g = rng.choice([1.0, 0.25, 1 / 7919, *rng.uniform(1e-6, 2.0, 3)], n - 1).tolist() + [0.0]
+        lam = data.draw(st.sampled_from([0.0, 1.0, float(rng.random())]))
+
+        def bits(values):
+            return np.array(values, dtype=float).tobytes()
+
+        walk = oracles.dual_path_reference(d, g, lam)
+        assert bits(metrics._dual_path(d, g, lam)) == bits(walk)
+        if lam == 0.0:
+            assert bits(walk) == bits([d[-1]] * len(d))
+        if lam == 1.0:  # up to the sign of a zero, which TV and W never see
+            assert walk == d
+        for path in (walk, rng.choice(np.concatenate([pool, d]), n).tolist()):
+            want = oracles.dual_path_reference(d, g, lam, path)
+            assert bits(metrics._dual_path(d, g, lam, path)) == bits(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_search_on_the_reference_pass(self, data):
+        # Down to lattices of 1/7919, where the HiGHS oracle can fail.
+        a, b = self._draw_pair(data, (1, 4, 10, 1000, 7919))
+        got = json.dumps(bounded_lipschitz(a, b).to_json_dict())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_dual_path", oracles.dual_path_reference)
+            want = json.dumps(bounded_lipschitz(a, b).to_json_dict())
+        assert got == want
 
     def test_a_function_outside_the_ball_is_scaled_back(self, monkeypatch):
         walk = metrics._dual_path
