@@ -7,8 +7,8 @@ is the mixture, over the current support, of convolution powers of the
 offspring law.  All inner arithmetic runs on dense float arrays indexed by
 population size; a ``DiscreteMeasure`` or ``JointLaw`` is built only when
 ``generation``, ``propagate``, ``joint`` or ``condition_on_survival``
-returns it.  Convolution powers are taken on the offspring law's lattice
-(see ``measures``), since every power of a law on ``gZ`` lives on ``gZ``.
+returns it.  Convolution powers and joint rows are taken on the offspring
+law's lattice (see ``measures``), as every power of a law on ``gZ`` is on it.
 A power is a dense product of two smaller ones or, where that costs fewer
 multiply-adds, stepped up from a cached power by the law's atoms.
 
@@ -57,7 +57,7 @@ _DENSE_WORK_CAP = 2 * 10**8
 _POWER_WORK_CAP = 3 * 10**10
 # No sweep, gate or pinned output plans over 145,924 joint rows (binary(0.75),
 # n = 12, gate 7).  `gw joint --family binary --p 0.75 --format json` plans
-# 765,625 at n = 14 (peak 236 MB) and 1,737,124 at n = 15 (448 MB with the cap
+# 765,625 at n = 14 (peak 236 MB) and 1,737,124 at n = 15 (446 MB with the cap
 # raised; 2-core Xeon); a sweep or check reaching n = 15 simulates from there.
 _JOINT_ROW_CAP = 2**20
 # A law whose support stays small never reaches a cap: binary(0) steps at 26 us
@@ -128,7 +128,8 @@ class PowerCache:
         self._sites = law.measure.integer_values.tolist()
         self._spans: dict[int, int] = {0: 0, 1: _span(base)}
         self._keys = [0, 1]  # sorted keys of _cache
-        self._lattice = base[:: self._spans[1] or 1]
+        self.span = self._spans[1] or 1  # the base's lattice span g, 1 for a point mass at 0
+        self._lattice = base[:: self.span]
         self._atoms = np.flatnonzero(self._lattice)
         self.ell = len(self._lattice) - 1  # the base's largest lattice index
 
@@ -161,7 +162,7 @@ class PowerCache:
     def _step(self, anchor: int, j: int) -> tuple[np.ndarray, float]:
         """``P^j`` from ``P^anchor`` by steps ``P^{i+1}[s] = sum_k p_k P^i[s - x_k]`` over the
         lattice atoms, in reused buffers; trailing zeros start past ``P^i``'s top, bar underflow."""
-        g = self._spans[1] or 1
+        g = self.span
         wa, da = self._cache[anchor]
         cur = wa[::g]
         bufs = np.empty((3, cur.size + (j - anchor) * self.ell))  # two steps and a scratch row
@@ -245,7 +246,8 @@ class Propagator:
         return int(np.count_nonzero(w))
 
     def joint(self, n: int) -> JointLaw:
-        """Joint law of the sizes at generations ``n - 1`` and ``n``."""
+        """Joint law of generations ``n - 1`` and ``n``: rows read off each ``P^j`` on the
+        lattice, ``probs`` and ``curr`` built in place, the flat array freed before ``prev``."""
         if n < 1:
             raise InvalidParameter("a joint law needs n >= 1")
         prev, prev_defect = self._dense_generation(n - 1)
@@ -256,18 +258,20 @@ class Propagator:
             msg = f"planned joint rows {joint_rows} exceed _JOINT_ROW_CAP = {_JOINT_ROW_CAP}"
             raise BudgetExceeded(f"{msg} at generation {n}", step=n)
         powers = [self.powers.get(j) for j in sizes]
-        # Size j's rows: the nonzero entries of P^j, with the powers laid end to end.
-        flat = np.concatenate([w for w, _ in powers])
-        starts = np.cumsum([0] + [len(w) for w, _ in powers[:-1]])
-        rows = np.flatnonzero(flat)
-        counts = np.diff(np.searchsorted(rows, starts), append=rows.size)
         defect = prev_defect
         for j, (_, d) in zip(sizes, powers):
             defect += prev[j] * d
-        return JointLaw(
-            n=n, z0=self.z0, prev=np.repeat(sizes, counts), curr=rows - np.repeat(starts, counts),
-            probs=np.repeat(prev[sizes], counts) * flat[rows], defect=float(defect),
-        )
+        lattice = [w[:: self.powers.span] for w, _ in powers]
+        flat = np.concatenate(lattice)
+        starts = np.cumsum([0] + [len(w) for w in lattice[:-1]])
+        rows = np.flatnonzero(flat)
+        counts = np.diff(np.searchsorted(rows, starts), append=rows.size)
+        probs = flat[rows]
+        probs *= np.repeat(prev[sizes], counts)
+        del flat
+        rows -= np.repeat(starts, counts)
+        rows *= self.powers.span
+        return JointLaw(n, self.z0, np.repeat(sizes, counts), rows, probs, float(defect))
 
 
 def propagate(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -99,17 +100,20 @@ def deviation_mask(
 
 
 def consistency_probability(
-    joint: JointLaw, m: object, eta: object
+    joint: JointLaw | Callable[[], JointLaw], m: object, eta: object
 ) -> tuple[float, float]:
     """Mass ``estimator_law(joint, True)`` puts at distance >= eta from m, with slack.
 
-    Live rows are classified exactly by ``deviation_mask``, so boundary atoms
-    (deviation exactly eta) count.  Only deviating rows are divided by the
-    survival mass and merged, unreduced, as no atom is read: a deviating atom's
-    rows all deviate, in order, so its weight is bit for bit that law's.
-    Weights add in support order.
+    ``joint`` is a joint law or a factory of one.  Live rows are classified
+    exactly by ``deviation_mask``, so atoms at exactly eta count.  Only the
+    deviating rows are divided by the survival mass and merged, unreduced, a
+    built law dropped first: a deviating atom's rows all deviate, in order, so
+    its weight is bit for bit that law's.  Weights add in support order.
     """
-    alive, survival = survival_mass(joint)
-    far = alive & deviation_mask(joint.curr, joint.prev, m, eta)
-    weights = merge_atoms(joint.curr[far], joint.prev[far], joint.probs[far] / survival)[2]
-    return (float(np.cumsum(weights)[-1]) if weights.size else 0.0), joint.defect / survival
+    law = joint() if callable(joint) else joint
+    alive, survival = survival_mass(law)
+    far = alive & deviation_mask(law.curr, law.prev, m, eta)
+    rows, slack = (law.curr[far], law.prev[far], law.probs[far] / survival), law.defect / survival
+    del law, alive, far
+    weights = merge_atoms(*rows)[2]
+    return (float(np.cumsum(weights)[-1]) if weights.size else 0.0), slack

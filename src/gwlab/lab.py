@@ -275,7 +275,7 @@ def _propagator(prop: Propagator | None, law: OffspringLaw, **settings: float) -
 
 def _horizon_laws(
     law: OffspringLaw, levels: Iterable[int],
-    from_exact: Callable[[JointLaw], T], from_table: Callable[[SimTable, int], T],
+    from_exact: Callable[[Callable[[], JointLaw]], T], from_table: Callable[[SimTable, int], T],
     *, z0: int, budget: float, exact_cutoff: int, seed: int, replications: int,
     cap: int, jobs: int, resolution: Fraction | None = None, prop: Propagator | None = None,
 ) -> tuple[dict[int, T], int | None]:
@@ -285,10 +285,10 @@ def _horizon_laws(
     step or a wanted joint law (``BudgetExceeded``: a cost or row cap, or
     truncation emptying the law) or the support passes ``exact_cutoff``;
     that horizon is ``mc_from``.  A wanted exact horizon gives
-    ``from_exact(joint law of n - 1 and n)``.  The switch is sticky: every
-    wanted horizon from ``mc_from`` on gives ``from_table(table, n)`` from
-    one seeded simulation, which tallies bins at ``resolution`` if given.
-    Returns the results by horizon and ``mc_from``.
+    ``from_exact(factory)``, ``factory()`` building its joint law.  The switch
+    is sticky: every wanted horizon from ``mc_from`` on gives
+    ``from_table(table, n)`` from one seeded simulation, which tallies bins at
+    ``resolution`` if given.  Returns the results by horizon and ``mc_from``.
     """
     wanted = sorted(set(levels))
     prop = _propagator(prop, law, z0=z0, n_max=wanted[-1], budget=budget)
@@ -297,7 +297,7 @@ def _horizon_laws(
         try:
             exact = prop.support_size(n) <= exact_cutoff
             if exact and n in wanted:
-                out[n] = from_exact(prop.joint(n))
+                out[n] = from_exact(lambda: prop.joint(n))
         except BudgetExceeded:
             exact = False
         if not exact:
@@ -319,7 +319,7 @@ def _estimator_curve(
     resolution = Fraction(1, spec.bin_denominator)
     return _horizon_laws(
         law, spec.n_range,
-        lambda joint: (estimator_law(joint).law, 0.0),
+        lambda joint: (estimator_law(joint()).law, 0.0),
         lambda table, n: binned_estimator_law(table, n, resolution),
         z0=spec.z0, budget=spec.budget, exact_cutoff=spec.exact_cutoff, seed=seed,
         replications=spec.replications, cap=spec.cap, jobs=jobs, resolution=resolution,

@@ -311,23 +311,24 @@ def merge_atoms(
     weight summed in input order (as ``np.bincount`` adds), and every input's
     atom index.  Atoms group by correctly rounded float value, which equal
     rationals share, confirmed by exact cross-multiplication; only when two
-    distinct atoms share a float are they ordered as ``Fraction``s.
+    distinct atoms share a float are they ordered as ``Fraction``s.  Ties are
+    confirmed, and kept atoms gathered, through the sort order alone.
     """
     values = _float_values(nums, dens)
     order = np.argsort(values)
-    values, sn, sd = values[order], nums[order], dens[order]
+    values = values[order]
     same = values[1:] == values[:-1]
+    del values
     tie = np.flatnonzero(same)
-    if not np.equal(*_cross(sn, sd, tie, tie + 1)).all():
+    if not np.equal(*_cross(nums, dens, order[tie], order[tie + 1])).all():
         exact = list(map(Fraction, nums.tolist(), dens.tolist()))
         order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
-        sn, sd = nums[order], dens[order]
-        same = np.equal(*_cross(sn, sd, np.s_[:-1], np.s_[1:]))
-    first = np.concatenate([[True], ~same])[: len(sn)]
-    index = np.empty(len(sn), dtype=np.intp)
+        same = np.equal(*_cross(nums, dens, order[:-1], order[1:]))
+    first = np.concatenate([[True], ~same])[: len(order)]
+    index = np.empty(len(order), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
-    del values, order
-    return sn[first], sd[first], np.bincount(index, weights=weights), index
+    keep = order[first]
+    return nums[keep], dens[keep], np.bincount(index, weights=weights), index
 
 
 def group_pairs(

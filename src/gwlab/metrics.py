@@ -355,7 +355,8 @@ def bounded_lipschitz(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
     def line(lam: float, r: np.ndarray | None = None) -> tuple[float, np.ndarray, float, float]:
         """``(lam, R, TV(R), W(R))`` for the path ``R`` at ``lam``, or for ``r``."""
         r = np.array(_dual_path(dl, gl, lam)) if r is None else r
-        return lam, r, float(np.abs(np.diff(r, prepend=0.0)).sum()), float(gaps @ abs(r - d)[:-1])
+        tv = float(np.abs(r - np.concatenate(([0.0], r[:-1]))).sum())
+        return lam, r, tv, float(gaps @ abs(r - d)[:-1])
 
     lo, hi = line(0.0, np.full(len(d), d[-1])), line(1.0, d)
     best, mix = lo, 1.0

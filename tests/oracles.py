@@ -26,7 +26,7 @@ from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab import metrics
 from gwlab.maxflow import BandFlow, Pairs, _greedy_mass
 from gwlab.metrics import MetricResult, _complete_coupling
-from gwlab.measures import DiscreteMeasure, group_pairs
+from gwlab.measures import DiscreteMeasure, _cross, _float_values, group_pairs
 from gwlab.montecarlo import SimTable, _draw_next
 
 # -- laws as plain dicts -------------------------------------------------------
@@ -179,6 +179,25 @@ def joint_by_sizes(prop: Propagator, n: int) -> JointLaw:
     return JointLaw(n, prop.z0, prev_col, curr_col, prob_col, float(defect))
 
 
+def joint_flat(prop: Propagator, n: int) -> JointLaw:
+    """``prop.joint(n)`` as it was built from the whole powers: every entry
+    of each ``P^j`` laid end to end, the nonzero ones read off the flat array."""
+    prev, prev_defect = prop._dense_generation(n - 1)
+    sizes = prop._plan(prev, n)
+    powers = [prop.powers.get(j) for j in sizes]
+    flat = np.concatenate([w for w, _ in powers])
+    starts = np.cumsum([0] + [len(w) for w, _ in powers[:-1]])
+    rows = np.flatnonzero(flat)
+    counts = np.diff(np.searchsorted(rows, starts), append=rows.size)
+    defect = prev_defect
+    for j, (_, d) in zip(sizes, powers):
+        defect += prev[j] * d
+    return JointLaw(
+        n=n, z0=prop.z0, prev=np.repeat(sizes, counts), curr=rows - np.repeat(starts, counts),
+        probs=np.repeat(prev[sizes], counts) * flat[rows], defect=float(defect),
+    )
+
+
 def consistency_by_law(joint: JointLaw, m, eta) -> tuple[float, float]:
     """``consistency_probability`` through the whole conditioned ratio law:
     condition on survival, merge every row, mask the atoms, and add the
@@ -206,6 +225,25 @@ def merge_reduced(nums: np.ndarray, dens: np.ndarray, weights: np.ndarray):
     index = np.empty(len(sn), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     return sn[first], sd[first], np.bincount(index, weights=weights)
+
+
+def merge_atoms_by_sorted_copies(nums: np.ndarray, dens: np.ndarray, weights: np.ndarray):
+    """``merge_atoms`` on sorted copies of ``nums`` and ``dens``: float ties
+    confirmed between sorted neighbours, the kept atoms read off the copies."""
+    values = _float_values(nums, dens)
+    order = np.argsort(values)
+    values, sn, sd = values[order], nums[order], dens[order]
+    same = values[1:] == values[:-1]
+    tie = np.flatnonzero(same)
+    if not np.equal(*_cross(sn, sd, tie, tie + 1)).all():
+        exact = list(map(Fraction, nums.tolist(), dens.tolist()))
+        order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
+        sn, sd = nums[order], dens[order]
+        same = np.equal(*_cross(sn, sd, np.s_[:-1], np.s_[1:]))
+    first = np.concatenate([[True], ~same])[: len(sn)]
+    index = np.empty(len(sn), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return sn[first], sd[first], np.bincount(index, weights=weights), index
 
 
 def reduced_rows(prev: np.ndarray, curr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -269,6 +269,38 @@ class TestJointBitForBit:
         assert_same_joint_bits(got, oracles.joint_by_sizes(Propagator(law, n_max=n), n))
 
 
+# Name: (spec, lattice span, horizon).
+LATTICE_LAWS = {
+    "span-1": (FamilySpec.three_point(0.2, 0.5, 0.3), 1, 4),
+    "span-2": (FamilySpec.binary(0.75), 2, 6),
+    "span-3": (FamilySpec.raw([0.3, 0.0, 0.0, 0.7]), 3, 4),
+    "atoms-2-6": (FamilySpec.raw([0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5]), 2, 3),
+    "point-mass-at-0": (FamilySpec.raw([1.0]), 1, 3),
+    "poisson-truncated": (FamilySpec.poisson(2.0, 8), 1, 3),
+}
+
+
+class TestJointOnTheLattice:
+    """``Propagator.joint``, which reads each power on the offspring lattice,
+    against ``oracles.joint_flat``, which read every entry of it."""
+
+    @pytest.mark.parametrize("name", list(LATTICE_LAWS))
+    @pytest.mark.parametrize("z0", [1, 2])
+    def test_matches_the_flat_read(self, name, z0):
+        spec, span, n_max = LATTICE_LAWS[name]
+        law = build(spec)
+        got, ref = Propagator(law, z0=z0, n_max=n_max), Propagator(law, z0=z0, n_max=n_max)
+        assert got.powers.span == span
+        for n in range(1, n_max + 1):
+            assert_same_joint_bits(got.joint(n), oracles.joint_flat(ref, n))
+
+    def test_contamination_member_matches_the_flat_read(self):
+        law = build(contamination_grid(FamilySpec.binary(0.75), (50,))[0])
+        got = Propagator(law, n_max=2).joint(2)
+        assert len(got.prev) > 60_000
+        assert_same_joint_bits(got, oracles.joint_flat(Propagator(law, n_max=2), 2))
+
+
 class TestConditionOnSurvival:
     def test_certain_survival_changes_nothing(self):
         law = build(FamilySpec.raw([0.0, 0.3, 0.7]))

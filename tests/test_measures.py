@@ -265,6 +265,55 @@ class TestMergeAtoms:
         assert index.tolist() == [2, 1, 2, 0]
 
 
+def assert_same_merge_bits(got, ref):
+    assert len(got) == len(ref) == 4
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+
+
+class TestMergeAtomsBitForBit:
+    """``merge_atoms`` against ``oracles.merge_atoms_by_sorted_copies``: the
+    same atoms, weights and index, bit for bit and by dtype."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=atom_pool, data=st.data())
+    def test_matches_the_sorted_copies(self, pool, data):
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+        weights = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=len(picks), max_size=len(picks)
+        )))
+        scales = data.draw(st.lists(
+            st.sampled_from([1, 3, 2**40]), min_size=len(picks), max_size=len(picks)
+        ))
+        ints = [x.numerator * s for x, s in zip(picks, scales)]
+        ints += [x.denominator * s for x, s in zip(picks, scales)]
+        ints = np.array(ints, dtype=np.int64 if max(ints) < 2**63 else object)
+        nums, dens = ints[: len(picks)], ints[len(picks):]
+        assert_same_merge_bits(
+            merge_atoms(nums, dens, weights),
+            oracles.merge_atoms_by_sorted_copies(nums, dens, weights),
+        )
+
+    @pytest.mark.parametrize("case", ["unreduced", "float-ties", "past-int64"])
+    def test_matches_the_sorted_copies_on_each_route(self, case):
+        rng = np.random.default_rng(7)
+        if case == "unreduced":
+            # 2,000 rows on 40 x 12 pairs: each atom arrives as many pairs.
+            nums, dens = rng.integers(0, 40, 2000), rng.integers(1, 13, 2000)
+        elif case == "float-ties":
+            # (j + 1)/j for neighbouring j past 2**26 share doubles: the Fraction order.
+            j = rng.integers(2**27, 2**27 + 8, 500)
+            nums, dens = 3 * (j + 1), 3 * j
+        else:
+            nums = np.array([2**64 + 3 * k for k in rng.integers(0, 20, 300).tolist()], dtype=object)
+            dens = np.array([2**63 + k for k in rng.integers(0, 5, 300).tolist()], dtype=object)
+        weights = rng.random(len(nums))
+        got = merge_atoms(nums, dens, weights)
+        assert len(got[0]) < len(nums)
+        assert_same_merge_bits(got, oracles.merge_atoms_by_sorted_copies(nums, dens, weights))
+
+
 class TestTvDistance:
     def test_identical_measures(self):
         d0 = DiscreteMeasure.from_items([(Fraction(0), 1.0)])
