@@ -408,8 +408,11 @@ def contamination_grid(
 
     The escaping atom scales with the mixing index, so the total variation
     to the center vanishes while the offspring mean stays shifted by
-    roughly 10; these members drive the estimator law a fixed distance away
-    no matter how small ``1/k`` gets.
+    roughly 10.  At horizon ``n`` the estimator laws differ by at most
+    ``1 - F_n``, ``F_n`` the chance that maximally coupled trajectories agree
+    through generation ``n``.  For a binary(0.75) center ``1 - F_8`` falls from
+    0.652 at ``k = 20`` to 0.0472 at ``k = 1000``: the members stay a fixed
+    distance away at every ``k`` only on horizons that grow like ``log k``.
     """
     base = build(center)
     if base.measure.defect != 0.0:

@@ -1,9 +1,10 @@
 """Maximum matchable mass between two atom lists under a distance band.
 
-It certifies the final coupling of each Prohorov call, and Strassen
-couplings at a given ``eps``: for atoms ``x_i`` with masses ``a_i`` and
-atoms ``y_j`` with masses ``b_j``, find the largest total mass that can be
-shipped along pairs with ``|x_i - y_j| <= eps``.  Because both supports are
+``couple`` is the one place a band flow becomes a certified coupling, for
+each Prohorov certificate and each Strassen coupling at a given ``eps``: for
+atoms ``x_i`` with masses ``a_i`` and atoms ``y_j`` with masses ``b_j``, find
+the largest total mass that can be shipped along pairs with ``|x_i - y_j| <=
+eps``.  Because both supports are
 sorted, left atom ``i`` sees a window ``[lo_i, hi_i)`` of right atoms and
 both ends never decrease: the bipartite graph is a staircase.  On a
 staircase the northwest-corner greedy, which fills each left atom from the
@@ -41,12 +42,48 @@ step either ends its row or empties a right atom to exactly 0.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import InvalidParameter, SolverDidNotConverge
-from .measures import DiscreteMeasure, _float_values, _wide
+from .errors import SolverDidNotConverge
+from .measures import DiscreteMeasure, _float_values, _wide, left_sum
 
-__all__ = ["Pairs", "staircase", "BandFlow"]
+__all__ = ["Coupling", "Pairs", "staircase", "couple"]
+
+
+@dataclass
+class Coupling:
+    """A joint measure on support-index pairs of two measures.
+
+    Entry ``k`` puts ``mass[k]`` on left atom ``rows[k]`` and right atom
+    ``cols[k]``; the pairs are distinct and sorted by ``(rows, cols)``.
+    ``slack`` is the mass sitting on pairs farther apart than ``eps``; a
+    Strassen coupling at level ``eps`` keeps ``slack <= eps``.
+
+    ``strassen`` masks a set ``A`` of left atoms, the Strassen set of the
+    band flow solved at ``strassen_eps <= eps``.  No coupling puts
+    more than the cut ``a(A^c) + b(A^r)`` within ``r = strassen_eps``, so a
+    band mass at ``r`` that reaches the cut is maximal there.
+    """
+
+    left: DiscreteMeasure
+    right: DiscreteMeasure
+    eps: float
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+    slack: float
+    strassen: np.ndarray
+    strassen_eps: float
+
+    def to_json_dict(self) -> dict:
+        entries = zip(self.rows.tolist(), self.cols.tolist(), self.mass.tolist())
+        return {
+            "eps": self.eps,
+            "slack": self.slack,
+            "entries": [[i, j, v] for i, j, v in entries],
+        }
 
 
 class Pairs:
@@ -163,59 +200,60 @@ def _greedy_mass(supply: list[float], cum: np.ndarray, edges: np.ndarray) -> flo
     return total
 
 
-class BandFlow:
-    """One max-flow problem on the windows ``edges`` (``lo`` then ``hi``) of
-    the pairs within ``eps``, from ``Pairs.windows``.
+def couple(
+    a: DiscreteMeasure, b: DiscreteMeasure, pairs: Pairs, edges: np.ndarray,
+    band_eps: float, eps: float,
+) -> tuple[Coupling, float]:
+    """The coupling at ``eps`` certified by the band flow on the windows ``edges``
+    (``lo`` then ``hi``) of the pairs within ``band_eps <= eps``, and the flow's mass.
 
-    After ``solve()``, edge ``k`` ships ``mass[k]`` from ``rows[k]`` to
-    ``cols[k]``, ``matched`` is the shipped mass summed row by row, and
-    ``strassen`` is the boolean mask of the Strassen set over the left atoms.
+    ``staircase`` fills the band and the Strassen search certifies it (see the
+    module notes).  ``staircase`` on full windows then pairs leftover supply with
+    leftover room in support order; a flow edge left one of its atoms at zero, so
+    each pair is a new entry.  The slack is the paired mass off the band at ``eps``.
     """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, edges: np.ndarray, eps: float):
-        if not eps >= 0.0:  # NaN too; inf is the widest band
-            raise InvalidParameter(f"eps must be nonnegative, got {eps!r}")
-        self.eps = eps
-        self.lo, self.hi = np.split(edges, 2)
-        self.excess, self.resid = (np.array(w, dtype=float) for w in (a, b))
-
-    def solve(self) -> float:
-        """Run the greedy and certify it; returns the matched mass."""
-        excess, resid = self.excess.tolist(), self.resid.tolist()
-        self.rows, self.cols, self.mass, self.matched = staircase(
-            excess, resid, self.lo.tolist(), self.hi.tolist()
+    lo, hi = np.split(edges, 2)
+    excess, resid = a.weights_array.tolist(), b.weights_array.tolist()
+    rows, cols, mass, matched = staircase(excess, resid, lo.tolist(), hi.tolist())
+    excess, resid = np.array(excess), np.array(resid)
+    # The Strassen search.  Edges into left atom u's window are the run
+    # [first[u], stop[u]).  A seed u filled its window, so later rows'
+    # edges start at hi[u] and a search from u only goes down: it reaches
+    # the rows with an edge in [first[low], stop[u]), ``low`` stepping down
+    # to the lowest such row, and crosses [lo[low], hi[u]).  A search that
+    # reaches the span below joins it.
+    row_list = rows.tolist()
+    first, stop = np.searchsorted(cols, lo).tolist(), np.searchsorted(cols, hi).tolist()
+    seen = excess > 0.0
+    spans: list[tuple[int, int]] = []
+    for u in np.flatnonzero(seen).tolist():
+        low, end = u, stop[u]
+        while first[low] < end and row_list[first[low]] < low:
+            low = row_list[first[low]]
+            if spans and low <= spans[-1][1]:
+                low = spans.pop()[0]
+                break
+        spans.append((low, u))
+    low, high = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    left, right = lo[low], hi[high]
+    room = np.concatenate([[0], np.cumsum(resid > 0.0)])
+    if (room[right] > room[left]).any():
+        raise SolverDidNotConverge(
+            f"band flow at eps={band_eps!r} left an augmenting path; "
+            f"the staircase greedy is not maximal"
         )
-        self.excess[:], self.resid[:] = excess, resid
-        # The Strassen search.  Edges into left atom u's window are the run
-        # [first[u], stop[u]).  A seed u filled its window, so later rows'
-        # edges start at hi[u] and a search from u only goes down: it reaches
-        # the rows with an edge in [first[low], stop[u]), ``low`` stepping down
-        # to the lowest such row, and crosses [lo[low], hi[u]).  A search that
-        # reaches the span below joins it.
-        rows = self.rows.tolist()
-        first = np.searchsorted(self.cols, self.lo).tolist()
-        stop = np.searchsorted(self.cols, self.hi).tolist()
-        seen = self.excess > 0.0
-        spans: list[tuple[int, int]] = []
-        for u in np.flatnonzero(seen).tolist():
-            low, end = u, stop[u]
-            while first[low] < end and rows[first[low]] < low:
-                low = rows[first[low]]
-                if spans and low <= spans[-1][1]:
-                    low = spans.pop()[0]
-                    break
-            spans.append((low, u))
-        low, high = np.array(spans, dtype=np.int64).reshape(-1, 2).T
-        left, right = self.lo[low], self.hi[high]
-        room = np.concatenate([[0], np.cumsum(self.resid > 0.0)])
-        if (room[right] > room[left]).any():
-            raise SolverDidNotConverge(
-                f"band flow at eps={self.eps!r} left an augmenting path; "
-                f"the staircase greedy is not maximal"
-            )
-        cover = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.add.at(cover, np.searchsorted(self.cols, left), 1)
-        np.add.at(cover, np.searchsorted(self.cols, right), -1)
-        seen[self.rows[np.cumsum(cover[:-1]) > 0]] = True
-        self.strassen = seen
-        return self.matched
+    cover = np.zeros(len(row_list) + 1, dtype=np.int64)
+    np.add.at(cover, np.searchsorted(cols, left), 1)
+    np.add.at(cover, np.searchsorted(cols, right), -1)
+    seen[rows[np.cumsum(cover[:-1]) > 0]] = True
+    del row_list, first, stop, spans, room, cover  # sized by the flow, freed before completing
+
+    left, right = np.flatnonzero(excess > 0.0), np.flatnonzero(resid > 0.0)
+    full = [0] * len(left), [len(right)] * len(left)
+    p, q, pv, _ = staircase(excess[left].tolist(), resid[right].tolist(), *full)
+    pi, pj = left[p], right[q]
+    slack = left_sum(pv[pairs.distance(pi, pj) > eps].tolist())
+    rows, cols, mass = map(np.concatenate, ((rows, pi), (cols, pj), (mass, pv)))
+    order = np.lexsort((cols, rows))
+    coupling = Coupling(a, b, eps, rows[order], cols[order], mass[order], slack, seen, band_eps)
+    return coupling, matched

@@ -46,7 +46,7 @@ from .errors import (
     MismatchedLaws,
     SolverDidNotConverge,
 )
-from .maxflow import BandFlow, Pairs, _greedy_mass, staircase
+from .maxflow import Coupling, Pairs, _greedy_mass, couple
 from .measures import DiscreteMeasure, _float_values, _wide, difference, group_pairs, left_sum
 from .offspring import OffspringLaw
 
@@ -69,40 +69,6 @@ _BL_STEPS = 64
 
 
 @dataclass
-class Coupling:
-    """A joint measure on support-index pairs of two measures.
-
-    Entry ``k`` puts ``mass[k]`` on left atom ``rows[k]`` and right atom
-    ``cols[k]``; the pairs are distinct and sorted by ``(rows, cols)``.
-    ``slack`` is the mass sitting on pairs farther apart than ``eps``; a
-    Strassen coupling at level ``eps`` keeps ``slack <= eps``.
-
-    ``strassen`` masks a set ``A`` of left atoms, the Strassen set of the
-    band flow solved at ``strassen_eps <= eps``.  No coupling puts
-    more than the cut ``a(A^c) + b(A^r)`` within ``r = strassen_eps``, so a
-    band mass at ``r`` that reaches the cut is maximal there.
-    """
-
-    left: DiscreteMeasure
-    right: DiscreteMeasure
-    eps: float
-    rows: np.ndarray
-    cols: np.ndarray
-    mass: np.ndarray
-    slack: float
-    strassen: np.ndarray
-    strassen_eps: float
-
-    def to_json_dict(self) -> dict:
-        entries = zip(self.rows.tolist(), self.cols.tolist(), self.mass.tolist())
-        return {
-            "eps": self.eps,
-            "slack": self.slack,
-            "entries": [[i, j, v] for i, j, v in entries],
-        }
-
-
-@dataclass
 class MetricResult:
     value: float
     certificate: Any = None
@@ -120,28 +86,6 @@ class MetricResult:
 
 
 # -- Prohorov ----------------------------------------------------------------
-
-
-def _complete_coupling(
-    a: DiscreteMeasure, b: DiscreteMeasure, pairs: Pairs, eps: float, flow: BandFlow
-) -> Coupling:
-    """Turn a solved band flow into a full coupling.
-
-    ``staircase`` on full windows pairs leftover supply with leftover
-    capacity in support order.  A flow edge left one of its atoms at exactly
-    zero, so each pair is a new entry.  Flow edges lie on the band at
-    ``eps >= flow.eps``, so the slack is the paired mass off it, in pairing order.
-    """
-    left, right = np.flatnonzero(flow.excess > 0.0), np.flatnonzero(flow.resid > 0.0)
-    full = [0] * len(left), [len(right)] * len(left)
-    p, q, pv, _ = staircase(flow.excess[left].tolist(), flow.resid[right].tolist(), *full)
-    pi, pj = left[p], right[q]
-    slack = left_sum(pv[pairs.distance(pi, pj) > eps].tolist())
-    rows, cols, mass = map(np.concatenate, ((flow.rows, pi), (flow.cols, pj), (flow.mass, pv)))
-    order = np.lexsort((cols, rows))
-    return Coupling(
-        a, b, eps, rows[order], cols[order], mass[order], slack, flow.strassen, flow.eps
-    )
 
 
 def _least_feasible_distance(
@@ -224,13 +168,8 @@ def prohorov(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
     t_goal = max(a.total_mass, b.total_mass)
     d, edges, deficit = _least_feasible_distance(pairs := Pairs(a, b), aw, bw, t_goal)
     value = max(d, deficit)
-    rounding = math.ldexp((len(a) + len(b)) * t_goal, -52)
-
-    def certify() -> Coupling:
-        (flow := BandFlow(aw, bw, edges, d)).solve()
-        return _complete_coupling(a, b, pairs, value, flow)
-
-    return _Deferred(value, certify, a.defect + b.defect + rounding)
+    slack = a.defect + b.defect + math.ldexp((len(a) + len(b)) * t_goal, -52)
+    return _Deferred(value, lambda: couple(a, b, pairs, edges, d, value)[0], slack)
 
 
 def prohorov_at_most(a: DiscreteMeasure, b: DiscreteMeasure, bound: float) -> bool:
@@ -263,17 +202,15 @@ def strassen_coupling(
     """
     if not eps >= 0.0:  # before any window is stepped
         raise InvalidParameter(f"eps must be nonnegative, got {eps!r}")
-    aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
-    flow = BandFlow(aw, bw, (pairs := Pairs(a, b)).windows(eps), eps)
-    matched = flow.solve()
+    coupling, matched = couple(a, b, pairs := Pairs(a, b), pairs.windows(eps), eps, eps)
     if matched < t_goal - eps - 1e-12:
         raise CouplingInfeasible(
             f"band mass {matched:.12f} at eps={eps} cannot reach "
             f"{t_goal - eps:.12f}",
             achievable=matched,
         )
-    return _complete_coupling(a, b, pairs, eps, flow)
+    return coupling
 
 
 # -- bounded-Lipschitz --------------------------------------------------------

@@ -24,8 +24,8 @@ from gwlab.errors import InvalidParameter
 from gwlab.estimator import deviation_mask
 from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab import metrics
-from gwlab.maxflow import BandFlow, Pairs, _greedy_mass
-from gwlab.metrics import MetricResult, _complete_coupling
+from gwlab.maxflow import Pairs, _greedy_mass, couple
+from gwlab.metrics import MetricResult
 from gwlab.measures import DiscreteMeasure, _cross, _float_values, group_pairs
 from gwlab.montecarlo import SimTable, _draw_next
 
@@ -274,15 +274,16 @@ def consistency_by_rows(joint: JointLaw, m, eta) -> tuple[float, float]:
 
 
 def _one_sided_deficit(
-    xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray, c: float
+    xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray, c: float, tol: float = 1e-12
 ) -> float:
-    """max over subsets A of supp(x) of  w(A) - v(A^c)."""
+    """max over subsets A of supp(x) of  w(A) - v(A^c), a pair within ``c`` when
+    its float gap is within ``c + tol``."""
     na = len(xs)
     masks = (
         np.arange(1, 2**na)[:, None] >> np.arange(na)[None, :]
     ) & 1  # (2^na - 1, na)
     masks = masks.astype(bool)
-    cover = np.abs(xs[:, None] - ys[None, :]) <= c + 1e-12  # (na, nb)
+    cover = np.abs(xs[:, None] - ys[None, :]) <= c + tol  # (na, nb)
     a_mass = masks @ ws
     b_mass = ((masks @ cover.astype(np.int64)) > 0) @ vs
     return float(np.max(a_mass - b_mass))
@@ -351,7 +352,7 @@ def prohorov_by_breakpoints(a, b, scan: bool = False):
     takes ``M`` from the greedy on its windows.  The search bisects over the
     list, or walks it from the start when ``scan`` is set.  The result is
     built at the chosen ``d_k`` as in ``gwlab.prohorov``, ``M`` from the
-    greedy and the coupling from a certified ``BandFlow``, so values and
+    greedy and the coupling from ``gwlab.maxflow.couple``, so values and
     couplings are comparable bit for bit.
     """
     aw, bw = a.weights_array, b.weights_array
@@ -379,12 +380,10 @@ def prohorov_by_breakpoints(a, b, scan: bool = False):
             else:
                 lo = mid + 1
         k = lo
-    flow = BandFlow(aw, bw, pairs.windows(float(d[k])), float(d[k]))
-    flow.solve()
     value = max(float(d[k]), deficit(k))
     return MetricResult(
         value=value,
-        certificate=_complete_coupling(a, b, pairs, value, flow),
+        certificate=couple(a, b, pairs, pairs.windows(float(d[k])), float(d[k]), value)[0],
         defect_slack=a.defect + b.defect,
     )
 
@@ -437,22 +436,42 @@ def least_feasible_by_median(
     return high, at_high
 
 
-def complete_coupling(a, b, eps: float, flow: BandFlow):
-    """``gwlab.metrics._complete_coupling`` as a walk over a dict of entries.
+def band_flow(a, b, edges):
+    """The northwest-corner greedy as a dict walk over the windows ``edges``.
 
-    The flow's edges seed a dict keyed by ``(i, j)``.  Leftover supply is
+    Each left atom in turn scans its whole window ``[lo_i, hi_i)``, skipping
+    right atoms with no room, and ships ``min(supply, room)`` to each until its
+    supply is gone; every atom is a numpy scalar.  Returns the flow as a dict
+    keyed by ``(i, j)`` and the supply and room left over.
+    """
+    n = len(a)
+    lo, hi = edges[:n].tolist(), edges[n:].tolist()
+    excess, resid = a.weights_array.copy(), b.weights_array.copy()
+    entries: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(lo[i], hi[i]):
+            if excess[i] <= 0.0:
+                break
+            if resid[j] <= 0.0:
+                continue
+            take = min(excess[i], resid[j])
+            entries[(i, j)] = float(take)
+            excess[i] -= take
+            resid[j] -= take
+    return entries, excess, resid
+
+
+def complete_coupling(a, b, edges, eps: float):
+    """``gwlab.maxflow.couple``'s entries and slack as a walk over a dict.
+
+    ``band_flow`` on the windows ``edges`` seeds the dict.  Leftover supply is
     paired with leftover capacity in support order, stepping through every
     atom as a numpy scalar; a pair adds to the entry it lands on.  Returns
     the entries and the slack, the mass on entries off the band at ``eps``
     summed in the dict's order.
     """
-    entries = {
-        (i, j): v
-        for i, j, v in zip(flow.rows.tolist(), flow.cols.tolist(), flow.mass.tolist())
-    }
+    entries, excess, resid = band_flow(a, b, edges)
     i = j = 0
-    excess = flow.excess.copy()
-    resid = flow.resid.copy()
     while i < len(excess) and j < len(resid):
         if excess[i] <= 0.0:
             i += 1
@@ -469,19 +488,21 @@ def complete_coupling(a, b, eps: float, flow: BandFlow):
     return entries, slack
 
 
-def strassen_set(flow: BandFlow) -> np.ndarray:
-    """The Strassen set of a solved ``BandFlow`` by a depth-first search.
+def strassen_set(a, b, edges) -> np.ndarray:
+    """The Strassen set of ``band_flow`` on the windows ``edges`` by a depth-first search.
 
     From every left atom with supply left over, follow band edges to right
     atoms and flow edges back to left atoms, scanning each right atom once.
     Returns the mask of left atoms reached.  A right atom with room on the
     way would be an augmenting path; it fails an assertion.
     """
-    lo, hi = flow.lo.tolist(), flow.hi.tolist()
+    entries, excess, resid = band_flow(a, b, edges)
+    n = len(a)
+    lo, hi = edges[:n].tolist(), edges[n:].tolist()
     by_right: dict[int, list[int]] = {}
-    for i, j in zip(flow.rows.tolist(), flow.cols.tolist()):
+    for i, j in entries:
         by_right.setdefault(j, []).append(i)
-    seen = (flow.excess > 0.0).tolist()
+    seen = (excess > 0.0).tolist()
     stack = [i for i, s in enumerate(seen) if s]
     scanned: set[int] = set()
     while stack:
@@ -490,7 +511,7 @@ def strassen_set(flow: BandFlow) -> np.ndarray:
             if j in scanned:
                 continue
             scanned.add(j)
-            assert flow.resid[j] <= 0.0, f"augmenting path to {j}"
+            assert resid[j] <= 0.0, f"augmenting path to {j}"
             for w in by_right.get(j, ()):
                 if not seen[w]:
                     seen[w] = True

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ from gwlab import (
     trajectory_tv,
     tv_distance,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def dirac(x) -> DiscreteMeasure:
@@ -270,8 +274,8 @@ class TestProhorov:
             assert res.value == ref.value
             assert same_entries(res.certificate, ref.certificate)
         # M only grows, so the value is at most the total-variation bound.
-        zero = maxflow.Pairs(a, b).windows(0.0)
-        matched = maxflow.BandFlow(a.weights_array, b.weights_array, zero, 0.0).solve()
+        pairs = maxflow.Pairs(a, b)
+        matched = maxflow.couple(a, b, pairs, pairs.windows(0.0), 0.0, 0.0)[1]
         assert res.value <= max(a.total_mass, b.total_mass) - matched + metrics._GUARD
 
     @settings(max_examples=300, deadline=None)
@@ -377,11 +381,9 @@ def eager_prohorov(a, b) -> metrics.MetricResult:
     aw, bw = a.weights_array, b.weights_array
     t_goal = max(a.total_mass, b.total_mass)
     d, edges, deficit = metrics._least_feasible_distance(pairs := maxflow.Pairs(a, b), aw, bw, t_goal)
-    flow = maxflow.BandFlow(aw, bw, edges, d)
-    flow.solve()
     value = max(d, deficit)
     rounding = math.ldexp((len(a) + len(b)) * t_goal, -52)
-    coupling = metrics._complete_coupling(a, b, pairs, value, flow)
+    coupling = maxflow.couple(a, b, pairs, edges, d, value)[0]
     return metrics.MetricResult(value, coupling, a.defect + b.defect + rounding)
 
 
@@ -391,15 +393,15 @@ class TestDeferredCertificate:
 
     def test_the_value_builds_no_band_flow(self, monkeypatch):
         built = []
-        monkeypatch.setattr(metrics, "BandFlow", lambda *args: built.append(args))
+        monkeypatch.setattr(metrics, "couple", lambda *args: built.append(args))
         rng = np.random.default_rng(38)
         a, b = random_measure(rng), random_measure(rng)
         assert prohorov(a, b).value == eager_prohorov(a, b).value
         assert built == []
 
     def test_the_certificate_is_built_once(self, monkeypatch):
-        solved, solve = [], maxflow.BandFlow.solve
-        monkeypatch.setattr(maxflow.BandFlow, "solve", lambda flow: solved.append(1) or solve(flow))
+        solved, original = [], metrics.couple
+        monkeypatch.setattr(metrics, "couple", lambda *args: solved.append(1) or original(*args))
         res = prohorov(dirac(0), DiscreteMeasure.from_items([(0, 0.5), (1, 0.5)]))
         first = res.certificate
         assert isinstance(first, metrics.Coupling) and res.certificate is first
@@ -574,6 +576,27 @@ class TestStrassenCoupling:
             strassen_coupling(a, b, 0.25)
         assert err.value.achievable == pytest.approx(0.0, abs=1e-12)
 
+    def test_infeasible_bands_of_several_atoms_report_the_hall_mass(self):
+        # One float below the Prohorov value the band falls short, unless the
+        # value is a deficit within the 1e-12 tolerance.  Quarter-lattice
+        # gaps are exact floats, so the oracle's band needs no tolerance.
+        rng = np.random.default_rng(44)
+        refused = []
+        for _ in range(100):
+            a, b = random_measure(rng), random_measure(rng)
+            eps = math.nextafter(prohorov(a, b).value, 0.0)
+            (xs, aw), (ys, bw) = as_arrays(a), as_arrays(b)
+            hall = aw.sum() - max(0.0, oracles._one_sided_deficit(xs, aw, ys, bw, eps, tol=0.0))
+            if hall >= max(a.total_mass, b.total_mass) - eps - 1e-12:
+                oracles.validate_coupling(strassen_coupling(a, b, eps))
+                continue
+            with pytest.raises(CouplingInfeasible) as err:
+                strassen_coupling(a, b, eps)
+            assert err.value.achievable == pytest.approx(hall, abs=1e-12)
+            refused.append(hall)
+        # 27 of the 100 are refused, 24 of them with a positive band mass.
+        assert len(refused) >= 20 and sum(m > 0.0 for m in refused) >= 20
+
     def test_validate_rejects_a_band_mass_below_the_strassen_cut(self):
         halves = DiscreteMeasure.from_items([(Fraction(0), 0.5), (Fraction(1), 0.5)])
         coup = strassen_coupling(halves, halves, 0.0)
@@ -596,8 +619,6 @@ class TestStrassenCoupling:
         for eps in (float("nan"), -0.5):
             with pytest.raises(InvalidParameter, match="eps"):
                 strassen_coupling(m, m, eps)
-            with pytest.raises(InvalidParameter, match="eps"):
-                maxflow.BandFlow(np.array([1.0]), np.array([1.0]), np.array([0, 1]), eps)
 
     def test_band_mass_counts_the_pairs_the_flow_used(self):
         # 14/5 - 2 rounds once, to fl(4/5) = 0.8: the pair is on the band
@@ -634,19 +655,17 @@ class TestCouplingCompletion:
     def check(a, b):
         aw, bw = a.weights_array, b.weights_array
         t_goal = max(a.total_mass, b.total_mass)
-        d, edges, deficit = metrics._least_feasible_distance(maxflow.Pairs(a, b), aw, bw, t_goal)
-        flow = maxflow.BandFlow(aw, bw, edges, d)
-        flow.solve()
+        d, edges, deficit = metrics._least_feasible_distance(pairs := maxflow.Pairs(a, b), aw, bw, t_goal)
         value = max(d, deficit)
-        got = metrics._complete_coupling(a, b, maxflow.Pairs(a, b), value, flow)
-        entries, slack = oracles.complete_coupling(a, b, value, flow)
+        got = maxflow.couple(a, b, pairs, edges, d, value)[0]
+        entries, slack = oracles.complete_coupling(a, b, edges, value)
         keys = sorted(entries)
         assert got.rows.tolist() == [i for i, _ in keys]
         assert got.cols.tolist() == [j for _, j in keys]
         assert got.mass.tolist() == [entries[key] for key in keys]
         # Same bits, and an int 0 where nothing is off the band.
         assert json.dumps(got.slack) == json.dumps(slack)
-        assert np.array_equal(got.strassen, oracles.strassen_set(flow))
+        assert np.array_equal(got.strassen, oracles.strassen_set(a, b, edges))
         return got
 
     @settings(max_examples=300, deadline=None)
@@ -665,22 +684,27 @@ class TestCouplingCompletion:
             assert self.check(a, b).slack > 0.0
 
 
-class TestBandFlow:
+def couple_at(left, right, eps):
+    """``maxflow.couple`` on the band at ``eps``, completed at ``eps``."""
+    pairs = maxflow.Pairs(left, right)
+    return maxflow.couple(left, right, pairs, pairs.windows(eps), eps, eps)
+
+
+class TestCouple:
     def test_full_band_flow_value_is_min_total_mass(self):
         rng = np.random.default_rng(39)
-        left, right = random_measure(rng), random_measure(rng)
-        a, b = left.weights_array * 0.7, right.weights_array  # sub-probability on the left
-        eps = distances(left, right)[-1]
-        flow = maxflow.BandFlow(a, b, maxflow.Pairs(left, right).windows(eps), eps)
-        value = flow.solve()
-        assert value == pytest.approx(min(a.sum(), b.sum()), abs=1e-12)
-        assert flow.matched == value
-        assert flow.mass.sum() == pytest.approx(value, abs=1e-12)
+        full, right = random_measure(rng), random_measure(rng)
+        # Sub-probability on the left.
+        left = DiscreteMeasure.from_items(zip(full.support, full.weights_array * 0.7), 0.3)
+        coupling, matched = couple_at(left, right, distances(left, right)[-1])
+        assert matched == pytest.approx(min(left.total_mass, right.total_mass), abs=1e-12)
+        assert coupling.mass.sum() == pytest.approx(matched, abs=1e-12)
+        assert not coupling.strassen.any()
 
     def test_disconnected_band_moves_nothing(self):
-        edges = maxflow.Pairs(dirac(0), dirac(9)).windows(1.0)
-        flow = maxflow.BandFlow(np.array([1.0]), np.array([1.0]), edges, 1.0)
-        assert flow.solve() == 0.0
+        coupling, matched = couple_at(dirac(0), dirac(9), 1.0)
+        assert matched == 0.0
+        assert coupling.slack == 1.0 and coupling.strassen.tolist() == [True]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -706,22 +730,32 @@ class TestBandFlow:
         (xs, a), (ys, b) = as_arrays(left), as_arrays(right)
         x = left.support[data.draw(st.integers(0, len(xs) - 1))]
         eps = float(abs(x - right.support[data.draw(st.integers(0, len(ys) - 1))]))
-        flow = maxflow.BandFlow(a, b, maxflow.Pairs(left, right).windows(eps), eps)
-        value = flow.solve()
+        coupling, matched = couple_at(left, right, eps)
         deficit = oracles._one_sided_deficit(xs, a, ys, b, eps)
-        assert value == pytest.approx(a.sum() - max(0.0, deficit), abs=1e-12)
-        inside = [x for x, keep in zip(left.support, flow.strassen) if keep]
+        assert matched == pytest.approx(a.sum() - max(0.0, deficit), abs=1e-12)
+        inside = [x for x, keep in zip(left.support, coupling.strassen) if keep]
         near = [any(float(abs(x - y)) <= eps for x in inside) for y in right.support]
-        assert value == pytest.approx(a[~flow.strassen].sum() + b[near].sum(), abs=1e-12)
-
+        assert matched == pytest.approx(a[~coupling.strassen].sum() + b[near].sum(), abs=1e-12)
 
     def test_an_augmenting_path_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(maxflow, "staircase", idle_staircase)
         left = DiscreteMeasure.from_items([(0, 0.5), (2, 0.5)])
-        edges = maxflow.Pairs(left, dirac(2)).windows(0.0)
-        flow = maxflow.BandFlow(np.array([0.5, 0.5]), np.array([1.0]), edges, 0.0)
         with pytest.raises(SolverDidNotConverge, match="augmenting path"):
-            flow.solve()
+            couple_at(left, dirac(2), 0.0)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["p075_first", "p0755_first"])
+    def test_strassen_search_on_the_pinned_horizon_eight_pair(self, swap):
+        # The CI-pinned certificate's pair, 2,325 atoms a side: the search
+        # merges spans over hundreds of rows, unlike the small pairs above.
+        with open(DATA / "estimator_law_binary_p075_n8.json") as f:
+            pinned = DiscreteMeasure.from_json_dict(json.load(f)["law"])
+        other = estimator_law(joint_law(build(FamilySpec.binary(0.755)), 8)).law
+        a, b = (other, pinned) if swap else (pinned, other)
+        coup = prohorov(a, b).certificate
+        oracles.validate_coupling(coup)
+        edges = maxflow.Pairs(a, b).windows(coup.strassen_eps)
+        assert np.array_equal(coup.strassen, oracles.strassen_set(a, b, edges))
+        assert coup.strassen.sum() == (552 if swap else 1745)
 
 
 class TestBoundedLipschitz:
