@@ -94,6 +94,15 @@ def _emit_rows(
     _emit_doc(args, doc)
 
 
+def _emit_value(args: argparse.Namespace, doc: dict) -> None:
+    """Write ``doc`` as JSON, or its value alone on one line."""
+    if args.format == "json":
+        _emit_doc(args, doc)
+    else:
+        with _open_output(args) as fh:
+            fh.write(f"{doc['value']:.12f}\n")
+
+
 def _emit_doc(args: argparse.Namespace, doc: dict) -> None:
     """Write a JSON document, timestamped unless --no-timestamp, as the chunks
     ``json.dumps`` would join, in batches of 2**16 (a write per chunk is slower)."""
@@ -213,18 +222,14 @@ def _cmd_estimator_law(args: argparse.Namespace) -> int:
 
 def _cmd_extinction(args: argparse.Namespace) -> int:
     result = extinction_probability(_law_from_args(args))
-    if args.format == "json":
-        doc = {
-            "schema": "gw-extinction-1",
-            "value": result.value,
-            "supercritical": result.supercritical,
-            "residual": result.residual,
-            "iterations": result.iterations,
-        }
-        _emit_doc(args, doc)
-    else:
-        with _open_output(args) as fh:
-            fh.write(f"{result.value:.12f}\n")
+    doc = {
+        "schema": "gw-extinction-1",
+        "value": result.value,
+        "supercritical": result.supercritical,
+        "residual": result.residual,
+        "iterations": result.iterations,
+    }
+    _emit_value(args, doc)
     return 0
 
 
@@ -238,15 +243,11 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     else:
         value, slack = tv_distance(a, b)
         result = MetricResult(value=value, defect_slack=slack)
-    value, slack = result.value, result.defect_slack
-    if args.format == "json":
-        doc = {"schema": "gw-metric-1", "kind": args.kind, "value": value,
-               "slack": slack,
-               "certificate": result.to_json_dict()["certificate"]}
-        _emit_doc(args, doc)
-    else:
-        with _open_output(args) as fh:
-            fh.write(f"{value:.12f}\n")
+    doc = {"schema": "gw-metric-1", "kind": args.kind, "value": result.value,
+           "slack": result.defect_slack}
+    if args.format == "json":  # CSV leaves a Prohorov certificate unbuilt
+        doc["certificate"] = result.to_json_dict()["certificate"]
+    _emit_value(args, doc)
     return 0
 
 

@@ -847,23 +847,17 @@ def verify_decomposition_identity(
     return VerificationReport("lemma-decomposition", instance, worst, 0.0, 1e-12)
 
 
-def verify_mean_continuity(
-    law1: OffspringLaw,
-    law2: OffspringLaw,
-    ell_max: int | None = None,
-) -> VerificationReport:
+def verify_mean_continuity(law1: OffspringLaw, law2: OffspringLaw) -> VerificationReport:
     """Mean distance against the truncation-split bound.
 
     For any level ``ell``, ``|m1 - m2|`` is at most ``2 ell d_TV`` from the
     sizes up to ``ell`` plus both first-moment tails above it; the check
-    scans ``ell`` and uses the minimizer.
+    scans ``ell`` to one past the larger top count and uses the minimizer.
     """
     d_tv, d_slack = tv_distance(law1.measure, law2.measure)
-    if ell_max is None:
-        ell_max = int(max(law1.counts[-1], law2.counts[-1])) + 1
     best = math.inf
     best_ell = 1
-    for ell in range(1, ell_max + 1):
+    for ell in range(1, int(max(law1.counts[-1], law2.counts[-1])) + 2):
         bound = 2.0 * ell * d_tv + psi1_tail(law1, ell + 1) + psi1_tail(law2, ell + 1)
         if bound < best:
             best = bound

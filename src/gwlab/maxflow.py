@@ -15,15 +15,20 @@ its edges, which come out sorted by both ends as its right index never
 decreases.  ``_greedy_mass`` tracks only its position in cumulative right
 mass, which gives the shipped mass that the Prohorov search's probes need.
 
-One residual search then certifies the recorded flow.  Starting from every
-left atom with supply left over, it follows band edges to right atoms and
-flow edges back to left atoms.  The left atoms it reaches form the Strassen
-set ``A``: every right atom within ``eps`` of ``A`` is saturated by flow
-from ``A``, so the matched mass equals the cut ``a(A^c) + b(A^eps)``, an
-upper bound on every band flow.  On the greedy's flow the search only moves
-down, through an interval of edges.  A right atom with room reached by the
-search would be an augmenting path, which the staircase argument rules out;
-it is reported as ``SolverDidNotConverge`` rather than repaired.
+One pass over the recorded flow then certifies it.  A residual search from
+every left atom with supply left over, a seed, would follow band edges to
+right atoms and flow edges back to left atoms.  The left atoms it reaches
+form the Strassen set ``A``: every right atom within ``eps`` of ``A`` is
+saturated by flow from ``A``, so the matched mass equals the cut ``a(A^c) +
+b(A^eps)``, an upper bound on every band flow.  On the greedy's flow ``A``
+is read off blocks: row ``r`` starts a block when no earlier row ships to a
+right atom at or past ``lo_r``.  A seed filled its window, so later rows ship
+past it, and the search from it steps down through flow edges until a block
+starts.  Each row on the way has positive supply, so it shipped inside its
+window or is a seed itself: ``A`` is every row whose next seed (itself or a
+later row) lies in its block.  A right atom with room in a window of ``A``
+would be an augmenting path, which the staircase argument rules out; it is
+reported as ``SolverDidNotConverge`` rather than repaired.
 
 Pair distances come from the atoms' integers.  For atoms ``n_i / d_i`` and
 ``m_j / e_j`` the distance is ``|n_i e_j - m_j d_i| / (d_i e_j)``, exact
@@ -207,48 +212,30 @@ def couple(
     """The coupling at ``eps`` certified by the band flow on the windows ``edges``
     (``lo`` then ``hi``) of the pairs within ``band_eps <= eps``, and the flow's mass.
 
-    ``staircase`` fills the band and the Strassen search certifies it (see the
-    module notes).  ``staircase`` on full windows then pairs leftover supply with
-    leftover room in support order; a flow edge left one of its atoms at zero, so
-    each pair is a new entry.  The slack is the paired mass off the band at ``eps``.
+    ``staircase`` fills the band, and one pass reads its Strassen set off the
+    flow's blocks (see the module notes).  ``staircase`` on full windows then
+    pairs leftover supply with leftover room in support order; a flow edge left
+    one of its atoms at zero, so each pair is a new entry.  The slack is the
+    paired mass off the band at ``eps``.
     """
     lo, hi = np.split(edges, 2)
     excess, resid = a.weights_array.tolist(), b.weights_array.tolist()
     rows, cols, mass, matched = staircase(excess, resid, lo.tolist(), hi.tolist())
     excess, resid = np.array(excess), np.array(resid)
-    # The Strassen search.  Edges into left atom u's window are the run
-    # [first[u], stop[u]).  A seed u filled its window, so later rows'
-    # edges start at hi[u] and a search from u only goes down: it reaches
-    # the rows with an edge in [first[low], stop[u]), ``low`` stepping down
-    # to the lowest such row, and crosses [lo[low], hi[u]).  A search that
-    # reaches the span below joins it.
-    row_list = rows.tolist()
-    first, stop = np.searchsorted(cols, lo).tolist(), np.searchsorted(cols, hi).tolist()
-    seen = excess > 0.0
-    spans: list[tuple[int, int]] = []
-    for u in np.flatnonzero(seen).tolist():
-        low, end = u, stop[u]
-        while first[low] < end and row_list[first[low]] < low:
-            low = row_list[first[low]]
-            if spans and low <= spans[-1][1]:
-                low = spans.pop()[0]
-                break
-        spans.append((low, u))
-    low, high = np.array(spans, dtype=np.int64).reshape(-1, 2).T
-    left, right = lo[low], hi[high]
-    room = np.concatenate([[0], np.cumsum(resid > 0.0)])
-    if (room[right] > room[left]).any():
+    # Block ids from the last right atom each row's predecessors ship to, then
+    # each row's next seed; the sentinel block 0 matches no row.
+    index = np.arange(len(excess))
+    prior = np.concatenate([[-1], cols])[np.searchsorted(rows, index)]
+    block = np.cumsum(prior < lo)
+    left, right = np.flatnonzero(excess > 0.0), np.flatnonzero(resid > 0.0)
+    seen = np.append(block[left], 0)[np.searchsorted(left, index)] == block
+    del index, prior, block  # sized by the left atoms, freed before completing
+    if (np.searchsorted(right, hi[seen]) > np.searchsorted(right, lo[seen])).any():
         raise SolverDidNotConverge(
             f"band flow at eps={band_eps!r} left an augmenting path; "
             f"the staircase greedy is not maximal"
         )
-    cover = np.zeros(len(row_list) + 1, dtype=np.int64)
-    np.add.at(cover, np.searchsorted(cols, left), 1)
-    np.add.at(cover, np.searchsorted(cols, right), -1)
-    seen[rows[np.cumsum(cover[:-1]) > 0]] = True
-    del row_list, first, stop, spans, room, cover  # sized by the flow, freed before completing
 
-    left, right = np.flatnonzero(excess > 0.0), np.flatnonzero(resid > 0.0)
     full = [0] * len(left), [len(right)] * len(left)
     p, q, pv, _ = staircase(excess[left].tolist(), resid[right].tolist(), *full)
     pi, pj = left[p], right[q]

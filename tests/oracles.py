@@ -519,6 +519,48 @@ def strassen_set(a, b, edges) -> np.ndarray:
     return np.array(seen, dtype=bool)
 
 
+def strassen_spans(a, b, edges) -> np.ndarray:
+    """The Strassen set of ``band_flow`` on the windows ``edges`` by the span search
+    that ``gwlab.maxflow.couple`` ran before it read the set off the flow's blocks.
+
+    Each search from a left atom with supply left over steps down through flow
+    edges into a span of rows, joining the span below when it reaches it; the
+    set is the seeds and the rows of the flow edges inside the spans' windows.
+    A right atom with room inside a span fails an assertion.
+    """
+    entries, excess, resid = band_flow(a, b, edges)
+    lo, hi = np.split(edges, 2)
+    rows = np.array([i for i, _ in entries], dtype=np.int64)
+    cols = np.array([j for _, j in entries], dtype=np.int64)
+    # Edges into left atom u's window are the run
+    # [first[u], stop[u]).  A seed u filled its window, so later rows'
+    # edges start at hi[u] and a search from u only goes down: it reaches
+    # the rows with an edge in [first[low], stop[u]), ``low`` stepping down
+    # to the lowest such row, and crosses [lo[low], hi[u]).  A search that
+    # reaches the span below joins it.
+    row_list = rows.tolist()
+    first, stop = np.searchsorted(cols, lo).tolist(), np.searchsorted(cols, hi).tolist()
+    seen = excess > 0.0
+    spans: list[tuple[int, int]] = []
+    for u in np.flatnonzero(seen).tolist():
+        low, end = u, stop[u]
+        while first[low] < end and row_list[first[low]] < low:
+            low = row_list[first[low]]
+            if spans and low <= spans[-1][1]:
+                low = spans.pop()[0]
+                break
+        spans.append((low, u))
+    low, high = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    left, right = lo[low], hi[high]
+    room = np.concatenate([[0], np.cumsum(resid > 0.0)])
+    assert not (room[right] > room[left]).any(), "augmenting path"
+    cover = np.zeros(len(row_list) + 1, dtype=np.int64)
+    np.add.at(cover, np.searchsorted(cols, left), 1)
+    np.add.at(cover, np.searchsorted(cols, right), -1)
+    seen[rows[np.cumsum(cover[:-1]) > 0]] = True
+    return seen
+
+
 def _bl_at_slope(
     points: np.ndarray, coeffs: np.ndarray, lip: float, grid: int
 ) -> float:

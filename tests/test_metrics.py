@@ -666,6 +666,7 @@ class TestCouplingCompletion:
         # Same bits, and an int 0 where nothing is off the band.
         assert json.dumps(got.slack) == json.dumps(slack)
         assert np.array_equal(got.strassen, oracles.strassen_set(a, b, edges))
+        assert np.array_equal(got.strassen, oracles.strassen_spans(a, b, edges))
         return got
 
     @settings(max_examples=300, deadline=None)
@@ -680,8 +681,9 @@ class TestCouplingCompletion:
             for family in (spec.center, spec.grid[0])
         )
         assert (len(center), len(member)) == (3, 64_111)
-        for a, b in ((center, member), (member, center)):
-            assert self.check(a, b).slack > 0.0
+        for a, b, inside in ((center, member, 3), (member, center, 64_048)):
+            got = self.check(a, b)
+            assert got.slack > 0.0 and got.strassen.sum() == inside
 
 
 def couple_at(left, right, eps):
@@ -736,12 +738,28 @@ class TestCouple:
         inside = [x for x, keep in zip(left.support, coupling.strassen) if keep]
         near = [any(float(abs(x - y)) <= eps for x in inside) for y in right.support]
         assert matched == pytest.approx(a[~coupling.strassen].sum() + b[near].sum(), abs=1e-12)
+        edges = maxflow.Pairs(left, right).windows(eps)
+        assert np.array_equal(coupling.strassen, oracles.strassen_spans(left, right, edges))
 
     def test_an_augmenting_path_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(maxflow, "staircase", idle_staircase)
         left = DiscreteMeasure.from_items([(0, 0.5), (2, 0.5)])
         with pytest.raises(SolverDidNotConverge, match="augmenting path"):
             couple_at(left, dirac(2), 0.0)
+
+    def test_an_augmenting_path_through_an_earlier_row_is_a_typed_error(self, monkeypatch):
+        # Row 0 fills right atom 1, the whole window of seed row 1; the path
+        # from row 1 to right atom 0's room runs back through row 0.
+        def crossed(supply, room, lo, hi):
+            supply[0] = room[1] = 0.0
+            return np.array([0]), np.array([1]), np.array([0.5]), 0.5
+
+        left = DiscreteMeasure.from_items([(1, 0.5), (3, 0.5)])
+        right = DiscreteMeasure.from_items([(0, 0.5), (2, 0.5)])
+        assert maxflow.Pairs(left, right).windows(1.0).tolist() == [0, 1, 2, 2]
+        monkeypatch.setattr(maxflow, "staircase", crossed)
+        with pytest.raises(SolverDidNotConverge, match="augmenting path"):
+            couple_at(left, right, 1.0)
 
     @pytest.mark.parametrize("swap", [False, True], ids=["p075_first", "p0755_first"])
     def test_strassen_search_on_the_pinned_horizon_eight_pair(self, swap):
@@ -755,6 +773,7 @@ class TestCouple:
         oracles.validate_coupling(coup)
         edges = maxflow.Pairs(a, b).windows(coup.strassen_eps)
         assert np.array_equal(coup.strassen, oracles.strassen_set(a, b, edges))
+        assert np.array_equal(coup.strassen, oracles.strassen_spans(a, b, edges))
         assert coup.strassen.sum() == (552 if swap else 1745)
 
 
