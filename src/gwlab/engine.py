@@ -4,12 +4,13 @@ The population starts at ``z0`` individuals and each generation every
 individual independently draws its offspring count from a common law.  The
 law of the population size is propagated exactly: the next generation's law
 is the mixture, over the current support, of convolution powers of the
-offspring law.  All inner arithmetic runs on dense float arrays indexed by
-population size; a ``DiscreteMeasure`` or ``JointLaw`` is built only when
+offspring law.  Generations are dense float arrays indexed by population
+size; a ``DiscreteMeasure`` or ``JointLaw`` is built only when
 ``generation``, ``propagate``, ``joint`` or ``condition_on_survival``
-returns it.  Convolution powers and joint rows are taken on the offspring
-law's lattice (see ``measures``), as every power of a law on ``gZ`` is on it.
-A power is a dense product of two smaller ones or, where that costs fewer
+returns it.  Convolution powers are stored on the offspring law's lattice
+``gZ``, as every power of a law on ``gZ`` is on it: each is added into a
+generation by one strided slice and read into joint rows as it is.  A power
+is the convolution of two smaller ones or, where that costs fewer
 multiply-adds, stepped up from a cached power by the law's atoms.
 
 Truncation discipline: the budget ``b`` of a propagation to horizon
@@ -36,7 +37,7 @@ from .errors import (
     DegenerateConditioning,
     InvalidParameter,
 )
-from .measures import DiscreteMeasure, _convolve_dense, _span, _trim_back, _truncate_dense
+from .measures import DiscreteMeasure, _trim_back, _truncate_dense
 from .offspring import DEFAULT_TAIL_BUDGET, OffspringLaw, check_budget
 
 __all__ = [
@@ -102,34 +103,31 @@ class JointLaw:
 
 
 class PowerCache:
-    """Memoized convolution powers of an offspring law as dense arrays.
+    """Memoized convolution powers of an offspring law on its lattice.
 
-    ``get(j)`` returns ``(weights, defect)`` for the law of the sum of ``j``
-    independent offspring draws.  Powers combine from cached pieces: a dense
-    sweep over consecutive ``j`` costs one convolution each.  An isolated
-    ``j`` (largest cached ``anchor <= j // 2``) takes the route with fewer
-    multiply-adds on the base lattice, where ``P^i`` has ``L_i = i*ell + 1``
-    entries and the base ``K`` atoms: halving, ``L_{j//2} * L_{j-j//2}``, or
-    stepping from the anchor, ``K * sum(L_i, i = anchor+1..j)``.  Dense laws
-    (``2K`` near ``ell``) always halve.  Each power's lattice span is found
-    once, when it is stored, and handed to every convolution using it: each
-    index of ``P^j`` is ``j*x0`` (``x0`` the least base atom) plus a sum of
-    gaps ``x_k - x0``, so the entries at ``(j-1)*x0 + x_k`` are its witnesses.
-    A power's last bits depend on the anchor, so on the powers cached before it:
-    only callers making the same sequence of ``get`` calls may share a cache.
+    The base law lives on ``gZ``, ``g = span`` the gcd of its atoms, and so
+    does every power.  ``get(j)`` returns ``(weights, defect)`` for the law
+    of the sum of ``j`` independent offspring draws, where ``weights[i]`` is
+    the mass at ``i * g``; ``dense(j)`` spreads the same weights over
+    0, 1, 2, ... on each call.  Powers combine from cached pieces: a sweep
+    over consecutive ``j`` costs one convolution each.  An isolated ``j``
+    (largest cached ``anchor <= j // 2``) takes the route with fewer
+    multiply-adds, where ``P^i`` has ``L_i = i*ell + 1`` entries and the base
+    ``K`` atoms: halving, ``L_{j//2} * L_{j-j//2}``, or stepping from the
+    anchor, ``K * sum(L_i, i = anchor+1..j)``.  Dense laws (``2K`` near
+    ``ell``) always halve.  A power's last bits depend on the anchor, so on
+    the powers cached before it: only callers making the same sequence of
+    ``get`` calls may share a cache.
     """
 
     def __init__(self, law: OffspringLaw):
-        base = law.measure.dense_weights()
+        self.span = int(np.gcd.reduce(law.measure.integer_values)) or 1  # 1 for a point mass at 0
+        self._lattice = np.ascontiguousarray(law.measure.dense_weights()[:: self.span])
         self._cache: dict[int, tuple[np.ndarray, float]] = {
             0: (np.ones(1), 0.0),
-            1: (base, law.measure.defect),
+            1: (self._lattice, law.measure.defect),
         }
-        self._sites = law.measure.integer_values.tolist()
-        self._spans: dict[int, int] = {0: 0, 1: _span(base)}
         self._keys = [0, 1]  # sorted keys of _cache
-        self.span = self._spans[1] or 1  # the base's lattice span g, 1 for a point mass at 0
-        self._lattice = base[:: self.span]
         self._atoms = np.flatnonzero(self._lattice)
         self.ell = len(self._lattice) - 1  # the base's largest lattice index
 
@@ -139,32 +137,37 @@ class PowerCache:
         hit = self._cache.get(j)
         if hit is not None:
             return hit
-        _check_work(j * (len(self._cache[1][0]) - 1) + 1, f"for power {j}", 1)
+        ell, k = self.ell, len(self._atoms)
+        _check_work(j * ell * self.span + 1, f"for power {j}", 1)
         anchor = self._keys[bisect_right(self._keys, j) - 1]
         halving = anchor <= j // 2
         left, right = (j // 2, j - j // 2) if halving else (anchor, j - anchor)
-        ell, k = self.ell, len(self._atoms)
         stepping = k * (ell * (j * (j + 1) - anchor * (anchor + 1)) // 2 + j - anchor)
-        spans = self._spans
         if halving and stepping < (left * ell + 1) * (right * ell + 1):
             entry = self._step(anchor, j)
         else:
             wa, da = self.get(left)
             wb, db = self.get(right)
             # Far tails can underflow to 0; trim them so lengths stay honest.
-            w = _trim_back(_convolve_dense(wa, wb, spans[left], spans[right]))
-            entry = (w, da + db)
+            entry = (_trim_back(np.convolve(wa, wb)), da + db)
         self._cache[j] = entry
         insort(self._keys, j)
-        spans[j] = _span(entry[0], [(j - 1) * self._sites[0] + x for x in self._sites])
         return entry
+
+    def dense(self, j: int) -> tuple[np.ndarray, float]:
+        """``get(j)`` with the weights at 0, 1, 2, ...: for ``g > 1`` a new array
+        holding ``get(j)``'s entry ``i`` at ``i * g``."""
+        w, defect = self.get(j)
+        if self.span == 1:
+            return w, defect
+        out = np.zeros((len(w) - 1) * self.span + 1)
+        out[:: self.span] = w
+        return out, defect
 
     def _step(self, anchor: int, j: int) -> tuple[np.ndarray, float]:
         """``P^j`` from ``P^anchor`` by steps ``P^{i+1}[s] = sum_k p_k P^i[s - x_k]`` over the
         lattice atoms, in reused buffers; trailing zeros start past ``P^i``'s top, bar underflow."""
-        g = self.span
-        wa, da = self._cache[anchor]
-        cur = wa[::g]
+        cur, da = self._cache[anchor]
         bufs = np.empty((3, cur.size + (j - anchor) * self.ell))  # two steps and a scratch row
         (x0, *rest), lattice = self._atoms, self._lattice
         for i in range(j - anchor):
@@ -176,9 +179,7 @@ class PowerCache:
                 nxt[x : x + size] += np.multiply(cur, lattice[x], out=bufs[2, :size])
             tail = _trim_back(nxt[size - 1 :])
             cur = nxt[: size - 1 + tail.size] if tail.size else _trim_back(nxt)
-        w = np.zeros((cur.size - 1) * g + 1)
-        w[::g] = cur
-        return w, da + (j - anchor) * self._cache[1][1]
+        return cur.copy(), da + (j - anchor) * self._cache[1][1]
 
 
 class Propagator:
@@ -218,12 +219,12 @@ class Propagator:
 
     def _advance(self) -> None:
         prev, prev_defect = self._gen[-1]
-        step = len(self._gen)
+        step, g = len(self._gen), self.powers.span
         rows = [(j, *self.powers.get(j)) for j in self._plan(prev, step)]
-        out = np.zeros(max([1] + [len(w) for _, w, _ in rows]))
+        out = np.zeros((max([1] + [len(w) for _, w, _ in rows]) - 1) * g + 1)
         defect = prev_defect
         for j, w, d in rows:
-            out[: len(w)] += prev[j] * w
+            out[: len(w) * g : g] += prev[j] * w
             defect += prev[j] * d
         out, dropped = _truncate_dense(out, self.budget / self.n_max)
         if out.size == 0:
@@ -261,9 +262,8 @@ class Propagator:
         defect = prev_defect
         for j, (_, d) in zip(sizes, powers):
             defect += prev[j] * d
-        lattice = [w[:: self.powers.span] for w, _ in powers]
-        flat = np.concatenate(lattice)
-        starts = np.cumsum([0] + [len(w) for w in lattice[:-1]])
+        flat = np.concatenate([w for w, _ in powers])
+        starts = np.cumsum([0] + [len(w) for w, _ in powers[:-1]])
         rows = np.flatnonzero(flat)
         counts = np.diff(np.searchsorted(rows, starts), append=rows.size)
         probs = flat[rows]
@@ -348,7 +348,7 @@ def wlln_probability(
     if eta <= 0.0:
         raise InvalidParameter("deviation threshold eta must be positive")
     cache = _cache if _cache is not None else PowerCache(law)
-    w, defect = cache.get(k)
+    w, defect = cache.dense(k)
     values = np.arange(len(w), dtype=float)
     mask = np.abs(values / k - law.mean_m) >= eta
     return float(w[mask].sum()), defect

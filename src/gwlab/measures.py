@@ -15,12 +15,10 @@ upper tail during a computation is never renormalized away; it accumulates
 in ``defect`` so that every downstream quantity can report a rigorous slack.
 
 Measures do not convolve or truncate themselves: the generation engine
-does both on dense arrays with the helpers here.  Truncation removes the
-largest support points first and moves their mass to the defect; nothing
-is ever redistributed over the remaining atoms.  Convolutions run on the
-lattice ``gZ`` that both operands live on (``g`` the gcd of their nonzero
-indices), so a law on the even numbers pays a quarter of the
-multiplications; the skipped terms are exact zeros.
+convolves on the offspring law's lattice and truncates dense arrays with
+the helpers here.  Truncation removes the largest support points first and
+moves their mass to the defect; nothing is ever redistributed over the
+remaining atoms.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -268,37 +266,6 @@ def _trim_back(w: np.ndarray) -> np.ndarray:
     return w[: w.size - int(nonzero.argmax())]
 
 
-def _span(w: np.ndarray, witnesses: Sequence[int] = ()) -> int:
-    """gcd of the nonzero indices of ``w``; 0 when only index 0 carries mass.
-
-    ``witnesses`` are indices whose gcd divides every nonzero index of ``w``;
-    if the witnesses ``w`` is nonzero at, read as scalars, have that gcd, it
-    is the span.  Otherwise (say, their mass underflowed) ``w`` is scanned.
-    """
-    hit = [i for i in witnesses if i < w.size and w[i] != 0]
-    if hit and math.gcd(*hit) == math.gcd(*witnesses):
-        return math.gcd(*hit)
-    return int(np.gcd.reduce(np.flatnonzero(w)))
-
-
-def _convolve_dense(a: np.ndarray, b: np.ndarray, ga: int, gb: int) -> np.ndarray:
-    """``np.convolve(a, b)`` computed as ``a[::g] * b[::g]`` at stride ``g``.
-
-    ``ga`` and ``gb`` are the operands' ``_span`` values, and ``g`` is their
-    gcd.  Lengths and zero patterns match ``np.convolve``; values may differ
-    in the last bits, since the sums skip the zero terms.
-    """
-    if a.size == 0 or b.size == 0:
-        return np.zeros(0, dtype=float)
-    g = math.gcd(ga, gb)
-    if g <= 1:
-        return np.convolve(a, b)
-    out = np.zeros(a.size + b.size - 1, dtype=float)
-    sub = np.convolve(a[::g], b[::g])
-    out[: sub.size * g : g] = sub
-    return out
-
-
 # -- operations --------------------------------------------------------------
 
 
@@ -310,9 +277,10 @@ def merge_atoms(
     Returns one input pair per distinct atom in increasing order, each atom's
     weight summed in input order (as ``np.bincount`` adds), and every input's
     atom index.  Atoms group by correctly rounded float value, which equal
-    rationals share, confirmed by exact cross-multiplication; only when two
-    distinct atoms share a float are they ordered as ``Fraction``s.  Ties are
-    confirmed, and kept atoms gathered, through the sort order alone.
+    rationals share, confirmed by exact cross-multiplication where the
+    integers are large enough for distinct atoms to share a float; only when
+    two do are they ordered as ``Fraction``s.  Ties are confirmed, and kept
+    atoms gathered, through the sort order alone.
     """
     values = _float_values(nums, dens)
     order = np.argsort(values)
@@ -320,7 +288,11 @@ def merge_atoms(
     same = values[1:] == values[:-1]
     del values
     tie = np.flatnonzero(same)
-    if not np.equal(*_cross(nums, dens, order[tie], order[tie + 1])).all():
+    # Distinct atoms lie at least 1/D**2 apart, D the largest den, which two
+    # roundings of values up to N cannot close while D*D*N < 2**51: then
+    # every float tie is an exact one.
+    exact_ties = int(dens.max(initial=1)) ** 2 * int(np.abs(nums).max(initial=0)) < 2**51
+    if not exact_ties and not np.equal(*_cross(nums, dens, order[tie], order[tie + 1])).all():
         exact = list(map(Fraction, nums.tolist(), dens.tolist()))
         order = np.array(sorted(range(len(exact)), key=exact.__getitem__), dtype=np.intp)
         same = np.equal(*_cross(nums, dens, order[:-1], order[1:]))
@@ -365,9 +337,33 @@ def group_pairs(
 
 
 def difference(a: DiscreteMeasure, b: DiscreteMeasure) -> tuple[np.ndarray, ...]:
-    """The union support of ``a`` and ``b`` as ``nums``, ``dens``, with ``a{x} - b{x}``."""
-    negated = (b.nums, b.dens, -b.weights_array)
-    return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
+    """The union support of ``a`` and ``b`` as ``nums``, ``dens``, with ``a{x} - b{x}``.
+
+    Both supports are sorted, so one ``searchsorted`` on the float values
+    places ``b``'s atoms among ``a``'s.  An atom of ``b`` whose float equals
+    that of the atom of ``a`` at its place must be that atom (canonical atoms
+    are equal as pairs); if one is not, two distinct atoms share a float, and
+    ``merge_atoms`` orders the concatenation instead.
+    """
+    fa, fb = a.float_support, b.float_support
+    place = np.searchsorted(fa, fb)
+    at = np.minimum(place, len(fa) - 1)
+    shared = fa[at] == fb
+    ia = at[shared]
+    if not (np.array_equal(a.nums[ia], b.nums[shared]) and np.array_equal(a.dens[ia], b.dens[shared])):
+        negated = (b.nums, b.dens, -b.weights_array)
+        return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
+    place = place[~shared]
+    slots = place + np.arange(place.size)  # where b's own atoms land
+    from_a = np.arange(len(fa))
+    from_a += np.searchsorted(place, from_a, side="right")
+    out = []
+    for x, y in ((a.nums, b.nums), (a.dens, b.dens), (a.weights_array, -b.weights_array)):
+        col = np.empty(len(fa) + place.size, dtype=np.result_type(x, y))
+        col[from_a], col[slots] = x, y[~shared]
+        out.append(col)
+    out[2][from_a[ia]] += y[shared]  # a{x} + (-b{x}), as merge_atoms adds them
+    return tuple(out)
 
 
 def left_sum(terms: Iterable) -> float:

@@ -356,7 +356,7 @@ def trajectory_tv(
     total = seen1 = seen2 = 0.0
 
     def padded(z: int) -> list[np.ndarray]:
-        ws = [cache1.get(z)[0], cache2.get(z)[0]]
+        ws = [cache1.dense(z)[0], cache2.dense(z)[0]]
         length = max(map(len, ws))
         return [np.pad(w, (0, length - len(w))) if len(w) < length else w for w in ws]
 

@@ -26,7 +26,7 @@ from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab import metrics
 from gwlab.maxflow import Pairs, _greedy_mass, couple
 from gwlab.metrics import MetricResult
-from gwlab.measures import DiscreteMeasure, _cross, _float_values, group_pairs
+from gwlab.measures import DiscreteMeasure, _cross, _float_values, group_pairs, merge_atoms
 from gwlab.montecarlo import SimTable, _draw_next
 
 # -- laws as plain dicts -------------------------------------------------------
@@ -171,7 +171,7 @@ def joint_by_sizes(prop: Propagator, n: int) -> JointLaw:
     prev, defect = prop._dense_generation(n - 1)
     cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for j in np.flatnonzero(prev).tolist():
-        w, d = prop.powers.get(j)
+        w, d = prop.powers.dense(j)
         ks = np.nonzero(w)[0]
         cols.append((np.full(len(ks), j, dtype=np.int64), ks.astype(np.int64), prev[j] * w[ks]))
         defect += prev[j] * d
@@ -184,7 +184,7 @@ def joint_flat(prop: Propagator, n: int) -> JointLaw:
     of each ``P^j`` laid end to end, the nonzero ones read off the flat array."""
     prev, prev_defect = prop._dense_generation(n - 1)
     sizes = prop._plan(prev, n)
-    powers = [prop.powers.get(j) for j in sizes]
+    powers = [prop.powers.dense(j) for j in sizes]
     flat = np.concatenate([w for w, _ in powers])
     starts = np.cumsum([0] + [len(w) for w, _ in powers[:-1]])
     rows = np.flatnonzero(flat)
@@ -225,6 +225,13 @@ def merge_reduced(nums: np.ndarray, dens: np.ndarray, weights: np.ndarray):
     index = np.empty(len(sn), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     return sn[first], sd[first], np.bincount(index, weights=weights)
+
+
+def difference_by_merge(a: DiscreteMeasure, b: DiscreteMeasure):
+    """``measures.difference`` as ``merge_atoms`` of the concatenated supports,
+    ``b``'s weights negated: the union sorted anew, every shared atom checked."""
+    negated = (b.nums, b.dens, -b.weights_array)
+    return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
 
 
 def merge_atoms_by_sorted_copies(nums: np.ndarray, dens: np.ndarray, weights: np.ndarray):

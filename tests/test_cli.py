@@ -549,11 +549,12 @@ class TestMemoryCeilings:
         assert peak_mb(args) < ceiling
 
     def test_verify_suite_holds_each_joint_law_only_while_it_is_read(self):
-        # Five runs peaked at 39.5 MB on a 2-core Xeon (39.50, 39.50, 39.45,
-        # 39.45, 39.46 MB).  Holding each consistency horizon's joint law
-        # through the merge of its deviating rows, merged on sorted copies,
-        # the same run peaked at 44.2 MB.
-        assert peak_mb(["verify", "--suite", "all", "--no-timestamp"]) < 42.0
+        # Five runs peaked at 38.4-38.7 MB on a 2-core Xeon (38.41, 38.69,
+        # 38.68, 38.69, 38.67 MB); with every convolution power held as a
+        # dense array, 39.2-39.6 MB.  Holding each consistency horizon's joint
+        # law through the merge of its deviating rows, merged on sorted
+        # copies, the same run peaked at 44.2 MB.
+        assert peak_mb(["verify", "--suite", "all", "--no-timestamp"]) < 41.0
 
     def test_joint_past_the_row_cap_is_refused_under_an_address_space_limit(self):
         # Generation 17 of binary(0.75) plans 8.8 million joint rows and

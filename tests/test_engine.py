@@ -360,17 +360,32 @@ class TestWllnProbability:
         assert direct == cached
 
 
+@st.composite
+def lattice_law(draw):
+    """Dense offspring weights on ``gZ`` for g in {1, 2, 3, 5}, summing to 1.
+
+    Lattice points may carry zero, so the law's own span can be a multiple
+    of g, or it can be the point mass at 0.
+    """
+    g = draw(st.sampled_from([1, 2, 3, 5]))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    atoms = draw(st.lists(weight, min_size=1, max_size=40).filter(any))
+    out = np.zeros((len(atoms) - 1) * g + 1)
+    out[::g] = atoms
+    return out / out.sum()
+
+
 class TestPowerCache:
     def test_matches_convolution_power(self, t1):
         cache = PowerCache(t1)
         for j in (1, 2, 3, 5, 9):
-            dense, defect = cache.get(j)
+            dense, defect = cache.dense(j)
             ref = oracles.dense_power(t1.measure.dense_weights(), j)
             assert dense.shape == ref.shape
             assert np.allclose(dense, ref, atol=1e-13)
             assert defect <= 1e-12
 
-    # sha256 over get(j)[0].tobytes() and float(defect).hex() for j in
+    # sha256 over dense(j)[0].tobytes() and float(defect).hex() for j in
     # HALVING_JS, recorded before the stepping route existed.  The cost rule
     # keeps these dense laws on the halving route, so their bits must hold.
     HALVING_JS = (*range(1, 13), 31, 64, 100, 257)
@@ -395,7 +410,7 @@ class TestPowerCache:
         h = hashlib.sha256()
         for j in self.HALVING_JS:
             cache = StepCounter(law) if mode == "cold" else sweep
-            w, defect = cache.get(j)
+            w, defect = cache.dense(j)
             h.update(w.tobytes())
             h.update(float(defect).hex().encode())
             assert cache.steps == 0
@@ -426,7 +441,7 @@ class TestPowerCache:
         for j in self.TRIM_JS:
             cache = StepCounter(law) if mode == "cold" else sweep
             used.append(cache)
-            w, defect = cache.get(j)
+            w, defect = cache.dense(j)
             h.update(len(w).to_bytes(8, "little"))
             h.update(w.tobytes())
             h.update(float(defect).hex().encode())
@@ -439,7 +454,7 @@ class TestPowerCache:
         # 3 * 150 * j**2 / 2 multiply-adds, halving about (150 * j / 2)**2.
         law = sparse_law([0, 1, 150], [0.3, 0.3, 0.4])
         cache = StepCounter(law)
-        w, _ = cache.get(30)
+        w, _ = cache.dense(30)
         assert cache.steps == 1
         np.testing.assert_allclose(
             w, oracles.dense_power(law.measure.dense_weights(), 30), rtol=1e-12, atol=0
@@ -477,8 +492,7 @@ class TestPowerCache:
         assert w.tolist() == law.measure.dense_weights().tolist()
 
     @pytest.mark.parametrize("law,top", [
-        # P^j[0] = 0.25**j underflows from j = 538 and P^j[2] from j = 543,
-        # so the last powers lose both witnesses and take the full scan.
+        # P^j[0] = 0.25**j underflows from j = 538 and P^j[2] from j = 543.
         (FamilySpec.binary(0.75), 600),
         ([(1, 0.5), (3, 0.5)], 200),
         ([(2, 0.2), (5, 0.5), (11, 0.3)], 150),
@@ -497,11 +511,88 @@ class TestPowerCache:
             sweep.get(j)
         for j in (top, top // 2 + 1, 37, 3):
             cold.get(j)
+        # oracles.dense_power, one plain convolution with the base per power.
+        base = law.measure.dense_weights()
+        refs = [np.ones(1), base]
+        while len(refs) <= max(top, 37):
+            refs.append(np.convolve(refs[-1], base))
         for cache in (sweep, cold):
             for j, (w, _) in cache._cache.items():
-                assert cache._spans[j] == np.gcd.reduce(np.flatnonzero(w))
+                assert_matches_lattice_thinning(w, refs[j], cache.span)
                 for v in (w, np.concatenate([w, np.zeros(2)])):
                     assert np.array_equal(_trim_back(v), np.trim_zeros(v, "b"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=lattice_law(), top=st.integers(3, 12))
+    def test_lattice_power_equals_dense_convolution(self, base, top):
+        # An ascending sweep builds P^j as the lattice convolution of the
+        # cached P^(j-1) and P^1; spread back onto 0, 1, 2, ... it is the
+        # dense convolution of the same two powers.
+        law = sparse_law(np.flatnonzero(base).tolist(), base[base > 0].tolist())
+        cache = PowerCache(law)
+        for j in range(1, top + 1):
+            got, _ = cache.dense(j)
+            if j < 3:
+                continue
+            want = _trim_back(np.convolve(cache.dense(j - 1)[0], cache.dense(1)[0]))
+            assert got.shape == want.shape
+            assert np.array_equal(got != 0.0, want != 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    # sha256 over len(w), w.tobytes() and float(defect).hex() of dense(j) for
+    # each j, recorded when every power was held as a dense array and each
+    # convolution ran at the stride gcd(span(P^a), span(P^b)).  Each law has
+    # an atom at 0, so that stride was always the base's span g, the lattice
+    # the powers are held on now.  A law without an atom at 0 whose atom gaps
+    # share a factor its least atom lacks, such as {1, 3}, has powers of a
+    # larger span than g, so its powers may move in the last bits.
+    DENSE_PINS = {
+        ("binary", "sweep"): "e8810ab9eee3dc1476f19cf30a7083a5c1b99fedc5840a98a2fec2490047480a",
+        ("binary", "cold"): "67f70e6562d86f04fadf91cf073ad9fb33579f56b5338cce0b9bcb17013d793f",
+        ("contamination-k50-p500", "cold"): "b1db119869544bfc826dd02dcc8b7644b2783502ed62768e2b0c4f22356c0325",
+        ("poisson-30", "sweep"): "fa26f125589fc7f20a6f430b33e06edf444a41a80f669a1d4713dc16184abcaa",
+        ("poisson-30", "cold"): "04f221d534e19e3a95a385f42d380068313b81bbbe6c618410c0b3876f49961f",
+    }
+
+    @pytest.mark.parametrize("family,mode", sorted(DENSE_PINS))
+    def test_dense_powers_keep_their_bits(self, family, mode):
+        spec, js = {
+            "binary": (FamilySpec.binary(0.75), range(1, 601)),
+            "contamination-k50-p500": (
+                contamination_grid(FamilySpec.binary(0.75), (50,))[0], [500]
+            ),
+            "poisson-30": (FamilySpec.poisson(2.0, 30), range(1, 61)),
+        }[family]
+        law = build(spec)
+        sweep = PowerCache(law)
+        h = hashlib.sha256()
+        for j in js:
+            w, defect = (PowerCache(law) if mode == "cold" else sweep).dense(j)
+            h.update(len(w).to_bytes(8, "little"))
+            h.update(w.tobytes())
+            h.update(float(defect).hex().encode())
+        assert h.hexdigest() == self.DENSE_PINS[family, mode]
+
+    def test_binary_walk_to_n12_holds_its_powers_on_the_lattice(self):
+        # 383 powers: 2,331,752 bytes as dense arrays, 1,167,408 on the even lattice.
+        prop = Propagator(build(FamilySpec.binary(0.75)), n_max=12)
+        prop.joint(12)
+        held = sum(w.nbytes for w, _ in prop.powers._cache.values())
+        assert len(prop.powers._cache) == 383
+        assert held <= 1.2e6
+
+
+def assert_matches_lattice_thinning(w, dense, g):
+    """``w`` against every ``g``-th entry of the dense power ``dense``, to the
+    relative tolerance of ``assert_powers_match_oracle``.  Entries below the
+    least normal double carry absolute rounding errors, so there both, and any
+    trailing entries one side underflowed, need only agree within 2**-1064."""
+    expected = np.trim_zeros(dense, "b")[::g]
+    size = max(len(w), len(expected))
+    got, want = (np.pad(a, (0, size - len(a))) for a in (w, expected))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=2.0**-1064)
+    normal = want >= np.finfo(float).tiny
+    assert np.array_equal(got[normal] != 0, want[normal] != 0)
 
 
 def assert_powers_match_oracle(law, js):
@@ -511,7 +602,7 @@ def assert_powers_match_oracle(law, js):
     for j in sorted(js):
         expected = np.trim_zeros(oracles.dense_power(base, j), "b")
         for cache in (PowerCache(law), sweep):
-            w, d = cache.get(j)
+            w, d = cache.dense(j)
             assert w.shape == expected.shape
             assert np.array_equal(w != 0, expected != 0)
             np.testing.assert_allclose(w, expected, rtol=1e-12, atol=0)

@@ -1,4 +1,4 @@
-"""Measure construction, total variation, the dense lattice convolution, mean."""
+"""Measure construction, union supports, total variation, mean."""
 
 from fractions import Fraction
 
@@ -15,11 +15,13 @@ from gwlab import (
     InvalidParameter,
     Propagator,
     build,
+    estimator_law,
+    joint_law,
     mean,
     prohorov,
     tv_distance,
 )
-from gwlab.measures import MASS_TOL, _convolve_dense, _span, left_sum, merge_atoms
+from gwlab.measures import MASS_TOL, difference, left_sum, merge_atoms
 
 
 def integer_measure(rng, max_atoms=6):
@@ -267,6 +269,11 @@ class TestMergeAtoms:
 
 def assert_same_merge_bits(got, ref):
     assert len(got) == len(ref) == 4
+    assert_same_bits(got, ref)
+
+
+def assert_same_bits(got, ref):
+    assert len(got) == len(ref)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
@@ -312,6 +319,44 @@ class TestMergeAtomsBitForBit:
         got = merge_atoms(nums, dens, weights)
         assert len(got[0]) < len(nums)
         assert_same_merge_bits(got, oracles.merge_atoms_by_sorted_copies(nums, dens, weights))
+
+
+class TestDifference:
+    """``difference`` against ``oracles.difference_by_merge``, the merge of the
+    concatenated supports: the same atoms and weights, bit for bit and by dtype."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool=atom_pool, data=st.data())
+    def test_matches_the_merge_of_the_concatenation(self, pool, data):
+        pool = sorted(set(pool))
+        a, b = (
+            DiscreteMeasure.from_items(zip(points, np.full(len(points), 1.0 / len(points))))
+            for points in (
+                data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+                for _ in range(2)
+            )
+        )
+        assert_same_bits(difference(a, b), oracles.difference_by_merge(a, b))
+
+    @pytest.mark.parametrize("case", ["float-tie-across", "float-tie-within", "sweep-n6"])
+    def test_matches_the_merge_on_each_route(self, case):
+        j = 2**27
+        if case == "float-tie-across":
+            # Distinct atoms of a and b share a double: the merge orders them.
+            a = DiscreteMeasure.from_items([(Fraction(j + 1, j), 0.5), (Fraction(3), 0.5)])
+            b = DiscreteMeasure.from_items([(Fraction(j + 2, j + 1), 0.5), (Fraction(3), 0.5)])
+            assert a.float_support[0] == b.float_support[0]
+        elif case == "float-tie-within":
+            # Two of a's atoms share a double that no atom of b has.
+            ties = [Fraction(j + 2, j + 1), Fraction(j + 1, j)]
+            a = DiscreteMeasure.from_items([(ties[0], 0.25), (ties[1], 0.25), (Fraction(2), 0.5)])
+            b = DiscreteMeasure.from_items([(Fraction(1), 0.5), (Fraction(2), 0.5)])
+        else:
+            a, b = (
+                estimator_law(joint_law(build(FamilySpec.binary(p)), 6)).law for p in (0.75, 0.74)
+            )
+        assert_same_bits(difference(a, b), oracles.difference_by_merge(a, b))
+        assert_same_bits(difference(b, a), oracles.difference_by_merge(b, a))
 
 
 class TestTvDistance:
@@ -406,43 +451,6 @@ class TestLeftSum:
     def test_an_empty_sum_is_the_int_zero(self):
         assert left_sum([]) == 0 and type(left_sum([])) is int
         assert type(left_sum(x for x in ())) is int
-
-
-@st.composite
-def lattice_array(draw):
-    """Nonnegative weights on ``gZ`` for g in {1, 2, 3, 5}, some trailing zeros.
-
-    Lattice points may carry zero, so the array's own span can be a
-    multiple of g, or 0 when only index 0 carries mass.
-    """
-    g = draw(st.sampled_from([1, 2, 3, 5]))
-    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
-    atoms = draw(st.lists(weight, min_size=1, max_size=40))
-    out = np.zeros((len(atoms) - 1) * g + 1 + draw(st.integers(0, g - 1)))
-    out[: len(atoms) * g : g] = atoms
-    return out
-
-
-class TestSpanConvolution:
-    @settings(max_examples=300, deadline=None)
-    @given(a=lattice_array(), b=lattice_array())
-    def test_matches_dense_convolution(self, a, b):
-        got = _convolve_dense(a, b, _span(a), _span(b))
-        want = np.convolve(a, b)
-        assert got.shape == want.shape
-        assert np.array_equal(got != 0.0, want != 0.0)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-
-    def test_single_atoms_on_different_lattices(self):
-        # Atoms at 4 and 9: the spans 4 and 9 share no factor.
-        a = np.zeros(5)
-        a[4] = 0.5
-        b = np.zeros(10)
-        b[9] = 0.25
-        out = _convolve_dense(a, b, _span(a), _span(b))
-        assert out.size == 14
-        assert np.flatnonzero(out).tolist() == [13]
-        assert out[13] == 0.125
 
 
 class TestMean:
