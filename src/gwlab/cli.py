@@ -5,9 +5,11 @@ it, push it through the ratio estimator, compute metrics between stored
 measures, simulate paths, run the verification suite, and run robustness
 sweeps.  Outputs are CSV (default) or JSON; both carry a schema version,
 and with ``--no-timestamp`` reruns are byte-identical for the same seed.
-Each command computes all its values first, then opens ``--output`` (or
-takes stdout) and writes as it encodes: CSV rows one by one, a JSON
-document in batches of encoder chunks, never the whole text at once.
+Each command computes all its values first and hands them to ``_emit``,
+the one writer: it spells the schema names, adds the timestamp, opens
+``--output`` (or takes stdout) and writes as it encodes: CSV rows one by
+one, a JSON document in batches of encoder chunks, never the whole text
+at once.  Every flag a family parameter takes is named in ``FAMILIES``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .lab import (
     ExperimentSpec,
     robustness_modulus,
     run_default_suite,
-    _jsonable,
 )
 from .measures import DiscreteMeasure, tv_distance
 from .metrics import MetricResult, bounded_lipschitz, prohorov
@@ -50,8 +51,11 @@ __all__ = ["main"]
 
 
 # Numeric flags and the ``--weights`` list reach ``main`` as text, so that one
-# that does not parse is a one-line ``InvalidParameter`` naming it.
-NUMERIC_FLAGS = dict.fromkeys(("p", "p0", "p2", "p3", "lam", "budget"), float) | dict.fromkeys(
+# that does not parse is a one-line ``InvalidParameter`` naming it.  Each
+# family parameter in ``FAMILIES`` is a flag of its name.
+NUMERIC_FLAGS = {
+    name: float for names, _ in FAMILIES.values() for name in names if name != "weights"
+} | {"budget": float} | dict.fromkeys(
     ("truncation", "n", "z0", "jobs", "seed", "replications", "n_max", "cap"), int) | {
     "weights": lambda text: [float(w) for w in text.split(",")]}
 
@@ -65,54 +69,43 @@ def _open_output(args: argparse.Namespace) -> contextlib.AbstractContextManager[
     return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
 
 
-def _emit_rows(
+def _emit(
     args: argparse.Namespace,
     kind: str,
-    columns: tuple[str, ...],
-    rows: Iterable[tuple],
-    comments: list[str] | None = None,
-    extra: dict | None = None,
+    doc: dict,
+    columns: tuple[str, ...] = (),
+    rows: Iterable[tuple] = (),
+    comments: Iterable[str] = (),
 ) -> None:
-    """Write tuple rows in ``columns`` order as versioned CSV or JSON."""
-    if args.format == "csv":
-        header = [f"gw-csv-1 {kind}"]
-        if not args.no_timestamp:
-            header.append(f"timestamp {_timestamp()}")
-        with _open_output(args) as fh:
-            fh.writelines(f"# {line}\n" for line in header + (comments or []))
+    """Write one ``gw`` output: the only place that opens it and names its schema.
+
+    JSON is ``doc``, whose values are JSON-ready, under schema ``gw-kind-1``
+    with the rows as objects keyed by column.  It is built in full before the
+    output is opened, then written as the chunks ``json.dumps`` would join,
+    in batches of 2**16 (a write per chunk is slower).  CSV is a ``# gw-csv-1
+    kind`` header, the timestamp and ``comments`` as ``#`` lines, then the
+    rows as they come; or, with no ``columns``, ``doc["value"]`` alone on one
+    line.  Both carry the timestamp unless --no-timestamp.
+    """
+    stamp = {} if args.no_timestamp else {"timestamp": _timestamp()}
+    if args.format == "json":
+        doc |= {"schema": f"gw-{kind}-1", **stamp}
+        if columns:
+            doc |= {"columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    with _open_output(args) as fh:
+        if args.format == "json":
+            for batch in iter(lambda: "".join(itertools.islice(chunks, 2**16)), ""):
+                fh.write(batch)
+            fh.write("\n")
+        elif not columns:
+            fh.write(f"{doc['value']:.12f}\n")
+        else:
+            header = [f"gw-csv-1 {kind}", *(f"{key} {t}" for key, t in stamp.items()), *comments]
+            fh.writelines(f"# {line}\n" for line in header)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows(rows)
-        return
-    doc = {
-        "schema": f"gw-{kind}-1",
-        "columns": list(columns),
-        "rows": [dict(zip(columns, _jsonable(row))) for row in rows],
-    }
-    if extra:
-        doc.update(_jsonable(extra))
-    _emit_doc(args, doc)
-
-
-def _emit_value(args: argparse.Namespace, doc: dict) -> None:
-    """Write ``doc`` as JSON, or its value alone on one line."""
-    if args.format == "json":
-        _emit_doc(args, doc)
-    else:
-        with _open_output(args) as fh:
-            fh.write(f"{doc['value']:.12f}\n")
-
-
-def _emit_doc(args: argparse.Namespace, doc: dict) -> None:
-    """Write a JSON document, timestamped unless --no-timestamp, as the chunks
-    ``json.dumps`` would join, in batches of 2**16 (a write per chunk is slower)."""
-    if not args.no_timestamp:
-        doc["timestamp"] = _timestamp()
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    with _open_output(args) as fh:
-        for batch in iter(lambda: "".join(itertools.islice(chunks, 2**16)), ""):
-            fh.write(batch)
-        fh.write("\n")
 
 
 def _measure_rows(measure: DiscreteMeasure) -> Iterator[tuple]:
@@ -172,22 +165,22 @@ def _cmd_build_law(args: argparse.Namespace) -> int:
         f"mean {law.mean_m!r}",
         f"defect {law.measure.defect!r}",
     ]
-    extra = {
+    doc = {
         "family": law.family.to_json_dict() if law.family else None,
         "mean": law.mean_m,
         "defect": law.measure.defect,
         "measure": law.measure.to_json_dict(),
         "tail_bound": law.tail_bound.to_json_dict() if law.tail_bound else None,
     }
-    _emit_rows(args, "law", ("point", "weight"), _measure_rows(law.measure), comments, extra)
+    _emit(args, "law", doc, ("point", "weight"), _measure_rows(law.measure), comments)
     return 0
 
 
 def _cmd_law(args: argparse.Namespace) -> int:
     gen = _propagator_from_args(args).generation(args.n)
     comments = [f"n {args.n}", f"z0 {args.z0}", f"defect {gen.defect!r}"]
-    extra = {"n": args.n, "z0": args.z0, "defect": gen.defect, "measure": gen.to_json_dict()}
-    _emit_rows(args, "generation", ("point", "weight"), _measure_rows(gen), comments, extra)
+    doc = {"n": args.n, "z0": args.z0, "defect": gen.defect, "measure": gen.to_json_dict()}
+    _emit(args, "generation", doc, ("point", "weight"), _measure_rows(gen), comments)
     return 0
 
 
@@ -195,8 +188,8 @@ def _cmd_joint(args: argparse.Namespace) -> int:
     joint = _propagator_from_args(args).joint(args.n)
     rows = zip(joint.prev.tolist(), joint.curr.tolist(), joint.probs.tolist())
     comments = [f"n {args.n}", f"z0 {args.z0}", f"defect {joint.defect!r}"]
-    extra = {"n": args.n, "z0": args.z0, "defect": joint.defect}
-    _emit_rows(args, "joint", ("prev", "curr", "prob"), rows, comments, extra)
+    doc = {"n": args.n, "z0": args.z0, "defect": joint.defect}
+    _emit(args, "joint", doc, ("prev", "curr", "prob"), rows, comments)
     return 0
 
 
@@ -209,27 +202,14 @@ def _cmd_estimator_law(args: argparse.Namespace) -> int:
         f"conditioned {str(args.conditioned).lower()}",
         f"defect {e.law.defect!r}",
     ]
-    _emit_rows(
-        args,
-        "estimator-law",
-        ("ratio", "weight"),
-        _measure_rows(e.law),
-        comments,
-        e.to_json_dict(),
-    )
+    _emit(args, "estimator-law", e.to_json_dict(), ("ratio", "weight"), _measure_rows(e.law),
+          comments)
     return 0
 
 
 def _cmd_extinction(args: argparse.Namespace) -> int:
-    result = extinction_probability(_law_from_args(args))
-    doc = {
-        "schema": "gw-extinction-1",
-        "value": result.value,
-        "supercritical": result.supercritical,
-        "residual": result.residual,
-        "iterations": result.iterations,
-    }
-    _emit_value(args, doc)
+    # Each ``ExtinctionResult`` field is a key of the document.
+    _emit(args, "extinction", dict(vars(extinction_probability(_law_from_args(args)))))
     return 0
 
 
@@ -243,11 +223,10 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     else:
         value, slack = tv_distance(a, b)
         result = MetricResult(value=value, defect_slack=slack)
-    doc = {"schema": "gw-metric-1", "kind": args.kind, "value": result.value,
-           "slack": result.defect_slack}
+    doc = {"kind": args.kind, "value": result.value, "slack": result.defect_slack}
     if args.format == "json":  # CSV leaves a Prohorov certificate unbuilt
         doc["certificate"] = result.to_json_dict()["certificate"]
-    _emit_value(args, doc)
+    _emit(args, "metric", doc)
     return 0
 
 
@@ -255,19 +234,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     law = _law_from_args(args)
     cfg = SimConfig(args.seed, args.replications, args.n_max, args.z0, args.cap)
     table = simulate_paths(law, cfg, jobs=args.jobs)
-    excluded = {n: int(table.excluded[n]) for n in range(1, args.n_max + 1)}
+    # String keys, as JSON has them: the document lists levels "1", "10", "11", "2", ...
+    excluded = {str(n): int(table.excluded[n]) for n in range(1, args.n_max + 1)}
     comments = [f"replications {args.replications}", f"seed {args.seed}"]
     comments += [f"excluded {n} {c}" for n, c in excluded.items() if c]
-    extra = {
+    doc = {
         "replications": args.replications,
         "seed": args.seed,
         "z0": args.z0,
         "cap": args.cap,
         "excluded": excluded,
     }
-    _emit_rows(
-        args, "simulate", ("level", "prev", "curr", "count"), table.rows(), comments, extra
-    )
+    _emit(args, "simulate", doc, ("level", "prev", "curr", "count"), table.rows(), comments)
     return 0
 
 
@@ -275,15 +253,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     claims = None if args.suite == "all" else [args.suite]
     reports = run_default_suite(budget=args.budget, claims=claims)
     rows = [(r.claim_id, r.lhs, r.rhs, r.slack, str(r.passed).lower(), r.note) for r in reports]
-    extra = {"reports": [r.to_json_dict() for r in reports]}
-    _emit_rows(
-        args,
-        "verify",
-        ("claim", "lhs", "rhs", "slack", "passed", "note"),
-        rows,
-        None,
-        extra,
-    )
+    doc = {"reports": [r.to_json_dict() for r in reports]}
+    _emit(args, "verify", doc, ("claim", "lhs", "rhs", "slack", "passed", "note"), rows)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -293,7 +264,7 @@ def _cmd_modulus(args: argparse.Namespace) -> int:
         args.output = spec.output
     rows = robustness_modulus(spec, jobs=args.jobs)
     ordered = [tuple(row[col] for col in MODULUS_COLUMNS) for row in rows]
-    _emit_rows(args, "modulus", MODULUS_COLUMNS, ordered)
+    _emit(args, "modulus", {}, MODULUS_COLUMNS, ordered)
     return 0
 
 
@@ -334,15 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=tuple(FAMILIES),
     )
-    family.add_argument("--p", default=None, help="binary/polynomial parameter")
-    family.add_argument("--p0", default=None, help="three_point mass at 0")
-    family.add_argument("--p2", default=None, help="three_point mass at 2")
-    family.add_argument("--p3", default=None, help="three_point mass at 3")
-    family.add_argument("--lam", default=None, help="poisson mean")
+    for name in dict.fromkeys(name for names, _ in FAMILIES.values() for name in names):
+        users = " and ".join(f for f, (names, _) in FAMILIES.items() if name in names)
+        family.add_argument(f"--{name}", help=f"{users} family parameter {name}")
     family.add_argument(
         "--truncation", default=None, help="explicit support cut for built laws"
     )
-    family.add_argument("--weights", help="raw family: comma-separated masses at 0,1,2,...")
 
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--n", required=True)

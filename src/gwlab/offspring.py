@@ -273,12 +273,12 @@ def build(spec: FamilySpec, budget: float = DEFAULT_TAIL_BUDGET) -> OffspringLaw
     if spec.family == "polynomial":
         return _build_polynomial(spec, budget)
     if spec.family == "binary":
-        items = [(0, 1.0 - spec.p), (2, spec.p)]
+        w = [1.0 - spec.p, 0.0, spec.p]
     elif spec.family == "three_point":
-        items = [(0, spec.p0), (2, spec.p2), (3, spec.p3)]
+        w = [spec.p0, 0.0, spec.p2, spec.p3]
     else:
-        items = enumerate(spec.weights)
-    m = DiscreteMeasure.from_items(items)
+        w = spec.weights
+    m = DiscreteMeasure.from_dense(w)
     return OffspringLaw(m, measures.mean(m), family=spec)
 
 
@@ -522,11 +522,10 @@ def extinction_transform(law: OffspringLaw) -> OffspringLaw:
             "extinction transform undefined when extinction has probability 0"
         )
     ks = law.counts
-    w = law.probs * np.power(q, ks - 1, dtype=float)
-    retained = float(w.sum())
-    m = DiscreteMeasure.from_items(
-        zip(ks.tolist(), w.tolist()), defect=max(0.0, 1.0 - retained)
-    )
+    tilted = law.probs * np.power(q, ks - 1, dtype=float)
+    w = np.zeros(int(ks[-1]) + 1)
+    w[ks] = tilted
+    m = DiscreteMeasure.from_dense(w, defect=max(0.0, 1.0 - float(tilted.sum())))
     return OffspringLaw(m, measures.mean(m))
 
 

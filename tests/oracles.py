@@ -26,8 +26,11 @@ from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab import metrics
 from gwlab.maxflow import Pairs, _greedy_mass, couple
 from gwlab.metrics import MetricResult
-from gwlab.measures import DiscreteMeasure, _cross, _float_values, group_pairs, merge_atoms
+from gwlab.measures import (
+    DiscreteMeasure, _cross, _float_values, group_pairs, merge_atoms, tv_distance,
+)
 from gwlab.montecarlo import SimTable, _draw_next
+from gwlab.offspring import psi1_tail
 
 # -- laws as plain dicts -------------------------------------------------------
 
@@ -777,6 +780,21 @@ def validate_coupling(coup, tol: float = 1e-10) -> None:
             f"band mass {band:.12f} at eps={coup.strassen_eps} is below the "
             f"Strassen cut {cut:.12f}, allowed {tol:.2e}"
         )
+
+
+# -- verification ---------------------------------------------------------------
+
+
+def mean_continuity_by_scan(law1, law2) -> tuple[float, int]:
+    """The least truncation-split bound on ``|m1 - m2|`` and its first level
+    ``ell``, each level's bound summed through ``psi1_tail`` (O(K) a level)."""
+    d_tv = tv_distance(law1.measure, law2.measure)[0]
+    best, best_ell = math.inf, 1
+    for ell in range(1, int(max(law1.counts[-1], law2.counts[-1])) + 2):
+        bound = 2.0 * ell * d_tv + psi1_tail(law1, ell + 1) + psi1_tail(law2, ell + 1)
+        if bound < best:
+            best, best_ell = bound, ell
+    return best, best_ell
 
 
 # -- Monte Carlo ---------------------------------------------------------------

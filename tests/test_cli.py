@@ -764,6 +764,61 @@ class TestReferenceOutputBytes:
             "bd80ee16d14bb792eb2d941975e82a6022caab8761715276905a7abd8d3d7632"
         )
 
+    # Outputs no checked-in file pins, as ``(argv, sha256)`` per format.  The
+    # metric commands read the binary(0.75) and binary(0.74) ratio laws at
+    # n = 6; the simulate run excludes paths at levels 7-12, whose counts are
+    # keyed "1", "10", "11", "12", "2", ... in its JSON.
+    DIGESTS = {
+        "build-law polynomial": (
+            ["build-law", "--family", "polynomial", "--p", "3.5", "--truncation", "30"],
+            "51e740993d12d153e235b01076cbfcaf4761e4f50eedf1bad1e1774ad5f10ba3",
+            "bd2f92e5b4db1176d4476e212f4c1a8d50262afd41db25ef1a56b0e29736984e"),
+        "build-law three_point": (
+            ["build-law", "--family", "three_point", "--p0", "0.2", "--p2", "0.5", "--p3", "0.3"],
+            "94be18784b5fe901a5e1430d42cc452b8beda456da6065b47fc553d77b75f12f",
+            "5a273504841bca8e9a0c837131ffae4b255d46a8847bfeb08f65ce3621045f65"),
+        "law": (
+            ["law", "--family", "binary", "--p", "0.75", "--n", "6"],
+            "d0aca8d44812dd5abd90238abfabba03bdc73f386fe9aebbbef1bd7f43ca2cf3",
+            "15743d741825ff9cdc11cf5454eaf6b830dcea2ffc71434d1de84be23ba51367"),
+        "extinction": (
+            ["extinction", "--family", "binary", "--p", "0.75"],
+            "7e1afa6b59f3dc3bed99cee62a79a5d04702e9f51fba0ec6353ed78c08ac2801",
+            "a9ed48bddce6ac7dc60139e3a0de33147208c53307961b7208cc60b04d4907bd"),
+        "metric tv": (
+            ["metric", "--kind", "tv"],
+            "e73df153a247fd7db5c5bef71693d45b03bb9ed89edb32249e19a6512f237050",
+            "5af34dc48cfe662a596af67a38faa048294486af004f9f2bfbda110461f1badf"),
+        "metric prohorov": (
+            ["metric", "--kind", "prohorov"],
+            "497c8ae3a565cd0758402c6561af01e37e55e7fc019c6da77694bdd60858daf4",
+            "7dde278001f66529dfd824a6c1767831fe91a827369ae2e48636432761a8a705"),
+        "estimator-law": (
+            ["estimator-law", "--family", "three_point", "--p0", "0.2", "--p2", "0.5", "--p3",
+             "0.3", "--n", "4", "--conditioned"],
+            "ba9c1fc19b529e78c69237301fbc586505f9d0658c15aa16e05ed3543af9d325",
+            "bf11caca65a56e64d366bdea5493a665b235eb52747e4b41b454a6267ad57e54"),
+        "simulate": (
+            ["simulate", "--family", "binary", "--p", "0.75", "--n-max", "12", "--replications",
+             "2000", "--seed", "5", "--cap", "50", "--jobs", "1"],
+            "df70d83772dc3c3631d134e4991a4957061b0289e63414edb8fd1f1e45e1a93d",
+            "7b536c7c3e5742c9e41c5c49adac5b60b4a36b8920f5b26709d7801d4203cc70"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_output_matches_its_digest(self, tmp_path, capsys, name, fmt):
+        argv, *digests = self.DIGESTS[name]
+        if name.startswith("metric"):
+            for p in ("0.75", "0.74"):
+                assert main(["estimator-law", "--family", "binary", "--p", p, "--n", "6",
+                             "--format", "json", "--no-timestamp",
+                             "--output", str(tmp_path / f"binary_p{p}.json")]) == 0
+            argv = [*argv, *(str(tmp_path / f"binary_p{p}.json") for p in ("0.75", "0.74"))]
+        assert main([*argv, "--format", fmt, "--no-timestamp"]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == digests[fmt == "json"]
+
     def test_bounded_lipschitz_metric_matches_reference(self, tmp_path):
         # The certificate's function, its sup and slope, and the upper bound
         # and gap are printed in full, so both sides of the value are pinned.

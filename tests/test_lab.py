@@ -1,6 +1,7 @@
 """Robustness sweeps and the machine-checkable inequality reports."""
 
 import json
+import signal
 import time
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from conftest import idle_staircase
 from gwlab import lab, maxflow, metrics, montecarlo
 from gwlab.offspring import MAX_DERIVED_TRUNCATION
@@ -324,6 +326,64 @@ class TestMeanContinuity:
             assert rep.passed
             gaps.append(rep.rhs)
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("pair", [
+        (FamilySpec.binary(0.75), FamilySpec.binary(0.74)),
+        (FamilySpec.poisson(2.0), FamilySpec.poisson(2.02)),
+        (FamilySpec.polynomial(3.5, truncation=2_000),
+         FamilySpec.polynomial(3.6, truncation=2_000)),
+        (FamilySpec.poisson(1.0), FamilySpec.polynomial(3.5, truncation=500)),
+    ], ids=["suite-binary", "suite-poisson", "polynomial", "poisson-polynomial"])
+    def test_minimizer_matches_the_scan(self, pair):
+        law1, law2 = (build(spec) for spec in pair)
+        rep = verify_mean_continuity(law1, law2)
+        assert (rep.rhs, rep.instance["ell"]) == oracles.mean_continuity_by_scan(law1, law2)
+
+    def test_minimizer_matches_the_scan_on_random_raw_laws(self):
+        # Some laws differ in their top count, some by a hair, some have gaps.
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            size = int(rng.integers(1, 40))
+            w = rng.random(size) * (rng.random(size) < 0.7)
+            w[-1] += 1.0
+            v = w + np.where(rng.random(size) < 0.5, rng.random(size) * 1e-6, 0.0)
+            if rng.random() < 0.3:
+                v = v[: int(rng.integers(1, size + 1))]
+                v[-1] += 1.0
+            laws = [build(FamilySpec.raw((x / x.sum()).tolist())) for x in (w, v)]
+            rep = verify_mean_continuity(*laws)
+            assert (rep.rhs, rep.instance["ell"]) == oracles.mean_continuity_by_scan(*laws)
+
+    def test_flat_bounds_keep_the_first_minimizer(self):
+        # Mass c/k at each k in 2..K, and c moved from 0 to 1 in the second
+        # law: every level's bound is the same real number, so only rounding
+        # separates them, and the cumulative sums round differently.
+        for top in range(3, 40):
+            for c in (1e-3, 3e-4):
+                w = np.zeros(top + 1)
+                w[2:] = c / np.arange(2, top + 1)
+                w[0] = 1.0 - w.sum()
+                v = w.copy()
+                v[:2] += (-c, c)
+                laws = [build(FamilySpec.raw(x.tolist())) for x in (w, v)]
+                rep = verify_mean_continuity(*laws)
+                assert (rep.rhs, rep.instance["ell"]) == oracles.mean_continuity_by_scan(*laws)
+
+    def test_large_truncations_finish_promptly(self):
+        # One O(K) scan per level took about four minutes on this pair.
+        laws = [build(FamilySpec.polynomial(p, truncation=200_000)) for p in (3.5, 3.6)]
+
+        def stuck(signum, frame):
+            raise TimeoutError("the mean-continuity check did not finish")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            rep = verify_mean_continuity(*laws)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rep.passed and 1 <= rep.instance["ell"] <= 200_001
 
 
 # The suite's binary(0.75) consistency and occupancy instances, run alone.

@@ -137,6 +137,41 @@ class TestBuild:
             law = build(spec)
             assert law.mean_m == pytest.approx(mean(law.measure), abs=1e-9)
 
+    def test_dense_builds_equal_their_items_bit_for_bit(self):
+        # Finite families and the extinction transform are built from dense
+        # weights; each must be the measure ``from_items`` makes of its atoms.
+        rng = np.random.default_rng(44)
+        specs = [FamilySpec.binary(p) for p in (0.0, 1.0, *rng.random(4).tolist())]
+        specs.append(FamilySpec.three_point(0.0, 1.0, 0.0))
+        for _ in range(30):
+            q = rng.random(3) * (rng.random(3) < 0.7)
+            q[int(rng.integers(3))] += 0.5
+            specs.append(FamilySpec.three_point(*(q / q.sum()).tolist()))
+            size = int(rng.integers(1, 300))
+            w = rng.random(size) * (rng.random(size) < 0.6)
+            w[int(rng.integers(size))] += 0.5
+            specs.append(FamilySpec.raw((w / w.sum()).tolist()))
+        for spec in specs:
+            law = build(spec)
+            if spec.family == "binary":
+                items = [(0, 1.0 - spec.p), (2, spec.p)]
+            elif spec.family == "three_point":
+                items = [(0, spec.p0), (2, spec.p2), (3, spec.p3)]
+            else:
+                items = list(enumerate(spec.weights))
+            pairs = [(law.measure, DiscreteMeasure.from_items(items))]
+            if law.measure.mass_at(0) > 0.0:
+                ks, q = law.counts, extinction_probability(law).value
+                w = law.probs * np.power(q, ks - 1, dtype=float)
+                star = DiscreteMeasure.from_items(zip(ks.tolist(), w.tolist()),
+                                                  defect=max(0.0, 1.0 - float(w.sum())))
+                pairs.append((extinction_transform(law).measure, star))
+            for dense, sparse in pairs:
+                for a, b in ((dense.nums, sparse.nums), (dense.dens, sparse.dens),
+                             (dense.weights_array, sparse.weights_array)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), spec
+                assert dense.defect == sparse.defect, spec
+
 
 class TestPgf:
     def test_at_one_total_mass(self, b75):
