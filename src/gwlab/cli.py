@@ -8,8 +8,10 @@ and with ``--no-timestamp`` reruns are byte-identical for the same seed.
 Each command computes all its values first and hands them to ``_emit``,
 the one writer: it spells the schema names, adds the timestamp, opens
 ``--output`` (or takes stdout) and writes as it encodes: CSV rows one by
-one, a JSON document in batches of encoder chunks, never the whole text
-at once.  Every flag a family parameter takes is named in ``FAMILIES``.
+one, a JSON document in batches of encoder chunks with each row's object
+made as the encoder reaches it, never the whole text or table at once.
+Every flag a family parameter takes is named in ``FAMILIES``, and every
+subcommand is one row of the table in ``_build_parser``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import GwError, InvalidParameter, json_field
 from .estimator import estimator_law
 from .lab import (
     CLAIM_IDS,
+    DEFAULT_REPLICATIONS,
     MODULUS_COLUMNS,
     ExperimentSpec,
     robustness_modulus,
@@ -60,6 +63,15 @@ NUMERIC_FLAGS = {
     "weights": lambda text: [float(w) for w in text.split(",")]}
 
 
+def _tv_metric(a: DiscreteMeasure, b: DiscreteMeasure) -> MetricResult:
+    value, slack = tv_distance(a, b)
+    return MetricResult(value=value, defect_slack=slack)
+
+
+# ``gw metric --kind``: its choices, in this order, and the function each names.
+METRICS = {"prohorov": prohorov, "bounded_lipschitz": bounded_lipschitz, "tv": _tv_metric}
+
+
 def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -67,6 +79,19 @@ def _timestamp() -> str:
 def _open_output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextIO]:
     """``--output`` opened for writing, or stdout, which the ``with`` leaves open."""
     return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+
+
+class _RowObjects(list):
+    """``rows`` as a list that ``json``'s indenting encoder reads lazily.  It
+    tests ``not lst`` before it iterates, so the first row is held and a table
+    without rows is written ``[]``."""
+
+    def __init__(self, rows: Iterator[dict]):
+        self.rest = rows
+        super().__init__(itertools.islice(rows, 1))
+
+    def __iter__(self) -> Iterator[dict]:
+        return itertools.chain(super().__iter__(), self.rest)
 
 
 def _emit(
@@ -80,8 +105,8 @@ def _emit(
     """Write one ``gw`` output: the only place that opens it and names its schema.
 
     JSON is ``doc``, whose values are JSON-ready, under schema ``gw-kind-1``
-    with the rows as objects keyed by column.  It is built in full before the
-    output is opened, then written as the chunks ``json.dumps`` would join,
+    with the rows as objects keyed by column, each made as the encoder
+    reaches it.  The text is the chunks ``json.dumps`` would join, written
     in batches of 2**16 (a write per chunk is slower).  CSV is a ``# gw-csv-1
     kind`` header, the timestamp and ``comments`` as ``#`` lines, then the
     rows as they come; or, with no ``columns``, ``doc["value"]`` alone on one
@@ -91,7 +116,8 @@ def _emit(
     if args.format == "json":
         doc |= {"schema": f"gw-{kind}-1", **stamp}
         if columns:
-            doc |= {"columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
+            doc |= {"columns": list(columns),
+                    "rows": _RowObjects(dict(zip(columns, row)) for row in rows)}
         chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
     with _open_output(args) as fh:
         if args.format == "json":
@@ -214,15 +240,7 @@ def _cmd_extinction(args: argparse.Namespace) -> int:
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    a = _load_measure(args.a)
-    b = _load_measure(args.b)
-    if args.kind == "prohorov":
-        result = prohorov(a, b)
-    elif args.kind == "bounded_lipschitz":
-        result = bounded_lipschitz(a, b)
-    else:
-        value, slack = tv_distance(a, b)
-        result = MetricResult(value=value, defect_slack=slack)
+    result = METRICS[args.kind](_load_measure(args.a), _load_measure(args.b))
     doc = {"kind": args.kind, "value": result.value, "slack": result.defect_slack}
     if args.format == "json":  # CSV leaves a Prohorov certificate unbuilt
         doc["certificate"] = result.to_json_dict()["certificate"]
@@ -322,68 +340,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-law", parents=[common, family], help="build an offspring law")
-    p.set_defaults(func=_cmd_build_law)
-
-    p = sub.add_parser(
-        "law", parents=[common, family, horizon], help="population-size law at generation n"
-    )
-    p.set_defaults(func=_cmd_law)
-
-    p = sub.add_parser(
-        "joint", parents=[common, family, horizon], help="joint law of generations n-1 and n"
-    )
-    p.set_defaults(func=_cmd_joint)
-
-    p = sub.add_parser(
-        "estimator-law",
-        parents=[common, family, horizon],
-        help="law of the generation ratio Z_n/Z_(n-1)",
-    )
-    p.add_argument(
-        "--conditioned", action="store_true", help="condition on survival of generation n-1"
-    )
-    p.set_defaults(func=_cmd_estimator_law)
-
-    p = sub.add_parser(
-        "extinction", parents=[common, family], help="extinction probability of the law"
-    )
-    p.set_defaults(func=_cmd_extinction)
-
-    p = sub.add_parser("metric", parents=[common], help="distance between two stored measures")
-    p.add_argument("--kind", choices=("prohorov", "bounded_lipschitz", "tv"), default="prohorov")
-    p.add_argument("a", help="measure JSON file")
-    p.add_argument("b", help="measure JSON file")
-    p.set_defaults(func=_cmd_metric)
-
-    p = sub.add_parser(
-        "simulate",
-        parents=[common, family, jobs],
-        help="seeded path simulation, pair counts per level",
-    )
-    p.add_argument("--seed", default=0, help="base RNG seed (default 0)")
-    p.add_argument("--replications", default=1_000_000)
-    p.add_argument("--n-max", required=True)
-    p.add_argument("--z0", default=1)
-    p.add_argument("--cap", default=10_000_000, help="exclude paths beyond this size")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser(
-        "verify", parents=[common, budget], help="run the inequality verification suite"
-    )
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=("all",) + CLAIM_IDS,
-        help="which claim to check (default all)",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser(
-        "modulus", parents=[common, jobs], help="robustness sweep from an experiment config"
-    )
-    p.add_argument("--config", required=True, help="experiment spec JSON file")
-    p.set_defaults(func=_cmd_modulus)
+    # A row per subcommand: its name, parents, help, handler and own flags.
+    commands = [
+        ("build-law", [common, family], "build an offspring law", _cmd_build_law, {}),
+        ("law", [common, family, horizon], "population-size law at generation n", _cmd_law, {}),
+        ("joint", [common, family, horizon], "joint law of generations n-1 and n", _cmd_joint, {}),
+        ("estimator-law", [common, family, horizon], "law of the generation ratio Z_n/Z_(n-1)",
+         _cmd_estimator_law,
+         {"--conditioned": dict(action="store_true",
+                                help="condition on survival of generation n-1")}),
+        ("extinction", [common, family], "extinction probability of the law", _cmd_extinction,
+         {}),
+        ("metric", [common], "distance between two stored measures", _cmd_metric,
+         {"--kind": dict(choices=tuple(METRICS), default="prohorov"),
+          "a": dict(help="measure JSON file"), "b": dict(help="measure JSON file")}),
+        ("simulate", [common, family, jobs], "seeded path simulation, pair counts per level",
+         _cmd_simulate,
+         {"--seed": dict(default=0, help="base RNG seed (default 0)"),
+          "--replications": dict(default=DEFAULT_REPLICATIONS),
+          "--n-max": dict(required=True),
+          "--z0": dict(default=1),
+          "--cap": dict(default=SimConfig.cap, help="exclude paths beyond this size")}),
+        ("verify", [common, budget], "run the inequality verification suite", _cmd_verify,
+         {"--suite": dict(default="all", choices=("all",) + CLAIM_IDS,
+                          help="which claim to check (default all)")}),
+        ("modulus", [common, jobs], "robustness sweep from an experiment config", _cmd_modulus,
+         {"--config": dict(required=True, help="experiment spec JSON file")}),
+    ]
+    for name, parents, help_text, func, own in commands:
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        for flag, kwargs in own.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
     return parser
 

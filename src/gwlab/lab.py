@@ -28,6 +28,7 @@ the winner's certificate is read, so only its band flow is solved; a value
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
@@ -766,13 +767,7 @@ def verify_wlln(
     lhs = float(suffix[k0 - 1] if k0 is not None else suffix[-1])
     slack = float(defects[1:].max()) + 1e-12
     # Three-term bound at the smallest truncation clearing the indicator.
-    ell = None
-    tail = math.inf
-    for cand in range(1, 1_000_000):
-        tail = psi1_tail(law, cand + 1)
-        if tail < eta / 3.0:
-            ell = cand
-            break
+    ell = _first_clearing_level(law, eta / 3.0)
     note = ""
     instance: dict = {
         "family": _family_label(law.family),
@@ -783,6 +778,7 @@ def verify_wlln(
         "ell": ell,
     }
     if ell is not None:
+        tail = psi1_tail(law, ell + 1)
         chebychev = 9.0 * eta**-2 * ell**2 / k_max
         markov = 3.0 * eta**-1 * tail
         bound_at = min(1.0, chebychev + markov)
@@ -802,6 +798,27 @@ def verify_wlln(
     else:
         note = "no truncation level clears the indicator term"
     return VerificationReport("lemma-wlln", instance, lhs, eps, slack, note=note)
+
+
+def _first_clearing_level(law: OffspringLaw, bar: float) -> int | None:
+    """The least ``ell`` in 1..999,999 with ``psi1_tail(law, ell + 1) < bar``, or None.
+
+    ``psi1_tail`` changes only at one past each atom, so up to one past the
+    top count those levels are read off ``_psi1_tails``, and the ones within a
+    relative 1e-9 of ``bar`` are summed again through ``psi1_tail`` in order.
+    Past it ``psi1_tail`` is the tail bound alone, which never increases, so
+    the first level below ``bar`` is found by bisection on its exact values.
+    """
+    top = 1_000_000
+    ks = law.counts
+    past = int(ks[-1]) + 1
+    js = np.append(2, ks[(ks >= 2) & (ks < top)] + 1)
+    near = js[_psi1_tails(law, js) < bar * (1.0 + 1e-9)].tolist()
+    hit = next((j for j in near if psi1_tail(law, j) < bar), None)
+    if hit is None and law.tail_bound is not None and past < top:
+        levels = range(past + 1, top + 1)
+        hit = levels[0] + bisect.bisect_left(levels, True, key=lambda j: law.tail_bound(j) < bar)
+    return hit - 1 if hit is not None and hit <= top else None
 
 
 def verify_decomposition_identity(
@@ -848,15 +865,13 @@ def verify_decomposition_identity(
 
 
 def _psi1_tails(law: OffspringLaw, js: np.ndarray) -> np.ndarray:
-    """``psi1_tail(law, j)`` for each of the increasing ``js``, up to rounding.
-    The tail bound counts only sizes past its cutoff, so it is called once per
-    level ``max(j, cutoff + 1)``."""
+    """``psi1_tail(law, j)`` for each of the increasing ``js``, up to rounding:
+    one reversed cumulative sum of the atoms and the tail bound on arrays."""
     ks = law.counts
     suffix = np.append(np.cumsum((ks * law.probs)[::-1])[::-1], 0.0)
     tails = suffix[np.searchsorted(ks, js)]
     if law.tail_bound is not None:
-        levels, at = np.unique(np.maximum(js, law.tail_bound.cutoff + 1), return_inverse=True)
-        tails += np.array([law.tail_bound(j) for j in levels.tolist()])[at]
+        tails += law.tail_bound.approx(js)
     return tails
 
 

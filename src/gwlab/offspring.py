@@ -214,6 +214,18 @@ class TailBound:
             return self.normalizer * j ** (2.0 - self.exponent) / (self.exponent - 2.0)
         raise InvalidParameter(f"unknown tail bound kind {self.kind!r}")
 
+    def approx(self, ells: np.ndarray) -> np.ndarray:
+        """``self(ell)`` for each of ``ells`` up to rounding, from numpy's
+        ``exp``, ``log`` and power in place of ``math``'s."""
+        j = np.maximum(ells, self.cutoff + 1).astype(float)
+        if self.kind == "poisson":
+            # The Chernoff exponent is 0 at ``lam``, where the scalar bound is 1.
+            k = np.maximum(j - 1.0, self.lam)
+            return self.lam * np.exp(k - self.lam - k * np.log(k / self.lam))
+        if self.kind == "polynomial":
+            return self.normalizer * j ** (2.0 - self.exponent) / (self.exponent - 2.0)
+        raise InvalidParameter(f"unknown tail bound kind {self.kind!r}")
+
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind, "cutoff": self.cutoff}
         if self.lam is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +68,22 @@ def idle_staircase(supply, room, lo, hi):
     """A stand-in for ``maxflow.staircase`` that ships nothing, so supply and room
     face each other across every nonempty window: an augmenting path."""
     return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 0.0
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float, what: str):
+    """Raise ``TimeoutError`` naming ``what`` if the block runs past ``seconds``."""
+
+    def stuck(signum, frame):
+        raise TimeoutError(f"{what} did not finish")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def as_arrays(m: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:

@@ -797,6 +797,16 @@ def mean_continuity_by_scan(law1, law2) -> tuple[float, int]:
     return best, best_ell
 
 
+def wlln_level_by_scan(law, eta) -> tuple[int | None, float]:
+    """The least level ``ell`` in 1..999,999 with ``psi1_tail(law, ell + 1)``
+    below ``eta / 3`` and that tail, one ``psi1_tail`` a level; or ``(None, inf)``."""
+    for ell in range(1, 1_000_000):
+        tail = psi1_tail(law, ell + 1)
+        if tail < eta / 3.0:
+            return ell, tail
+    return None, math.inf
+
+
 # -- Monte Carlo ---------------------------------------------------------------
 
 

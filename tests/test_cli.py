@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from gwlab import (
     FamilySpec, InvalidParameter, binary_sweep_spec, build, contamination_sweep_spec,
 )
-from gwlab.cli import main
+from gwlab.cli import _emit, main
 
 GW = [sys.executable, "-m", "gwlab.cli"]
 DATA = Path(__file__).parent / "data"
@@ -539,11 +540,15 @@ class TestMemoryCeilings:
         # grouping pair tables at 133.5 MB.
         assert peak < 50.0
 
-    @pytest.mark.parametrize("n, fmt, ceiling", [(12, "json", 100.0), (13, "csv", 80.0)])
+    @pytest.mark.parametrize("n, fmt, ceiling",
+                             [(12, "json", 58.0), (13, "json", 80.0), (13, "csv", 80.0)])
     def test_joint_is_written_as_it_is_encoded(self, n, fmt, ceiling):
-        # Five runs each on a 2-core Xeon: JSON at n = 12 peaked at 79.8-80.1 MB
-        # and CSV at n = 13 at 72.9-73.0 MB.  Joining the whole text before
-        # writing it, they peaked at 186.9-187.0 MB and 90.1-90.3 MB.
+        # Five runs each on a 2-core Xeon: JSON at n = 12 peaked at 52.9-53.1 MB,
+        # JSON at n = 13 at 75.1-75.2 MB and CSV at n = 13 at 72.4-72.5 MB.
+        # With one dict built per JSON row before writing, JSON peaked at
+        # 79.0-79.1 MB (n = 12) and 132.5 MB (n = 13); joining the whole text
+        # before writing it, JSON at n = 12 and CSV at n = 13 peaked at
+        # 186.9-187.0 MB and 90.1-90.3 MB.
         args = ["joint", "--family", "binary", "--p", "0.75", "--n", str(n), "--format", fmt,
                 "--no-timestamp"]
         assert peak_mb(args) < ceiling
@@ -666,6 +671,46 @@ class TestColdStart:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout and out.stderr == ""
+
+
+# sha256 of ``gw --help`` (key "") and of each subcommand's ``--help`` at 80
+# columns on CPython 3.11, recorded before the parser was built from a table.
+HELP_DIGESTS = {
+    "": "8c9be074bb99018553169b17c727113f94ab6289b4c2bf2242f63e5f084e5daa",
+    "build-law": "321d64f654559cfab76f28c6b5093f6c67005f16632be0f559e0a7376c798dbd",
+    "law": "22cd57061f4a82e7ffd2d4e569a7b60e63b826113bdd487286d1596de7db2c16",
+    "joint": "3546b7d81c548e087d420e600283bea7d0df581d8628ca2363361e78bf378fd9",
+    "estimator-law": "80e72716629fc2ec23f1438702edbf90a44f1efaa4d3cdf3b376fc827b99456f",
+    "extinction": "ce94e1db0e2001ca1d2d799ae8f427363c8ba1647f57c471aacb51cd199f47a0",
+    "metric": "d49b45b0aee26223e5dccb40eb0067afbd58ab9793e26840ec73cb4bb50f8b92",
+    "simulate": "560621de10fda978be66b3d875e29226c737f265a11b09426b90832e821de7d9",
+    "verify": "db7a9215a6b9fb4940336750c997786677e648eda2f0f106865df3ff3b601ee0",
+    "modulus": "6c695a8fcadb5e449e9f907f95e190083142a1e9292abca484475825db7214c9",
+}
+
+
+class TestHelpText:
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on CPython 3.11")
+    @pytest.mark.parametrize("command", list(HELP_DIGESTS))
+    def test_help_matches_its_digest(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"] if command else ["--help"])
+        assert stop.value.code == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == HELP_DIGESTS[command]
+
+
+class TestEmit:
+    @pytest.mark.parametrize("rows", [[], [(1, 2, 0.5)], [(1, 2, 0.5), (2, 4, 0.25)]])
+    def test_json_table_is_what_json_dumps_gives(self, capsys, rows):
+        # No command writes a table without rows, which must still read "rows": [].
+        args = argparse.Namespace(format="json", no_timestamp=True, output=None)
+        columns = ("prev", "curr", "prob")
+        _emit(args, "joint", {"n": 1}, columns, iter(rows))
+        expected = {"n": 1, "schema": "gw-joint-1", "columns": list(columns),
+                    "rows": [dict(zip(columns, row)) for row in rows]}
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 class TestReferenceOutputBytes:

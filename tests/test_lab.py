@@ -1,7 +1,7 @@
 """Robustness sweeps and the machine-checkable inequality reports."""
 
 import json
-import signal
+import math
 import time
 import tracemalloc
 import warnings
@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import idle_staircase
+from conftest import idle_staircase, time_limit
 from gwlab import lab, maxflow, metrics, montecarlo
-from gwlab.offspring import MAX_DERIVED_TRUNCATION
+from gwlab.offspring import MAX_DERIVED_TRUNCATION, psi1_tail
 from gwlab import (
     BudgetExceeded,
     CLAIM_IDS,
@@ -269,6 +269,40 @@ class TestWlln:
         assert rep.passed
         assert 1 <= rep.instance["k0"] <= 200
 
+    @pytest.mark.parametrize("spec, eta", [
+        (FamilySpec.binary(0.75), 0.25),
+        (FamilySpec.polynomial(3.5, truncation=30), 0.05),
+        (FamilySpec.poisson(2.0, truncation=6), 0.25),
+        (FamilySpec.polynomial(2.5, truncation=40), 0.25),
+    ], ids=["binary", "below-cutoff", "one-past-cutoff", "far-past-cutoff"])
+    def test_truncation_level_matches_the_scan(self, spec, eta):
+        law = build(spec)
+        rep = verify_wlln(law, eta, 0.05, k_max=5)
+        ell, tail = oracles.wlln_level_by_scan(law, eta)
+        assert (rep.instance["ell"], rep.instance["tail_moment"]) == (ell, tail)
+
+    def test_truncation_level_matches_the_scan_on_random_raw_laws(self):
+        # Gaps in the support leave the tail flat across runs of levels.
+        rng = np.random.default_rng(45)
+        for _ in range(100):
+            size = int(rng.integers(1, 60))
+            w = rng.random(size) * (rng.random(size) < 0.5)
+            w[-1] += 0.1
+            law = build(FamilySpec.raw((w / w.sum()).tolist()))
+            eta = float(rng.uniform(0.01, 3.0 * law.mean_m + 0.1))
+            rep = verify_wlln(law, eta, 0.5, k_max=1)
+            assert (rep.instance["ell"], rep.instance.get("tail_moment", math.inf)) == \
+                oracles.wlln_level_by_scan(law, eta)
+
+    def test_a_tail_that_never_clears_is_found_promptly(self):
+        # One psi1_tail a level over 999,999 levels: still running after 15 s.
+        law = build(FamilySpec.polynomial(2.1, truncation=20_000))
+        with time_limit(10.0, "the truncation-level search"):
+            rep = verify_wlln(law, 0.25, 0.05, k_max=5)
+        assert rep.instance["ell"] is None
+        assert rep.note == "no truncation level clears the indicator term"
+        assert psi1_tail(law, 10**6) >= 0.25 / 3.0
+
     def test_chebychev_ingredient_formula(self, b75):
         rep = verify_wlln(b75, 0.25, 0.05)
         ell, k_max = rep.instance["ell"], rep.instance["k_max"]
@@ -372,18 +406,20 @@ class TestMeanContinuity:
     def test_large_truncations_finish_promptly(self):
         # One O(K) scan per level took about four minutes on this pair.
         laws = [build(FamilySpec.polynomial(p, truncation=200_000)) for p in (3.5, 3.6)]
-
-        def stuck(signum, frame):
-            raise TimeoutError("the mean-continuity check did not finish")
-
-        previous = signal.signal(signal.SIGALRM, stuck)
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        try:
+        with time_limit(10.0, "the mean-continuity check"):
             rep = verify_mean_continuity(*laws)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
         assert rep.passed and 1 <= rep.instance["ell"] <= 200_001
+
+    def test_a_tail_bound_past_two_million_levels_is_read_on_arrays(self):
+        # The Poisson tail bound, called once a level in Python, took 2.3 s
+        # on a 2-core Xeon: 2,000,001 levels past its cutoff of 16.
+        laws = [build(FamilySpec.poisson(1.0)),
+                build(FamilySpec.polynomial(3.5, truncation=2_000_000))]
+        with time_limit(2.0, "the mean-continuity check"):
+            rep = verify_mean_continuity(*laws)
+        ell = rep.instance["ell"]
+        tails = [psi1_tail(law, ell + 1) for law in laws]
+        assert rep.rhs == 2.0 * ell * rep.instance["d_tv"] + tails[0] + tails[1]
 
 
 # The suite's binary(0.75) consistency and occupancy instances, run alone.

@@ -1,7 +1,6 @@
 """Offspring families, pgf machinery, extinction, decomposition transforms."""
 
 import math
-import signal
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +23,7 @@ from gwlab import (
     psi1_tail,
     survival_transform,
 )
+from conftest import time_limit
 from gwlab import offspring
 from gwlab.lab import contamination_grid
 from gwlab.offspring import DEFAULT_TAIL_BUDGET, MAX_DERIVED_TRUNCATION, _log_factorial, _zeta
@@ -268,17 +268,8 @@ class TestExtinction:
         # its 5e-17 width, so it looped forever once they bracketed the root.
         monkeypatch.setattr(offspring, "pgf_derivative", lambda law, s: 0.0)
         law = build(FamilySpec.binary(0.55))
-
-        def stuck(signum, frame):
-            raise TimeoutError("the fallback bisection did not stop")
-
-        previous = signal.signal(signal.SIGALRM, stuck)
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        try:
+        with time_limit(10.0, "the fallback bisection"):
             q = extinction_probability(law).value
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
         assert q == pytest.approx(0.45 / 0.55, abs=1e-15)
         assert abs(pgf(law, q) - q) <= 1e-13
 
@@ -336,18 +327,9 @@ class TestSurvivalTransform:
         # ran past 3.5 CPU-minutes.
         law = build(FamilySpec.polynomial(2.4, truncation=200_000))
         assert int(law.counts.sum()) > offspring._SURVIVAL_WORK_CAP
-
-        def stuck(signum, frame):
-            raise TimeoutError("the survival transform was not refused")
-
-        previous = signal.signal(signal.SIGALRM, stuck)
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        try:
+        with time_limit(10.0, "the survival transform's refusal"):
             with pytest.raises(BudgetExceeded, match="_SURVIVAL_WORK_CAP") as err:
                 survival_transform(law)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
         assert err.value.step == 0
 
 
