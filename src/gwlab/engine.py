@@ -26,6 +26,7 @@ sweeps' exact route included, is guarded alike, and so is ``PowerCache``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
@@ -345,8 +346,8 @@ def wlln_probability(
     """
     if k < 1:
         raise InvalidParameter("sample count k must be positive")
-    if eta <= 0.0:
-        raise InvalidParameter("deviation threshold eta must be positive")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise InvalidParameter(f"deviation threshold eta must be finite and positive, got {eta}")
     cache = _cache if _cache is not None else PowerCache(law)
     w, defect = cache.dense(k)
     values = np.arange(len(w), dtype=float)

@@ -602,6 +602,8 @@ def verify_conditional_consistency(
     out of that choice; when no horizon is left the report is inconclusive.
     """
     check_jobs(jobs)
+    if not all(math.isfinite(x) and x > 0 for x in (eta, eps)):
+        raise InvalidParameter(f"eta and eps must be finite and positive, got {eta} and {eps}")
     if criticality(law) != "supercritical":
         raise SupercriticalRequired("conditional consistency needs a supercritical law")
     levels = sorted(set(int(x) for x in n_range))
@@ -752,8 +754,8 @@ def verify_wlln(
     ``9 eta^-2 ell^2 / k``, a Markov term ``3 eta^-1 E[X 1{X>ell}]``, and an
     indicator that the truncated first moment clears ``eta/3``.
     """
-    if eta <= 0.0 or eps <= 0.0:
-        raise InvalidParameter("eta and eps must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (eta, eps)):
+        raise InvalidParameter(f"eta and eps must be finite and positive, got {eta} and {eps}")
     if k_max < 1:
         raise InvalidParameter("sample-size grid must be nonempty")
     cache = PowerCache(law)

@@ -337,33 +337,10 @@ def group_pairs(
 
 
 def difference(a: DiscreteMeasure, b: DiscreteMeasure) -> tuple[np.ndarray, ...]:
-    """The union support of ``a`` and ``b`` as ``nums``, ``dens``, with ``a{x} - b{x}``.
-
-    Both supports are sorted, so one ``searchsorted`` on the float values
-    places ``b``'s atoms among ``a``'s.  An atom of ``b`` whose float equals
-    that of the atom of ``a`` at its place must be that atom (canonical atoms
-    are equal as pairs); if one is not, two distinct atoms share a float, and
-    ``merge_atoms`` orders the concatenation instead.
-    """
-    fa, fb = a.float_support, b.float_support
-    place = np.searchsorted(fa, fb)
-    at = np.minimum(place, len(fa) - 1)
-    shared = fa[at] == fb
-    ia = at[shared]
-    if not (np.array_equal(a.nums[ia], b.nums[shared]) and np.array_equal(a.dens[ia], b.dens[shared])):
-        negated = (b.nums, b.dens, -b.weights_array)
-        return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
-    place = place[~shared]
-    slots = place + np.arange(place.size)  # where b's own atoms land
-    from_a = np.arange(len(fa))
-    from_a += np.searchsorted(place, from_a, side="right")
-    out = []
-    for x, y in ((a.nums, b.nums), (a.dens, b.dens), (a.weights_array, -b.weights_array)):
-        col = np.empty(len(fa) + place.size, dtype=np.result_type(x, y))
-        col[from_a], col[slots] = x, y[~shared]
-        out.append(col)
-    out[2][from_a[ia]] += y[shared]  # a{x} + (-b{x}), as merge_atoms adds them
-    return tuple(out)
+    """The union support of ``a`` and ``b`` as ``nums``, ``dens``, with ``a{x} - b{x}``:
+    ``merge_atoms`` of both atom lists, ``b``'s weights negated."""
+    negated = (b.nums, b.dens, -b.weights_array)
+    return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
 
 
 def left_sum(terms: Iterable) -> float:

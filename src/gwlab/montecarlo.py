@@ -357,11 +357,10 @@ def binned_estimator_law(
     if table.resolution is None:
         ratios = np.where(prev > 0, curr / np.maximum(prev, 1).astype(float), 0.0)
         idx = _bin_indices(ratios, resolution)
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    weights = np.bincount(inverse, weights=counts.astype(float)) / size
-    nums = uniq * resolution.numerator
+    _, bins, tallies = group_pairs(np.zeros_like(idx), idx, counts)
+    nums = bins * resolution.numerator
     g = np.gcd(nums, resolution.denominator)
-    out = DiscreteMeasure(nums // g, resolution.denominator // g, weights, excluded / size)
+    out = DiscreteMeasure(nums // g, resolution.denominator // g, tallies / size, excluded / size)
     return out, float(resolution) / 2.0
 
 

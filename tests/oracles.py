@@ -20,7 +20,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from gwlab.engine import JointLaw, Propagator, condition_on_survival, survival_mass
-from gwlab.errors import InvalidParameter
+from gwlab.errors import DegenerateConditioning, InvalidParameter
 from gwlab.estimator import deviation_mask
 from gwlab.estimator import ratio_law as exact_ratio_law
 from gwlab import metrics
@@ -29,7 +29,7 @@ from gwlab.metrics import MetricResult
 from gwlab.measures import (
     DiscreteMeasure, _cross, _float_values, group_pairs, merge_atoms, tv_distance,
 )
-from gwlab.montecarlo import SimTable, _draw_next
+from gwlab.montecarlo import SimTable, _bin_indices, _check_resolution, _draw_next, _event
 from gwlab.offspring import psi1_tail
 
 # -- laws as plain dicts -------------------------------------------------------
@@ -230,11 +230,35 @@ def merge_reduced(nums: np.ndarray, dens: np.ndarray, weights: np.ndarray):
     return sn[first], sd[first], np.bincount(index, weights=weights)
 
 
-def difference_by_merge(a: DiscreteMeasure, b: DiscreteMeasure):
-    """``measures.difference`` as ``merge_atoms`` of the concatenated supports,
-    ``b``'s weights negated: the union sorted anew, every shared atom checked."""
-    negated = (b.nums, b.dens, -b.weights_array)
-    return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
+def difference_by_placement(a: DiscreteMeasure, b: DiscreteMeasure):
+    """``measures.difference`` by placing ``b``'s atoms among ``a``'s.
+
+    Both supports are sorted, so one ``searchsorted`` on the float values
+    places ``b``'s atoms; an atom of ``b`` whose float equals that of the
+    atom of ``a`` at its place must be that atom, and its weight is added
+    there as ``a{x} + (-b{x})``.  When two distinct atoms share a float, the
+    concatenation goes to ``merge_atoms`` instead.
+    """
+    fa, fb = a.float_support, b.float_support
+    place = np.searchsorted(fa, fb)
+    at = np.minimum(place, len(fa) - 1)
+    shared = fa[at] == fb
+    ia = at[shared]
+    same = np.array_equal(a.nums[ia], b.nums[shared]) and np.array_equal(a.dens[ia], b.dens[shared])
+    if not same:
+        negated = (b.nums, b.dens, -b.weights_array)
+        return merge_atoms(*map(np.concatenate, zip(a._arrays(), negated)))[:3]
+    place = place[~shared]
+    slots = place + np.arange(place.size)  # where b's own atoms land
+    from_a = np.arange(len(fa))
+    from_a += np.searchsorted(place, from_a, side="right")
+    out = []
+    for x, y in ((a.nums, b.nums), (a.dens, b.dens), (a.weights_array, -b.weights_array)):
+        col = np.empty(len(fa) + place.size, dtype=np.result_type(x, y))
+        col[from_a], col[slots] = x, y[~shared]
+        out.append(col)
+    out[2][from_a[ia]] += y[shared]  # a{x} + (-b{x}), as merge_atoms adds them
+    return tuple(out)
 
 
 def merge_atoms_by_sorted_copies(nums: np.ndarray, dens: np.ndarray, weights: np.ndarray):
@@ -871,6 +895,25 @@ def simulate_table(sampler, cfg, chunk: int, resolution: Fraction | None = None)
             prev = alive.astype(np.int64)
         levels[n] = group_pairs(prev, curr, counts)
     return SimTable(cfg=cfg, levels=levels, excluded=excluded, resolution=resolution)
+
+
+def binned_law_by_unique(table, n, resolution, conditioned=False):
+    """``montecarlo.binned_estimator_law`` with the bins grouped by
+    ``np.unique`` and their counts summed as floats by ``np.bincount``."""
+    resolution = _check_resolution(resolution)
+    prev, curr, counts, excluded, size = _event(table, n, conditioned, resolution)
+    if excluded == size:
+        raise DegenerateConditioning(f"no tabulated replications at level {n}")
+    idx = curr
+    if table.resolution is None:
+        ratios = np.where(prev > 0, curr / np.maximum(prev, 1).astype(float), 0.0)
+        idx = _bin_indices(ratios, resolution)
+    uniq, inverse = np.unique(idx, return_inverse=True)
+    weights = np.bincount(inverse, weights=counts.astype(float)) / size
+    nums = uniq * resolution.numerator
+    g = np.gcd(nums, resolution.denominator)
+    out = DiscreteMeasure(nums // g, resolution.denominator // g, weights, excluded / size)
+    return out, float(resolution) / 2.0
 
 
 def tables_equal(a, b) -> bool:

@@ -332,6 +332,14 @@ class TestWllnProbability:
         assert value == 0.0
         assert slack <= 1e-12
 
+    @pytest.mark.parametrize(
+        "eta", [math.nan, math.inf, -math.inf, 0.0, -0.5],
+        ids=["nan", "inf", "-inf", "zero", "negative"],
+    )
+    def test_threshold_that_is_not_finite_and_positive_is_refused(self, b75, eta):
+        with pytest.raises(InvalidParameter, match="finite and positive"):
+            wlln_probability(b75, 3, eta)
+
     def test_single_draw_binary(self, b75):
         value, _ = wlln_probability(b75, 1, 0.4)
         assert value == 1.0

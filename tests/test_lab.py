@@ -132,6 +132,14 @@ class TestConditionalConsistency:
         with pytest.raises(InvalidParameter, match="finite"):
             verify_conditional_consistency(b75, eta, 0.5, range(2, 5))
 
+    @pytest.mark.parametrize(
+        "eps", [math.nan, math.inf, -math.inf, 0.0, -0.5],
+        ids=["nan", "inf", "-inf", "zero", "negative"],
+    )
+    def test_eps_that_is_not_finite_and_positive_is_refused(self, b75, eps):
+        with pytest.raises(InvalidParameter, match="finite and positive"):
+            verify_conditional_consistency(b75, 0.4, eps, range(2, 6))
+
     def test_binary_threshold_found_and_decreasing(self, b75):
         rep = verify_conditional_consistency(b75, 0.4, 0.5, range(2, 7))
         assert rep.passed
@@ -263,6 +271,16 @@ class TestWlln:
     def test_deterministic_law(self):
         rep = verify_wlln(build(DELTA2), 0.25, 0.05)
         assert rep.lhs == 0.0 and rep.passed
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 0.0, -0.5],
+        ids=["nan", "inf", "-inf", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("which", ["eta", "eps"])
+    def test_threshold_that_is_not_finite_and_positive_is_refused(self, b75, which, bad):
+        thresholds = {"eta": 0.25, "eps": 0.05} | {which: bad}
+        with pytest.raises(InvalidParameter, match="finite and positive"):
+            verify_wlln(b75, **thresholds)
 
     def test_binary_threshold_in_grid(self, b75):
         rep = verify_wlln(b75, 0.25, 0.05)

@@ -322,12 +322,13 @@ class TestMergeAtomsBitForBit:
 
 
 class TestDifference:
-    """``difference`` against ``oracles.difference_by_merge``, the merge of the
-    concatenated supports: the same atoms and weights, bit for bit and by dtype."""
+    """``difference``, the merge of the concatenated supports, against
+    ``oracles.difference_by_placement``, which places ``b``'s atoms among
+    ``a``'s: the same atoms and weights, bit for bit and by dtype."""
 
     @settings(max_examples=200, deadline=None)
     @given(pool=atom_pool, data=st.data())
-    def test_matches_the_merge_of_the_concatenation(self, pool, data):
+    def test_matches_the_placement_on_random_supports(self, pool, data):
         pool = sorted(set(pool))
         a, b = (
             DiscreteMeasure.from_items(zip(points, np.full(len(points), 1.0 / len(points))))
@@ -336,13 +337,13 @@ class TestDifference:
                 for _ in range(2)
             )
         )
-        assert_same_bits(difference(a, b), oracles.difference_by_merge(a, b))
+        assert_same_bits(difference(a, b), oracles.difference_by_placement(a, b))
 
     @pytest.mark.parametrize("case", ["float-tie-across", "float-tie-within", "sweep-n6"])
-    def test_matches_the_merge_on_each_route(self, case):
+    def test_matches_the_placement_on_each_route(self, case):
         j = 2**27
         if case == "float-tie-across":
-            # Distinct atoms of a and b share a double: the merge orders them.
+            # Distinct atoms of a and b share a double: the placement falls back.
             a = DiscreteMeasure.from_items([(Fraction(j + 1, j), 0.5), (Fraction(3), 0.5)])
             b = DiscreteMeasure.from_items([(Fraction(j + 2, j + 1), 0.5), (Fraction(3), 0.5)])
             assert a.float_support[0] == b.float_support[0]
@@ -355,8 +356,8 @@ class TestDifference:
             a, b = (
                 estimator_law(joint_law(build(FamilySpec.binary(p)), 6)).law for p in (0.75, 0.74)
             )
-        assert_same_bits(difference(a, b), oracles.difference_by_merge(a, b))
-        assert_same_bits(difference(b, a), oracles.difference_by_merge(b, a))
+        assert_same_bits(difference(a, b), oracles.difference_by_placement(a, b))
+        assert_same_bits(difference(b, a), oracles.difference_by_placement(b, a))
 
 
 class TestTvDistance:

@@ -456,12 +456,18 @@ def small_laws(draw):
     return build(FamilySpec.raw((weights / weights.sum()).tolist()))
 
 
-def _binned_outcome(table, n, resolution, conditioned):
+def _binned_outcome(table, n, resolution, conditioned, binned=binned_estimator_law):
     try:
-        law, radius = binned_estimator_law(table, n, resolution, conditioned)
+        law, radius = binned(table, n, resolution, conditioned)
     except (DegenerateConditioning, InvalidParameter) as err:
         return type(err)
     return law.nums.tolist(), law.dens.tolist(), law.weights_array.tobytes(), law.defect, radius
+
+
+def _assert_binned_as_by_unique(table, n, resolution):
+    for conditioned in (False, True):
+        want = _binned_outcome(table, n, resolution, conditioned, oracles.binned_law_by_unique)
+        assert _binned_outcome(table, n, resolution, conditioned) == want
 
 
 class TestBinTally:
@@ -499,6 +505,30 @@ class TestBinTally:
         assert np.array_equal(tally.excluded, pairs.excluded)
         for (n, conditioned), outcome in want.items():
             assert _binned_outcome(tally, n, resolution, conditioned) == outcome
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        law=small_laws(),
+        den=st.one_of(st.integers(1, 300), st.just(2**47)),
+        z0=st.integers(1, 3),
+        cap=st.one_of(st.none(), st.integers(3, 40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bins_group_as_unique_and_bincount_do(self, law, den, z0, cap, seed):
+        # Ratios stay below 64, so no index at 1/2**47 passes the limit.
+        cfg = SimConfig(seed=seed, replications=2_000, n_max=4, z0=z0, cap=max(cap or 10**7, z0))
+        resolution = Fraction(1, den)
+        for table in (simulate_paths(law, cfg), simulate_paths(law, cfg, resolution=resolution)):
+            for n in range(1, cfg.n_max + 1):
+                _assert_binned_as_by_unique(table, n, resolution)
+
+    def test_the_extinct_and_the_newly_dead_share_bin_zero(self, b75):
+        cfg = SimConfig(seed=3, replications=5_000, n_max=3)
+        resolution = Fraction(1, 64)
+        for table in (simulate_paths(b75, cfg), simulate_paths(b75, cfg, resolution=resolution)):
+            prev, curr, _ = table.pairs(3)
+            assert set(prev[curr == 0].tolist()) > {0}  # a (0, 0) row and alive ones
+            _assert_binned_as_by_unique(table, 3, resolution)
 
     def test_past_exact_float_indices_is_refused(self, b75):
         cfg = SimConfig(seed=29, replications=1_000, n_max=2)
