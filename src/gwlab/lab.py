@@ -32,6 +32,7 @@ import bisect
 import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -277,7 +278,7 @@ def _propagator(prop: Propagator | None, law: OffspringLaw, **settings: float) -
 def _horizon_laws(
     law: OffspringLaw, levels: Iterable[int],
     from_exact: Callable[[Callable[[], JointLaw]], T], from_table: Callable[[SimTable, int], T],
-    *, z0: int, budget: float, exact_cutoff: int, seed: int, replications: int,
+    *, z0: int, budget: float, exact_cutoff: int, seed: int | Callable[[], int], replications: int,
     cap: int, jobs: int, resolution: Fraction | None = None, prop: Propagator | None = None,
 ) -> tuple[dict[int, T], int | None]:
     """The one exact-to-Monte-Carlo route: a result per horizon in ``levels``.
@@ -290,6 +291,8 @@ def _horizon_laws(
     is sticky: every wanted horizon from ``mc_from`` on gives
     ``from_table(table, n)`` from one seeded simulation, which tallies bins at
     ``resolution`` if given.  Returns the results by horizon and ``mc_from``.
+    ``seed`` may be a function giving it; it is called, and ``numpy.random``
+    loaded, only when a horizon simulates.
     """
     wanted = sorted(set(levels))
     prop = _propagator(prop, law, z0=z0, n_max=wanted[-1], budget=budget)
@@ -302,7 +305,7 @@ def _horizon_laws(
         except BudgetExceeded:
             exact = False
         if not exact:
-            cfg = SimConfig(seed, replications, prop.n_max, z0, cap)
+            cfg = SimConfig(seed() if callable(seed) else seed, replications, prop.n_max, z0, cap)
             table = simulate_paths(law, cfg, jobs=jobs, resolution=resolution)
             out.update((k, from_table(table, k)) for k in wanted if k >= n)
             return out, n
@@ -310,7 +313,7 @@ def _horizon_laws(
 
 
 def _estimator_curve(
-    law: OffspringLaw, spec: ExperimentSpec, seed: int, jobs: int = 1
+    law: OffspringLaw, spec: ExperimentSpec, seed: int | Callable[[], int], jobs: int = 1
 ) -> tuple[dict[int, tuple[DiscreteMeasure, float]], int | None]:
     """Unconditional ratio law per horizon of ``spec.n_range``.
 
@@ -348,7 +351,7 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
         raise SupercriticalRequired("the sweep center must be supercritical")
     metric = prohorov if spec.metric == "prohorov" else bounded_lipschitz
     center_curve, center_mc = _estimator_curve(
-        center, spec, _member_seed(spec.seed, 0), jobs
+        center, spec, partial(_member_seed, spec.seed, 0), jobs
     )
     rows: list[dict] = []
     for idx, member in enumerate(spec.grid):
@@ -362,7 +365,7 @@ def robustness_modulus(spec: ExperimentSpec, jobs: int = 1) -> list[dict]:
             curve2, mc_from = center_curve, center_mc
         else:
             curve2, mc_from = _estimator_curve(
-                law2, spec, _member_seed(spec.seed, idx + 1), jobs
+                law2, spec, partial(_member_seed, spec.seed, idx + 1), jobs
             )
         best, best_n, best_slack, winner = -1.0, None, 0.0, None
         for n in _horizon_order(center_curve, curve2, spec.n_range):
@@ -609,6 +612,8 @@ def verify_conditional_consistency(
     levels = sorted(set(int(x) for x in n_range))
     if not levels or levels[0] < 1:
         raise InvalidParameter("n_range must contain horizons >= 1")
+    # The simulation settings are checked even when every horizon is exact.
+    SimConfig(seed, replications, levels[-1], z0, cap)
     m_frac, eta_frac = Fraction(law.mean_m), exact_fraction(eta)
     results, mc_from = _horizon_laws(
         law, levels,

@@ -672,6 +672,49 @@ class TestColdStart:
         assert out.returncode == 0, out.stderr
         assert out.stdout and out.stderr == ""
 
+    def test_exact_commands_run_where_numpy_random_cannot_be_imported(self, tmp_path):
+        # The binary sweep and the verify suite take every horizon exactly, so
+        # they derive no seed and never load numpy.random, and neither do the
+        # estimator-law and metric commands; a one-member contamination sweep
+        # simulates from n = 3 and does load it.
+        config = tmp_path / "binary_sweep.json"
+        config.write_text(json.dumps(binary_sweep_spec().to_json_dict()))
+        laws = {p: str(tmp_path / f"binary_p{p}_n6.json") for p in ("0.75", "0.74")}
+        flags = ["--format", "json", "--no-timestamp"]
+        commands = [
+            ("modulus_binary_sweep.csv",
+             ["modulus", "--config", str(config), "--jobs", "1", "--no-timestamp"]),
+            ("verify_suite_all.csv", ["verify", "--suite", "all", "--no-timestamp"]),
+            *((None, ["estimator-law", "--family", "binary", "--p", p, "--n", "6", *flags,
+                      "--output", path]) for p, path in laws.items()),
+            ("metric_prohorov_binary_p075_p074_n6.json",
+             ["metric", "--kind", "prohorov", *laws.values(), *flags]),
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy.random'] = None\n"
+            "from gwlab import contamination_sweep_spec, robustness_modulus\n"
+            "from gwlab.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(json.loads(argv)) == 0\n"
+            "    print(json.dumps(out.getvalue()))\n"
+            "del sys.modules['numpy.random']\n"
+            "robustness_modulus(\n"
+            "    contamination_sweep_spec(k_values=(20,), n_max=3, replications=4096))\n"
+            "print(json.dumps('numpy.random' in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, *(json.dumps(argv) for _, argv in commands)],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        *outputs, simulated = map(json.loads, out.stdout.splitlines())
+        for (name, _), output in zip(commands, outputs, strict=True):
+            assert output == ((DATA / name).read_text() if name else ""), name
+        assert simulated is True
+
 
 # sha256 of ``gw --help`` (key "") and of each subcommand's ``--help`` at 80
 # columns on CPython 3.11, recorded before the parser was built from a table.

@@ -140,6 +140,18 @@ class TestConditionalConsistency:
         with pytest.raises(InvalidParameter, match="finite and positive"):
             verify_conditional_consistency(b75, 0.4, eps, range(2, 6))
 
+    @pytest.mark.parametrize(
+        "setting, match",
+        [({"replications": 0}, "replications"), ({"seed": -1}, "seed"), ({"cap": 0}, "cap")],
+        ids=["replications", "seed", "cap"],
+    )
+    def test_simulation_settings_are_checked_when_every_horizon_is_exact(
+        self, b75, setting, match
+    ):
+        # Horizons 2 to 4 are exact, so no simulation would reject them.
+        with pytest.raises(InvalidParameter, match=match):
+            verify_conditional_consistency(b75, 0.4, 0.1, range(2, 5), **setting)
+
     def test_binary_threshold_found_and_decreasing(self, b75):
         rep = verify_conditional_consistency(b75, 0.4, 0.5, range(2, 7))
         assert rep.passed
@@ -610,6 +622,40 @@ class TestRobustnessModulus:
         assert rows[2]["modulus"] == 0.0
         assert all(r["modulus"] <= 0.1 for r in rows)
 
+
+    def test_member_seeds_do_not_move(self):
+        assert [lab._member_seed(0, i) for i in range(6)] == [
+            2968811710, 3964924996, 3141116543, 2613022947, 1874364848, 161328693,
+        ]
+
+    def test_seeds_are_derived_only_for_curves_that_simulate(self, monkeypatch):
+        # exact_cutoff = 1 sends every horizon to Monte Carlo: the centre
+        # simulates with seed index 0 and binary(0.74) with index 1, and the
+        # binary(0.75) member reuses the centre's curve.  Rows recorded when
+        # every seed was derived up front.
+        spec = ExperimentSpec(
+            center=FamilySpec.binary(0.75),
+            grid=(FamilySpec.binary(0.74), FamilySpec.binary(0.75)),
+            n_range=(1, 2, 3),
+            exact_cutoff=1,
+            replications=2000,
+        )
+        derived, member_seed = [], lab._member_seed
+        monkeypatch.setattr(
+            lab, "_member_seed", lambda *args: derived.append(args) or member_seed(*args)
+        )
+        assert robustness_modulus(spec) == [
+            {"index": 0, "family": "binary(p=0.74)", "d_tv": 0.010000000000000009,
+             "d_tv_slack": 0.0, "modulus": 0.02200000000000002,
+             "modulus_slack": 0.015625000000001332, "argmax_n": 2, "mc_from": 1, "flagged": ""},
+            {"index": 1, "family": "binary(p=0.75)", "d_tv": 0.0, "d_tv_slack": 0.0,
+             "modulus": 0.0, "modulus_slack": 0.015625, "argmax_n": 1, "mc_from": 1,
+             "flagged": ""},
+        ]
+        assert derived == [(0, 0), (0, 1)]
+        derived.clear()
+        robustness_modulus(binary_sweep_spec(n_max=4))
+        assert derived == []
 
     def test_engine_cap_ends_the_exact_route_of_the_k50_member(self):
         # Generation 2 reaches about 19,000, so step 3 plans a dense array
